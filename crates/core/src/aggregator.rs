@@ -241,18 +241,16 @@ impl Aggregator {
 
                 // Quorum check: the leader trivially holds every announced
                 // entry, so `quorum - 1` follower matches suffice.
-                let mut follower_matches: Vec<LogIndex> = self
-                    .members
-                    .iter()
-                    .filter(|&&n| Some(n) != self.leader)
-                    .map(|n| self.match_idx.get(n).copied().unwrap_or(0))
-                    .collect();
-                follower_matches.sort_unstable_by(|a, b| b.cmp(a));
                 let needed = self.quorum - 1;
                 let candidate = if needed == 0 {
                     self.last_target
                 } else {
-                    follower_matches.get(needed - 1).copied().unwrap_or(0)
+                    let follower_matches = self
+                        .members
+                        .iter()
+                        .filter(|&&n| Some(n) != self.leader)
+                        .map(|n| self.match_idx.get(n).copied().unwrap_or(0));
+                    raft::quorum_index(follower_matches, needed)
                 };
 
                 if candidate > self.commit {

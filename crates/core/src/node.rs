@@ -604,7 +604,6 @@ impl<S: Service> HcNode<S> {
     // ---- entry points ------------------------------------------------------
 
     /// Handles one incoming message; `src` is the sender's network address.
-    /// Handles one incoming message; `src` is the sender's network address.
     /// Outputs are appended to `out`, a caller-owned scratch buffer reused
     /// across calls so the steady state never allocates for outputs.
     pub fn on_message(
@@ -926,6 +925,19 @@ impl<S: Service> HcNode<S> {
             return;
         }
         if self.is_leader() {
+            // This multicast *is* the commit notification (§4, Table 1): it
+            // carried `commit` to every follower, and a follower commits
+            // what it holds of it — at least up to its register. Record
+            // that first, so the commit advance below finds nobody left to
+            // tell; re-announcing through the aggregator would cost a
+            // fan-out and an AGG_COMMIT echo per round. A lost copy heals
+            // on the next data-carrying AppendEntries or the heartbeat, and
+            // a follower under point-to-point repair, whose register is
+            // stale, keeps its eager nudge.
+            for s in &status {
+                self.raft
+                    .note_commit_told(s.node, commit.min(s.match_index));
+            }
             // Fold the register snapshot back into Raft as the per-follower
             // replies the aggregator absorbed (§6.4: the aggregator is part
             // of the leader; this reconstruction costs no wire messages).
@@ -1217,11 +1229,11 @@ impl<S: Service> HcNode<S> {
         }
         let last = self.raft.log().last_index();
         let mut ceiling = self.raft.ceiling().min(last);
-        let members: Vec<RaftId> = self.cfg.raft.members.clone();
         let me = self.id();
+        let only_me = [me];
         // The leader is trivially alive; never let it self-stall.
         self.ledger.note_heard(me, now);
-        self.note_stall_transitions(&members, now);
+        self.note_stall_transitions(now);
         let mut advanced = false;
         while ceiling < last {
             let idx = ceiling + 1;
@@ -1232,13 +1244,13 @@ impl<S: Service> HcNode<S> {
                 .map(|e| e.cmd.desc.replier.is_none())
                 .unwrap_or(false);
             if needs_assignment {
-                let candidates: Vec<RaftId> = if self.cfg.lb_replies {
-                    members.clone()
+                let candidates: &[RaftId] = if self.cfg.lb_replies {
+                    &self.cfg.raft.members
                 } else {
-                    vec![me]
+                    &only_me
                 };
                 let Some(r) = self.ledger.pick(
-                    &candidates,
+                    candidates,
                     self.cfg.bound,
                     self.cfg.policy,
                     &mut self.rng,
@@ -1269,8 +1281,9 @@ impl<S: Service> HcNode<S> {
     /// Emits one [`ProtoEvent::ReplierStalled`] / [`ProtoEvent::ReplierRecovered`]
     /// pair per stall episode by diffing the current stall verdicts against
     /// the remembered set (leader only).
-    fn note_stall_transitions(&mut self, members: &[RaftId], now: u64) {
-        for &m in members {
+    fn note_stall_transitions(&mut self, now: u64) {
+        for i in 0..self.cfg.raft.members.len() {
+            let m = self.cfg.raft.members[i];
             let stalled = self.ledger.is_stalled(m, now, self.cfg.stall_timeout_ns);
             if stalled && self.stalled_members.insert(m) {
                 self.push_event(ProtoEvent::ReplierStalled { node: m });

@@ -143,38 +143,38 @@ impl ReplierLedger {
         now: u64,
         stall_timeout: u64,
     ) -> Option<RaftId> {
-        let within_bound: Vec<RaftId> = candidates
-            .iter()
-            .copied()
-            .filter(|n| self.depth(*n) < b)
-            .collect();
-        let mut eligible: Vec<RaftId> = within_bound
-            .iter()
-            .copied()
-            .filter(|n| !self.is_stalled(*n, now, stall_timeout))
-            .collect();
-        if eligible.is_empty() {
-            eligible = within_bound;
-        }
-        if eligible.is_empty() {
-            return None;
-        }
-        Some(match kind {
-            PolicyKind::Random => eligible[rng.gen_range(0..eligible.len())],
+        // Counting passes and `nth` instead of collected candidate lists:
+        // this runs once per ordered request on the leader. The draw (one
+        // `gen_range` over the same count, indexing the same order) is
+        // unchanged.
+        let in_bound = |n: &RaftId| self.depth(*n) < b;
+        let live = |n: &RaftId| in_bound(n) && !self.is_stalled(*n, now, stall_timeout);
+        let any_live = candidates.iter().any(live);
+        let eligible = |n: &RaftId| if any_live { live(n) } else { in_bound(n) };
+        match kind {
+            PolicyKind::Random => draw(candidates, eligible, rng),
             PolicyKind::Jbsq => {
-                let min = eligible
-                    .iter()
-                    .map(|n| self.depth(*n))
-                    .min()
-                    .expect("nonempty");
-                let best: Vec<RaftId> = eligible
-                    .into_iter()
-                    .filter(|n| self.depth(*n) == min)
-                    .collect();
-                best[rng.gen_range(0..best.len())]
+                let among = candidates.iter().filter(|n| eligible(n));
+                let min = among.map(|n| self.depth(*n)).min()?;
+                draw(candidates, |n| eligible(n) && self.depth(*n) == min, rng)
             }
-        })
+        }
     }
+}
+
+/// Uniform draw among the `candidates` satisfying `wanted`, `None` when
+/// there are none.
+fn draw(
+    candidates: &[RaftId],
+    wanted: impl Fn(&RaftId) -> bool,
+    rng: &mut SmallRng,
+) -> Option<RaftId> {
+    let n = candidates.iter().filter(|n| wanted(n)).count();
+    if n == 0 {
+        return None;
+    }
+    let k = rng.gen_range(0..n);
+    candidates.iter().copied().filter(|n| wanted(n)).nth(k)
 }
 
 #[cfg(test)]

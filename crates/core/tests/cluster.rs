@@ -58,6 +58,8 @@ struct Cluster {
     /// Responses the client has observed: (rid, body).
     responses: Vec<(ReqId, Bytes)>,
     nacks: u64,
+    /// AppendEntries a leader emitted while handling an AGG_COMMIT.
+    appends_on_agg_commit: u64,
     alloc: ReqIdAlloc,
     arena: bytes::ByteArena,
 }
@@ -86,6 +88,7 @@ impl Cluster {
             now: 0,
             responses: Vec::new(),
             nacks: 0,
+            appends_on_agg_commit: 0,
             alloc: ReqIdAlloc::new(CLIENT, 1000),
             arena: bytes::ByteArena::new(),
         }
@@ -118,8 +121,23 @@ impl Cluster {
         if (node as usize) < self.bus.rx.len() {
             self.bus.rx[node as usize] += 1;
         }
+        let agg_commit = matches!(msg, WireMsg::AggCommit { .. });
         let mut outs = Vec::new();
         self.nodes[node as usize].on_message(src, msg, self.now, &mut outs, &mut self.arena);
+        if agg_commit {
+            self.appends_on_agg_commit += outs
+                .iter()
+                .filter(|o| {
+                    matches!(
+                        o,
+                        Output::Send {
+                            msg: WireMsg::Raft(raft::Message::AppendEntries { .. }),
+                            ..
+                        }
+                    )
+                })
+                .count() as u64;
+        }
         self.handle_outputs(node, outs);
     }
 
@@ -367,6 +385,34 @@ fn hovercraft_pp_commits_through_aggregator() {
     assert!(st.replies_absorbed >= st.commits_sent);
     for n in &tc.nodes {
         assert_eq!(n.service().writes, 20);
+    }
+}
+
+#[test]
+fn agg_commit_is_the_commit_notification() {
+    // §4 / Table 1: the AGG_COMMIT multicast already told every follower
+    // the commit index, so a leader with nothing new to announce answers
+    // it with silence — no empty AppendEntries through the aggregator, no
+    // echo round. Requests are spaced so each finds the pipeline idle.
+    let mut tc = settle(Mode::HovercraftPp, 5);
+    for i in 0..10u64 {
+        tc.send(OpKind::ReadWrite, &i.to_le_bytes());
+        tc.run_ms(5);
+    }
+    let commits_before = tc.agg.stats().commits_sent;
+    tc.appends_on_agg_commit = 0;
+    for i in 0..40u64 {
+        tc.send(OpKind::ReadWrite, &(1000 + i).to_le_bytes());
+        tc.run_ms(5);
+    }
+    assert_eq!(tc.responses.len(), 50);
+    assert!(
+        tc.agg.stats().commits_sent >= commits_before + 40,
+        "every request committed through the aggregator"
+    );
+    assert_eq!(tc.appends_on_agg_commit, 0);
+    for n in &tc.nodes {
+        assert_eq!(n.service().writes, 50, "every replica applied everything");
     }
 }
 

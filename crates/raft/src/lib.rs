@@ -55,6 +55,6 @@ pub use config::Config;
 pub use fingerprint::HashState;
 pub use log::{Entry, RaftLog};
 pub use message::Message;
-pub use node::{Action, NotLeader, RaftNode};
+pub use node::{quorum_index, Action, NotLeader, RaftNode};
 pub use progress::Progress;
 pub use types::{LogIndex, RaftId, Role, Term};

@@ -464,6 +464,18 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
         }
     }
 
+    /// Driver hook: `peer` has been told commit index `upto` by a channel
+    /// other than this leader's own AppendEntries — HovercRaft++'s
+    /// `AGG_COMMIT` multicast reaches every follower (§4). The eager
+    /// commit-notify paths then skip `peer` until the commit index moves
+    /// past `upto`; heartbeats and data-carrying appends still carry
+    /// `leader_commit`, which is what heals a lost copy.
+    pub fn note_commit_told(&mut self, peer: RaftId, upto: LogIndex) {
+        if let Some(p) = self.progress.get_mut(&peer) {
+            p.commit_told = p.commit_told.max(upto);
+        }
+    }
+
     /// HovercRaft++ hook (§4): a follower advances its commit index on an
     /// `AGG_COMMIT` from the in-network aggregator. The aggregator is an
     /// extension of the leader, so this is the moral equivalent of learning
@@ -513,7 +525,7 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
     }
 
     /// [`RaftNode::pump`] appending into a caller-owned buffer.
-    pub fn pump_into(&mut self, now: u64, out: &mut Vec<Action<C>>) {
+    pub fn pump_into(&mut self, _now: u64, out: &mut Vec<Action<C>>) {
         if !self.is_leader() {
             return;
         }
@@ -528,7 +540,6 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
         if self.cfg.cluster_size() == 1 {
             self.maybe_commit(out);
         }
-        let _ = now;
     }
 
     // ---- time --------------------------------------------------------------
@@ -1154,39 +1165,164 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
             let target = self.log.last_index().min(self.ceiling);
             self.send_append(from, target, true, out);
         }
-        let _ = now;
     }
 
     /// Advances the commit index if a quorum matches, restricted to entries
     /// of the current term (Raft §5.4.2), and on advance optionally
     /// broadcasts the new commit index eagerly.
     fn maybe_commit(&mut self, out: &mut Vec<Action<C>>) {
-        let mut matches: Vec<LogIndex> = self.progress.values().map(|p| p.matched).collect();
-        matches.push(self.log.last_index().min(self.ceiling)); // self
-        matches.sort_unstable_by(|a, b| b.cmp(a));
-        let candidate = matches[self.cfg.quorum() - 1];
+        let own = self.log.last_index().min(self.ceiling);
+        let matches = self
+            .progress
+            .values()
+            .map(|p| p.matched)
+            .chain(std::iter::once(own));
+        let candidate = quorum_index(matches, self.cfg.quorum());
         if candidate > self.commit && self.log.term_at(candidate) == Some(self.term) {
             self.commit = candidate;
             out.push(Action::Commit { upto: self.commit });
             if self.cfg.eager_commit_notify {
                 // Tell followers about the new commit index right away —
-                // but only the ones with nothing in flight. A busy pipeline
-                // delivers the commit index on its next data-carrying
-                // AppendEntries anyway, and forcing empty appends at high
-                // load would double the leader's packet rate.
+                // but only the ones with nothing in flight that have not
+                // already been told it. A busy pipeline delivers the commit
+                // index on its next data-carrying AppendEntries anyway, and
+                // forcing empty appends at high load would double the
+                // leader's packet rate; a follower the driver reported via
+                // `note_commit_told` heard it from the aggregator.
                 let target = self.log.last_index().min(self.ceiling);
                 for i in 0..self.peer_ids.len() {
                     let peer = self.peer_ids[i];
-                    let caught_up = self
-                        .progress
-                        .get(&peer)
-                        .map(|p| p.matched + 1 == p.next && p.next > target)
-                        .unwrap_or(false);
-                    if caught_up {
+                    let notify = self.progress.get(&peer).is_some_and(|p| {
+                        p.matched + 1 == p.next && p.next > target && p.commit_told < self.commit
+                    });
+                    if notify {
                         self.send_append(peer, target, true, out);
                     }
                 }
             }
         }
+    }
+}
+
+/// The highest index held by at least `quorum` of `matches` — the
+/// `quorum`-th largest value, 0 when fewer than `quorum` values exist —
+/// found by counting instead of sorting, so the per-ack commit check does
+/// not allocate. Quadratic in the group size, which is single digits.
+pub fn quorum_index(matches: impl Iterator<Item = LogIndex> + Clone, quorum: usize) -> LogIndex {
+    matches
+        .clone()
+        .filter(|&m| matches.clone().filter(|&x| x >= m).count() >= quorum)
+        .max()
+        .unwrap_or(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const T0: u64 = 50_000_000;
+
+    /// Node 0 of a five-node group, elected at `T0` with entry 1 shipped to
+    /// every follower and nothing acknowledged yet.
+    fn leader_with_one_entry_in_flight() -> RaftNode<u64> {
+        let mut cfg = Config::new(0, vec![0, 1, 2, 3, 4]);
+        cfg.pre_vote = false;
+        let mut n = RaftNode::new(cfg, 0);
+        n.tick(T0);
+        for peer in [1, 2] {
+            let vote = Message::RequestVoteReply {
+                term: 1,
+                granted: true,
+            };
+            n.step(peer, vote, T0);
+        }
+        assert!(n.is_leader());
+        n.propose(7).unwrap();
+        n.pump(T0);
+        n
+    }
+
+    fn ack(n: &mut RaftNode<u64>, from: RaftId, match_index: LogIndex) -> Vec<Action<u64>> {
+        let reply = Message::AppendEntriesReply {
+            term: 1,
+            success: true,
+            match_index,
+            conflict_index: 0,
+            applied_index: 0,
+            from,
+        };
+        n.step(from, reply, T0)
+    }
+
+    /// `(destination, leader_commit)` of every empty AppendEntries in `acts`.
+    fn empty_appends(acts: &[Action<u64>]) -> Vec<(RaftId, LogIndex)> {
+        acts.iter()
+            .filter_map(|a| match a {
+                Action::Send {
+                    to,
+                    msg:
+                        Message::AppendEntries {
+                            entries,
+                            leader_commit,
+                            ..
+                        },
+                } if entries.is_empty() => Some((*to, *leader_commit)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn commit_advance_notifies_only_followers_not_yet_told() {
+        let mut n = leader_with_one_entry_in_flight();
+        n.note_commit_told(1, 1);
+        assert!(ack(&mut n, 1, 1).is_empty(), "no quorum yet");
+        // The quorum ack commits entry 1 with followers 1 and 2 caught up:
+        // 2 has not heard the commit index, 1 has.
+        let acts = ack(&mut n, 2, 1);
+        assert!(acts.iter().any(|a| matches!(a, Action::Commit { upto: 1 })));
+        assert_eq!(empty_appends(&acts), vec![(2, 1)]);
+        // Late acks take the nudge path, under the same condition.
+        n.note_commit_told(3, 1);
+        assert!(ack(&mut n, 3, 1).is_empty());
+        assert_eq!(empty_appends(&ack(&mut n, 4, 1)), vec![(4, 1)]);
+    }
+
+    #[test]
+    fn a_told_commit_index_is_monotone_and_does_not_cover_later_commits() {
+        let mut n = leader_with_one_entry_in_flight();
+        n.note_commit_told(1, 1);
+        n.note_commit_told(1, 0);
+        assert_eq!(n.progress(1).unwrap().commit_told, 1);
+        ack(&mut n, 1, 1);
+        ack(&mut n, 2, 1);
+        // A later commit is news again to a follower told only the old one.
+        n.propose(8).unwrap();
+        n.pump(T0);
+        assert!(ack(&mut n, 1, 2).is_empty(), "no quorum yet");
+        assert_eq!(empty_appends(&ack(&mut n, 2, 2)), vec![(1, 2), (2, 2)]);
+    }
+
+    #[test]
+    fn heartbeat_carries_the_commit_to_told_followers_too() {
+        let mut n = leader_with_one_entry_in_flight();
+        for peer in 1..=4 {
+            n.note_commit_told(peer, 1);
+            ack(&mut n, peer, 1);
+        }
+        assert_eq!(n.commit_index(), 1);
+        let beat = n.tick(T0 + n.config().heartbeat_interval);
+        assert_eq!(empty_appends(&beat), vec![(1, 1), (2, 1), (3, 1), (4, 1)]);
+    }
+
+    #[test]
+    fn quorum_index_is_the_quorum_th_largest() {
+        let q = |m: &[LogIndex], k| quorum_index(m.iter().copied(), k);
+        assert_eq!(q(&[5, 3, 9, 3, 7], 3), 5);
+        assert_eq!(q(&[5, 3, 9, 3, 7], 1), 9);
+        assert_eq!(q(&[5, 3, 9, 3, 7], 5), 3);
+        assert_eq!(q(&[4, 4], 2), 4);
+        assert_eq!(q(&[4], 2), 0, "fewer values than the quorum");
+        assert_eq!(q(&[], 1), 0);
     }
 }

@@ -14,9 +14,12 @@ pub struct Progress {
     /// machine — HovercRaft extension (§6.2), consumed by the bounded-queue
     /// eligibility check and JBSQ load balancing.
     pub applied: LogIndex,
-    /// The `leader_commit` value carried by the last AppendEntries sent to
-    /// this follower; lets the leader notice a follower that is fully
-    /// caught up on entries but behind on the commit index.
+    /// Highest commit index this follower has been told: the
+    /// `leader_commit` of the last AppendEntries sent to it, or a value
+    /// the driver reported via [`crate::RaftNode::note_commit_told`]
+    /// (HovercRaft++'s `AGG_COMMIT`). Lets the leader notice a follower
+    /// that is fully caught up on entries but behind on the commit index —
+    /// and skip one that is not.
     pub commit_told: LogIndex,
     /// When the leader last heard *anything* current-term from this
     /// follower, in driver-clock ns; consumed by check-quorum.

@@ -416,6 +416,11 @@ impl Cluster {
         self.fc_prog
     }
 
+    /// Pipeline index of the aggregator program, if deployed.
+    pub fn agg_prog_index(&self) -> Option<usize> {
+        self.agg_prog
+    }
+
     /// Evaluates every cross-node invariant once, returning the first
     /// violation. Prefer the `*_checked` run methods, which call this
     /// after every simulation step and panic with a replay bundle.

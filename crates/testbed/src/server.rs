@@ -86,6 +86,9 @@ impl ServerAgent {
     /// Carries out the outputs accumulated in `self.outs`, draining the
     /// buffer in place (capacity is retained for the next entry point).
     fn run(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
+        // Only VanillaRaft entries carry payloads; HovercRaft's are
+        // metadata-only by construction (§3.2) and need no scan.
+        let inline_payloads = !self.node.config().mode.is_hovercraft();
         for o in self.outs.drain(..) {
             match o {
                 Output::Send { dst, msg } => {
@@ -99,19 +102,20 @@ impl ServerAgent {
                     // produced them (each thread has its own TX queue).
                     match &msg {
                         WireMsg::Raft(m) => {
-                            // Serialization cost of inline payloads (zero
-                            // for HovercRaft's metadata-only entries).
-                            if let raft::Message::AppendEntries { entries, .. } = m {
-                                let inline: u64 = entries
-                                    .iter()
-                                    .filter_map(|e| e.cmd.body.as_ref())
-                                    .map(|b| b.len() as u64)
-                                    .sum();
-                                if inline > 0 {
-                                    ctx.burn(
-                                        SimDur::nanos(inline * AE_COPY_PER_BYTE_DECINS / 10),
-                                        simnet::ThreadClass::Net,
-                                    );
+                            // Serialization cost of inline payloads.
+                            if inline_payloads {
+                                if let raft::Message::AppendEntries { entries, .. } = m {
+                                    let inline: u64 = entries
+                                        .iter()
+                                        .filter_map(|e| e.cmd.body.as_ref())
+                                        .map(|b| b.len() as u64)
+                                        .sum();
+                                    if inline > 0 {
+                                        ctx.burn(
+                                            SimDur::nanos(inline * AE_COPY_PER_BYTE_DECINS / 10),
+                                            simnet::ThreadClass::Net,
+                                        );
+                                    }
                                 }
                             }
                             ctx.send_from(Addr(dst), size, msg, simnet::ThreadClass::Net);

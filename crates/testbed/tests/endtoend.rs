@@ -3,7 +3,10 @@
 
 use hovercraft::PolicyKind;
 use simnet::SimDur;
-use testbed::{run_experiment_checked, ClusterOpts, ServiceKind, Setup, WorkloadKind};
+use testbed::{
+    run_experiment_checked, summarize, AggProgram, Cluster, ClusterOpts, ServerAgent, ServiceKind,
+    Setup, WorkloadKind,
+};
 use workload::{ServiceDist, SynthSpec, YcsbWorkload};
 
 fn quick(setup: Setup, n: u32, rate: f64) -> ClusterOpts {
@@ -108,3 +111,60 @@ fn results_are_deterministic_for_a_seed() {
     };
     assert_eq!(run(), run());
 }
+
+/// Total client responses sent by all servers so far.
+fn responses_sent(cluster: &Cluster) -> u64 {
+    let node_responses = |&s| cluster.sim.agent::<ServerAgent>(s).node().stats().responses;
+    cluster.servers.iter().map(node_responses).sum()
+}
+
+/// AppendEntries fan-outs the aggregator has performed so far.
+fn agg_fanouts(cluster: &mut Cluster) -> u64 {
+    let agg = cluster
+        .agg_prog_index()
+        .expect("HC++ deploys an aggregator");
+    let prog = cluster.sim.switch_program_mut::<AggProgram>(agg);
+    prog.agg.stats().fanouts
+}
+
+#[test]
+fn hovercraft_pp_holds_the_table1_message_budget_at_low_load() {
+    // §4 / Table 1: one aggregator fan-out per request and, on the leader,
+    // one AppendEntries plus its 1/N share of replies and FEEDBACKs — also
+    // when every request finds the pipeline idle, because AGG_COMMIT is the
+    // commit notification and the leader does not repeat it.
+    let n = 5;
+    let mut cluster = Cluster::build(quick(Setup::HovercraftPp(PolicyKind::Jbsq), n, 30_000.0));
+    cluster.settle();
+    let measure_start = cluster.opts().load_start + cluster.opts().warmup;
+    cluster.run_until_checked(measure_start);
+    cluster.sim.reset_counters();
+    let fanouts_before = agg_fanouts(&mut cluster);
+    let responses_before = responses_sent(&cluster);
+    cluster.run_until_checked(cluster.opts().load_end() + SimDur::millis(20));
+    let fanouts = agg_fanouts(&mut cluster) - fanouts_before;
+    let responses = (responses_sent(&cluster) - responses_before) as f64;
+    assert!(responses > 5_000.0, "{responses}");
+    let leader = cluster.leader().expect("leader");
+    let leader_tx = cluster.sim.counters(leader).tx_msgs as f64;
+    assert!(
+        fanouts as f64 / responses <= 1.1,
+        "{fanouts} fan-outs for {responses} responses"
+    );
+    assert!(
+        leader_tx / responses <= 1.0 + 2.0 / n as f64 + 0.2,
+        "{leader_tx} leader tx messages for {responses} responses"
+    );
+    // Skipping the re-announcement must not cost latency: the unloaded
+    // median stays within 2 % of the 10.17 µs measured with it.
+    let r = summarize(&mut cluster);
+    assert!(
+        (r.p50_ns as f64 - UNLOADED_P50_NS).abs() <= 0.02 * UNLOADED_P50_NS,
+        "p50 = {} ns",
+        r.p50_ns
+    );
+}
+
+/// Median latency of HovercRaft++ (N=5, 30 kRPS, `quick` windows) before
+/// the leader stopped re-announcing commits through the aggregator.
+const UNLOADED_P50_NS: f64 = 10_169.0;

@@ -3,7 +3,7 @@
 //! protocol, lost consensus messages by Raft's own retransmission, and the
 //! system keeps its SMR guarantees throughout.
 
-use hovercraft::PolicyKind;
+use hovercraft::{PolicyKind, WireMsg};
 use simnet::SimDur;
 use testbed::{summarize, Cluster, ClusterOpts, ServerAgent, Setup};
 
@@ -88,4 +88,69 @@ fn replicas_converge_despite_loss() {
     assert!(applied[0] > 0);
     assert_eq!(applied[0], applied[1], "{applied:?}");
     assert_eq!(applied[1], applied[2], "{applied:?}");
+}
+
+#[test]
+fn follower_deaf_to_agg_commit_learns_the_commit_within_a_heartbeat() {
+    // In HovercRaft++ the AGG_COMMIT multicast is the only eager commit
+    // notification: the leader does not repeat it. A follower that loses
+    // every copy must still heal the paper's way — the next data-carrying
+    // AppendEntries or the 1 ms heartbeat carries `leader_commit`.
+    let mut o = ClusterOpts::new(Setup::HovercraftPp(PolicyKind::Jbsq), 5, 20_000.0);
+    o.warmup = SimDur::millis(20);
+    o.measure = SimDur::millis(100);
+    o.seed = 47;
+    let mut cluster = Cluster::build(o);
+    cluster.settle();
+    let leader = cluster.leader().expect("leader");
+    let victim = *cluster
+        .servers
+        .iter()
+        .find(|&&s| s != leader)
+        .expect("a follower");
+    cluster
+        .sim
+        .set_drop_filter(Some(Box::new(move |pkt, to, _| {
+            to == victim && matches!(pkt.payload, WireMsg::AggCommit { .. })
+        })));
+    let commit_of = |c: &Cluster, s| c.sim.agent::<ServerAgent>(s).node().raft().commit_index();
+    // One heartbeat interval plus the 250 µs protocol tick that fires it
+    // and the network hops, in 500 µs samples.
+    const LAG_SAMPLES: usize = 3;
+    let step = SimDur::micros(500);
+    let end = cluster.opts().load_end() + SimDur::millis(20);
+    let mut leader_commits = Vec::new();
+    while cluster.sim.now() < end {
+        cluster.run_checked(step);
+        leader_commits.push(commit_of(&cluster, leader));
+        if let Some(i) = leader_commits.len().checked_sub(1 + LAG_SAMPLES) {
+            assert!(
+                commit_of(&cluster, victim) >= leader_commits[i],
+                "victim commit {} still behind the leader's {} of {LAG_SAMPLES} samples ago at {:?}",
+                commit_of(&cluster, victim),
+                leader_commits[i],
+                cluster.sim.now()
+            );
+        }
+    }
+    assert_eq!(cluster.leader(), Some(leader), "no election was provoked");
+    let dropped = cluster.sim.counters(victim).dropped_loss;
+    assert!(
+        dropped > 1_000,
+        "the filter dropped {dropped} AGG_COMMIT copies"
+    );
+    let applied: Vec<u64> = cluster
+        .servers
+        .iter()
+        .map(|&s| cluster.sim.agent::<ServerAgent>(s).node().applied_index())
+        .collect();
+    assert!(applied[0] > 2_000, "{applied:?}");
+    assert!(applied.iter().all(|&a| a == applied[0]), "{applied:?}");
+    // Exactly once: the invariant checker ran every millisecond (at most
+    // one reply per request), and the servers answered every request they
+    // received — none unanswered, none repeated.
+    let stats_of = |&s| cluster.sim.agent::<ServerAgent>(s).node().stats();
+    let answered: u64 = cluster.servers.iter().map(|s| stats_of(s).responses).sum();
+    assert_eq!(answered, stats_of(&victim).requests);
+    assert_eq!(cluster.client_results().duplicates, 0);
 }
