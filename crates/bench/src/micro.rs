@@ -14,9 +14,9 @@ use std::hint::black_box;
 use bytes::Bytes;
 use hovercraft::{Aggregator, Cmd, EntryDesc, FlowControl, OpKind, WireMsg};
 use minikv::{Command, CostModel, Store};
-use r2p2::{packetize, Header, MsgType, Policy, Reassembler, ReqId};
+use r2p2::{body_hash, packetize, Header, MsgType, Policy, Reassembler, ReqId};
 use raft::{Config, Entry, Message, RaftLog, RaftNode};
-use workload::{RecordSpec, YcsbGen, YcsbWorkload, Zipfian};
+use workload::{encode_request, RecordSpec, SynthService, YcsbGen, YcsbWorkload, Zipfian};
 
 fn bench_r2p2(c: &mut Criterion) {
     let mut g = c.benchmark_group("r2p2");
@@ -55,6 +55,34 @@ fn bench_r2p2(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    g.finish();
+}
+
+/// The two passes a replicated request body gets: the leader's hash for the
+/// `EntryDesc`, and the synthetic service's state fold on every replica.
+/// Sizes are the paper's 24 B default and Figure 8's large points, so the
+/// per-byte cost of ordering a request has a number of its own.
+fn bench_body(c: &mut Criterion) {
+    use hovercraft::Service;
+    let mut g = c.benchmark_group("body_hash");
+    for size in [24usize, 512, 1024] {
+        let body = encode_request(1_000, 8, size);
+        g.throughput(Throughput::Bytes(size as u64));
+        g.bench_function(&size.to_string(), |b| {
+            b.iter(|| body_hash(black_box(&body)))
+        });
+    }
+    g.finish();
+    let mut g = c.benchmark_group("synth_execute");
+    g.throughput(Throughput::Elements(1));
+    for size in [24usize, 512] {
+        let body = encode_request(1_000, 8, size);
+        let mut arena = bytes::ByteArena::new();
+        let mut svc = SynthService::default();
+        g.bench_function(&size.to_string(), |b| {
+            b.iter(|| svc.execute(black_box(&body), false, &mut arena).cost_ns)
+        });
+    }
     g.finish();
 }
 
@@ -347,6 +375,7 @@ mod groups {
     criterion_group!(
         micro,
         bench_r2p2,
+        bench_body,
         bench_raft,
         bench_dataplane,
         bench_store,

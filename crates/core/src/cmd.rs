@@ -37,7 +37,8 @@ impl OpKind {
 pub struct EntryDesc {
     /// The R2P2 3-tuple naming the request.
     pub id: ReqId,
-    /// FNV-1a hash of the request body (§5, collision guard).
+    /// `r2p2::body_hash` of the request body, computed by the proposing
+    /// leader (§5, collision guard).
     pub hash: u64,
     /// Read-only vs read-write.
     pub kind: OpKind,

@@ -776,7 +776,6 @@ impl<S: Service> HcNode<S> {
         arena: &mut ByteArena,
     ) {
         self.stats.requests += 1;
-        let hash = body_hash(&body);
         match self.cfg.mode {
             Mode::Vanilla => {
                 if !self.is_leader() {
@@ -794,7 +793,7 @@ impl<S: Service> HcNode<S> {
                 if self.pool.is_archived(id) {
                     return;
                 }
-                let mut desc = EntryDesc::new(id, hash, kind);
+                let mut desc = EntryDesc::new(id, body_hash(&body), kind);
                 // Vanilla Raft: the leader answers everything.
                 desc.replier = Some(self.id());
                 if let Ok(index) = self.raft.propose(Cmd::full(desc, body.clone())) {
@@ -811,9 +810,11 @@ impl<S: Service> HcNode<S> {
                     return;
                 }
                 // Every node parks the multicast request; only the leader
-                // orders it.
+                // orders it, so only the leader pays for the hashing pass
+                // over the body (the hash exists to go into the `EntryDesc`).
+                let hash = self.is_leader().then(|| body_hash(&body));
                 self.pool.insert(id, kind, body, now);
-                if self.is_leader() {
+                if let Some(hash) = hash {
                     let desc = EntryDesc::new(id, hash, kind);
                     if let Ok(index) = self.raft.propose(Cmd::meta(desc)) {
                         self.push_event(ProtoEvent::Proposed { index, id });

@@ -79,18 +79,20 @@ impl ReqIdAlloc {
     }
 }
 
-/// FNV-1a hash of a request body; carried next to the [`ReqId`] in
-/// HovercRaft metadata to rule out identifier collisions (§5: "the leader
-/// can also include a hash of the request body").
+/// Hash of a request body; carried next to the [`ReqId`] in HovercRaft
+/// metadata to rule out identifier collisions (§5: "the leader can also
+/// include a hash of the request body").
+///
+/// This is [`fxhash::hash_bytes`]: one multiply per 8 body bytes, the length
+/// folded in, so the cost of ordering a request grows with its size eight
+/// times slower than a byte-serial hash would. Only the node that builds an
+/// `EntryDesc` (the leader) calls it. The values differ from the FNV-1a ones
+/// this function returned before PR 13; nothing pinned them (the trace
+/// digest covers `(seq, at, node, kind, key)`, `tests/mc_digest.txt` pins
+/// state counts).
+#[inline]
 pub fn body_hash(body: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in body {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    fxhash::hash_bytes(body)
 }
 
 #[cfg(test)]
@@ -127,5 +129,46 @@ mod tests {
         assert_ne!(body_hash(b"hello"), body_hash(b"hellp"));
         assert_eq!(body_hash(b""), body_hash(b""));
         assert_ne!(body_hash(b"a"), body_hash(b"aa"));
+    }
+
+    /// Synthetic bodies are mostly zero bytes, and a word-wide
+    /// rotate-xor-multiply fold started at zero would map all of these to
+    /// zero: length and tail must count.
+    #[test]
+    fn body_hash_tells_zero_filled_and_padded_bodies_apart() {
+        let bodies: [&[u8]; 8] = [
+            b"", b"\0", b"a", b"a\0", &[0; 8], &[0; 16], &[0; 512], &[0; 513],
+        ];
+        let hashes: HashSet<u64> = bodies.iter().map(|b| body_hash(b)).collect();
+        assert_eq!(hashes.len(), bodies.len(), "collision among {bodies:?}");
+        assert!(!hashes.contains(&0), "a zero hash reads as 'no hash'");
+    }
+
+    /// Every byte of the body reaches the hash: whole words, the tail and
+    /// the last byte of either.
+    #[test]
+    fn body_hash_sees_every_offset() {
+        for len in 1..=33usize {
+            let body = vec![0u8; len];
+            let h0 = body_hash(&body);
+            for i in 0..len {
+                let mut b = body.clone();
+                b[i] = 1;
+                assert_ne!(body_hash(&b), h0, "len {len}, offset {i}");
+            }
+        }
+    }
+
+    /// A 7-byte tail is padded into a word whose last byte is the tail
+    /// length; an 8-byte body ending in that byte must not imitate it.
+    #[test]
+    fn body_hash_tail_padding_is_unambiguous() {
+        for n in 1..8u8 {
+            let short = vec![b'x'; n as usize];
+            let mut padded = short.clone();
+            padded.resize(7, 0);
+            padded.push(n);
+            assert_ne!(body_hash(&short), body_hash(&padded), "tail of {n}");
+        }
     }
 }
