@@ -12,7 +12,7 @@ use criterion::{criterion_group, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
 
 use bytes::Bytes;
-use hovercraft::{Aggregator, Cmd, EntryDesc, FlowControl, OpKind, WireMsg};
+use hovercraft::{Aggregator, Cmd, EntryDesc, FlowControl, OpKind, UnorderedPool, WireMsg};
 use minikv::{Command, CostModel, Store};
 use r2p2::{body_hash, packetize, Header, MsgType, Policy, Reassembler, ReqId};
 use raft::{Config, Entry, Message, RaftLog, RaftNode};
@@ -81,6 +81,65 @@ fn bench_body(c: &mut Criterion) {
         let mut svc = SynthService::default();
         g.bench_function(&size.to_string(), |b| {
             b.iter(|| svc.execute(black_box(&body), false, &mut arena).cost_ns)
+        });
+    }
+    g.finish();
+}
+
+/// The unordered pool's two costs per node: the GC call every 250 µs tick
+/// makes (flat in the number of live tombstones while none can expire), and
+/// the three calls every ordered request makes, on a small pool and on one
+/// whose archive no longer fits the cache.
+fn bench_pool(c: &mut Criterion) {
+    const GC_TIMEOUT_NS: u64 = 500_000_000;
+    let ids = |ip: u32, n: usize| -> Vec<ReqId> {
+        (0..n)
+            .map(|i| ReqId::new(ip, (i >> 16) as u16, i as u16))
+            .collect()
+    };
+    let mut g = c.benchmark_group("pool_gc");
+    for (name, tombstones) in [("0", 0), ("1k", 1_000), ("32k", 32_000)] {
+        let mut pool = UnorderedPool::new();
+        pool.seed_tombstones(&ids(1, tombstones), 0);
+        g.bench_function(name, |b| {
+            b.iter(|| pool.gc(black_box(250_000), GC_TIMEOUT_NS))
+        });
+    }
+    g.finish();
+
+    // One iteration parks, orders and looks up `RING` fresh ids; the setup
+    // between iterations retires them again (compaction, then a GC that
+    // expires the tombstones), so the pool stays the size its name says.
+    const RING: usize = 256;
+    let body = encode_request(1_000, 8, 24);
+    let ring = ids(2, RING);
+    let mut g = c.benchmark_group("pool_request_path");
+    g.throughput(Throughput::Elements(RING as u64));
+    for (name, archived) in [("empty", 0), ("64k_archived", 64_000)] {
+        let mut pool = UnorderedPool::new();
+        for id in ids(3, archived) {
+            pool.insert_recovered(id, OpKind::ReadWrite, body.clone(), 0);
+        }
+        let pool = std::cell::RefCell::new(pool);
+        g.bench_function(name, |b| {
+            b.iter_batched(
+                || {
+                    let mut pool = pool.borrow_mut();
+                    pool.compact_archive(&ring, 0);
+                    pool.gc(u64::MAX, GC_TIMEOUT_NS);
+                },
+                |()| {
+                    let mut pool = pool.borrow_mut();
+                    let mut found = 0;
+                    for &id in &ring {
+                        pool.insert(id, OpKind::ReadWrite, body.clone(), 1);
+                        pool.mark_ordered(id);
+                        found += pool.get(id).map_or(0, |r| r.body.len());
+                    }
+                    found
+                },
+                BatchSize::SmallInput,
+            )
         });
     }
     g.finish();
@@ -376,6 +435,7 @@ mod groups {
         micro,
         bench_r2p2,
         bench_body,
+        bench_pool,
         bench_raft,
         bench_dataplane,
         bench_store,

@@ -93,6 +93,9 @@ pub struct HcStats {
     pub chunks_sent: u64,
     /// Snapshots fully received and installed (follower side).
     pub installs: u64,
+    /// Pool entries examined by [`UnorderedPool::gc`]: the maintenance work
+    /// the tick actually did (zero while nothing can expire).
+    pub gc_examined: u64,
 }
 
 /// Durable per-node state captured across a crash–restart: what a real
@@ -543,7 +546,10 @@ impl<S: Service> HcNode<S> {
     }
     /// Protocol activity counters.
     pub fn stats(&self) -> HcStats {
-        self.stats
+        HcStats {
+            gc_examined: self.pool.gc_examined(),
+            ..self.stats
+        }
     }
     /// The node's configuration.
     pub fn config(&self) -> &HcConfig {
@@ -804,17 +810,18 @@ impl<S: Service> HcNode<S> {
                 }
             }
             Mode::Hovercraft | Mode::HovercraftPp => {
-                // Duplicate suppression: a request already bound to a log
-                // slot lives in the archive.
-                if self.pool.is_archived(id) {
+                let leader = self.is_leader();
+                // Every node parks the multicast request. Duplicate
+                // suppression: a request already bound to a log slot lives
+                // in the archive (or its tombstone) and is not parked again.
+                let Some(parked) = self.pool.insert(id, kind, body, now) else {
                     return;
-                }
-                // Every node parks the multicast request; only the leader
-                // orders it, so only the leader pays for the hashing pass
-                // over the body (the hash exists to go into the `EntryDesc`).
-                let hash = self.is_leader().then(|| body_hash(&body));
-                self.pool.insert(id, kind, body, now);
-                if let Some(hash) = hash {
+                };
+                // Only the leader orders it, so only the leader pays for the
+                // hashing pass over the body (the hash exists to go into the
+                // `EntryDesc`).
+                if leader {
+                    let hash = body_hash(&parked.body);
                     let desc = EntryDesc::new(id, hash, kind);
                     if let Ok(index) = self.raft.propose(Cmd::meta(desc)) {
                         self.push_event(ProtoEvent::Proposed { index, id });

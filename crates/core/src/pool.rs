@@ -30,7 +30,7 @@ pub struct PooledReq {
 }
 
 /// The unordered set plus the ordered-body archive.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct UnorderedPool {
     unordered: FxHashMap<ReqId, PooledReq>,
     archive: FxHashMap<ReqId, PooledReq>,
@@ -42,6 +42,59 @@ pub struct UnorderedPool {
     /// GC timeout expires them, which bounds memory by the request rate
     /// times the timeout instead of the full history.
     compacted: FxHashMap<ReqId, u64>,
+    /// Lower bounds on the oldest `arrived` in `unordered` and the oldest
+    /// stamp in `compacted` (`u64::MAX`: nothing stamped since a scan left
+    /// the map empty). Every writer of a stamp lowers the bound and entries
+    /// that leave do not raise it, so it only goes stale downwards: while
+    /// `now − bound` is within the timeout nothing in the map can be past
+    /// it and [`UnorderedPool::gc`] does not touch the map. Derived state —
+    /// two pools with equal maps may carry different bounds — so it stays
+    /// out of [`UnorderedPool::hash_state`].
+    unordered_oldest: u64,
+    compacted_oldest: u64,
+    /// Map entries [`UnorderedPool::gc`] has examined so far.
+    gc_examined: u64,
+}
+
+impl Default for UnorderedPool {
+    fn default() -> Self {
+        Self {
+            unordered: FxHashMap::default(),
+            archive: FxHashMap::default(),
+            compacted: FxHashMap::default(),
+            unordered_oldest: u64::MAX,
+            compacted_oldest: u64::MAX,
+            gc_examined: 0,
+        }
+    }
+}
+
+/// One side of [`UnorderedPool::gc`]: drops the entries of `map` strictly
+/// older than `timeout` at `now`, unless `oldest` (see the field docs) says
+/// none can be. Returns how many entries it examined: none, or the whole map
+/// once the bound crosses the boundary, after which the bound is exact again.
+fn expire<V>(
+    map: &mut FxHashMap<ReqId, V>,
+    oldest: &mut u64,
+    stamp: impl Fn(&V) -> u64,
+    now: u64,
+    timeout: u64,
+) -> usize {
+    if now.saturating_sub(*oldest) <= timeout {
+        return 0;
+    }
+    let examined = map.len();
+    let mut survivors_oldest = u64::MAX;
+    map.retain(|_, v| {
+        let s = stamp(v);
+        let keep = now.saturating_sub(s) <= timeout;
+        if keep {
+            survivors_oldest = survivors_oldest.min(s);
+        }
+        keep
+    });
+    *oldest = survivors_oldest;
+    examined
 }
 
 impl UnorderedPool {
@@ -50,17 +103,20 @@ impl UnorderedPool {
         Self::default()
     }
 
-    /// Parks a client request awaiting ordering. Duplicate arrivals (e.g.
-    /// client retries) keep the first copy.
-    pub fn insert(&mut self, id: ReqId, kind: OpKind, body: Bytes, now: u64) {
+    /// Parks a client request awaiting ordering and returns the parked copy
+    /// — the first one, when this is a duplicate arrival (e.g. a client
+    /// retry) — or `None` if the request is already ordered (archived or
+    /// compacted), in which case nothing is parked.
+    pub fn insert(&mut self, id: ReqId, kind: OpKind, body: Bytes, now: u64) -> Option<&PooledReq> {
         if self.archive.contains_key(&id) || self.compacted.contains_key(&id) {
-            return;
+            return None;
         }
-        self.unordered.entry(id).or_insert(PooledReq {
+        self.unordered_oldest = self.unordered_oldest.min(now);
+        Some(self.unordered.entry(id).or_insert(PooledReq {
             kind,
             body,
             arrived: now,
-        });
+        }))
     }
 
     /// True if the request is available (unordered or archived).
@@ -75,9 +131,10 @@ impl UnorderedPool {
         self.archive.contains_key(&id) || self.compacted.contains_key(&id)
     }
 
-    /// Looks up a request body wherever it lives.
+    /// Looks up a request body wherever it lives (the archive first: both
+    /// callers in the node look up ordered bodies).
     pub fn get(&self, id: ReqId) -> Option<&PooledReq> {
-        self.unordered.get(&id).or_else(|| self.archive.get(&id))
+        self.archive.get(&id).or_else(|| self.unordered.get(&id))
     }
 
     /// Marks a request as ordered: moves it from the unordered set to the
@@ -85,15 +142,15 @@ impl UnorderedPool {
     /// peers can recover it). Returns false if the body is missing — the
     /// caller should start recovery.
     pub fn mark_ordered(&mut self, id: ReqId) -> bool {
-        if self.archive.contains_key(&id) || self.compacted.contains_key(&id) {
-            return true;
-        }
+        // A parked id is never archived or compacted as well (`insert`
+        // refuses those; every path into them clears the parked copy), so
+        // the common case needs no look at either.
         match self.unordered.remove(&id) {
             Some(r) => {
                 self.archive.insert(id, r);
                 true
             }
-            None => false,
+            None => self.archive.contains_key(&id) || self.compacted.contains_key(&id),
         }
     }
 
@@ -112,15 +169,36 @@ impl UnorderedPool {
     /// `timeout + 1` is collected (boundary pinned by
     /// `gc_boundary_is_strictly_older_than`).
     /// Returns how many were collected.
+    ///
+    /// Called every tick, so it costs nothing while nothing can be due: a
+    /// map is scanned only once its oldest-stamp bound crosses the boundary
+    /// (one pass per compaction batch that expires, not one per call).
     pub fn gc(&mut self, now: u64, timeout: u64) -> usize {
         let before = self.unordered.len();
-        self.unordered
-            .retain(|_, r| now.saturating_sub(r.arrived) <= timeout);
+        let parked = expire(
+            &mut self.unordered,
+            &mut self.unordered_oldest,
+            |r| r.arrived,
+            now,
+            timeout,
+        );
         // Compaction tombstones expire on the same boundary: by then every
         // client retry and delayed duplicate of the request has died out.
-        self.compacted
-            .retain(|_, t| now.saturating_sub(*t) <= timeout);
+        let tombstones = expire(
+            &mut self.compacted,
+            &mut self.compacted_oldest,
+            |t| *t,
+            now,
+            timeout,
+        );
+        self.gc_examined += (parked + tombstones) as u64;
         before - self.unordered.len()
+    }
+
+    /// Map entries [`UnorderedPool::gc`] has examined since the pool was
+    /// created: the work it did, as opposed to the work it skipped.
+    pub fn gc_examined(&self) -> u64 {
+        self.gc_examined
     }
 
     /// Number of requests awaiting ordering.
@@ -173,6 +251,9 @@ impl UnorderedPool {
             }
             self.compacted.entry(*id).or_insert(now);
         }
+        if !ids.is_empty() {
+            self.compacted_oldest = self.compacted_oldest.min(now);
+        }
         dropped
     }
 
@@ -222,7 +303,11 @@ impl UnorderedPool {
                 self.compacted.insert(*id, now);
             }
         }
-        before - self.archive.len()
+        let dropped = before - self.archive.len();
+        if dropped > 0 {
+            self.compacted_oldest = self.compacted_oldest.min(now);
+        }
+        dropped
     }
 }
 
@@ -269,7 +354,9 @@ mod tests {
     fn duplicate_insert_keeps_first() {
         let mut p = UnorderedPool::new();
         p.insert(id(1), OpKind::ReadWrite, Bytes::from_static(b"first"), 0);
-        p.insert(id(1), OpKind::ReadWrite, Bytes::from_static(b"second"), 5);
+        // The retry is handed the copy that was kept, not its own.
+        let kept = p.insert(id(1), OpKind::ReadWrite, Bytes::from_static(b"second"), 5);
+        assert_eq!(&kept.expect("still parked").body[..], b"first");
         assert_eq!(&p.get(id(1)).unwrap().body[..], b"first");
     }
 
@@ -278,7 +365,8 @@ mod tests {
         let mut p = UnorderedPool::new();
         p.insert(id(1), OpKind::ReadWrite, body(), 0);
         p.mark_ordered(id(1));
-        p.insert(id(1), OpKind::ReadWrite, Bytes::from_static(b"late dup"), 9);
+        let late = p.insert(id(1), OpKind::ReadWrite, Bytes::from_static(b"late dup"), 9);
+        assert!(late.is_none(), "reported as already ordered");
         assert_eq!(p.unordered_len(), 0);
         assert_eq!(&p.get(id(1)).unwrap().body[..], b"req");
     }
@@ -322,7 +410,8 @@ mod tests {
         // client retry of a compacted request must not be re-ordered and
         // re-executed (exactly-one-reply).
         assert!(p.is_archived(id(1)));
-        p.insert(id(1), OpKind::ReadWrite, Bytes::from_static(b"dup"), 200);
+        let dup = p.insert(id(1), OpKind::ReadWrite, Bytes::from_static(b"dup"), 200);
+        assert!(dup.is_none(), "a tombstone reports already ordered too");
         assert_eq!(p.unordered_len(), 0);
         assert!(p.mark_ordered(id(1)), "treated as already ordered");
         // Tombstones expire on the GC boundary, bounding their memory.
@@ -352,6 +441,52 @@ mod tests {
         // Seeded tombstones expire on the normal GC boundary.
         p.gc(50 + 601, 600);
         assert!(!p.is_archived(id(7)));
+    }
+
+    #[test]
+    fn gc_work_is_one_pass_per_expiring_batch() {
+        const TIMEOUT: u64 = 500_000_000;
+        const TICK: u64 = 250_000;
+        // 50 000 tombstones in 17 batches, one every 72 ticks (18 ms), the
+        // way periodic snapshots leave them.
+        let batches: Vec<Vec<ReqId>> = (0..17u32)
+            .map(|b| {
+                let n = if b == 16 { 2_944 } else { 2_941 };
+                (0..n).map(|i| ReqId::new(b, 0, i)).collect()
+            })
+            .collect();
+        let mut p = UnorderedPool::new();
+        // 2 000 ticks, 250 us apart, none with anything due: the last one
+        // finds the first batch aged exactly `TIMEOUT`, which survives.
+        for tick in 0..=2_000u64 {
+            let now = tick * TICK;
+            if tick % 72 == 0 {
+                if let Some(ids) = batches.get((tick / 72) as usize) {
+                    p.seed_tombstones(ids, now);
+                }
+            }
+            assert_eq!(p.gc(now, TIMEOUT), 0);
+        }
+        assert_eq!(p.tombstone_len(), 50_000);
+        assert_eq!(p.gc_examined(), 0, "nothing due, nothing examined");
+        // One nanosecond later the first batch is past the boundary: one
+        // pass over the map drops exactly that batch.
+        p.gc(TIMEOUT + 1, TIMEOUT);
+        assert_eq!(p.gc_examined(), 50_000);
+        assert_eq!(p.tombstone_len(), 50_000 - batches[0].len());
+        assert!(batches[0].iter().all(|&i| !p.is_archived(i)));
+        assert!(batches[1..].iter().flatten().all(|&i| p.is_archived(i)));
+        // The bound is now the second batch's stamp: idle until it is due.
+        for tick in 2_001..=2_072 {
+            p.gc(tick * TICK, TIMEOUT);
+        }
+        assert_eq!(p.gc_examined(), 50_000);
+        p.gc(2_073 * TICK, TIMEOUT);
+        assert_eq!(p.gc_examined(), 100_000 - batches[0].len() as u64);
+        assert_eq!(
+            p.tombstone_len(),
+            50_000 - batches[0].len() - batches[1].len()
+        );
     }
 
     #[test]

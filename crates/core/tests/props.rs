@@ -1,10 +1,15 @@
 //! Property-based tests of the HovercRaft components: the in-network
-//! aggregator's register semantics and the replier ledger's bounded-queue
-//! invariant, under arbitrary event sequences.
+//! aggregator's register semantics, the replier ledger's bounded-queue
+//! invariant and the unordered pool against its reference model, under
+//! arbitrary event sequences.
+
+use std::collections::HashMap;
+use std::hash::Hasher;
 
 use bytes::Bytes;
 use hovercraft::{
-    Aggregator, Cmd, EntryDesc, OpKind, PolicyKind, ReplierLedger, UnorderedPool, WireMsg,
+    Aggregator, Cmd, EntryDesc, OpKind, PolicyKind, PooledReq, ReplierLedger, UnorderedPool,
+    WireMsg,
 };
 use proptest::prelude::*;
 use r2p2::ReqId;
@@ -41,6 +46,176 @@ fn reply(term: u64, m: LogIndex, from: RaftId) -> WireMsg {
         applied_index: m,
         from,
     })
+}
+
+/// Reference model of [`UnorderedPool`]: the pool as it was before `gc`
+/// learned to skip scans and the request path stopped re-probing — three
+/// maps, every method the obvious one, `gc` two unconditional `retain`s.
+/// `pool_matches_reference_model` drives both with the same calls.
+#[derive(Default)]
+struct RefPool {
+    unordered: HashMap<ReqId, PooledReq>,
+    archive: HashMap<ReqId, PooledReq>,
+    compacted: HashMap<ReqId, u64>,
+}
+
+impl RefPool {
+    fn insert(&mut self, id: ReqId, kind: OpKind, body: Bytes, now: u64) {
+        if self.archive.contains_key(&id) || self.compacted.contains_key(&id) {
+            return;
+        }
+        self.unordered.entry(id).or_insert(PooledReq {
+            kind,
+            body,
+            arrived: now,
+        });
+    }
+
+    fn contains(&self, id: ReqId) -> bool {
+        self.unordered.contains_key(&id) || self.archive.contains_key(&id)
+    }
+
+    fn is_archived(&self, id: ReqId) -> bool {
+        self.archive.contains_key(&id) || self.compacted.contains_key(&id)
+    }
+
+    fn get(&self, id: ReqId) -> Option<&PooledReq> {
+        self.unordered.get(&id).or_else(|| self.archive.get(&id))
+    }
+
+    fn mark_ordered(&mut self, id: ReqId) -> bool {
+        if self.archive.contains_key(&id) || self.compacted.contains_key(&id) {
+            return true;
+        }
+        match self.unordered.remove(&id) {
+            Some(r) => {
+                self.archive.insert(id, r);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn insert_recovered(&mut self, id: ReqId, kind: OpKind, body: Bytes, now: u64) {
+        self.unordered.remove(&id);
+        self.archive.entry(id).or_insert(PooledReq {
+            kind,
+            body,
+            arrived: now,
+        });
+    }
+
+    fn gc(&mut self, now: u64, timeout: u64) -> usize {
+        let before = self.unordered.len();
+        self.unordered
+            .retain(|_, r| now.saturating_sub(r.arrived) <= timeout);
+        self.compacted
+            .retain(|_, t| now.saturating_sub(*t) <= timeout);
+        before - self.unordered.len()
+    }
+
+    fn seed_tombstones(&mut self, ids: &[ReqId], now: u64) -> usize {
+        let mut dropped = 0;
+        for id in ids {
+            if self.unordered.remove(id).is_some() {
+                dropped += 1;
+            }
+            if self.archive.remove(id).is_some() {
+                dropped += 1;
+            }
+            self.compacted.entry(*id).or_insert(now);
+        }
+        dropped
+    }
+
+    fn compact_archive(&mut self, ids: &[ReqId], now: u64) -> usize {
+        let before = self.archive.len();
+        for id in ids {
+            if self.archive.remove(id).is_some() {
+                self.compacted.insert(*id, now);
+            }
+        }
+        before - self.archive.len()
+    }
+
+    fn unordered_ids(&self) -> Vec<ReqId> {
+        let mut ids: Vec<ReqId> = self.unordered.keys().copied().collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    fn tombstone_ids(&self) -> Vec<ReqId> {
+        let mut ids: Vec<ReqId> = self.compacted.keys().copied().collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    fn hash_state(&self, now: u64, h: &mut dyn Hasher) {
+        fn side(map: &HashMap<ReqId, PooledReq>, now: u64, h: &mut dyn Hasher) {
+            let mut reqs: Vec<(u64, &PooledReq)> =
+                map.iter().map(|(id, r)| (id.as_u64(), r)).collect();
+            reqs.sort_unstable_by_key(|&(id, _)| id);
+            h.write_usize(reqs.len());
+            for (id, r) in reqs {
+                h.write_u64(id);
+                h.write_u8(r.kind as u8);
+                h.write(&r.body);
+                h.write_u64(now.saturating_sub(r.arrived));
+            }
+        }
+        side(&self.unordered, now, h);
+        side(&self.archive, now, h);
+        let mut tombs: Vec<(u64, u64)> = self
+            .compacted
+            .iter()
+            .map(|(id, &t)| (id.as_u64(), now.saturating_sub(t)))
+            .collect();
+        tombs.sort_unstable();
+        h.write_usize(tombs.len());
+        for (id, age) in tombs {
+            h.write_u64(id);
+            h.write_u64(age);
+        }
+    }
+
+    /// Every stamp GC will ever compare against, oldest first.
+    fn stamps(&self) -> Vec<u64> {
+        let mut stamps: Vec<u64> = self
+            .unordered
+            .values()
+            .map(|r| r.arrived)
+            .chain(self.compacted.values().copied())
+            .collect();
+        stamps.sort_unstable();
+        stamps
+    }
+}
+
+/// A `Hasher` that keeps the bytes it is fed instead of mixing them, so two
+/// `hash_state` walks compare byte for byte.
+#[derive(Default)]
+struct FedBytes(Vec<u8>);
+
+impl Hasher for FedBytes {
+    fn finish(&self) -> u64 {
+        0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+}
+
+/// Ids the pool model draws from: few enough that every id meets every
+/// mutator many times in one case.
+const POOL_IDS: u16 = 12;
+
+fn pool_id(n: u64) -> ReqId {
+    ReqId::new(5, 5, (n % POOL_IDS as u64) as u16)
+}
+
+/// What `get` returns, in comparable form.
+fn seen(r: Option<&PooledReq>) -> Option<(OpKind, Vec<u8>, u64)> {
+    r.map(|r| (r.kind, r.body.to_vec(), r.arrived))
 }
 
 proptest! {
@@ -157,7 +332,9 @@ proptest! {
             now += t;
             let id = ReqId::new(5, 5, rid);
             match kind {
-                0 => pool.insert(id, OpKind::ReadWrite, Bytes::from_static(b"x"), now),
+                0 => {
+                    pool.insert(id, OpKind::ReadWrite, Bytes::from_static(b"x"), now);
+                }
                 1 => {
                     if pool.mark_ordered(id) {
                         archived.insert(id);
@@ -177,6 +354,123 @@ proptest! {
                 prop_assert!(pool.is_archived(*a));
             }
             prop_assert_eq!(pool.archived_len(), archived.len());
+        }
+    }
+
+    /// Differential test of the whole pool: every mutator, in random order,
+    /// against [`RefPool`], comparing everything observable after each
+    /// step. Time moves in the steps GC is sensitive to — nothing, one
+    /// nanosecond, to an age of exactly `timeout` or `timeout + 1` of some
+    /// live stamp, past several timeouts — and the tombstone corner cases
+    /// (re-stamping through `insert_recovered` + `compact_archive`, seeding
+    /// over an existing tombstone, an id both archived and tombstoned) are
+    /// steps of their own rather than left to chance.
+    #[test]
+    fn pool_matches_reference_model(
+        timeout in prop_oneof![Just(0u64), Just(1u64), 2u64..300],
+        steps in proptest::collection::vec((0u8..10, 0u8..6, 0u64..1_000), 1..250),
+    ) {
+        let mut pool = UnorderedPool::new();
+        let mut model = RefPool::default();
+        let mut now = 1_000u64;
+        for (op, jump, val) in steps {
+            // Land on an age of exactly `timeout + extra` of some live stamp
+            // (time never runs backwards: a stamp already older stays put).
+            let stamps = model.stamps();
+            let before = now;
+            let pick = move |extra: u64| {
+                stamps
+                    .get(val as usize % stamps.len().max(1))
+                    .map_or(before, |s| (s + timeout + extra).max(before))
+            };
+            now = match jump {
+                0 => now,
+                1 => now + 1,
+                2 => now + val % 40,
+                3 => pick(0),
+                4 => pick(1),
+                _ => now + 3 * timeout + val,
+            };
+            let id = pool_id(val);
+            let kind = if val & 16 == 0 { OpKind::ReadWrite } else { OpKind::ReadOnly };
+            let body = Bytes::from(vec![id.rid as u8, (val >> 5) as u8]);
+            let ids = [id, pool_id(val / 7), pool_id(val / 91)];
+            let tombs = model.tombstone_ids();
+            let live_tomb = tombs.get(val as usize % tombs.len().max(1)).copied();
+            match op {
+                0 | 1 => {
+                    let ordered = model.is_archived(id);
+                    model.insert(id, kind, body.clone(), now);
+                    let parked = seen(pool.insert(id, kind, body, now));
+                    prop_assert_eq!(parked.is_none(), ordered);
+                    if !ordered {
+                        prop_assert_eq!(parked, seen(model.get(id)), "first copy is the one kept");
+                    }
+                }
+                2 => prop_assert_eq!(pool.mark_ordered(id), model.mark_ordered(id)),
+                3 => {
+                    model.insert_recovered(id, kind, body.clone(), now);
+                    pool.insert_recovered(id, kind, body, now);
+                }
+                4 => prop_assert_eq!(
+                    pool.compact_archive(&ids, now),
+                    model.compact_archive(&ids, now)
+                ),
+                5 => prop_assert_eq!(
+                    pool.seed_tombstones(&ids, now),
+                    model.seed_tombstones(&ids, now)
+                ),
+                6 => prop_assert_eq!(pool.gc(now, timeout), model.gc(now, timeout)),
+                7 => {
+                    // A run of ticks, most of them with nothing to expire.
+                    for _ in 0..40 {
+                        now += val % 3;
+                        prop_assert_eq!(pool.gc(now, timeout), model.gc(now, timeout));
+                    }
+                }
+                8 => {
+                    // Seed over an existing tombstone (the older stamp
+                    // stays) and a fresh id in the same call.
+                    let ids = [live_tomb.unwrap_or(id), id];
+                    prop_assert_eq!(
+                        pool.seed_tombstones(&ids, now),
+                        model.seed_tombstones(&ids, now)
+                    );
+                }
+                _ => {
+                    // Resurrect a tombstoned id's body (archived *and*
+                    // tombstoned), then compact it again a little later:
+                    // the tombstone is re-stamped and expires on the newer
+                    // stamp.
+                    let id = live_tomb.unwrap_or(id);
+                    model.insert_recovered(id, kind, body.clone(), now);
+                    pool.insert_recovered(id, kind, body, now);
+                    prop_assert_eq!(pool.is_archived(id), model.is_archived(id));
+                    prop_assert_eq!(seen(pool.get(id)), seen(model.get(id)));
+                    now += val % 5;
+                    prop_assert_eq!(
+                        pool.compact_archive(&[id], now),
+                        model.compact_archive(&[id], now)
+                    );
+                }
+            }
+            for n in 0..POOL_IDS as u64 {
+                let id = pool_id(n);
+                prop_assert_eq!(pool.contains(id), model.contains(id), "contains {:?}", id);
+                prop_assert_eq!(pool.is_archived(id), model.is_archived(id), "is_archived {:?}", id);
+                prop_assert_eq!(seen(pool.get(id)), seen(model.get(id)), "get {:?}", id);
+            }
+            prop_assert_eq!(pool.unordered_ids(), model.unordered_ids());
+            let mut tombs = pool.tombstone_ids();
+            tombs.sort_unstable();
+            prop_assert_eq!(tombs, model.tombstone_ids());
+            prop_assert_eq!(pool.unordered_len(), model.unordered.len());
+            prop_assert_eq!(pool.archived_len(), model.archive.len());
+            prop_assert_eq!(pool.tombstone_len(), model.compacted.len());
+            let (mut fed, mut expected) = (FedBytes::default(), FedBytes::default());
+            pool.hash_state(now, &mut fed);
+            model.hash_state(now, &mut expected);
+            prop_assert_eq!(fed.0, expected.0, "hash_state bytes");
         }
     }
 }

@@ -168,3 +168,34 @@ fn hovercraft_pp_holds_the_table1_message_budget_at_low_load() {
 /// Median latency of HovercRaft++ (N=5, 30 kRPS, `quick` windows) before
 /// the leader stopped re-announcing commits through the aggregator.
 const UNLOADED_P50_NS: f64 = 10_169.0;
+
+#[test]
+fn pool_gc_work_is_bounded_by_expiring_batches_not_by_ticks() {
+    // Every node ticks every 250 µs and every tick calls the pool's GC. With
+    // snapshots on, each compaction leaves a batch of dedupe tombstones that
+    // lives for the 500 ms GC timeout, so a GC that scanned on every tick
+    // would examine ≈ 2 000 entries per request here. It may scan only when
+    // a batch can expire: at most one pass per batch, and none at all inside
+    // this 60 ms window.
+    let mut o = ClusterOpts::new(Setup::HovercraftPp(PolicyKind::Jbsq), 3, 165_000.0);
+    o.warmup = SimDur::ZERO;
+    o.measure = SimDur::millis(60);
+    o.snapshot_interval = 3_000;
+    let mut cluster = Cluster::build(o);
+    cluster.settle();
+    cluster.run_until_checked(cluster.opts().load_end() + SimDur::millis(20));
+    assert!(responses_sent(&cluster) > 9_000, "the load was served");
+    for &s in &cluster.servers {
+        let node = cluster.sim.agent::<ServerAgent>(s).node();
+        let examined = node.stats().gc_examined;
+        let snapshots = node.stats().snapshots;
+        let tombstones = node.pool().tombstone_len() as u64;
+        assert!(snapshots >= 2, "node {s}: {snapshots} snapshots");
+        assert!(tombstones >= 6_000, "node {s}: {tombstones} tombstones");
+        assert!(
+            examined <= (snapshots + 2) * tombstones,
+            "node {s}: gc examined {examined} entries for {snapshots} snapshots and \
+             {tombstones} tombstones"
+        );
+    }
+}
