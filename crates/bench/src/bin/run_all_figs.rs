@@ -1,56 +1,49 @@
-//! Suite driver: runs every figure/table with cross-figure *and*
-//! within-figure parallelism on one shared work-stealing pool, writing
-//! `results/<name>.txt` per figure — byte-identical to running each
-//! binary serially — and recording suite wall-clock in `BENCH_sim.json`.
+//! Suite driver: runs every figure/table of the suite, every world of
+//! every figure on one shared set of worker threads, writing
+//! `results/<name>.txt` per figure — byte-identical to a serial run — and
+//! recording suite wall-clock in `BENCH_sim.json`.
 //!
 //! Usage:
 //!
 //! ```text
-//! run_all_figs [--results DIR] [--bench-out PATH] [--compare-serial]
-//!              [--profile] [--gate] [--gate-parity] [--list] [FIGURE ...]
+//! run_all_figs [--results DIR | --stdout] [--bench-out PATH] [--compare-serial]
+//!              [--profile] [--gate-parity] [--list] [FIGURE ...]
 //! ```
 //!
-//! * `HC_JOBS=N` sets the sharding job count (default: all cores; `1` =
-//!   exact serial execution). The pool never runs more concurrent worlds
-//!   than cores, whatever `HC_JOBS` says. `HC_FAST=1` shortens every
-//!   figure (CI smoke).
+//! * `HC_JOBS=N` sets the worker count (default and maximum: all cores;
+//!   `1` = exact serial execution). `HC_FAST=1` shortens every figure (CI
+//!   smoke).
+//! * `--stdout` prints the figures' text to stdout instead of writing
+//!   `DIR/<name>.txt` (the driver's own lines then go to stderr), so
+//!   looking at one figure does not overwrite a committed result.
 //! * `--compare-serial` also runs the whole suite with `HC_JOBS=1`
-//!   semantics and verifies every figure's output is **byte-identical**
+//!   semantics and fails unless every figure's output is **byte-identical**
 //!   to the parallel run, recording both wall-times. The serial pass runs
 //!   *first* so the measured parallel pass sees the same warmed process
 //!   (page cache, heated allocator arenas) the serial pass enjoyed — with
 //!   parallel first, serial inherits the warm-up for free and the
 //!   comparison is biased against parallel.
-//! * `--profile` collects the vendored profiling counters — per-executor
-//!   pool stats (tasks, queue-hit classes, parks, lock-wait) and
-//!   per-world simulator stats (tracer lock acquisitions, scheduler ops,
-//!   allocator traffic) — prints them, and merges `pool_stats_*` /
-//!   `sim_stats_*` keys into the bench JSON.
+//! * `--profile` collects the per-world simulator counters (tracer lock
+//!   acquisitions, scheduler ops, allocator traffic), prints them, and
+//!   merges `sim_stats_*` keys into the bench JSON.
 //! * `--bench-out PATH` merges `suite_*` (and profile) keys into the flat
 //!   BENCH JSON at PATH, preserving every key it doesn't own.
-//! * `--gate` exits non-zero if any figure failed, if the serial/parallel
-//!   outputs differ, or — on a ≥4-core runner with ≥4 workers — if the
-//!   parallel suite is not at least `HC_GATE_MIN_SPEEDUP`× (default 3×)
-//!   faster than the serial pass.
 //! * `--gate-parity` (implies `--compare-serial`) exits non-zero if the
-//!   parallel suite is slower than `HC_GATE_PARITY`× serial (default
-//!   1.05) — the tripwire for "parallelism costs wall-clock", which holds
-//!   on *any* core count because executors are capped at cores.
-//! * Both gates are defined on measurement-quality runs: under `HC_FAST=1`
-//!   they refuse to run unless `HC_GATE_ALLOW_FAST=1` downgrades their
-//!   timing assertions to warnings (byte-equality is always enforced).
+//!   parallel suite is slower than [`PARITY`]× serial — the tripwire for
+//!   "parallelism costs wall-clock", which holds on *any* core count
+//!   because workers are capped at cores. It is a contract about
+//!   measurement-quality runs and refuses to run under `HC_FAST=1`.
 //!
-//! Exit status: `0` all green; `1` a figure failed (first failure is
-//! propagated — the shell wrapper `run_figs.sh` forwards it) or a gate
-//! check failed; `2` bad usage (including a gate invoked under HC_FAST
-//! without `HC_GATE_ALLOW_FAST=1`).
+//! Exit status: `0` all green; `1` a figure failed (the shell wrapper
+//! `run_figs.sh` forwards it), serial and parallel outputs differ, or the
+//! parity check failed; `2` bad usage.
 
+use std::borrow::Cow;
 use std::time::Instant;
 
 use hovercraft_bench::bench_json;
 use hovercraft_bench::figs;
 use hovercraft_bench::sweep::{self, fnv1a64, sim_profile, try_render, Figure, Sweep};
-use pool::{Pool, PoolStats};
 
 // Light up the per-thread allocator counters (`sim_stats_alloc_*` under
 // --profile). One thread-local increment per allocation; the
@@ -61,34 +54,32 @@ static ALLOC: simnet::CountingAlloc = simnet::CountingAlloc;
 /// Outcome of one figure render.
 type FigResult = Result<String, String>;
 
-/// Runs the given figures with `jobs`-way sharding: one shared pool
-/// schedules across figures, and each figure's inner sweeps nest on the
-/// same workers. `jobs <= 1` is the exact serial path (no pool at all,
-/// and no pool stats).
-fn run_suite(
-    figures: &[Figure],
-    jobs: usize,
-    profile: bool,
-) -> (Vec<FigResult>, Option<PoolStats>) {
+/// `--gate-parity` bound: parallel wall-clock over serial wall-clock.
+const PARITY: f64 = 1.05;
+
+/// Runs the given figures on `jobs` workers: each figure gets a thread
+/// that only plans and renders, and every world any of them maps is one
+/// job on the shared workers, so concurrent worlds never exceed `jobs`.
+/// `jobs <= 1` is the exact serial path (no thread at all).
+fn run_suite(figures: &[Figure], jobs: usize) -> Vec<FigResult> {
     if jobs <= 1 {
-        let outs = figures
+        return figures
             .iter()
             .map(|f| try_render(f, &Sweep::SERIAL))
             .collect();
-        return (outs, None);
     }
-    let pool = Pool::new(jobs);
-    let body = |s: &pool::Scope<'_, '_>| {
-        s.join_map(figures.to_vec(), |sc, _, fig| {
-            try_render(&fig, &Sweep::pooled(sc))
+    pool::with_workers(jobs, |w| {
+        std::thread::scope(|ts| {
+            let planners: Vec<_> = figures
+                .iter()
+                .map(|f| ts.spawn(move || try_render(f, &Sweep::pooled(w))))
+                .collect();
+            planners
+                .into_iter()
+                .map(|h| h.join().expect("try_render catches the figure's panics"))
+                .collect()
         })
-    };
-    if profile {
-        let (outs, stats) = pool.scope_profiled(body);
-        (outs, Some(stats))
-    } else {
-        (pool.scope(body), None)
-    }
+    })
 }
 
 /// Combined FNV-1a digest over (name, output) of every figure, in suite
@@ -109,21 +100,10 @@ fn suite_digest(figures: &[Figure], outputs: &[FigResult]) -> u64 {
     fnv1a64(blob.as_bytes())
 }
 
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_is_1(key: &str) -> bool {
-    std::env::var(key).map(|v| v == "1").unwrap_or(false)
-}
-
 fn usage() -> ! {
     eprintln!(
-        "usage: run_all_figs [--results DIR] [--bench-out PATH] [--compare-serial] \
-         [--profile] [--gate] [--gate-parity] [--list] [FIGURE ...]"
+        "usage: run_all_figs [--results DIR | --stdout] [--bench-out PATH] [--compare-serial] \
+         [--profile] [--gate-parity] [--list] [FIGURE ...]"
     );
     std::process::exit(2);
 }
@@ -133,7 +113,7 @@ fn main() {
     let mut bench_out: Option<String> = None;
     let mut compare_serial = false;
     let mut profile = false;
-    let mut gate = false;
+    let mut to_stdout = false;
     let mut gate_parity = false;
     let mut names: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
@@ -143,7 +123,7 @@ fn main() {
             "--bench-out" => bench_out = Some(args.next().unwrap_or_else(|| usage())),
             "--compare-serial" => compare_serial = true,
             "--profile" => profile = true,
-            "--gate" => gate = true,
+            "--stdout" => to_stdout = true,
             "--gate-parity" => {
                 gate_parity = true;
                 compare_serial = true;
@@ -173,46 +153,44 @@ fn main() {
     };
 
     let fast = hovercraft_bench::fast();
-    let gate_allow_fast = env_is_1("HC_GATE_ALLOW_FAST");
-    // Timing gates are contracts about measurement-quality runs; asserting
-    // them on smoke windows produces flaky nonsense in both directions.
-    let gates_warn_only = if (gate || gate_parity) && fast {
-        if !gate_allow_fast {
-            eprintln!(
-                "error: --gate/--gate-parity under HC_FAST=1 would assert timing targets \
-                 on smoke windows. Unset HC_FAST for a measurement run, or set \
-                 HC_GATE_ALLOW_FAST=1 to downgrade the timing checks to warnings \
-                 (output byte-equality is enforced either way)."
-            );
-            std::process::exit(2);
+    if gate_parity && fast {
+        eprintln!(
+            "error: --gate-parity under HC_FAST=1 would assert a timing target on smoke \
+             windows. Unset HC_FAST for a measurement run."
+        );
+        std::process::exit(2);
+    }
+    // With --stdout the figures own stdout; the driver's lines move aside.
+    let say = |line: std::fmt::Arguments<'_>| {
+        if to_stdout {
+            eprintln!("{line}");
+        } else {
+            println!("{line}");
         }
-        println!("note: HC_FAST=1 + HC_GATE_ALLOW_FAST=1 — timing gates report as warnings only");
-        true
-    } else {
-        false
     };
 
     let jobs = sweep::jobs();
     let cores = pool::available_cores();
-    println!(
-        "== run_all_figs: {} figures, {} jobs on {} cores ({} executors){} ==",
+    say(format_args!(
+        "== run_all_figs: {} figures, {jobs} workers on {cores} cores{} ==",
         figures.len(),
-        jobs,
-        cores,
-        Pool::new(jobs).executors(),
         if fast { ", HC_FAST=1" } else { "" }
-    );
+    ));
 
     // Serial pass first (when requested) so the measured parallel pass
     // runs in an equally warm process — see the module docs.
     let mut serial: Option<(Vec<FigResult>, f64, u64)> = None;
     if compare_serial {
-        println!("-- serial pass (HC_JOBS=1 semantics) for byte-equality + speedup --");
+        say(format_args!(
+            "-- serial pass (HC_JOBS=1 semantics) for byte-equality + speedup --"
+        ));
         let t1 = Instant::now();
-        let (serial_outputs, _) = run_suite(&figures, 1, false);
+        let serial_outputs = run_suite(&figures, 1);
         let wall_ser = t1.elapsed().as_secs_f64();
         let digest_ser = suite_digest(&figures, &serial_outputs);
-        println!("serial wall-clock: {wall_ser:.2}s (digest {digest_ser:#018x})");
+        say(format_args!(
+            "serial wall-clock: {wall_ser:.2}s (digest {digest_ser:#018x})"
+        ));
         serial = Some((serial_outputs, wall_ser, digest_ser));
     }
 
@@ -220,53 +198,73 @@ fn main() {
         sim_profile::enable();
     }
     let t0 = Instant::now();
-    let (outputs, pool_stats) = run_suite(&figures, jobs, profile);
+    let outputs = run_suite(&figures, jobs);
     let wall_par = t0.elapsed().as_secs_f64();
     let digest_par = suite_digest(&figures, &outputs);
     let sim_stats = profile.then(sim_profile::totals);
 
-    std::fs::create_dir_all(&results_dir).expect("create results dir");
+    if !to_stdout {
+        std::fs::create_dir_all(&results_dir).expect("create results dir");
+    }
     let mut failures: Vec<String> = Vec::new();
     for (f, out) in figures.iter().zip(&outputs) {
-        let path = format!("{results_dir}/{}.txt", f.name);
-        match out {
+        let text = match out {
             Ok(s) => {
-                std::fs::write(&path, s).expect("write figure output");
-                println!("=== done {} ({} bytes) ===", f.name, s.len());
+                say(format_args!("=== done {} ({} bytes) ===", f.name, s.len()));
+                Cow::from(s)
             }
             Err(e) => {
-                std::fs::write(&path, format!("PANIC: {e}\n")).expect("write figure output");
-                println!("=== FAILED {}: {e} ===", f.name);
+                say(format_args!("=== FAILED {}: {e} ===", f.name));
                 failures.push(f.name.to_string());
+                Cow::from(format!("PANIC: {e}\n"))
             }
+        };
+        if to_stdout {
+            print!("{text}");
+        } else {
+            std::fs::write(format!("{results_dir}/{}.txt", f.name), text.as_bytes())
+                .expect("write figure output");
         }
     }
-    println!("suite wall-clock: {wall_par:.2}s with {jobs} jobs (digest {digest_par:#018x})");
+    say(format_args!(
+        "suite wall-clock: {wall_par:.2}s with {jobs} workers (digest {digest_par:#018x})"
+    ));
 
     if let Some((serial_outputs, wall_ser, digest_ser)) = &serial {
         for (f, (p, s)) in figures.iter().zip(outputs.iter().zip(serial_outputs)) {
             if p != s {
                 failures.push(format!("{} (serial/parallel outputs differ)", f.name));
-                println!(
+                say(format_args!(
                     "=== MISMATCH {}: serial and parallel outputs differ ===",
                     f.name
-                );
+                ));
             }
         }
-        println!(
+        say(format_args!(
             "serial {wall_ser:.2}s vs parallel {wall_par:.2}s — speedup {:.2}x",
             wall_ser / wall_par.max(1e-9)
-        );
+        ));
         if *digest_ser != digest_par {
             failures.push("suite digest (serial vs parallel)".to_string());
         }
+        // Parallel must never cost wall-clock, on any machine: the cap at
+        // cores means worst case is serial plus noise.
+        if gate_parity {
+            if wall_par > wall_ser * PARITY {
+                failures.push(format!(
+                    "parity gate: parallel {wall_par:.2}s > serial {wall_ser:.2}s x {PARITY:.2} \
+                     — parallelism is costing wall-clock again"
+                ));
+            } else {
+                say(format_args!(
+                    "parity gate: parallel {wall_par:.2}s <= serial {wall_ser:.2}s x {PARITY:.2} — ok"
+                ));
+            }
+        }
     }
 
-    if let Some(stats) = &pool_stats {
-        print!("{}", stats.render());
-    }
     if let Some(sim) = &sim_stats {
-        println!(
+        say(format_args!(
             "sim: {} jobs, {} sched ops, {} wheel cascades, {} tracer locks, {:.1} MB in {} allocs",
             sim.tasks,
             sim.sched_ops,
@@ -274,7 +272,7 @@ fn main() {
             sim.tracer_locks,
             sim.alloc_bytes as f64 / 1e6,
             sim.alloc_calls,
-        );
+        ));
     }
 
     if let Some(path) = &bench_out {
@@ -296,30 +294,6 @@ fn main() {
                 format!("\"{digest_ser:#018x}\""),
             ));
         }
-        if let Some(stats) = &pool_stats {
-            let t = stats.totals();
-            for (k, v) in [
-                ("pool_stats_spawned", stats.spawned as u64),
-                ("pool_stats_tasks", t.tasks_run),
-                ("pool_stats_local_hits", t.local_hits),
-                ("pool_stats_injector_hits", t.injector_hits),
-                ("pool_stats_steals", t.steals),
-                ("pool_stats_parks", t.parks),
-                ("pool_stats_notifies", stats.notifies),
-                ("pool_stats_injector_pushes", stats.injector_pushes),
-                ("pool_stats_deque_pushes", stats.deque_pushes),
-            ] {
-                updates.push((k.into(), v.to_string()));
-            }
-            updates.push((
-                "pool_stats_lock_wait_ms".into(),
-                format!("{:.3}", t.lock_wait_ns as f64 / 1e6),
-            ));
-            updates.push((
-                "pool_stats_busy_s".into(),
-                format!("{:.3}", t.busy_ns as f64 / 1e9),
-            ));
-        }
         if let Some(sim) = &sim_stats {
             for (k, v) in [
                 ("sim_stats_jobs", sim.tasks),
@@ -333,55 +307,7 @@ fn main() {
             }
         }
         bench_json::merge_file(path, &updates).expect("merge bench json");
-        println!("suite keys merged into {path}");
-    }
-
-    let mut gate_failure = |msg: String| {
-        if gates_warn_only {
-            println!("WARN (HC_FAST): {msg}");
-        } else {
-            failures.push(msg);
-        }
-    };
-    if let Some((_, wall_ser, _)) = &serial {
-        let speedup = wall_ser / wall_par.max(1e-9);
-        if gate {
-            let min_speedup = env_f64("HC_GATE_MIN_SPEEDUP", 3.0);
-            // The ≥3× acceptance target is defined on a ≥4-core runner
-            // with ≥4 jobs; on smaller machines only the byte-equality
-            // half of the gate applies (executors are capped at cores, so
-            // real speedup is structurally impossible there).
-            if cores >= 4 && jobs >= 4 {
-                if speedup < min_speedup {
-                    gate_failure(format!(
-                        "suite speedup {speedup:.2}x < required {min_speedup:.2}x \
-                         ({jobs} jobs on {cores} cores)"
-                    ));
-                } else {
-                    println!("speedup gate: {speedup:.2}x >= {min_speedup:.2}x — ok");
-                }
-            } else {
-                println!(
-                    "speedup gate skipped: {cores} cores / {jobs} jobs \
-                     (requires >= 4 of each); byte-equality still enforced"
-                );
-            }
-        }
-        if gate_parity {
-            // Parallel must never cost wall-clock, on any machine: the
-            // executor cap means worst case is serial plus noise.
-            let parity = env_f64("HC_GATE_PARITY", 1.05);
-            if wall_par > wall_ser * parity {
-                gate_failure(format!(
-                    "parity gate: parallel {wall_par:.2}s > serial {wall_ser:.2}s x {parity:.2} \
-                     — parallelism is costing wall-clock again"
-                ));
-            } else {
-                println!(
-                    "parity gate: parallel {wall_par:.2}s <= serial {wall_ser:.2}s x {parity:.2} — ok"
-                );
-            }
-        }
+        say(format_args!("suite keys merged into {path}"));
     }
 
     if !failures.is_empty() {
@@ -390,5 +316,5 @@ fn main() {
         }
         std::process::exit(1);
     }
-    println!("ALL-FIGURES-DONE");
+    say(format_args!("ALL-FIGURES-DONE"));
 }

@@ -59,7 +59,7 @@ fn measure(loss: f64) -> Row {
     }
 }
 
-fn run(sw: &Sweep<'_, '_, '_>) -> String {
+fn run(sw: &Sweep<'_>) -> String {
     let mut out = String::new();
     write_banner(
         &mut out,

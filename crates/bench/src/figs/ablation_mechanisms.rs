@@ -21,7 +21,7 @@ pub const FIG: Figure = Figure {
 
 const COMBOS: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
 
-fn run(sw: &Sweep<'_, '_, '_>) -> String {
+fn run(sw: &Sweep<'_>) -> String {
     let mut out = String::new();
     write_banner(
         &mut out,

@@ -23,7 +23,7 @@ const RATES: [f64; 7] = [
 ];
 const REQS: [usize; 3] = [24, 64, 512];
 
-fn run(sw: &Sweep<'_, '_, '_>) -> String {
+fn run(sw: &Sweep<'_>) -> String {
     let mut out = String::new();
     let setups = [
         Setup::Vanilla,

@@ -31,7 +31,7 @@ fn wl() -> WorkloadKind {
     })
 }
 
-fn run(sw: &Sweep<'_, '_, '_>) -> String {
+fn run(sw: &Sweep<'_>) -> String {
     let mut out = String::new();
     write_banner(
         &mut out,

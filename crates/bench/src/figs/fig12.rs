@@ -22,7 +22,7 @@ pub const FIG: Figure = Figure {
     run,
 };
 
-fn run(sw: &Sweep<'_, '_, '_>) -> String {
+fn run(sw: &Sweep<'_>) -> String {
     let mut out = String::new();
     write_banner(
         &mut out,
@@ -32,7 +32,8 @@ fn run(sw: &Sweep<'_, '_, '_>) -> String {
          latency rises but the system does not collapse",
     );
     // One long single-world timeline: a single job, submitted through the
-    // sweep so the driver can overlap it with other figures.
+    // sweep so it runs on a worker like every other world — figure threads
+    // only plan and render, and do not count against the core cap.
     let body = sw
         .map(vec![()], |()| render_timeline())
         .pop()

@@ -35,7 +35,7 @@ pub const FIG: Figure = Figure {
 /// point, high enough that an unbounded log visibly grows.
 const MEM_RATE: f64 = 200_000.0;
 
-fn run(sw: &Sweep<'_, '_, '_>) -> String {
+fn run(sw: &Sweep<'_>) -> String {
     let mut out = String::new();
     write_banner(
         &mut out,

@@ -16,7 +16,7 @@ pub const FIG: Figure = Figure {
     run,
 };
 
-fn run(sw: &Sweep<'_, '_, '_>) -> String {
+fn run(sw: &Sweep<'_>) -> String {
     let mut out = String::new();
     write_banner(
         &mut out,

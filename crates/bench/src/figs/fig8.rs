@@ -32,7 +32,7 @@ fn opts(setup: Setup, req: usize, rate: f64) -> ClusterOpts {
     o
 }
 
-fn run(sw: &Sweep<'_, '_, '_>) -> String {
+fn run(sw: &Sweep<'_>) -> String {
     let mut out = String::new();
     write_banner(
         &mut out,

@@ -17,7 +17,7 @@ pub const FIG: Figure = Figure {
 
 const NS: [u32; 4] = [3, 5, 7, 9];
 
-fn run(sw: &Sweep<'_, '_, '_>) -> String {
+fn run(sw: &Sweep<'_>) -> String {
     let mut out = String::new();
     write_banner(
         &mut out,

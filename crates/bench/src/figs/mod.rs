@@ -1,14 +1,11 @@
 //! Figure renderers: each paper figure/table as a `fn(&Sweep) -> String`.
 //!
-//! The bodies used to live in the `src/bin/*` binaries and print straight
-//! to stdout; they now render into a `String` so that (a) the thin
-//! binaries and the `run_all_figs` driver share one implementation, and
-//! (b) a parallel sweep can merge per-job results in input order and
-//! produce **byte-identical** reports to a serial run. Each renderer
-//! flattens its experiment grid into one job list up front (sequential
-//! phases only where a later grid genuinely depends on an earlier
-//! measurement, e.g. the YCSB ladders), maps it under the [`Sweep`]
-//! context, and formats afterwards.
+//! Rendering into a `String` lets a parallel sweep merge per-job results
+//! in input order and produce **byte-identical** reports to a serial run.
+//! Each renderer flattens its experiment grid into one job list up front
+//! (sequential phases only where a later grid genuinely depends on an
+//! earlier measurement, e.g. the YCSB ladders), maps it under the
+//! [`Sweep`] context, and formats afterwards.
 
 pub mod ablation_bound;
 pub mod ablation_loss;
@@ -29,9 +26,7 @@ use crate::sweep::Figure;
 
 /// Every figure/table of the suite, in the canonical run order (paper
 /// figures first, then the extension suite and developer tools). The
-/// order fixes the results layout and the suite output digest; the
-/// parallel driver still starts figures in this order (FIFO injector), so
-/// the heavyweight early figures overlap the long tail.
+/// order fixes the results layout and the suite output digest.
 pub fn all() -> Vec<Figure> {
     vec![
         fig7::FIG,
@@ -51,7 +46,7 @@ pub fn all() -> Vec<Figure> {
     ]
 }
 
-/// Looks a figure up by its binary/results name.
+/// Looks a figure up by its name.
 pub fn by_name(name: &str) -> Option<Figure> {
     all().into_iter().find(|f| f.name == name)
 }

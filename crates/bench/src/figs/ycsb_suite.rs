@@ -1,5 +1,5 @@
 //! Extension: the broader YCSB suite (A–E) through the full HovercRaft++
-//! stack. The paper evaluates workload E; this bin shows how the benefit
+//! stack. The paper evaluates workload E; this figure shows how the benefit
 //! tracks the read-only fraction across the standard workloads — C (100 %
 //! reads) load-balances perfectly, A (50 % updates) is bound by full-SMR
 //! execution.
@@ -38,7 +38,7 @@ fn opts(wl: YcsbWorkload, setup: Setup, n: u32, rate: f64) -> ClusterOpts {
     o
 }
 
-fn run(sw: &Sweep<'_, '_, '_>) -> String {
+fn run(sw: &Sweep<'_>) -> String {
     let mut out = String::new();
     write_banner(
         &mut out,

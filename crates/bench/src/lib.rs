@@ -1,10 +1,11 @@
 //! # hovercraft-bench — the paper-reproduction harness
 //!
-//! One binary per table/figure of the HovercRaft paper's evaluation (§7),
-//! each printing the series the paper plots plus the paper's qualitative
-//! expectation, so a run can be eyeballed against the original:
+//! One figure per table/figure of the HovercRaft paper's evaluation (§7),
+//! each rendering the series the paper plots plus the paper's qualitative
+//! expectation, so a run can be eyeballed against the original
+//! (`run_all_figs --stdout <figure>` prints one, `--list` names them all):
 //!
-//! | Binary | Reproduces |
+//! | Figure | Reproduces |
 //! |---|---|
 //! | `fig7_latency_throughput` | Fig. 7 — tail latency vs load, 4 setups, N=3 |
 //! | `fig8_request_size` | Fig. 8 — max kRPS under SLO vs request size |
@@ -15,10 +16,10 @@
 //! | `fig13_ycsbe` | Fig. 13 — YCSB-E on the Redis-like store |
 //! | `table1_msg_counts` | Table 1 — leader Rx/Tx messages per request |
 //!
-//! `run_all_figs` schedules the whole suite (figures *and* their inner
-//! load grids) across cores on the vendored work-stealing [`pool`], with
-//! byte-identical output to a serial run; see [`sweep`]. `HC_JOBS`
-//! controls the worker count (`1` = exact serial execution). Set
+//! `run_all_figs` runs every world of the whole suite (all figures' load
+//! grids) on one set of [`pool`] workers, with byte-identical output to a
+//! serial run; see [`sweep`]. `HC_JOBS` controls the worker count (`1` =
+//! exact serial execution). Set
 //! `HC_FAST=1` for a quick smoke pass (shorter windows, coarser grids);
 //! unset it for publication-quality runs.
 
@@ -81,7 +82,7 @@ pub fn grid(points: Vec<f64>) -> Vec<f64> {
 /// highest achieved throughput whose point meets the 500µs SLO, plus every
 /// point measured, in rate order.
 pub fn max_under_slo(
-    sw: &Sweep<'_, '_, '_>,
+    sw: &Sweep<'_>,
     rates: &[f64],
     mk: impl Fn(f64) -> ClusterOpts + Send + Sync + 'static,
 ) -> (f64, Vec<ExpResult>) {

@@ -11,10 +11,10 @@
 use criterion::{criterion_group, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
 
-use bytes::Bytes;
+use bytes::{ByteArena, Bytes};
 use hovercraft::{Aggregator, Cmd, EntryDesc, FlowControl, OpKind, UnorderedPool, WireMsg};
 use minikv::{Command, CostModel, Store};
-use r2p2::{body_hash, packetize, Header, MsgType, Policy, Reassembler, ReqId};
+use r2p2::{body_hash, packetize_in, Header, MsgType, Policy, Reassembler, ReqId};
 use raft::{Config, Entry, Message, RaftLog, RaftNode};
 use workload::{encode_request, RecordSpec, SynthService, YcsbGen, YcsbWorkload, Zipfian};
 
@@ -29,18 +29,28 @@ fn bench_r2p2(c: &mut Criterion) {
     });
     let body = vec![7u8; 6_000];
     let id = ReqId::new(1, 2, 3);
+    // One arena reused across iterations, as a sender on the hot path does.
+    let mut arena = ByteArena::new();
     g.bench_function("packetize_6kB", |b| {
         b.iter(|| {
-            packetize(
+            packetize_in(
                 MsgType::Request,
                 Policy::Replicated,
                 id,
                 black_box(&body),
                 1500,
+                &mut arena,
             )
         })
     });
-    let frags = packetize(MsgType::Request, Policy::Replicated, id, &body, 1500);
+    let frags = packetize_in(
+        MsgType::Request,
+        Policy::Replicated,
+        id,
+        &body,
+        1500,
+        &mut arena,
+    );
     g.bench_function("reassemble_6kB", |b| {
         b.iter_batched(
             || frags.clone(),
@@ -48,7 +58,7 @@ fn bench_r2p2(c: &mut Criterion) {
                 let mut r = Reassembler::new();
                 let mut out = None;
                 for f in frags {
-                    out = r.push(1, f).unwrap();
+                    out = r.push_in(1, f, &mut arena).unwrap();
                 }
                 out.unwrap()
             },
@@ -77,7 +87,7 @@ fn bench_body(c: &mut Criterion) {
     g.throughput(Throughput::Elements(1));
     for size in [24usize, 512] {
         let body = encode_request(1_000, 8, size);
-        let mut arena = bytes::ByteArena::new();
+        let mut arena = ByteArena::new();
         let mut svc = SynthService::default();
         g.bench_function(&size.to_string(), |b| {
             b.iter(|| svc.execute(black_box(&body), false, &mut arena).cost_ns)
@@ -174,35 +184,40 @@ fn bench_raft(c: &mut Criterion) {
         // Build an established 3-node leader (through the Pre-Vote phase).
         let mk = || {
             let mut n = RaftNode::<Cmd>::new(Config::new(0, vec![0, 1, 2]), 0);
-            let _ = n.tick(50_000_000); // election timeout: probe pre-votes
-            let _ = n.step(
+            let mut acts = Vec::new();
+            n.tick_into(50_000_000, &mut acts); // election timeout: probe pre-votes
+            n.step_into(
                 1,
                 Message::PreVoteReply {
                     term: n.term() + 1,
                     granted: true,
                 },
                 50_000_050,
+                &mut acts,
             );
-            let _ = n.step(
+            n.step_into(
                 1,
                 Message::RequestVoteReply {
                     term: n.term(),
                     granted: true,
                 },
                 50_000_100,
+                &mut acts,
             );
             assert!(n.is_leader());
-            n
+            acts.clear();
+            (n, acts)
         };
+        // One scratch buffer reused across calls, as the drivers do.
         b.iter_batched(
             mk,
-            |mut n| {
+            |(mut n, mut acts)| {
                 let term = n.term();
                 for i in 0..32u64 {
                     let idx = n.propose(meta_cmd(i)).unwrap();
-                    let _ = n.pump(60_000_000 + i);
+                    n.pump_into(60_000_000 + i, &mut acts);
                     for peer in [1u32, 2] {
-                        let _ = n.step(
+                        n.step_into(
                             peer,
                             Message::AppendEntriesReply {
                                 term,
@@ -213,8 +228,10 @@ fn bench_raft(c: &mut Criterion) {
                                 from: peer,
                             },
                             60_000_001 + i,
+                            &mut acts,
                         );
                     }
+                    acts.clear();
                 }
                 n
             },

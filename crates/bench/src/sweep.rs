@@ -2,8 +2,8 @@
 //!
 //! Every experiment in the suite is a grid of *independent, seeded,
 //! single-threaded* simulations — a `(figure × load-point × seed)` job
-//! space. This module shards that grid across a scoped work-stealing
-//! [`pool`] while keeping results **byte-identical to serial execution**:
+//! space. This module runs that grid on the [`pool`] workers while keeping
+//! results **byte-identical to serial execution**:
 //!
 //! * Each job constructs and drives its own `Sim` world entirely on one
 //!   worker thread — no state is shared between jobs.
@@ -12,36 +12,25 @@
 //!   in input order — so the merged text, digests, and BENCH JSON never
 //!   depend on scheduling.
 //! * `HC_JOBS=1` (or a single-core machine) takes an exact serial path
-//!   that never touches the pool; `HC_JOBS=N` sets the worker count, and
-//!   the default is `available_parallelism`.
+//!   that starts no thread; `HC_JOBS=N` sets the worker count, and the
+//!   default is `available_parallelism`.
 //!
-//! A figure is a [`Figure`]: a name (its binary / results-file name) plus
-//! a `fn(&Sweep) -> String` that renders the full report. Figure binaries
-//! call [`figure_main`]; the `run_all_figs` driver schedules many figures
-//! onto one shared pool, nesting their inner sweeps on the same workers.
+//! A figure is a [`Figure`]: a name (its results-file name) plus a
+//! `fn(&Sweep) -> String` that renders the full report. The `run_all_figs`
+//! driver gives each figure a thread that plans and renders; every world
+//! any of them maps runs as a job on one shared set of workers.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
-use pool::{Pool, Scope};
+use pool::Workers;
 use simnet::ProfileSnapshot;
 
-/// Number of parallel jobs the sweep layer will use (`HC_JOBS`, default
-/// `available_parallelism`). `1` means strictly serial execution.
-///
-/// This is a *sharding* count: [`pool::Pool::new`] caps actual executors
-/// at the machine's core count, so `HC_JOBS=4` on a single-core box keeps
-/// the 4-way task decomposition but runs it one world at a time (measured
-/// 10–20 % cheaper than interleaving them; see DESIGN.md §13).
+/// Worker threads the sweep layer will use: `HC_JOBS` (default every
+/// core), never more than the cores. `1` means strictly serial execution.
 pub fn jobs() -> usize {
     pool::default_jobs()
 }
-
-/// Batch tasks submitted per executor by [`Sweep::map`]: enough slack for
-/// work stealing to balance uneven job costs, small enough that a 13-figure
-/// suite's load grids don't queue hundreds of tiny tasks through one lock.
-const CHUNKS_PER_EXECUTOR: usize = 8;
 
 /// Suite-wide accumulator for per-world simulator profiling deltas
 /// (`--profile` on `run_all_figs`). Jobs run whole worlds start-to-finish
@@ -73,8 +62,7 @@ pub mod sim_profile {
         pub alloc_calls: u64,
         /// Bytes requested from the allocator inside swept jobs.
         pub alloc_bytes: u64,
-        /// Timer-wheel cascade moves inside swept jobs (0 under
-        /// `HC_SCHED=heap`).
+        /// Timer-wheel cascade moves inside swept jobs.
         pub wheel_cascades: u64,
     }
 
@@ -128,133 +116,74 @@ fn run_measured<O>(f: impl FnOnce() -> O) -> O {
     out
 }
 
-/// Execution context for one figure: either strictly serial, or fanning
-/// work out on an active pool scope.
-///
-/// Passing `&Sweep` down instead of a global lets `run_all_figs` nest
-/// figure-internal sweeps on the *same* pool that schedules across
-/// figures (waiting tasks help execute, so nesting cannot deadlock).
-pub struct Sweep<'a, 'scope, 'env: 'scope> {
-    scope: Option<&'a Scope<'scope, 'env>>,
+/// Execution context for one figure: either strictly serial, or running
+/// its jobs on a shared set of workers.
+pub struct Sweep<'a> {
+    workers: Option<&'a Workers>,
 }
 
-impl Sweep<'static, 'static, 'static> {
+impl Sweep<'static> {
     /// The strictly serial context: `map` is a plain in-order loop.
-    pub const SERIAL: Self = Sweep { scope: None };
+    pub const SERIAL: Self = Sweep { workers: None };
 }
 
-impl<'a, 'scope, 'env> Sweep<'a, 'scope, 'env> {
-    /// A context that fans out onto `scope`'s pool.
-    pub fn pooled(scope: &'a Scope<'scope, 'env>) -> Self {
-        Sweep { scope: Some(scope) }
-    }
-
-    /// True when `map` runs jobs on pool workers.
-    pub fn is_parallel(&self) -> bool {
-        self.scope.is_some()
+impl<'a> Sweep<'a> {
+    /// A context whose jobs run on `workers`.
+    pub fn pooled(workers: &'a Workers) -> Self {
+        Sweep {
+            workers: Some(workers),
+        }
     }
 
     /// Runs `f` over `items`, returning outputs **in input order**.
     ///
-    /// Serially this is exactly `items.into_iter().map(f).collect()`; on a
-    /// pool the items are submitted in contiguous **chunks** (targeting
-    /// [`CHUNKS_PER_EXECUTOR`] tasks per executor) and each chunk maps its
-    /// items in order on one worker, so flattening the chunk outputs
-    /// reproduces input order exactly. Chunking turns a 40-point load grid
-    /// on a 4-executor pool into ~32 queue transitions instead of 80+,
-    /// without giving up stealing granularity for uneven job costs. `f`
-    /// must own its captures (`'static`): jobs may run on any worker and
-    /// outlive the caller's locals.
+    /// Serially this is exactly `items.into_iter().map(f).collect()`; on
+    /// workers each item is one queued job. `f` must own its captures
+    /// (`'static`): jobs run on worker threads that outlive the caller's
+    /// locals.
     pub fn map<I, O, F>(&self, items: Vec<I>, f: F) -> Vec<O>
     where
         I: Send + 'static,
         O: Send + 'static,
         F: Fn(I) -> O + Send + Sync + 'static,
     {
-        let Some(s) = self.scope else {
-            return items
-                .into_iter()
-                .map(|item| run_measured(|| f(item)))
-                .collect();
-        };
-        let n = items.len();
-        let target = s.executors() * CHUNKS_PER_EXECUTOR;
-        let chunk = n.div_ceil(target.max(1)).max(1);
-        if chunk <= 1 {
-            return s.join_map(items, move |_, _, item| run_measured(|| f(item)));
+        let measured = move |item| run_measured(|| f(item));
+        match self.workers {
+            Some(w) => w.map(items, measured),
+            None => items.into_iter().map(measured).collect(),
         }
-        let mut chunks: Vec<Vec<I>> = Vec::with_capacity(n.div_ceil(chunk));
-        let mut it = items.into_iter();
-        loop {
-            let c: Vec<I> = it.by_ref().take(chunk).collect();
-            if c.is_empty() {
-                break;
-            }
-            chunks.push(c);
-        }
-        let f = Arc::new(f);
-        let outs = s.join_map(chunks, move |_, _, c| {
-            c.into_iter()
-                .map(|item| run_measured(|| f(item)))
-                .collect::<Vec<O>>()
-        });
-        outs.into_iter().flatten().collect()
     }
 }
 
-/// One figure/table of the suite: its binary name (doubles as the results
-/// file stem) and the renderer producing the complete report text.
+/// One figure/table of the suite: its name (doubles as the results file
+/// stem) and the renderer producing the complete report text.
 #[derive(Clone, Copy)]
 pub struct Figure {
-    /// Binary name, e.g. `"fig7_latency_throughput"`.
+    /// Figure name, e.g. `"fig7_latency_throughput"`.
     pub name: &'static str,
     /// Renders the figure under the given sweep context.
-    pub run: fn(&Sweep<'_, '_, '_>) -> String,
+    pub run: fn(&Sweep<'_>) -> String,
 }
 
-/// Renders one figure, honoring `HC_JOBS` (1 → exact serial path).
-pub fn render_figure(fig: &Figure) -> String {
-    render_figure_jobs(fig, jobs())
-}
-
-/// Renders one figure with an explicit job count.
-pub fn render_figure_jobs(fig: &Figure, jobs: usize) -> String {
-    if jobs <= 1 {
-        (fig.run)(&Sweep::SERIAL)
-    } else {
-        Pool::new(jobs).scope(|s| (fig.run)(&Sweep::pooled(s)))
-    }
-}
-
-/// Entry point for a standalone figure binary: render, print.
-pub fn figure_main(fig: &Figure) {
-    print!("{}", render_figure(fig));
-}
-
-/// Runs `f(item)` for every item on the pool (ordered outputs), as a
-/// standalone call: builds a pool sized by `HC_JOBS`, or runs a plain
-/// serial loop when `HC_JOBS=1`. This is the entry the test-suite sweeps
-/// (chaos corpus, randomized plans) use — panics from `f` propagate to
-/// the caller, first-recorded payload wins.
+/// Runs `f(item)` for every item (ordered outputs) as a standalone call:
+/// on [`jobs`] workers, or as a plain serial loop when that is 1. This is
+/// the entry the test-suite sweeps (chaos corpus, randomized plans) use —
+/// panics from `f` propagate to the caller, lowest index first.
 pub fn par_map<I, O, F>(items: Vec<I>, f: F) -> Vec<O>
 where
     I: Send + 'static,
     O: Send + 'static,
     F: Fn(I) -> O + Send + Sync + 'static,
 {
-    let n = jobs().min(items.len().max(1));
-    if n <= 1 {
-        return items
-            .into_iter()
-            .map(|item| run_measured(|| f(item)))
-            .collect();
+    match jobs().min(items.len()) {
+        0 | 1 => Sweep::SERIAL.map(items, f),
+        n => pool::with_workers(n, |w| Sweep::pooled(w).map(items, f)),
     }
-    Pool::new(n).scope(|s| Sweep::pooled(s).map(items, f))
 }
 
 /// Runs a figure renderer, converting a panic into `Err(message)` so a
 /// driver can keep going and report the failure at the end.
-pub fn try_render(fig: &Figure, sw: &Sweep<'_, '_, '_>) -> Result<String, String> {
+pub fn try_render(fig: &Figure, sw: &Sweep<'_>) -> Result<String, String> {
     catch_unwind(AssertUnwindSafe(|| (fig.run)(sw))).map_err(|payload| {
         if let Some(s) = payload.downcast_ref::<String>() {
             s.clone()
@@ -290,27 +219,10 @@ mod tests {
     #[test]
     fn pooled_map_matches_serial() {
         let serial = Sweep::SERIAL.map((0..64u64).collect(), |x| x * x + 1);
-        let pooled = Pool::new(4).scope(|s| {
-            let sw = Sweep::pooled(s);
-            sw.map((0..64u64).collect(), |x| x * x + 1)
+        let pooled = pool::with_workers(4, |w| {
+            Sweep::pooled(w).map((0..64u64).collect(), |x| x * x + 1)
         });
         assert_eq!(serial, pooled);
-    }
-
-    #[test]
-    fn chunked_map_preserves_order_across_sizes() {
-        // Sizes straddling every chunking regime: below one chunk per
-        // executor, exactly on a chunk boundary, one leftover item, and
-        // far more items than chunk slots. Oversubscribed `exact` pools
-        // maximize out-of-order completion pressure.
-        for pool in [Pool::exact(2), Pool::exact(5)] {
-            for n in [0u64, 1, 7, 8, 9, 63, 64, 65, 257] {
-                let serial = Sweep::SERIAL.map((0..n).collect(), |x| x.wrapping_mul(31) ^ 5);
-                let pooled = pool
-                    .scope(|s| Sweep::pooled(s).map((0..n).collect(), |x| x.wrapping_mul(31) ^ 5));
-                assert_eq!(serial, pooled, "n={n} diverged");
-            }
-        }
     }
 
     #[test]

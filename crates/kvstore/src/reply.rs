@@ -1,6 +1,6 @@
 //! Replies and their wire encoding.
 
-use bytes::{BufMut, ByteArena, Bytes, BytesMut};
+use bytes::{ByteArena, Bytes};
 
 /// A command's result.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -25,14 +25,7 @@ impl Reply {
         matches!(self, Reply::Err(_))
     }
 
-    /// Encodes to wire bytes (a compact binary analogue of RESP).
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(16);
-        self.encode_into(&mut b);
-        b.freeze()
-    }
-
-    /// Exact wire size of [`Reply::encode`]'s output.
+    /// Exact wire size of [`Reply::encode_in`]'s output.
     pub fn encoded_len(&self) -> usize {
         match self {
             Reply::Ok | Reply::Nil => 1,
@@ -43,9 +36,9 @@ impl Reply {
         }
     }
 
-    /// [`Reply::encode`], but written directly into a pooled buffer from
-    /// `arena` — no staging `Vec`, no per-reply heap allocation once the
-    /// pool is warm. Output is byte-identical to `encode`.
+    /// Encodes to wire bytes (a compact binary analogue of RESP), written
+    /// directly into a pooled buffer from `arena` — no staging `Vec`, no
+    /// per-reply heap allocation once the pool is warm.
     pub fn encode_in(&self, arena: &mut ByteArena) -> Bytes {
         let len = self.encoded_len();
         arena.alloc_with(len, |buf| {
@@ -88,35 +81,7 @@ impl Reply {
         }
     }
 
-    fn encode_into(&self, b: &mut BytesMut) {
-        match self {
-            Reply::Ok => b.put_u8(b'+'),
-            Reply::Nil => b.put_u8(b'_'),
-            Reply::Int(i) => {
-                b.put_u8(b':');
-                b.put_i64(*i);
-            }
-            Reply::Bulk(body) => {
-                b.put_u8(b'$');
-                b.put_u32(body.len() as u32);
-                b.put_slice(body);
-            }
-            Reply::Array(items) => {
-                b.put_u8(b'*');
-                b.put_u32(items.len() as u32);
-                for it in items {
-                    it.encode_into(b);
-                }
-            }
-            Reply::Err(msg) => {
-                b.put_u8(b'-');
-                b.put_u32(msg.len() as u32);
-                b.put_slice(msg.as_bytes());
-            }
-        }
-    }
-
-    /// Decodes wire bytes produced by [`Reply::encode`].
+    /// Decodes wire bytes produced by [`Reply::encode_in`].
     pub fn decode(buf: &[u8]) -> Option<Reply> {
         let (r, rest) = Self::decode_one(buf)?;
         rest.is_empty().then_some(r)
@@ -178,31 +143,42 @@ mod tests {
                 Reply::Array(vec![Reply::Nil]),
             ]),
         ];
+        let mut arena = ByteArena::new();
         for r in replies {
-            assert_eq!(Reply::decode(&r.encode()), Some(r.clone()), "{r:?}");
+            let wire = r.encode_in(&mut arena);
+            assert_eq!(Reply::decode(&wire), Some(r.clone()), "{r:?}");
         }
     }
 
+    /// The wire format, written out by hand, is the oracle.
     #[test]
     fn pooled_encode_matches_vec_encode() {
         let mut arena = ByteArena::new();
-        let replies = vec![
-            Reply::Ok,
-            Reply::Nil,
-            Reply::Int(i64::MIN),
-            Reply::Bulk(Bytes::from_static(b"payload")),
-            Reply::Err("ERR oops".to_string()),
-            Reply::Array(vec![
-                Reply::Bulk(Bytes::from_static(b"nested")),
-                Reply::Array(vec![Reply::Int(1), Reply::Ok]),
-            ]),
+        let replies: Vec<(Reply, Vec<u8>)> = vec![
+            (Reply::Ok, b"+".to_vec()),
+            (Reply::Nil, b"_".to_vec()),
+            (Reply::Int(i64::MIN), b":\x80\0\0\0\0\0\0\0".to_vec()),
+            (
+                Reply::Bulk(Bytes::from_static(b"payload")),
+                b"$\0\0\0\x07payload".to_vec(),
+            ),
+            (
+                Reply::Err("ERR oops".to_string()),
+                b"-\0\0\0\x08ERR oops".to_vec(),
+            ),
+            (
+                Reply::Array(vec![
+                    Reply::Bulk(Bytes::from_static(b"nested")),
+                    Reply::Array(vec![Reply::Int(1), Reply::Ok]),
+                ]),
+                b"*\0\0\0\x02$\0\0\0\x06nested*\0\0\0\x02:\0\0\0\0\0\0\0\x01+".to_vec(),
+            ),
         ];
-        for r in &replies {
-            let fresh = r.encode();
-            assert_eq!(r.encoded_len(), fresh.len(), "{r:?}");
+        for (r, wire) in &replies {
+            assert_eq!(r.encoded_len(), wire.len(), "{r:?}");
             // Twice, so the second pass exercises a recycled buffer.
             for _ in 0..2 {
-                assert_eq!(r.encode_in(&mut arena), fresh, "{r:?}");
+                assert_eq!(&r.encode_in(&mut arena)[..], &wire[..], "{r:?}");
             }
         }
         assert!(arena.hits() > 0, "second passes must recycle");
@@ -210,7 +186,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_trailing_garbage() {
-        let mut enc = Reply::Ok.encode().to_vec();
+        let mut enc = Reply::Ok.encode_in(&mut ByteArena::new()).to_vec();
         enc.push(9);
         assert_eq!(Reply::decode(&enc), None);
     }

@@ -1,948 +1,247 @@
-//! Scoped work-stealing thread pool for the experiment suite.
+//! N worker threads on one FIFO of jobs.
 //!
 //! Every simulation in this reproduction is an independent, seeded,
-//! deterministic world, so the figure grids, the chaos corpus, and the
-//! randomized property sweeps are embarrassingly parallel — as long as the
-//! *scheduling* layer never leaks nondeterminism into the results. This
-//! crate provides the minimal pool that makes that safe:
+//! single-threaded world that runs for milliseconds to minutes, so the
+//! figure grids, the chaos corpus and the property sweeps need one thing
+//! from a scheduler: run whole jobs on a fixed number of threads and hand
+//! the results back in input order, so that nothing a caller renders
+//! depends on which worker ran what when.
 //!
-//! * **Scoped**: [`Pool::scope`] mirrors `std::thread::scope`, so jobs may
-//!   borrow data owned by the caller's stack frame (`'env`) without any
-//!   `unsafe` or reference counting gymnastics at the call sites.
-//! * **Work-stealing**: one shared injector queue plus a per-worker LIFO
-//!   deque. A worker pops its own deque from the back (cache-warm, depth
-//!   first), steals from other deques and the injector from the front
-//!   (oldest work first). The structure is guarded by a single mutex +
-//!   condvar — jobs here are whole simulator runs (hundreds of
-//!   microseconds to minutes), so queue contention is noise and the
-//!   simplicity buys obvious correctness.
-//! * **Never oversubscribed**: [`Pool::new`] treats the worker count as a
-//!   *sharding hint*, not a thread mandate. The number of executors (the
-//!   caller, which helps at every join, plus spawned workers) is capped at
-//!   `available_parallelism`. Running more allocation-heavy simulator
-//!   worlds than cores concurrently was measured to cost 10–20 % in pure
-//!   user time on this container (allocator arena churn + cache
-//!   interference between interleaved worlds; see DESIGN.md §13), so
-//!   `HC_JOBS=4` on a single-core box now degrades to serial-equivalent
-//!   execution instead of paying that tax. [`Pool::exact`] opts out for
-//!   tests that deliberately exercise cross-thread interleaving.
-//! * **Deterministic merges**: [`Scope::join_map`] fans a `Vec` of items
-//!   out as subtasks and returns outputs **in input order**, regardless of
-//!   which worker ran what when. Callers that write results in job-index
-//!   order are byte-identical to a serial run by construction. Executor
-//!   capping never touches outputs — only *when* a job runs changes.
-//! * **Panic propagation without poisoning**: a panicking job never hangs
-//!   the pool, and never poisons it either — every internal lock recovers
-//!   from [`std::sync::PoisonError`], so the *first* panic payload is
-//!   carried out intact (re-raised at the owning [`Scope::join_map`] for
-//!   batch subtasks, or at [`Pool::scope`] exit for detached
-//!   [`Scope::spawn`] tasks) instead of being buried under secondary
-//!   `PoisonError` panics from other workers.
-//! * **Nested fan-out without deadlock**: a job may call
-//!   [`Scope::join_map`] itself. While waiting for its batch, the caller
-//!   *helps*: it executes queued tasks instead of blocking, so a pool of
-//!   `N` workers can sit under arbitrarily nested sweeps (figure → load
-//!   grid → seeds) without reserving threads per level.
-//! * **Observable**: the pool keeps per-executor counters (tasks run,
-//!   local/injector/steal hit classes, park/wake transitions, and — under
-//!   [`Pool::scope_profiled`] — lock-wait and task-busy nanoseconds).
-//!   `run_all_figs --profile` surfaces them as `pool_stats_*` keys.
-//!
-//! Like the other vendored crates in this workspace (`fxhash`,
-//! `criterion`, …) this is dependency-free and implements exactly the
-//! subset the suite needs — it is not a general-purpose rayon stand-in.
+//! [`with_workers`] runs the threads for the duration of a closure;
+//! [`Workers::map`] enqueues one job per item and blocks until all have
+//! run. Any number of threads may call `map` on one `Workers` at once: the
+//! worker count alone bounds how many jobs run concurrently. A job must
+//! not call `map` on the queue that runs it — callers do not execute jobs,
+//! so with every worker waiting nothing would.
 
-use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::sync::{mpsc, Condvar, Mutex, MutexGuard, PoisonError};
 
-/// Panic payload carried from a worker to the thread that re-raises it.
-type Payload = Box<dyn Any + Send + 'static>;
-
-/// A queued unit of work. Tasks receive the scope handle so they can fan
-/// out further work onto the same pool.
-type Task<'scope, 'env> = Box<dyn FnOnce(&Scope<'scope, 'env>) + Send + 'scope>;
-
-/// Locks a mutex, recovering the guard if a previous holder panicked.
-///
-/// Pool state is always consistent at lock-release boundaries (tasks run
-/// *outside* the lock), so a poisoned lock carries no torn invariants —
-/// recovering keeps the first panic's payload propagating instead of
-/// cascading `PoisonError` panics through every other worker.
-fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Number of jobs to shard across, from the environment.
-///
-/// `HC_JOBS` overrides; unset or unparsable falls back to
-/// `std::thread::available_parallelism`. A value of `1` means "run
-/// serially" — sweep layers built on this crate bypass the pool entirely
-/// in that case, so `HC_JOBS=1` is an *exact* serial execution, not a
-/// one-worker approximation of one. Values above the core count are
-/// accepted (they shape sharding) but [`Pool::new`] will not spawn more
-/// executors than cores.
+/// Worker threads to use by default: `HC_JOBS` if set (at least 1),
+/// otherwise every core, and never more than the cores. Running more
+/// allocation-heavy worlds than cores at once was measured to cost
+/// 10–20 % in user time (DESIGN.md §13), so the cap is applied here,
+/// where the count is chosen; [`with_workers`] spawns what it is told.
+/// `1` means callers take their plain serial loop.
 pub fn default_jobs() -> usize {
-    if let Ok(v) = std::env::var("HC_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    available_cores()
+    let asked = std::env::var("HC_JOBS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok());
+    asked.map_or(available_cores(), |n| n.clamp(1, available_cores()))
 }
 
 /// `std::thread::available_parallelism` with a safe fallback.
 pub fn available_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// A fixed-size scoped work-stealing pool.
-///
-/// The pool itself is just a worker count; threads are spawned per
-/// [`Pool::scope`] call (via `std::thread::scope`) and joined before it
-/// returns. That keeps the lifetime story identical to std's scoped
-/// threads and means an idle `Pool` holds no OS resources.
-#[derive(Debug, Clone, Copy)]
-pub struct Pool {
-    /// Requested job count (the sharding hint; what `HC_JOBS` asked for).
-    requested: usize,
-    /// OS threads `scope` will actually spawn alongside the caller.
-    spawn: usize,
+/// The shared queue; see [`with_workers`].
+pub struct Workers {
+    queue: Mutex<Queue>,
+    /// Signalled per pushed job, and for all on shutdown.
+    wake: Condvar,
 }
 
-impl Pool {
-    /// A pool sharding across `jobs` (clamped to at least 1). The caller
-    /// thread is one executor (it helps at every join); additional worker
-    /// threads are spawned so that the total executor count is
-    /// `min(jobs, available_parallelism)` — never more runnable
-    /// simulation threads than cores.
-    pub fn new(jobs: usize) -> Self {
-        let requested = jobs.max(1);
-        let executors = requested.min(available_cores());
-        Pool {
-            requested,
-            spawn: executors - 1,
-        }
-    }
-
-    /// A pool that spawns exactly `workers` OS worker threads regardless
-    /// of the core count (the caller still helps at joins, so there are
-    /// `workers + 1` potential executors). For tests that deliberately
-    /// exercise cross-thread interleaving and oversubscription; production
-    /// sweeps use [`Pool::new`].
-    pub fn exact(workers: usize) -> Self {
-        let requested = workers.max(1);
-        Pool {
-            requested,
-            spawn: requested,
-        }
-    }
-
-    /// A pool sized by `HC_JOBS` / available parallelism.
-    pub fn from_env() -> Self {
-        Pool::new(default_jobs())
-    }
-
-    /// The requested job count (sharding hint).
-    pub fn workers(&self) -> usize {
-        self.requested
-    }
-
-    /// OS worker threads `scope` will spawn (executors minus the caller).
-    pub fn spawned_workers(&self) -> usize {
-        self.spawn
-    }
-
-    /// Total executors: spawned workers plus the helping caller.
-    pub fn executors(&self) -> usize {
-        self.spawn + 1
-    }
-
-    /// Runs `f` with a [`Scope`] on which tasks can be spawned. Blocks
-    /// until `f` *and every task spawned on the scope* have finished, then
-    /// returns `f`'s value. If any detached task panicked, the first
-    /// payload is re-raised here; batch-task panics are re-raised at the
-    /// owning [`Scope::join_map`] instead.
-    pub fn scope<'env, T, F>(&self, f: F) -> T
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> T,
-    {
-        self.scope_inner(f, false).0
-    }
-
-    /// Like [`Pool::scope`], but times lock waits and task bodies and
-    /// returns the pool's counters alongside the result.
-    pub fn scope_profiled<'env, T, F>(&self, f: F) -> (T, PoolStats)
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> T,
-    {
-        self.scope_inner(f, true)
-    }
-
-    fn scope_inner<'env, T, F>(&self, f: F, profile: bool) -> (T, PoolStats)
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> T,
-    {
-        // The shared state lives in an `Arc` (like std's own `ScopeData`)
-        // so worker threads move owned handles instead of borrowing a
-        // local — borrowing would tie `'scope` to the borrow region and
-        // trip the drop checker on the task queues.
-        let t0 = Instant::now();
-        let shared = Arc::new(Shared::new(self.spawn, profile));
-        let out = std::thread::scope(|ts| {
-            for w in 0..self.spawn {
-                let sh = Arc::clone(&shared);
-                ts.spawn(move || worker_loop(&sh, w));
-            }
-            let caller = Scope {
-                shared: Arc::clone(&shared),
-                worker: None,
-            };
-            // If `f` unwinds, the guard still flips `shutdown` so the
-            // workers drain and exit instead of hanging the implicit join
-            // at the end of `std::thread::scope`.
-            let guard = ShutdownGuard(Arc::clone(&shared));
-            let out = f(&caller);
-            caller.wait_idle();
-            drop(guard);
-            out
-        });
-        if let Some(p) = plock(&shared.panic).take() {
-            resume_unwind(p);
-        }
-        let mut stats = {
-            let g = plock(&shared.state);
-            g.stats.clone()
-        };
-        stats.requested = self.requested;
-        stats.spawned = self.spawn;
-        stats.wall_ns = t0.elapsed().as_nanos() as u64;
-        (out, stats)
-    }
-}
-
-/// Counters for one executor (the caller or one worker thread).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ExecStats {
-    /// Tasks this executor ran to completion.
-    pub tasks_run: u64,
-    /// Pops satisfied from the executor's own deque (cache-warm LIFO).
-    pub local_hits: u64,
-    /// Pops satisfied from the shared injector queue.
-    pub injector_hits: u64,
-    /// Pops satisfied by stealing another worker's deque.
-    pub steals: u64,
-    /// Times this executor blocked on the work condvar.
-    pub parks: u64,
-    /// Times this executor was woken from the work condvar.
-    pub wakes: u64,
-    /// Nanoseconds spent waiting to acquire the pool lock (profiled runs
-    /// only; zero otherwise).
-    pub lock_wait_ns: u64,
-    /// Nanoseconds spent inside task bodies (profiled runs only).
-    pub busy_ns: u64,
-}
-
-impl ExecStats {
-    fn add(&mut self, o: &ExecStats) {
-        self.tasks_run += o.tasks_run;
-        self.local_hits += o.local_hits;
-        self.injector_hits += o.injector_hits;
-        self.steals += o.steals;
-        self.parks += o.parks;
-        self.wakes += o.wakes;
-        self.lock_wait_ns += o.lock_wait_ns;
-        self.busy_ns += o.busy_ns;
-    }
-}
-
-/// Counters for one [`Pool::scope`] invocation. Slot 0 is the caller
-/// thread; slot `w + 1` is worker `w`.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Requested job count (the sharding hint).
-    pub requested: usize,
-    /// Worker threads actually spawned.
-    pub spawned: usize,
-    /// Scope wall-clock, nanoseconds.
-    pub wall_ns: u64,
-    /// Per-executor counters: `[caller, worker 0, worker 1, ...]`.
-    pub per_exec: Vec<ExecStats>,
-    /// Tasks pushed to the shared injector queue.
-    pub injector_pushes: u64,
-    /// Tasks pushed to a worker's own deque.
-    pub deque_pushes: u64,
-    /// Condvar notifications issued.
-    pub notifies: u64,
-}
-
-impl PoolStats {
-    fn new(workers: usize) -> Self {
-        PoolStats {
-            per_exec: vec![ExecStats::default(); workers + 1],
-            ..PoolStats::default()
-        }
-    }
-
-    /// Sum of all per-executor counters.
-    pub fn totals(&self) -> ExecStats {
-        let mut t = ExecStats::default();
-        for e in &self.per_exec {
-            t.add(e);
-        }
-        t
-    }
-
-    /// One-line-per-executor human-readable table.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "pool: requested {} jobs, spawned {} workers (+caller), wall {:.3}s, \
-             {} injector / {} deque pushes, {} notifies",
-            self.requested,
-            self.spawned,
-            self.wall_ns as f64 / 1e9,
-            self.injector_pushes,
-            self.deque_pushes,
-            self.notifies,
-        );
-        for (i, e) in self.per_exec.iter().enumerate() {
-            let name = if i == 0 {
-                "caller".to_string()
-            } else {
-                format!("w{}", i - 1)
-            };
-            let _ = writeln!(
-                s,
-                "  {name:>6}: {} tasks ({} local, {} injector, {} stolen), \
-                 {} parks / {} wakes, lock-wait {:.3}ms, busy {:.3}s",
-                e.tasks_run,
-                e.local_hits,
-                e.injector_hits,
-                e.steals,
-                e.parks,
-                e.wakes,
-                e.lock_wait_ns as f64 / 1e6,
-                e.busy_ns as f64 / 1e9,
-            );
-        }
-        s
-    }
-}
-
-/// Handle for spawning work onto an active pool scope.
-///
-/// `'scope` is the lifetime of the scope itself (tasks must outlive it),
-/// `'env` the environment borrowed by the scope — the same split as
-/// `std::thread::scope`.
-pub struct Scope<'scope, 'env: 'scope> {
-    shared: Arc<Shared<'scope, 'env>>,
-    /// `Some(i)` when this handle lives on worker `i` (its spawns go to
-    /// its own deque); `None` on the caller thread (spawns go to the
-    /// injector).
-    worker: Option<usize>,
-}
-
-/// Shared pool state for one `scope` invocation.
-struct Shared<'scope, 'env: 'scope> {
-    state: Mutex<State<'scope, 'env>>,
-    /// Signalled on new work, shutdown, and when `pending` hits zero.
-    work_cv: Condvar,
-    /// First panic payload from a detached (non-batch) task.
-    panic: Mutex<Option<Payload>>,
-    /// Time lock waits and task bodies (adds two `Instant::now` per task
-    /// and per contended acquire; off for plain `scope`).
-    profile: bool,
-}
-
-struct State<'scope, 'env: 'scope> {
-    /// Global FIFO queue: work from the caller thread and overflow.
-    injector: VecDeque<Task<'scope, 'env>>,
-    /// Per-worker deques: owner pops the back, thieves steal the front.
-    deques: Vec<VecDeque<Task<'scope, 'env>>>,
-    /// Tasks spawned but not yet completed.
-    pending: usize,
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Box<dyn FnOnce() + Send>>,
     shutdown: bool,
-    /// Per-executor and queue counters (cheap in-lock increments; always
-    /// maintained).
-    stats: PoolStats,
 }
 
-/// Stats slot for an executor: 0 = caller, w + 1 = worker w.
-fn slot(worker: Option<usize>) -> usize {
-    worker.map_or(0, |w| w + 1)
-}
-
-impl<'scope, 'env> Shared<'scope, 'env> {
-    fn new(workers: usize, profile: bool) -> Self {
-        Shared {
-            state: Mutex::new(State {
-                injector: VecDeque::new(),
-                deques: (0..workers).map(|_| VecDeque::new()).collect(),
-                pending: 0,
-                shutdown: false,
-                stats: PoolStats::new(workers),
-            }),
-            work_cv: Condvar::new(),
-            panic: Mutex::new(None),
-            profile,
+/// Runs `body` with `threads` (at least 1) workers popping one FIFO, and
+/// joins them before returning. They shut down when `body` returns *or
+/// unwinds*, so a panic in `body` propagates instead of hanging the join.
+pub fn with_workers<T>(threads: usize, body: impl FnOnce(&Workers) -> T) -> T {
+    struct Shutdown<'a>(&'a Workers);
+    impl Drop for Shutdown<'_> {
+        fn drop(&mut self) {
+            self.0.lock().shutdown = true;
+            self.0.wake.notify_all();
         }
     }
-
-    /// Acquires the state lock, attributing wait time to `who` when
-    /// profiling.
-    fn lock(&self, who: Option<usize>) -> MutexGuard<'_, State<'scope, 'env>> {
-        if self.profile {
-            let t = Instant::now();
-            let mut g = plock(&self.state);
-            let wait = t.elapsed().as_nanos() as u64;
-            if wait > 0 {
-                g.stats.per_exec[slot(who)].lock_wait_ns += wait;
-            }
-            g
-        } else {
-            plock(&self.state)
-        }
-    }
-
-    /// Queues a task from `worker` (or the caller thread when `None`).
-    fn push(&self, worker: Option<usize>, task: Task<'scope, 'env>) {
-        let mut g = self.lock(worker);
-        match worker {
-            Some(w) => {
-                g.deques[w].push_back(task);
-                g.stats.deque_pushes += 1;
-            }
-            None => {
-                g.injector.push_back(task);
-                g.stats.injector_pushes += 1;
-            }
-        }
-        g.pending += 1;
-        g.stats.notifies += 1;
-        drop(g);
-        self.work_cv.notify_one();
-    }
-
-    /// Records the completion of one task by `who`.
-    fn complete_one(&self, who: Option<usize>, busy_ns: u64) {
-        let mut g = self.lock(who);
-        g.pending -= 1;
-        let e = &mut g.stats.per_exec[slot(who)];
-        e.tasks_run += 1;
-        e.busy_ns += busy_ns;
-        let idle = g.pending == 0;
-        drop(g);
-        if idle {
-            self.work_cv.notify_all();
-        }
-    }
-
-    /// Stores the first detached-task panic payload.
-    fn record_panic(&self, payload: Payload) {
-        let mut g = plock(&self.panic);
-        if g.is_none() {
-            *g = Some(payload);
-        }
-    }
-
-    fn shutdown(&self) {
-        plock(&self.state).shutdown = true;
-        self.work_cv.notify_all();
-    }
-}
-
-/// Pops runnable work for `worker` under the state lock: own deque from
-/// the back first (LIFO — depth-first, cache-warm), then the injector,
-/// then steals the front of the other deques (oldest first). Classifies
-/// the hit into the executor's counters.
-fn pop_task<'scope, 'env>(
-    g: &mut State<'scope, 'env>,
-    worker: Option<usize>,
-) -> Option<Task<'scope, 'env>> {
-    let si = slot(worker);
-    if let Some(w) = worker {
-        if let Some(t) = g.deques[w].pop_back() {
-            g.stats.per_exec[si].local_hits += 1;
-            return Some(t);
-        }
-    }
-    if let Some(t) = g.injector.pop_front() {
-        g.stats.per_exec[si].injector_hits += 1;
-        return Some(t);
-    }
-    let own = worker.unwrap_or(usize::MAX);
-    for i in 0..g.deques.len() {
-        if i != own {
-            if let Some(t) = g.deques[i].pop_front() {
-                g.stats.per_exec[si].steals += 1;
-                return Some(t);
-            }
-        }
-    }
-    None
-}
-
-fn worker_loop<'scope, 'env>(shared: &Arc<Shared<'scope, 'env>>, w: usize) {
-    let scope = Scope {
-        shared: Arc::clone(shared),
-        worker: Some(w),
+    let workers = Workers {
+        queue: Mutex::default(),
+        wake: Condvar::new(),
     };
-    loop {
-        let task = {
-            let mut g = shared.lock(Some(w));
-            loop {
-                if let Some(t) = pop_task(&mut g, Some(w)) {
-                    break t;
-                }
-                if g.shutdown {
-                    return;
-                }
-                g.stats.per_exec[w + 1].parks += 1;
-                g = shared
-                    .work_cv
-                    .wait(g)
-                    .unwrap_or_else(PoisonError::into_inner);
-                g.stats.per_exec[w + 1].wakes += 1;
-            }
-        };
-        scope.run_task(task);
-    }
+    std::thread::scope(|ts| {
+        for _ in 0..threads.max(1) {
+            ts.spawn(|| workers.work());
+        }
+        let _shutdown = Shutdown(&workers);
+        body(&workers)
+    })
 }
 
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Runs one queued task on this thread, routing a panic to the
-    /// detached-panic slot unless the task handles it itself (batch
-    /// subtasks catch their own panics before this sees them).
-    fn run_task(&self, task: Task<'scope, 'env>) {
-        // Busy time is only charged by the *outermost* task on this
-        // thread: helping joins re-enter run_task, and an inner batch's
-        // time is already inside the outer task's interval — charging both
-        // would report more busy time than wall time.
-        thread_local! {
-            static TASK_DEPTH: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
-        }
-        let t0 = self.shared.profile.then(|| {
-            TASK_DEPTH.with(|d| d.set(d.get() + 1));
-            Instant::now()
-        });
-        let result = catch_unwind(AssertUnwindSafe(|| task(self)));
-        if let Err(payload) = result {
-            self.shared.record_panic(payload);
-        }
-        let busy = t0.map_or(0, |t| {
-            let outermost = TASK_DEPTH.with(|d| {
-                d.set(d.get() - 1);
-                d.get() == 0
-            });
-            if outermost {
-                t.elapsed().as_nanos() as u64
+impl Workers {
+    /// Jobs run outside the lock and catch their own panics, so a
+    /// poisoned lock guards no torn state.
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn work(&self) {
+        let mut q = self.lock();
+        loop {
+            if let Some(job) = q.jobs.pop_front() {
+                drop(q);
+                job();
+                q = self.lock();
+            } else if q.shutdown {
+                return;
             } else {
-                0
+                q = self.wake.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
-        });
-        self.shared.complete_one(self.worker, busy);
+        }
     }
 
-    /// Total executors of the owning pool (spawned workers + caller).
-    pub fn executors(&self) -> usize {
-        plock(&self.shared.state).deques.len() + 1
-    }
-
-    /// Spawns a detached task. A panic in `f` is captured and re-raised
-    /// when the owning [`Pool::scope`] returns.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        self.spawn_scoped(move |_| f());
-    }
-
-    /// Like [`Scope::spawn`], but the task receives the scope handle so it
-    /// can spawn or `join_map` further work on the same pool.
-    pub fn spawn_scoped<F>(&self, f: F)
-    where
-        F: for<'a> FnOnce(&'a Scope<'scope, 'env>) + Send + 'scope,
-    {
-        self.shared.push(self.worker, Box::new(f));
-    }
-
-    /// Fans `items` out as one subtask each, running `f(scope, index,
-    /// item)` on pool workers, and returns the outputs **in input order**.
-    ///
-    /// The calling thread *helps*: while its batch is outstanding it
-    /// executes queued tasks (its own deque, the injector, steals) instead
-    /// of blocking, so `join_map` may be freely nested — a figure task can
-    /// fan out its load grid, whose points fan out seeds — without
-    /// deadlocking a fixed-size pool.
-    ///
-    /// If any subtask panics, the lowest-indexed payload wins nothing —
-    /// the *first recorded* payload is re-raised here once the whole batch
-    /// has drained, so a panic never leaks tasks that still borrow live
-    /// state.
-    ///
-    /// `'static` bounds: subtasks may outlive the frame of the task that
-    /// spawned them (only `'env` outlives the scope), so items, outputs,
-    /// and the map function must own their data.
-    pub fn join_map<I, O, F>(&self, items: Vec<I>, f: F) -> Vec<O>
+    /// Runs `f(item)` for every item as one queued job each, blocks until
+    /// all of them have run, and returns the outputs **in input order**.
+    /// If jobs panicked, the payload of the lowest-indexed one is re-raised
+    /// here, after every job of this call has run, so none is left in the
+    /// queue. Workers are not tied to the caller's frame, hence `'static`.
+    pub fn map<I, O, F>(&self, items: Vec<I>, f: F) -> Vec<O>
     where
         I: Send + 'static,
         O: Send + 'static,
-        F: Fn(&Scope<'scope, 'env>, usize, I) -> O + Send + Sync + 'static,
+        F: Fn(I) -> O + Send + Sync + 'static,
     {
-        let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let batch = Arc::new(Batch {
-            slots: Mutex::new((0..n).map(|_| None).collect::<Vec<Option<O>>>()),
-            left: Mutex::new(n),
-            done_cv: Condvar::new(),
-            panic: Mutex::new(None),
-        });
-        let f = Arc::new(f);
-        let wake = {
-            let mut g = self.shared.lock(self.worker);
+        let f = std::sync::Arc::new(f);
+        let (tx, rx) = mpsc::channel();
+        {
+            let mut q = self.lock();
             for (i, item) in items.into_iter().enumerate() {
-                let b = Arc::clone(&batch);
-                let f = Arc::clone(&f);
-                let task: Task<'scope, 'env> = Box::new(move |sc: &Scope<'scope, 'env>| {
-                    let out = catch_unwind(AssertUnwindSafe(|| f(sc, i, item)));
-                    match out {
-                        Ok(o) => plock(&b.slots)[i] = Some(o),
-                        Err(p) => {
-                            let mut slot = plock(&b.panic);
-                            if slot.is_none() {
-                                *slot = Some(p);
-                            }
-                        }
-                    }
-                    let mut left = plock(&b.left);
-                    *left -= 1;
-                    if *left == 0 {
-                        b.done_cv.notify_all();
-                    }
-                });
-                match self.worker {
-                    Some(w) => {
-                        g.deques[w].push_back(task);
-                        g.stats.deque_pushes += 1;
-                    }
-                    None => {
-                        g.injector.push_back(task);
-                        g.stats.injector_pushes += 1;
-                    }
-                }
-                g.pending += 1;
-            }
-            // Wake only as many parked workers as there are new tasks —
-            // `notify_all` on every batch made each idle worker take (and
-            // fight over) the state lock just to find nothing.
-            let wake = n.min(g.deques.len());
-            g.stats.notifies += wake as u64;
-            drop(g);
-            wake
-        };
-        for _ in 0..wake {
-            self.shared.work_cv.notify_one();
-        }
-
-        // Help until the batch drains: run anything runnable; only sleep
-        // (on the batch condvar) when the queues are momentarily empty.
-        loop {
-            if *plock(&batch.left) == 0 {
-                break;
-            }
-            let task = {
-                let mut g = self.shared.lock(self.worker);
-                pop_task(&mut g, self.worker)
-            };
-            match task {
-                Some(t) => self.run_task(t),
-                None => {
-                    let left = plock(&batch.left);
-                    if *left == 0 {
-                        break;
-                    }
-                    // Batch subtasks may be running on other workers (or
-                    // be spawned by them); wake on completion and rescan.
-                    drop(
-                        batch
-                            .done_cv
-                            .wait(left)
-                            .unwrap_or_else(PoisonError::into_inner),
-                    );
-                }
+                let (f, tx) = (f.clone(), tx.clone());
+                q.jobs.push_back(Box::new(move || {
+                    let _ = tx.send((i, catch_unwind(AssertUnwindSafe(|| f(item)))));
+                }));
+                self.wake.notify_one();
             }
         }
-
-        if let Some(p) = plock(&batch.panic).take() {
-            resume_unwind(p);
-        }
-        let mut slots = plock(&batch.slots);
-        slots
-            .iter_mut()
-            .map(|s| s.take().expect("join_map: missing output without panic"))
+        drop(tx);
+        // Ends when the last job has dropped its sender.
+        let mut outs: Vec<_> = rx.iter().collect();
+        outs.sort_unstable_by_key(|&(i, _)| i);
+        outs.into_iter()
+            .map(|(_, out)| out.unwrap_or_else(|payload| resume_unwind(payload)))
             .collect()
     }
-
-    /// Blocks the caller until every task on the scope has completed,
-    /// helping with queued work while it waits.
-    fn wait_idle(&self) {
-        loop {
-            enum Step<'scope, 'env: 'scope> {
-                Run(Task<'scope, 'env>),
-                Done,
-                Wait,
-            }
-            let step = {
-                let mut g = self.shared.lock(self.worker);
-                if let Some(t) = pop_task(&mut g, self.worker) {
-                    Step::Run(t)
-                } else if g.pending == 0 {
-                    Step::Done
-                } else {
-                    g.stats.per_exec[slot(self.worker)].parks += 1;
-                    drop(
-                        self.shared
-                            .work_cv
-                            .wait(g)
-                            .unwrap_or_else(PoisonError::into_inner),
-                    );
-                    Step::Wait
-                }
-            };
-            match step {
-                Step::Run(t) => self.run_task(t),
-                Step::Done => return,
-                Step::Wait => continue,
-            }
-        }
-    }
-}
-
-/// Flips `shutdown` when dropped — including during an unwind of the
-/// caller closure — so `Pool::scope` can never hang its worker join.
-struct ShutdownGuard<'scope, 'env: 'scope>(Arc<Shared<'scope, 'env>>);
-
-impl Drop for ShutdownGuard<'_, '_> {
-    fn drop(&mut self) {
-        self.0.shutdown();
-    }
-}
-
-/// Join state for one `join_map` batch.
-struct Batch<O> {
-    /// Output slots, indexed by input position.
-    slots: Mutex<Vec<Option<O>>>,
-    /// Subtasks not yet completed.
-    left: Mutex<usize>,
-    /// Signalled when `left` reaches zero.
-    done_cv: Condvar,
-    /// First panic payload from a subtask of *this* batch.
-    panic: Mutex<Option<Payload>>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     #[test]
-    fn join_map_returns_outputs_in_input_order() {
-        let pool = Pool::new(4);
-        let out = pool.scope(|s| {
-            s.join_map((0..100u64).collect(), |_, i, x| {
-                // Stagger completion so out-of-order finishes are likely.
-                if i % 7 == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-                x * x
-            })
-        });
-        assert_eq!(out.len(), 100);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, (i as u64) * (i as u64));
+    fn map_returns_outputs_in_input_order() {
+        for threads in [1, 2, 5, 16] {
+            for n in [0u64, 1, 7, 64, 257] {
+                let out = with_workers(threads, |w| {
+                    w.map((0..n).collect(), |x| {
+                        // Stagger completion so out-of-order finishes happen.
+                        if x % 7 == 0 {
+                            std::thread::sleep(Duration::from_micros(200));
+                        }
+                        x * x
+                    })
+                });
+                let expect: Vec<u64> = (0..n).map(|x| x * x).collect();
+                assert_eq!(out, expect, "threads={threads} n={n}");
+            }
         }
     }
 
+    /// The `run_all_figs` shape: many planning threads, one queue.
     #[test]
-    fn scope_tasks_can_borrow_env() {
-        let data = [1u64, 2, 3, 4];
-        let sum = AtomicUsize::new(0);
-        Pool::new(2).scope(|s| {
-            for chunk in data.chunks(2) {
-                let sum = &sum;
-                s.spawn(move || {
-                    let part: u64 = chunk.iter().sum();
-                    sum.fetch_add(part as usize, Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(sum.load(Ordering::SeqCst), 10);
-    }
-
-    #[test]
-    fn nested_join_map_on_same_pool_completes() {
-        // 2 workers, 4 outer tasks each fanning out 8 inner tasks: only
-        // possible without deadlock because waiting tasks help execute.
-        let pool = Pool::exact(2);
-        let out = pool.scope(|s| {
-            s.join_map((0..4u64).collect(), |sc, _, outer| {
-                let inner = sc.join_map((0..8u64).collect(), move |_, _, j| outer * 10 + j);
-                inner.iter().sum::<u64>()
+    fn concurrent_callers_each_get_their_own_results() {
+        with_workers(3, |w| {
+            std::thread::scope(|ts| {
+                let callers: Vec<_> = (0..6u64)
+                    .map(|c| ts.spawn(move || w.map((0..40).collect(), move |x: u64| c * 1000 + x)))
+                    .collect();
+                for (c, h) in callers.into_iter().enumerate() {
+                    let expect: Vec<u64> = (0..40).map(|x| c as u64 * 1000 + x).collect();
+                    assert_eq!(h.join().unwrap(), expect, "caller {c}");
+                }
             })
         });
-        let expect: Vec<u64> = (0..4).map(|o| (0..8).map(|j| o * 10 + j).sum()).collect();
-        assert_eq!(out, expect);
     }
 
     #[test]
-    fn nested_scope_inside_task_completes() {
-        // A task may open a whole nested Pool::scope of its own.
-        let pool = Pool::exact(2);
-        let out = pool.scope(|s| {
-            s.join_map(vec![10u64, 20], |_, _, base| {
-                Pool::exact(2)
-                    .scope(|inner| inner.join_map(vec![1u64, 2, 3], move |_, _, x| base + x))
+    fn jobs_in_flight_never_exceed_the_worker_count() {
+        static NOW: AtomicUsize = AtomicUsize::new(0);
+        static PEAK: AtomicUsize = AtomicUsize::new(0);
+        with_workers(3, |w| {
+            w.map((0..48).collect(), |_: u32| {
+                PEAK.fetch_max(NOW.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(1));
+                NOW.fetch_sub(1, Ordering::SeqCst);
             })
         });
-        assert_eq!(out, vec![vec![11, 12, 13], vec![21, 22, 23]]);
+        let peak = PEAK.load(Ordering::SeqCst);
+        assert!((2..=3).contains(&peak), "peak {peak} with 3 workers");
     }
 
     #[test]
-    fn join_map_propagates_subtask_panic() {
-        let pool = Pool::exact(3);
-        let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                s.join_map((0..16u32).collect(), |_, _, x| {
-                    if x == 11 {
-                        panic!("boom at {x}");
+    fn lowest_indexed_panic_is_reraised_after_every_job_ran() {
+        static RAN: AtomicUsize = AtomicUsize::new(0);
+        let res = catch_unwind(|| {
+            with_workers(3, |w| {
+                w.map((0..32u32).collect(), |x| {
+                    // The higher index panics first in wall-clock order.
+                    if x == 5 {
+                        std::thread::sleep(Duration::from_millis(20));
                     }
+                    RAN.fetch_add(1, Ordering::SeqCst);
+                    assert!(x != 5 && x != 11, "boom at {x}");
                     x
                 })
             })
-        }));
-        let payload = res.expect_err("panic must propagate out of join_map");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(msg.contains("boom at 11"), "unexpected payload: {msg:?}");
-    }
-
-    #[test]
-    fn spawn_panic_propagates_at_scope_exit() {
-        let pool = Pool::exact(2);
-        let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                s.spawn(|| panic!("detached boom"));
-            });
-        }));
-        let payload = res.expect_err("detached panic must propagate at scope exit");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "detached boom");
-    }
-
-    #[test]
-    fn panic_in_nested_join_map_reaches_outer_caller() {
-        let pool = Pool::exact(2);
-        let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                s.join_map(vec![0u32, 1], |sc, _, outer| {
-                    sc.join_map(vec![0u32, 1, 2], move |_, _, inner| {
-                        if outer == 1 && inner == 2 {
-                            panic!("deep boom");
-                        }
-                        inner
-                    })
-                })
-            })
-        }));
-        assert!(res.is_err(), "nested panic must reach the outer caller");
-    }
-
-    #[test]
-    fn empty_join_map_is_fine() {
-        let out: Vec<u32> = Pool::new(2).scope(|s| s.join_map(Vec::<u32>::new(), |_, _, x| x));
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn default_jobs_honors_env_override() {
-        // Can't set env safely across parallel tests; just sanity-check
-        // the fallback is at least 1.
-        assert!(default_jobs() >= 1);
-    }
-
-    #[test]
-    fn new_caps_executors_at_core_count() {
-        let cores = available_cores();
-        let p = Pool::new(64);
-        assert_eq!(p.workers(), 64, "requested count is preserved as a hint");
-        assert_eq!(p.executors(), 64.min(cores));
-        assert_eq!(p.spawned_workers(), p.executors() - 1);
-        // `exact` bypasses the cap for interleaving tests.
-        let e = Pool::exact(4);
-        assert_eq!(e.spawned_workers(), 4);
-        assert_eq!(e.executors(), 5);
-    }
-
-    #[test]
-    fn stats_account_for_every_task() {
-        let pool = Pool::exact(3);
-        let (out, stats) = pool.scope_profiled(|s| {
-            s.join_map((0..40u64).collect(), |_, _, x| {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-                x + 1
-            })
         });
-        assert_eq!(out.len(), 40);
-        let t = stats.totals();
-        assert_eq!(t.tasks_run, 40, "every task runs exactly once");
-        assert_eq!(
-            t.local_hits + t.injector_hits + t.steals,
-            40,
-            "every run task was popped from exactly one queue class"
-        );
-        assert_eq!(stats.injector_pushes + stats.deque_pushes, 40);
-        assert_eq!(stats.spawned, 3);
-        assert_eq!(stats.per_exec.len(), 4);
-        assert!(t.busy_ns > 0, "profiled runs time task bodies");
+        let msg = *res
+            .expect_err("map must re-raise")
+            .downcast::<String>()
+            .unwrap();
+        assert!(msg.contains("boom at 5"), "unexpected payload: {msg:?}");
+        assert_eq!(RAN.load(Ordering::SeqCst), 32);
     }
 
     #[test]
     fn scope_survives_a_panicking_task_without_poisoning() {
-        // After one batch panics, the same scope must keep scheduling:
-        // internal locks recover from poisoning so the *first* payload is
-        // the only panic anyone observes.
-        let pool = Pool::exact(2);
-        let out = pool.scope(|s| {
-            let first = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                s.join_map((0..8u32).collect(), |_, _, x| {
-                    if x == 3 {
-                        panic!("original failure x={x}");
-                    }
-                    x
-                })
-            }));
-            let msg = match first {
-                Err(p) => p.downcast_ref::<String>().cloned().unwrap_or_default(),
-                Ok(_) => panic!("batch with a panicking subtask must fail"),
-            };
-            assert!(
-                msg.contains("original failure x=3"),
-                "first panic message must survive intact, got {msg:?}"
-            );
-            // The pool is still fully operational afterwards.
-            s.join_map((0..8u32).collect(), |_, _, x| x * 2)
+        let out = with_workers(2, |w| {
+            let failing = |x: u32| assert!(x != 3, "x={x}");
+            let first = catch_unwind(AssertUnwindSafe(|| w.map((0..8).collect(), failing)));
+            assert!(first.is_err(), "a panicking job fails its map");
+            // The same workers keep scheduling afterwards.
+            w.map((0..8u32).collect(), |x| x * 2)
         });
         assert_eq!(out, vec![0, 2, 4, 6, 8, 10, 12, 14]);
+    }
+
+    /// A job may not map on its own queue, but may open workers of its own.
+    #[test]
+    fn nested_scope_inside_task_completes() {
+        let inner = |base| with_workers(2, |w| w.map(vec![1u64, 2, 3], move |x| base + x));
+        let out = with_workers(2, |w| w.map(vec![10u64, 20], inner));
+        assert_eq!(out, vec![vec![11, 12, 13], vec![21, 22, 23]]);
+    }
+
+    #[test]
+    fn panic_in_body_shuts_workers_down() {
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let res = catch_unwind(|| with_workers(4, |_| panic!("body boom")));
+            let _ = done_tx.send(res.is_err());
+        });
+        let unwound = done_rx.recv_timeout(Duration::from_secs(30));
+        assert_eq!(unwound, Ok(true), "hung or swallowed the panic");
+    }
+
+    #[test]
+    fn default_jobs_honors_env_override() {
+        // Can't set env safely across parallel tests; check the bounds.
+        assert!((1..=available_cores()).contains(&default_jobs()));
     }
 }

@@ -12,8 +12,8 @@
 //!   "Debugging a failing seed") is the intended minimization workflow.
 //! * **Optional parallel case execution.** `ProptestConfig { parallel: true }`
 //!   pre-generates every case's inputs from the single serial RNG stream,
-//!   then runs the case bodies on the workspace work-stealing pool
-//!   (`HC_JOBS` workers, DESIGN §13). Outcomes are merged in case order, so
+//!   then runs the case bodies on the workspace `pool` workers
+//!   (`HC_JOBS` threads, DESIGN §13). Outcomes are merged in case order, so
 //!   which case fails — and its message — is identical to a serial run.
 //! * **Deterministic by default.** Each test's RNG is seeded from the hash
 //!   of its fully-qualified name, so failures reproduce without a
@@ -29,8 +29,8 @@ pub mod test_runner {
         pub cases: u32,
         /// Accepted-but-ignored knob kept for struct-update compatibility.
         pub max_shrink_iters: u32,
-        /// Run case bodies on the workspace work-stealing pool (`HC_JOBS`
-        /// workers). Inputs are still generated serially from the single
+        /// Run case bodies on the workspace `pool` workers (`HC_JOBS`
+        /// threads). Inputs are still generated serially from the single
         /// deterministic RNG stream, so the generated cases — and which case
         /// is reported on failure — are identical to a serial run.
         pub parallel: bool,
@@ -390,7 +390,7 @@ pub mod sample {
 
 #[doc(hidden)]
 pub mod rt {
-    //! Macro support: runs pre-generated cases on the workspace pool.
+    //! Macro support: runs pre-generated cases on the workspace workers.
     //! Not part of the public proptest-compatible API surface.
 
     use crate::test_runner::{TestCaseError, TestCaseResult};
@@ -398,7 +398,7 @@ pub mod rt {
 
     pub use pool::default_jobs;
 
-    /// What one case did when run on the pool.
+    /// What one case did when run on a worker.
     pub enum CaseOutcome {
         Pass,
         Reject,
@@ -406,7 +406,7 @@ pub mod rt {
         Panic(Box<dyn Any + Send + 'static>),
     }
 
-    /// Runs every case body on a scoped pool and returns the outcomes in
+    /// Runs every case body on worker threads and returns the outcomes in
     /// case order. Panics are caught per case so the caller can report the
     /// lowest-index failure exactly as the serial loop would; the first
     /// panic payload is re-raised by the caller via `resume_unwind`.
@@ -415,10 +415,9 @@ pub mod rt {
         I: Send + 'static,
         F: Fn(I) -> TestCaseResult + Send + Sync + 'static,
     {
-        let jobs = default_jobs().min(inputs.len().max(1));
-        let pool = pool::Pool::new(jobs);
-        pool.scope(|s| {
-            s.join_map(inputs, move |_, _, input| {
+        let threads = default_jobs().min(inputs.len());
+        pool::with_workers(threads, |w| {
+            w.map(inputs, move |input| {
                 match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_one(input))) {
                     Ok(Ok(())) => CaseOutcome::Pass,
                     Ok(Err(TestCaseError::Reject(_))) => CaseOutcome::Reject,
@@ -453,7 +452,7 @@ macro_rules! proptest {
             let seed = rng.seed();
             if cfg.parallel && $crate::rt::default_jobs() > 1 {
                 // Inputs come off the same single RNG stream as the serial
-                // loop; only the case *bodies* run on the pool. Outcomes are
+                // loop; only the case *bodies* run on workers. Outcomes are
                 // merged in case order, so the reported failure (lowest
                 // index) and its message match the serial run exactly.
                 let mut inputs = ::std::vec::Vec::with_capacity(cfg.cases as usize);
@@ -685,7 +684,7 @@ mod tests {
         assert_eq!(msg, expected);
     }
 
-    // Same shape as above but panicking (not prop_assert-failing): the pool
+    // Same shape as above but panicking (not prop_assert-failing): the parallel
     // path must re-raise the original payload via resume_unwind.
     proptest! {
         #![proptest_config(ProptestConfig { cases: 16, parallel: true, ..ProptestConfig::default() })]

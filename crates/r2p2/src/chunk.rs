@@ -25,19 +25,13 @@ pub struct Fragment {
 
 /// Splits `body` into fragments of at most `mtu` bytes of wire size each
 /// (header included). Always produces at least one fragment, even for an
-/// empty body.
+/// empty body. Every fragment payload is drawn from `arena` — a sender
+/// framing messages on a hot path reuses one arena so per-fragment copies
+/// recycle pooled chunks instead of hitting the allocator.
 ///
 /// # Panics
 /// Panics if `mtu` is not strictly larger than the header, or if the body
 /// needs more than `u16::MAX` fragments.
-pub fn packetize(ty: MsgType, policy: Policy, id: ReqId, body: &[u8], mtu: usize) -> Vec<Fragment> {
-    let mut arena = ByteArena::new();
-    packetize_in(ty, policy, id, body, mtu, &mut arena)
-}
-
-/// [`packetize`] drawing every fragment payload from `arena` — a sender
-/// framing messages on a hot path reuses one arena so per-fragment copies
-/// recycle pooled chunks instead of hitting the allocator.
 pub fn packetize_in(
     ty: MsgType,
     policy: Policy,
@@ -116,15 +110,9 @@ impl Reassembler {
     }
 
     /// Feeds one fragment; `src_ip` completes the 3-tuple. Returns the full
-    /// message once its last missing fragment arrives.
-    pub fn push(&mut self, src_ip: u32, frag: Fragment) -> Result<Option<Reassembled>> {
-        let mut arena = ByteArena::new();
-        self.push_in(src_ip, frag, &mut arena)
-    }
-
-    /// [`Reassembler::push`] assembling the completed body from `arena`.
-    /// Single-fragment messages pass their payload through zero-copy either
-    /// way; only multi-packet completions draw an arena buffer.
+    /// message once its last missing fragment arrives, its body assembled
+    /// from `arena`. Single-fragment messages pass their payload through
+    /// zero-copy; only multi-packet completions draw an arena buffer.
     pub fn push_in(
         &mut self,
         src_ip: u32,
@@ -207,7 +195,14 @@ mod tests {
 
     #[test]
     fn small_message_is_single_fragment() {
-        let frags = packetize(MsgType::Request, Policy::Replicated, id(), b"abc", 1500);
+        let frags = packetize_in(
+            MsgType::Request,
+            Policy::Replicated,
+            id(),
+            b"abc",
+            1500,
+            &mut ByteArena::new(),
+        );
         assert_eq!(frags.len(), 1);
         assert!(frags[0].header.is_first() && frags[0].header.is_last());
         assert_eq!(frags[0].header.n_pkts, 1);
@@ -215,7 +210,14 @@ mod tests {
 
     #[test]
     fn empty_body_still_sends_one_packet() {
-        let frags = packetize(MsgType::Request, Policy::Unrestricted, id(), b"", 1500);
+        let frags = packetize_in(
+            MsgType::Request,
+            Policy::Unrestricted,
+            id(),
+            b"",
+            1500,
+            &mut ByteArena::new(),
+        );
         assert_eq!(frags.len(), 1);
         assert!(frags[0].payload.is_empty());
     }
@@ -223,14 +225,21 @@ mod tests {
     #[test]
     fn large_message_fragments_and_reassembles_in_order() {
         let body: Vec<u8> = (0..5000u32).map(|i| i as u8).collect();
-        let frags = packetize(MsgType::Response, Policy::Unrestricted, id(), &body, 1500);
+        let frags = packetize_in(
+            MsgType::Response,
+            Policy::Unrestricted,
+            id(),
+            &body,
+            1500,
+            &mut ByteArena::new(),
+        );
         assert_eq!(frags.len(), 4); // ceil(5000 / 1484)
         assert!(frags[0].header.is_first());
         assert!(frags.last().unwrap().header.is_last());
         let mut r = Reassembler::new();
         let mut done = None;
         for f in frags {
-            done = r.push(3, f).unwrap();
+            done = r.push_in(3, f, &mut ByteArena::new()).unwrap();
         }
         let m = done.expect("complete");
         assert_eq!(&m.body[..], &body[..]);
@@ -241,14 +250,21 @@ mod tests {
     #[test]
     fn out_of_order_and_duplicate_fragments() {
         let body: Vec<u8> = (0..4000u32).map(|i| (i * 7) as u8).collect();
-        let mut frags = packetize(MsgType::Request, Policy::Replicated, id(), &body, 1500);
+        let mut frags = packetize_in(
+            MsgType::Request,
+            Policy::Replicated,
+            id(),
+            &body,
+            1500,
+            &mut ByteArena::new(),
+        );
         frags.reverse();
         let dup = frags[1].clone();
         frags.insert(1, dup);
         let mut r = Reassembler::new();
         let mut done = None;
         for f in frags {
-            if let Some(m) = r.push(3, f).unwrap() {
+            if let Some(m) = r.push_in(3, f, &mut ByteArena::new()).unwrap() {
                 assert!(done.is_none(), "delivered twice");
                 done = Some(m);
             }
@@ -260,8 +276,22 @@ mod tests {
     fn interleaved_messages_from_different_clients() {
         let body_a: Vec<u8> = vec![0xaa; 3000];
         let body_b: Vec<u8> = vec![0xbb; 3000];
-        let fa = packetize(MsgType::Request, Policy::Replicated, id(), &body_a, 1500);
-        let fb = packetize(MsgType::Request, Policy::Replicated, id(), &body_b, 1500);
+        let fa = packetize_in(
+            MsgType::Request,
+            Policy::Replicated,
+            id(),
+            &body_a,
+            1500,
+            &mut ByteArena::new(),
+        );
+        let fb = packetize_in(
+            MsgType::Request,
+            Policy::Replicated,
+            id(),
+            &body_b,
+            1500,
+            &mut ByteArena::new(),
+        );
         let mut r = Reassembler::new();
         let mut done = Vec::new();
         // Same (port, rid) but different src ips — must not mix.
@@ -270,7 +300,7 @@ mod tests {
             .map(|f| (1, f))
             .chain(fb.into_iter().map(|f| (2, f)))
         {
-            if let Some(m) = r.push(ip, f).unwrap() {
+            if let Some(m) = r.push_in(ip, f, &mut ByteArena::new()).unwrap() {
                 done.push(m);
             }
         }
@@ -291,15 +321,11 @@ mod tests {
             n_pkts: 3,
             src_port: 1,
         };
-        let err = r
-            .push(
-                1,
-                Fragment {
-                    header: h,
-                    payload: Bytes::new(),
-                },
-            )
-            .unwrap_err();
+        let frag = Fragment {
+            header: h,
+            payload: Bytes::new(),
+        };
+        let err = r.push_in(1, frag, &mut ByteArena::new()).unwrap_err();
         assert!(matches!(err, R2p2Error::BadFragment { .. }));
     }
 
@@ -307,12 +333,19 @@ mod tests {
     fn pooled_framing_matches_fresh_framing() {
         // Recycled arena chunks must be indistinguishable from fresh
         // allocations: frame and reassemble the same message repeatedly
-        // through one arena and compare against the allocation-per-call
-        // path every round.
+        // through one arena and compare against a fresh arena's
+        // output every round.
         let mut arena = ByteArena::new();
         let body: Vec<u8> = (0..5000u32).map(|i| (i * 13) as u8).collect();
         for round in 0..20 {
-            let fresh = packetize(MsgType::Response, Policy::Unrestricted, id(), &body, 1500);
+            let fresh = packetize_in(
+                MsgType::Response,
+                Policy::Unrestricted,
+                id(),
+                &body,
+                1500,
+                &mut ByteArena::new(),
+            );
             let pooled = packetize_in(
                 MsgType::Response,
                 Policy::Unrestricted,
@@ -339,9 +372,19 @@ mod tests {
     #[test]
     fn evict_discards_partial_state() {
         let body = vec![1u8; 3000];
-        let frags = packetize(MsgType::Request, Policy::Replicated, id(), &body, 1500);
+        let frags = packetize_in(
+            MsgType::Request,
+            Policy::Replicated,
+            id(),
+            &body,
+            1500,
+            &mut ByteArena::new(),
+        );
         let mut r = Reassembler::new();
-        assert!(r.push(3, frags[0].clone()).unwrap().is_none());
+        assert!(r
+            .push_in(3, frags[0].clone(), &mut ByteArena::new())
+            .unwrap()
+            .is_none());
         assert_eq!(r.pending(), 1);
         r.evict(id());
         assert_eq!(r.pending(), 0);

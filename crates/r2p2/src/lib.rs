@@ -22,7 +22,7 @@
 //!   flow-control middlebox (§6.3) and by JBSQ queue-depth bookkeeping.
 //!
 //! The crate provides the header codec ([`Header`]), packetization and
-//! reassembly ([`packetize`], [`Reassembler`]), id allocation
+//! reassembly ([`packetize_in`], [`Reassembler`]), id allocation
 //! ([`ReqIdAlloc`]), and wire-size accounting ([`msg_wire_size`]).
 
 #![warn(missing_docs)]
@@ -32,7 +32,7 @@ mod header;
 mod id;
 mod wire;
 
-pub use chunk::{packetize, packetize_in, Fragment, Reassembled, Reassembler};
+pub use chunk::{packetize_in, Fragment, Reassembled, Reassembler};
 pub use header::{Header, MsgType, Policy, FLAG_FIRST, FLAG_LAST, HEADER_LEN, MAGIC};
 pub use id::{body_hash, ReqId, ReqIdAlloc};
 pub use wire::{control_wire_size, msg_wire_size};

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use r2p2::{
-    body_hash, msg_wire_size, packetize, Header, MsgType, Policy, Reassembler, ReqId, HEADER_LEN,
+    body_hash, msg_wire_size, packetize_in, Header, MsgType, Policy, Reassembler, ReqId, HEADER_LEN,
 };
 
 fn arb_msg_type() -> impl Strategy<Value = MsgType> {
@@ -56,7 +56,9 @@ proptest! {
         rid in any::<u16>(),
     ) {
         let id = ReqId::new(ip, port, rid);
-        let mut frags = packetize(MsgType::Request, Policy::Replicated, id, &body, mtu);
+        let mut arena = bytes::ByteArena::new();
+        let mut frags =
+            packetize_in(MsgType::Request, Policy::Replicated, id, &body, mtu, &mut arena);
         // Deterministic pseudo-shuffle driven by `order`.
         let n = frags.len();
         for i in 0..n {
@@ -66,7 +68,7 @@ proptest! {
         let mut r = Reassembler::new();
         let mut delivered = Vec::new();
         for f in frags {
-            if let Some(m) = r.push(ip, f).unwrap() {
+            if let Some(m) = r.push_in(ip, f, &mut arena).unwrap() {
                 delivered.push(m);
             }
         }

@@ -32,11 +32,14 @@
 //!
 //! // A single-node "cluster" elects itself and commits immediately.
 //! let mut n = RaftNode::<u64>::new(Config::new(0, vec![0]), 0);
+//! // Every call appends its actions to a buffer the driver owns and reuses.
+//! let mut actions = Vec::new();
 //! // Advance past the election timeout.
-//! let actions = n.tick(50_000_000);
+//! n.tick_into(50_000_000, &mut actions);
 //! assert!(actions.iter().any(|a| matches!(a, Action::BecameLeader { .. })));
+//! actions.clear();
 //! n.propose(42).unwrap();
-//! let actions = n.pump(50_000_001);
+//! n.pump_into(50_000_001, &mut actions);
 //! assert!(actions.iter().any(|a| matches!(a, Action::Commit { upto: 1 })));
 //! assert_eq!(n.commit_index(), 1);
 //! ```

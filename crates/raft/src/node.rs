@@ -481,15 +481,9 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
     /// extension of the leader, so this is the moral equivalent of learning
     /// `leader_commit` from an AppendEntries; the caller must have verified
     /// the message's term. Only locally present entries can commit. No-op
-    /// on a leader (its commit comes from quorum accounting).
-    pub fn observe_commit(&mut self, upto: LogIndex) -> Vec<Action<C>> {
-        let mut out = Vec::new();
-        self.observe_commit_into(upto, &mut out);
-        out
-    }
-
-    /// [`RaftNode::observe_commit`] appending into a caller-owned buffer
-    /// (drivers on the hot path reuse one scratch `Vec` across calls).
+    /// on a leader (its commit comes from quorum accounting). Like every
+    /// `*_into` call, appends its actions to a caller-owned buffer, so a
+    /// driver reuses one scratch `Vec` across calls.
     pub fn observe_commit_into(&mut self, upto: LogIndex, out: &mut Vec<Action<C>>) {
         if self.is_leader() {
             return;
@@ -504,7 +498,7 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
     // ---- client interface --------------------------------------------------
 
     /// Appends a command to the leader's log. Returns its index; the entry
-    /// is shipped by the next [`RaftNode::pump`] (subject to the ceiling).
+    /// is shipped by the next [`RaftNode::pump_into`] (subject to the ceiling).
     pub fn propose(&mut self, cmd: C) -> Result<LogIndex, NotLeader> {
         if !self.is_leader() {
             return Err(NotLeader {
@@ -518,13 +512,6 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
 
     /// Ships pending entries (up to the ceiling, batched) to all followers,
     /// and on a single-node cluster advances the commit index directly.
-    pub fn pump(&mut self, now: u64) -> Vec<Action<C>> {
-        let mut out = Vec::new();
-        self.pump_into(now, &mut out);
-        out
-    }
-
-    /// [`RaftNode::pump`] appending into a caller-owned buffer.
     pub fn pump_into(&mut self, _now: u64, out: &mut Vec<Action<C>>) {
         if !self.is_leader() {
             return;
@@ -546,13 +533,6 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
 
     /// Drives elections and heartbeats; call at least a few times per
     /// heartbeat interval.
-    pub fn tick(&mut self, now: u64) -> Vec<Action<C>> {
-        let mut out = Vec::new();
-        self.tick_into(now, &mut out);
-        out
-    }
-
-    /// [`RaftNode::tick`] appending into a caller-owned buffer.
     pub fn tick_into(&mut self, now: u64, out: &mut Vec<Action<C>>) {
         match self.role {
             Role::Follower | Role::PreCandidate | Role::Candidate => {
@@ -595,13 +575,6 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
     // ---- message handling ----------------------------------------------------
 
     /// Processes one incoming message from `from`.
-    pub fn step(&mut self, from: RaftId, msg: Message<C>, now: u64) -> Vec<Action<C>> {
-        let mut out = Vec::new();
-        self.step_into(from, msg, now, &mut out);
-        out
-    }
-
-    /// [`RaftNode::step`] appending into a caller-owned buffer.
     pub fn step_into(&mut self, from: RaftId, msg: Message<C>, now: u64, out: &mut Vec<Action<C>>) {
         // Pre-Vote traffic never adjusts terms: a probe's term is
         // speculative (the sender has not actually bumped its own), so the
@@ -1228,17 +1201,18 @@ mod tests {
         let mut cfg = Config::new(0, vec![0, 1, 2, 3, 4]);
         cfg.pre_vote = false;
         let mut n = RaftNode::new(cfg, 0);
-        n.tick(T0);
+        let sink = &mut Vec::new();
+        n.tick_into(T0, sink);
         for peer in [1, 2] {
             let vote = Message::RequestVoteReply {
                 term: 1,
                 granted: true,
             };
-            n.step(peer, vote, T0);
+            n.step_into(peer, vote, T0, sink);
         }
         assert!(n.is_leader());
         n.propose(7).unwrap();
-        n.pump(T0);
+        n.pump_into(T0, sink);
         n
     }
 
@@ -1251,7 +1225,9 @@ mod tests {
             applied_index: 0,
             from,
         };
-        n.step(from, reply, T0)
+        let mut acts = Vec::new();
+        n.step_into(from, reply, T0, &mut acts);
+        acts
     }
 
     /// `(destination, leader_commit)` of every empty AppendEntries in `acts`.
@@ -1298,7 +1274,7 @@ mod tests {
         ack(&mut n, 2, 1);
         // A later commit is news again to a follower told only the old one.
         n.propose(8).unwrap();
-        n.pump(T0);
+        n.pump_into(T0, &mut Vec::new());
         assert!(ack(&mut n, 1, 2).is_empty(), "no quorum yet");
         assert_eq!(empty_appends(&ack(&mut n, 2, 2)), vec![(1, 2), (2, 2)]);
     }
@@ -1311,7 +1287,8 @@ mod tests {
             ack(&mut n, peer, 1);
         }
         assert_eq!(n.commit_index(), 1);
-        let beat = n.tick(T0 + n.config().heartbeat_interval);
+        let mut beat = Vec::new();
+        n.tick_into(T0 + n.config().heartbeat_interval, &mut beat);
         assert_eq!(empty_appends(&beat), vec![(1, 1), (2, 1), (3, 1), (4, 1)]);
     }
 

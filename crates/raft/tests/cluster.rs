@@ -76,7 +76,8 @@ impl Harness {
             if !self.alive[id] {
                 continue;
             }
-            let acts = self.nodes[id].tick(self.now);
+            let mut acts = Vec::new();
+            self.nodes[id].tick_into(self.now, &mut acts);
             self.handle(id as RaftId, acts);
         }
         let mut due = Vec::new();
@@ -92,7 +93,8 @@ impl Harness {
             if !self.alive[to as usize] {
                 continue;
             }
-            let acts = self.nodes[to as usize].step(from, msg, self.now);
+            let mut acts = Vec::new();
+            self.nodes[to as usize].step_into(from, msg, self.now, &mut acts);
             self.handle(to, acts);
         }
     }
@@ -131,7 +133,8 @@ impl Harness {
     fn propose(&mut self, cmd: u64) -> Option<LogIndex> {
         let l = self.leader()?;
         let idx = self.nodes[l as usize].propose(cmd).ok()?;
-        let acts = self.nodes[l as usize].pump(self.now);
+        let mut acts = Vec::new();
+        self.nodes[l as usize].pump_into(self.now, &mut acts);
         self.handle(l, acts);
         Some(idx)
     }
@@ -238,7 +241,8 @@ fn minority_partition_cannot_commit() {
     // Old leader accepts a proposal but can never commit it.
     let before = h.committed[l as usize].len();
     h.nodes[l as usize].propose(99).unwrap();
-    let acts = h.nodes[l as usize].pump(h.now);
+    let mut acts = Vec::new();
+    h.nodes[l as usize].pump_into(h.now, &mut acts);
     h.handle(l, acts);
     h.run(300_000_000);
     assert_eq!(
@@ -272,7 +276,8 @@ fn healed_partition_repairs_divergent_logs() {
     // Diverge: old leader appends uncommittable entries.
     h.nodes[l as usize].propose(666).unwrap();
     h.nodes[l as usize].propose(667).unwrap();
-    let acts = h.nodes[l as usize].pump(h.now);
+    let mut acts = Vec::new();
+    h.nodes[l as usize].pump_into(h.now, &mut acts);
     h.handle(l, acts);
     h.run(300_000_000);
     // Majority commits different entries.
@@ -301,7 +306,8 @@ fn ceiling_withholds_entries_until_raised() {
     h.nodes[l].set_ceiling(base); // freeze announcements
     h.nodes[l].propose(11).unwrap();
     h.nodes[l].propose(12).unwrap();
-    let acts = h.nodes[l].pump(h.now);
+    let mut acts = Vec::new();
+    h.nodes[l].pump_into(h.now, &mut acts);
     h.handle(l as RaftId, acts);
     h.run(50_000_000);
     assert_eq!(
@@ -316,7 +322,8 @@ fn ceiling_withholds_entries_until_raised() {
     }
     // Raise the ceiling: both entries flow and commit.
     h.nodes[l].set_ceiling(base + 2);
-    let acts = h.nodes[l].pump(h.now);
+    let mut acts = Vec::new();
+    h.nodes[l].pump_into(h.now, &mut acts);
     h.handle(l as RaftId, acts);
     h.run(50_000_000);
     assert_eq!(h.nodes[l].commit_index(), base + 2);
@@ -391,7 +398,8 @@ fn stale_term_messages_are_rejected() {
         leader_commit: 0,
     };
     let follower = (0..3u32).find(|&x| x != l).unwrap();
-    let acts = h.nodes[follower as usize].step(99, stale, h.now);
+    let mut acts = Vec::new();
+    h.nodes[follower as usize].step_into(99, stale, h.now, &mut acts);
     let mut rejected = false;
     for a in acts {
         if let Action::Send {

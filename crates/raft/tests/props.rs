@@ -114,7 +114,8 @@ impl Chaos {
             if !self.alive[id] {
                 continue;
             }
-            let acts = self.nodes[id].tick(self.now);
+            let mut acts = Vec::new();
+            self.nodes[id].tick_into(self.now, &mut acts);
             self.handle(id, acts);
         }
         let now = self.now;
@@ -131,7 +132,8 @@ impl Chaos {
             if !self.alive[e.to as usize] {
                 continue;
             }
-            let acts = self.nodes[e.to as usize].step(e.from, e.msg, self.now);
+            let mut acts = Vec::new();
+            self.nodes[e.to as usize].step_into(e.from, e.msg, self.now, &mut acts);
             self.handle(e.to as usize, acts);
         }
     }
@@ -140,7 +142,8 @@ impl Chaos {
         for id in 0..self.nodes.len() {
             if self.alive[id] && self.nodes[id].is_leader() {
                 if self.nodes[id].propose(cmd).is_ok() {
-                    let acts = self.nodes[id].pump(self.now);
+                    let mut acts = Vec::new();
+                    self.nodes[id].pump_into(self.now, &mut acts);
                     self.handle(id, acts);
                 }
                 return;

@@ -25,7 +25,7 @@
 //! beyond the RX ring capacity are dropped — this is what makes overload
 //! behave like overload instead of an unbounded queue.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Debug;
 
 use bytes::ByteArena;
@@ -82,34 +82,6 @@ enum Ev<M> {
         node: NodeId,
     },
     Fault(FaultCmd),
-}
-
-/// A heap entry: the ordering key plus a slot index into the event slab.
-/// Keeping the (large) `Ev<M>` payload *out* of the heap means every
-/// sift-up/sift-down moves three words instead of a whole packet.
-#[derive(Clone, Copy)]
-struct Scheduled {
-    at: SimTime,
-    seq: u64,
-    slot: u32,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    // Reversed so the `BinaryHeap` pops the earliest (time, seq) first.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
 }
 
 /// Slab storage for scheduled events: stable `u32` slots handed to the
@@ -198,37 +170,6 @@ impl<M> EventSlab<M> {
     }
 }
 
-/// Which ordering structure schedules future events.
-///
-/// Both produce the identical `(time, seq)` dispatch order — the
-/// determinism digests are bit-equal under either — so the choice is pure
-/// performance. The wheel is the default; the heap remains selectable
-/// (`HC_SCHED=heap`) as the reference implementation for equivalence
-/// checks.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SchedulerKind {
-    /// Hierarchical timer wheel ([`TimerWheel`]): O(1) amortized.
-    #[default]
-    Wheel,
-    /// `BinaryHeap` ordered by `(time, seq)`: O(log n), the original.
-    Heap,
-}
-
-impl SchedulerKind {
-    /// Reads `HC_SCHED` (`wheel` | `heap`), defaulting to the wheel.
-    fn from_env() -> SchedulerKind {
-        match std::env::var("HC_SCHED").as_deref() {
-            Ok("heap") => SchedulerKind::Heap,
-            _ => SchedulerKind::Wheel,
-        }
-    }
-}
-
-enum EventQueue {
-    Heap(BinaryHeap<Scheduled>),
-    Wheel(TimerWheel),
-}
-
 struct AppState {
     queue: VecDeque<(SimDur, u64)>,
     busy: bool,
@@ -273,13 +214,13 @@ pub struct Sim<M> {
     nodes: Vec<NodeSlot<M>>,
     groups: GroupTable,
     programs: Vec<Box<dyn SwitchProgram<M>>>,
-    queue: EventQueue,
-    /// Event payloads, indexed by the heap/bucket slot.
+    queue: TimerWheel,
+    /// Event payloads, indexed by the wheel/bucket slot.
     slab: EventSlab<M>,
     /// Events scheduled for exactly the current instant, kept out of the
-    /// heap: `(seq, slot)` in FIFO order. The bulk of a busy instant's
+    /// wheel: `(seq, slot)` in FIFO order. The bulk of a busy instant's
     /// follow-on events (zero-delay sends, immediate deliveries) land here
-    /// and skip two O(log n) heap operations each.
+    /// and skip a wheel insert and pop each.
     now_bucket: VecDeque<(u64, u32)>,
     /// Scratch reused across `at_switch` calls (program emissions).
     emit_scratch: Vec<Packet<M>>,
@@ -303,16 +244,7 @@ pub struct Sim<M> {
 impl<M: Clone + Debug + 'static> Sim<M> {
     /// Creates an empty simulation with the given fabric parameters and
     /// master seed. All per-node RNGs derive deterministically from the seed.
-    /// The event scheduler defaults to the timer wheel; set `HC_SCHED=heap`
-    /// to select the reference binary heap (identical dispatch order).
     pub fn new(fabric: FabricParams, seed: u64) -> Self {
-        Self::new_with_scheduler(fabric, seed, SchedulerKind::from_env())
-    }
-
-    /// Like [`Sim::new`] with an explicit scheduler choice, ignoring the
-    /// `HC_SCHED` environment variable (used by equivalence tests that
-    /// run both schedulers in one process).
-    pub fn new_with_scheduler(fabric: FabricParams, seed: u64, sched: SchedulerKind) -> Self {
         Sim {
             now: SimTime::ZERO,
             seq: 0,
@@ -321,10 +253,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
             nodes: Vec::new(),
             groups: GroupTable::default(),
             programs: Vec::new(),
-            queue: match sched {
-                SchedulerKind::Heap => EventQueue::Heap(BinaryHeap::with_capacity(1024)),
-                SchedulerKind::Wheel => EventQueue::Wheel(TimerWheel::new()),
-            },
+            queue: TimerWheel::new(),
             slab: EventSlab::new(),
             now_bucket: VecDeque::with_capacity(64),
             emit_scratch: Vec::new(),
@@ -613,10 +542,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
             // *is* (at, seq) order for this instant.
             self.now_bucket.push_back((seq, slot));
         } else {
-            match &mut self.queue {
-                EventQueue::Heap(h) => h.push(Scheduled { at, seq, slot }),
-                EventQueue::Wheel(w) => w.insert(at.as_nanos(), seq, slot),
-            }
+            self.queue.insert(at.as_nanos(), seq, slot);
         }
     }
 
@@ -626,57 +552,27 @@ impl<M: Clone + Debug + 'static> Sim<M> {
     /// later scheduler entry), preserving the single-queue dispatch order
     /// exactly.
     fn pop_next(&mut self, limit: SimTime) -> Option<(SimTime, u32)> {
-        match &mut self.queue {
-            EventQueue::Heap(h) => {
-                let heap_key = h.peek().map(|s| (s.at, s.seq));
-                let bucket_key = self.now_bucket.front().map(|&(seq, _)| (self.now, seq));
-                let take_bucket = match (heap_key, bucket_key) {
-                    (None, None) => return None,
-                    (Some(_), None) => false,
-                    (None, Some(_)) => true,
-                    (Some(hk), Some(b)) => b < hk,
-                };
-                if take_bucket {
-                    // Bucket entries are stamped `now <= limit` by
-                    // construction.
-                    let (_, slot) = self.now_bucket.pop_front().expect("checked front");
-                    crate::profile::note_sched_op();
-                    Self::maybe_shrink_bucket(&mut self.now_bucket);
-                    Some((self.now, slot))
-                } else {
-                    let head = *h.peek().expect("checked peek");
-                    if head.at > limit {
-                        return None;
-                    }
-                    h.pop();
-                    crate::profile::note_sched_op();
-                    Some((head.at, head.slot))
-                }
-            }
-            EventQueue::Wheel(w) => {
-                // Mid-instant wheel entries precede everything: they share
-                // the current instant with any bucket entries but carry
-                // strictly smaller seqs (they were scheduled before time
-                // reached this instant; bucket entries are scheduled *at*
-                // it). Otherwise the bucket wins — once time has advanced
-                // to `now`, the wheel holds nothing at or before `now`
-                // (the drain that advanced time took the whole instant).
-                if w.mid_instant() {
-                    let (at, _seq, slot) = w.pop_next(limit.as_nanos()).expect("mid-instant");
-                    crate::profile::note_sched_op();
-                    debug_assert_eq!(at, self.now.as_nanos());
-                    return Some((self.now, slot));
-                }
-                if let Some((_, slot)) = self.now_bucket.pop_front() {
-                    crate::profile::note_sched_op();
-                    Self::maybe_shrink_bucket(&mut self.now_bucket);
-                    return Some((self.now, slot));
-                }
-                let (at, _seq, slot) = w.pop_next(limit.as_nanos())?;
-                crate::profile::note_sched_op();
-                Some((SimTime::from_nanos(at), slot))
-            }
+        // Mid-instant wheel entries precede everything: they share the
+        // current instant with any bucket entries but carry strictly
+        // smaller seqs (they were scheduled before time reached this
+        // instant; bucket entries are scheduled *at* it). Otherwise the
+        // bucket wins — once time has advanced to `now`, the wheel holds
+        // nothing at or before `now` (the drain that advanced time took
+        // the whole instant).
+        if self.queue.mid_instant() {
+            let (at, _seq, slot) = self.queue.pop_next(limit.as_nanos()).expect("mid-instant");
+            crate::profile::note_sched_op();
+            debug_assert_eq!(at, self.now.as_nanos());
+            return Some((self.now, slot));
         }
+        if let Some((_, slot)) = self.now_bucket.pop_front() {
+            crate::profile::note_sched_op();
+            Self::maybe_shrink_bucket(&mut self.now_bucket);
+            return Some((self.now, slot));
+        }
+        let (at, _seq, slot) = self.queue.pop_next(limit.as_nanos())?;
+        crate::profile::note_sched_op();
+        Some((SimTime::from_nanos(at), slot))
     }
 
     /// Releases `now_bucket` capacity once a same-instant storm has fully

@@ -73,7 +73,7 @@ mod wheel;
 
 pub use agent::{Agent, Ctx, ThreadClass, TimerId};
 pub use counters::Counters;
-pub use engine::{DropFilter, RestartHook, SchedulerKind, Sim};
+pub use engine::{DropFilter, RestartHook, Sim};
 pub use fault::{FaultCmd, FaultPlan, FaultPlanConfig, LinkFault};
 pub use packet::{Addr, NodeId, Packet};
 pub use params::{FabricParams, NicParams};

@@ -5,8 +5,8 @@
 use std::any::Any;
 
 use simnet::{
-    Addr, Agent, Ctx, FabricParams, FaultCmd, LinkFault, NicParams, Packet, SchedulerKind, Sim,
-    SimDur, SimTime, SwitchEmit, SwitchProgram, ThreadClass, TimerId, Verdict,
+    Addr, Agent, Ctx, FabricParams, FaultCmd, LinkFault, NicParams, Packet, Sim, SimDur, SimTime,
+    SwitchEmit, SwitchProgram, ThreadClass, TimerId, Verdict,
 };
 
 #[derive(Clone, Debug, PartialEq)]
@@ -736,36 +736,44 @@ fn slab_capacity_is_reclaimed_after_a_same_instant_burst() {
 
 // ---- timer-wheel scheduler behavior (engine level) -------------------------
 
-/// The wheel and the heap are interchangeable schedulers: an identical
-/// world driven under both must produce identical deliveries at identical
-/// instants, event for event. (The chaos-digest CI gate checks the same
-/// property on the full protocol stack; this is the minimal engine-level
-/// version that a scheduler regression would hit first.)
+/// The wheel engine reproduces the binary-heap engine it replaced, event
+/// for event: the constants are this world's deliveries (folded FNV-style
+/// over `(ping, arrival ns)`) and event count as the heap engine produced
+/// them at the last commit that carried it. (The committed `chaos_digest`
+/// pins the same property on the full protocol stack; this is the minimal
+/// engine-level version that a scheduler regression would hit first.)
 #[test]
 fn wheel_and_heap_engines_replay_identically() {
-    let run = |sched: SchedulerKind| {
-        let mut s = Sim::new_with_scheduler(FabricParams::default(), 42, sched);
-        let server = s.add_node(Box::new(Echo));
-        // Mixed spacings: some pings land within one level-0 wheel window
-        // of each other, others force the origin across cascade boundaries.
-        let c1 = s.add_node(Box::new(Pinger::new(
-            Addr::node(server),
-            40,
-            200,
-            SimDur::nanos(700),
-        )));
-        let c2 = s.add_node(Box::new(Pinger::new(
-            Addr::node(server),
-            15,
-            1000,
-            SimDur::micros(90),
-        )));
-        s.run_for(SimDur::millis(3));
-        let mut replies = s.agent::<Pinger>(c1).replies.clone();
-        replies.extend(s.agent::<Pinger>(c2).replies.iter().copied());
-        (replies, s.events_processed())
-    };
-    assert_eq!(run(SchedulerKind::Wheel), run(SchedulerKind::Heap));
+    let mut s = Sim::new(FabricParams::default(), 42);
+    let server = s.add_node(Box::new(Echo));
+    // Mixed spacings: some pings land within one level-0 wheel window
+    // of each other, others force the origin across cascade boundaries.
+    let c1 = s.add_node(Box::new(Pinger::new(
+        Addr::node(server),
+        40,
+        200,
+        SimDur::nanos(700),
+    )));
+    let c2 = s.add_node(Box::new(Pinger::new(
+        Addr::node(server),
+        15,
+        1000,
+        SimDur::micros(90),
+    )));
+    s.run_for(SimDur::millis(3));
+    let replies = s.agent::<Pinger>(c1).replies.iter();
+    let replies = replies.chain(&s.agent::<Pinger>(c2).replies);
+    let (mut n, mut h) = (0, 0xcbf2_9ce4_8422_2325_u64);
+    for &(ping, at) in replies {
+        n += 1;
+        for v in [ping, at.as_nanos()] {
+            h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(
+        (n, h, s.events_processed()),
+        (55, 0x59a8_2c6c_1db9_e66a, 388)
+    );
 }
 
 /// Cancelling a timer must stick even after the wheel has internally

@@ -1,16 +1,15 @@
 #!/bin/bash
-# Runs the full figure suite through the run_all_figs driver, which
-# schedules figures and their load grids across cores (HC_JOBS, default
-# all cores; HC_JOBS=1 forces exact serial execution). Extra arguments are
-# forwarded, e.g.:
+# Runs the full figure suite through the run_all_figs driver, which runs
+# every figure's worlds on one set of worker threads (HC_JOBS, default all
+# cores; HC_JOBS=1 forces exact serial execution) and writes
+# results/<figure>.txt. Extra arguments are forwarded, e.g.:
 #
-#   ./run_figs.sh --compare-serial --gate --bench-out BENCH_sim.json
+#   ./run_figs.sh --compare-serial --bench-out BENCH_sim.json
 #
-# Unlike the old serial loop, a failing figure fails the whole run: the
-# driver prints ALL-FIGURES-DONE only when every figure succeeded and
-# exits with the first non-zero status otherwise — and so does this
-# wrapper.
-cd /root/repo || exit 1
+# A failing figure fails the whole run: the driver prints
+# ALL-FIGURES-DONE only when every figure succeeded and exits non-zero
+# otherwise — and so does this wrapper.
+cd "$(dirname "$0")" || exit 1
 ./target/release/run_all_figs --results results "$@"
 rc=$?
 if [ "$rc" -ne 0 ]; then

@@ -109,25 +109,22 @@ fn digest_is_observer_independent() {
     assert_eq!(a, b, "same-process repeat of seed 7 diverged");
 }
 
-/// Running the same seeds inline and on pools of 1, 4, and 8 workers must
-/// produce identical digest reports (digests *and* event counts): each
-/// job is a self-contained single-threaded simulation, so the scheduler
-/// that carried it must be unobservable in its output. This is the
-/// contract the parallel figure suite and chaos sweeps rest on.
+/// Running the same seeds inline and on 1, 4, and 8 workers must produce
+/// identical digest reports (digests *and* event counts): each job is a
+/// self-contained single-threaded simulation, so the scheduler that
+/// carried it must be unobservable in its output. This is the contract
+/// the parallel figure suite and chaos sweeps rest on.
 ///
-/// `Pool::exact` (not `Pool::new`) so the worker threads really exist:
-/// `Pool::new` caps executors at the core count, and on a small machine
-/// the 4- and 8-worker rows would silently degenerate to the same
-/// near-serial schedule. `exact` oversubscribes on purpose — maximum
-/// cross-thread interleaving pressure, every worker-count a genuinely
-/// different schedule.
+/// `with_workers` spawns the count it is given (the cap at cores belongs
+/// to `pool::default_jobs`), so on a small machine the 4- and 8-worker
+/// rows oversubscribe on purpose — maximum cross-thread interleaving
+/// pressure, every worker count a genuinely different schedule.
 #[test]
 fn pool_execution_is_digest_invariant() {
     let seeds: Vec<u64> = PINNED.iter().map(|&(seed, _)| seed).collect();
     let inline: Vec<DigestReport> = seeds.iter().map(|&s| digest_chaos_run(s)).collect();
     for workers in [1usize, 4, 8] {
-        let on_pool = pool::Pool::exact(workers)
-            .scope(|s| s.join_map(seeds.clone(), |_, _, seed| digest_chaos_run(seed)));
+        let on_pool = pool::with_workers(workers, |w| w.map(seeds.clone(), digest_chaos_run));
         assert_eq!(
             inline, on_pool,
             "{workers}-worker pool changed a digest report — scheduling leaked \
