@@ -1,13 +1,13 @@
 //! Suite driver: runs every figure/table of the suite, every world of
 //! every figure on one shared set of worker threads, writing
 //! `results/<name>.txt` per figure — byte-identical to a serial run — and
-//! recording suite wall-clock in `BENCH_sim.json`.
+//! recording the suite's digest and wall-clock in `BENCH_sim.json`.
 //!
 //! Usage:
 //!
 //! ```text
 //! run_all_figs [--results DIR | --stdout] [--bench-out PATH] [--compare-serial]
-//!              [--profile] [--gate-parity] [--list] [FIGURE ...]
+//!              [--gate-parity] [--list] [FIGURE ...]
 //! ```
 //!
 //! * `HC_JOBS=N` sets the worker count (default and maximum: all cores;
@@ -23,11 +23,9 @@
 //!   (page cache, heated allocator arenas) the serial pass enjoyed — with
 //!   parallel first, serial inherits the warm-up for free and the
 //!   comparison is biased against parallel.
-//! * `--profile` collects the per-world simulator counters (tracer lock
-//!   acquisitions, scheduler ops, allocator traffic), prints them, and
-//!   merges `sim_stats_*` keys into the bench JSON.
-//! * `--bench-out PATH` merges `suite_*` (and profile) keys into the flat
-//!   BENCH JSON at PATH, preserving every key it doesn't own.
+//! * `--bench-out PATH` writes the `suite_*` keys (worker count, cores,
+//!   figures, wall-clock and output digest per pass) to PATH as one flat
+//!   JSON object, one pair per line, replacing the file.
 //! * `--gate-parity` (implies `--compare-serial`) exits non-zero if the
 //!   parallel suite is slower than [`PARITY`]× serial — the tripwire for
 //!   "parallelism costs wall-clock", which holds on *any* core count
@@ -41,15 +39,8 @@
 use std::borrow::Cow;
 use std::time::Instant;
 
-use hovercraft_bench::bench_json;
 use hovercraft_bench::figs;
-use hovercraft_bench::sweep::{self, fnv1a64, sim_profile, try_render, Figure, Sweep};
-
-// Light up the per-thread allocator counters (`sim_stats_alloc_*` under
-// --profile). One thread-local increment per allocation; the
-// sim_throughput events/sec gate bounds the cost.
-#[global_allocator]
-static ALLOC: simnet::CountingAlloc = simnet::CountingAlloc;
+use hovercraft_bench::sweep::{fnv1a64, try_render, Figure, Sweep};
 
 /// Outcome of one figure render.
 type FigResult = Result<String, String>;
@@ -103,7 +94,7 @@ fn suite_digest(figures: &[Figure], outputs: &[FigResult]) -> u64 {
 fn usage() -> ! {
     eprintln!(
         "usage: run_all_figs [--results DIR | --stdout] [--bench-out PATH] [--compare-serial] \
-         [--profile] [--gate-parity] [--list] [FIGURE ...]"
+         [--gate-parity] [--list] [FIGURE ...]"
     );
     std::process::exit(2);
 }
@@ -112,7 +103,6 @@ fn main() {
     let mut results_dir = String::from("results");
     let mut bench_out: Option<String> = None;
     let mut compare_serial = false;
-    let mut profile = false;
     let mut to_stdout = false;
     let mut gate_parity = false;
     let mut names: Vec<String> = Vec::new();
@@ -122,7 +112,6 @@ fn main() {
             "--results" => results_dir = args.next().unwrap_or_else(|| usage()),
             "--bench-out" => bench_out = Some(args.next().unwrap_or_else(|| usage())),
             "--compare-serial" => compare_serial = true,
-            "--profile" => profile = true,
             "--stdout" => to_stdout = true,
             "--gate-parity" => {
                 gate_parity = true;
@@ -169,7 +158,7 @@ fn main() {
         }
     };
 
-    let jobs = sweep::jobs();
+    let jobs = pool::default_jobs();
     let cores = pool::available_cores();
     say(format_args!(
         "== run_all_figs: {} figures, {jobs} workers on {cores} cores{} ==",
@@ -194,14 +183,10 @@ fn main() {
         serial = Some((serial_outputs, wall_ser, digest_ser));
     }
 
-    if profile {
-        sim_profile::enable();
-    }
     let t0 = Instant::now();
     let outputs = run_suite(&figures, jobs);
     let wall_par = t0.elapsed().as_secs_f64();
     let digest_par = suite_digest(&figures, &outputs);
-    let sim_stats = profile.then(sim_profile::totals);
 
     if !to_stdout {
         std::fs::create_dir_all(&results_dir).expect("create results dir");
@@ -263,51 +248,28 @@ fn main() {
         }
     }
 
-    if let Some(sim) = &sim_stats {
-        say(format_args!(
-            "sim: {} jobs, {} sched ops, {} wheel cascades, {} tracer locks, {:.1} MB in {} allocs",
-            sim.tasks,
-            sim.sched_ops,
-            sim.wheel_cascades,
-            sim.tracer_locks,
-            sim.alloc_bytes as f64 / 1e6,
-            sim.alloc_calls,
-        ));
-    }
-
     if let Some(path) = &bench_out {
-        let mut updates: Vec<(String, String)> = vec![
-            ("suite_jobs".into(), jobs.to_string()),
-            ("suite_cores".into(), cores.to_string()),
-            ("suite_figures".into(), figures.len().to_string()),
-            ("suite_fast".into(), fast.to_string()),
-            ("suite_wall_s_parallel".into(), format!("{wall_par:.6}")),
-            (
-                "suite_output_digest".into(),
-                format!("\"{digest_par:#018x}\""),
-            ),
+        let mut pairs = vec![
+            ("suite_jobs", jobs.to_string()),
+            ("suite_cores", cores.to_string()),
+            ("suite_figures", figures.len().to_string()),
+            ("suite_fast", fast.to_string()),
+            ("suite_wall_s_parallel", format!("{wall_par:.6}")),
+            ("suite_output_digest", format!("\"{digest_par:#018x}\"")),
         ];
         if let Some((_, wall_ser, digest_ser)) = &serial {
-            updates.push(("suite_wall_s_serial".into(), format!("{wall_ser:.6}")));
-            updates.push((
-                "suite_output_digest_serial".into(),
+            pairs.push(("suite_wall_s_serial", format!("{wall_ser:.6}")));
+            pairs.push((
+                "suite_output_digest_serial",
                 format!("\"{digest_ser:#018x}\""),
             ));
         }
-        if let Some(sim) = &sim_stats {
-            for (k, v) in [
-                ("sim_stats_jobs", sim.tasks),
-                ("sim_stats_sched_ops", sim.sched_ops),
-                ("sim_stats_tracer_locks", sim.tracer_locks),
-                ("sim_stats_alloc_calls", sim.alloc_calls),
-                ("sim_stats_alloc_bytes", sim.alloc_bytes),
-                ("sim_stats_wheel_cascades", sim.wheel_cascades),
-            ] {
-                updates.push((k.into(), v.to_string()));
-            }
-        }
-        bench_json::merge_file(path, &updates).expect("merge bench json");
-        say(format_args!("suite keys merged into {path}"));
+        let lines: Vec<String> = pairs
+            .iter()
+            .map(|(k, v)| format!("  \"{k}\": {v}"))
+            .collect();
+        std::fs::write(path, format!("{{\n{}\n}}\n", lines.join(",\n"))).expect("write bench json");
+        say(format_args!("suite keys written to {path}"));
     }
 
     if !failures.is_empty() {

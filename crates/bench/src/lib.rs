@@ -1,9 +1,10 @@
 //! # hovercraft-bench — the paper-reproduction harness
 //!
 //! One figure per table/figure of the HovercRaft paper's evaluation (§7),
-//! each rendering the series the paper plots plus the paper's qualitative
-//! expectation, so a run can be eyeballed against the original
-//! (`run_all_figs --stdout <figure>` prints one, `--list` names them all):
+//! plus the extension suite, each rendering the series the paper plots and
+//! the paper's qualitative expectation, so a run can be eyeballed against
+//! the original (`run_all_figs --stdout <figure>` prints one, `--list`
+//! names them all, in this order):
 //!
 //! | Figure | Reproduces |
 //! |---|---|
@@ -14,7 +15,13 @@
 //! | `fig11_readonly_lb` | Fig. 11 — JBSQ vs RANDOM, bimodal 10µs, 75 % RO |
 //! | `fig12_failover` | Fig. 12 — leader-kill timeline with flow control |
 //! | `fig13_ycsbe` | Fig. 13 — YCSB-E on the Redis-like store |
+//! | `fig14_recovery` | extension — snapshots, log compaction, large-state recovery |
 //! | `table1_msg_counts` | Table 1 — leader Rx/Tx messages per request |
+//! | `ycsb_suite` | extension — YCSB A–E through HovercRaft++ |
+//! | `ablation_bound` | ablation — the bounded-queue bound B |
+//! | `ablation_loss` | ablation — multicast loss and the recovery protocol |
+//! | `ablation_mechanisms` | ablation — reply vs read-only load balancing |
+//! | `calibrate` | developer tool — request-size sensitivity of each setup |
 //!
 //! `run_all_figs` runs every world of the whole suite (all figures' load
 //! grids) on one set of [`pool`] workers, with byte-identical output to a
@@ -22,12 +29,13 @@
 //! exact serial execution). Set
 //! `HC_FAST=1` for a quick smoke pass (shorter windows, coarser grids);
 //! unset it for publication-quality runs.
+//!
+//! This crate renders figures; it measures nothing about the host. Host
+//! cost, allocations and per-layer time are `hcbench`'s (`benchmark/`).
 
 #![warn(missing_docs)]
 
-pub mod bench_json;
 pub mod figs;
-pub mod micro;
 pub mod sweep;
 
 use std::fmt::Write as _;
@@ -40,9 +48,19 @@ use crate::sweep::Sweep;
 /// The paper's service-level objective: 500µs at the 99th percentile.
 pub const SLO_NS: u64 = 500_000;
 
-/// True when `HC_FAST=1`: smoke-test durations.
+/// True when `HC_FAST=1`: smoke-test durations. Panics on any value other
+/// than `0` or `1`, so a typo cannot pass a smoke run off as a full one.
 pub fn fast() -> bool {
-    std::env::var("HC_FAST").map(|v| v == "1").unwrap_or(false)
+    let raw = std::env::var_os("HC_FAST");
+    parse_fast(raw.as_deref().map(|v| v.to_string_lossy()).as_deref())
+}
+
+fn parse_fast(hc_fast: Option<&str>) -> bool {
+    match hc_fast {
+        None | Some("0") => false,
+        Some("1") => true,
+        Some(v) => panic!("HC_FAST={v:?}: expected 0 or 1"),
+    }
 }
 
 /// (warmup, measure) windows for throughput points.
@@ -148,6 +166,18 @@ mod tests {
         if !fast() {
             let g = grid(vec![1.0, 2.0, 3.0, 4.0]);
             assert_eq!(g.len(), 4);
+        }
+    }
+
+    #[test]
+    fn hc_fast_accepts_only_0_and_1() {
+        assert!(!parse_fast(None));
+        assert!(!parse_fast(Some("0")));
+        assert!(parse_fast(Some("1")));
+        for typo in ["true", "", "2", " 1"] {
+            let err = std::panic::catch_unwind(|| parse_fast(Some(typo))).unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains(&format!("HC_FAST={typo:?}")), "{msg}");
         }
     }
 

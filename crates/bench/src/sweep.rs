@@ -21,100 +21,8 @@
 //! any of them maps runs as a job on one shared set of workers.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use pool::Workers;
-use simnet::ProfileSnapshot;
-
-/// Worker threads the sweep layer will use: `HC_JOBS` (default every
-/// core), never more than the cores. `1` means strictly serial execution.
-pub fn jobs() -> usize {
-    pool::default_jobs()
-}
-
-/// Suite-wide accumulator for per-world simulator profiling deltas
-/// (`--profile` on `run_all_figs`). Jobs run whole worlds start-to-finish
-/// on one thread, so each [`Sweep::map`] task brackets itself with
-/// [`ProfileSnapshot`]s on its executing thread and adds the delta here.
-/// Disabled (one relaxed load per task) unless a driver opts in.
-pub mod sim_profile {
-    use super::*;
-
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-    static TASKS: AtomicU64 = AtomicU64::new(0);
-    static TRACER_LOCKS: AtomicU64 = AtomicU64::new(0);
-    static SCHED_OPS: AtomicU64 = AtomicU64::new(0);
-    static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-    static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-    static WHEEL_CASCADES: AtomicU64 = AtomicU64::new(0);
-
-    /// Totals accumulated across all swept jobs since [`enable`].
-    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-    pub struct SimStats {
-        /// Sweep tasks that contributed a delta.
-        pub tasks: u64,
-        /// Tracer ring-lock acquisitions inside swept jobs.
-        pub tracer_locks: u64,
-        /// Engine event-queue operations inside swept jobs.
-        pub sched_ops: u64,
-        /// Global-allocator calls inside swept jobs (needs
-        /// [`simnet::CountingAlloc`] installed in the binary).
-        pub alloc_calls: u64,
-        /// Bytes requested from the allocator inside swept jobs.
-        pub alloc_bytes: u64,
-        /// Timer-wheel cascade moves inside swept jobs.
-        pub wheel_cascades: u64,
-    }
-
-    /// Starts collecting (and zeroes any previous totals).
-    pub fn enable() {
-        TASKS.store(0, Ordering::Relaxed);
-        TRACER_LOCKS.store(0, Ordering::Relaxed);
-        SCHED_OPS.store(0, Ordering::Relaxed);
-        ALLOC_CALLS.store(0, Ordering::Relaxed);
-        ALLOC_BYTES.store(0, Ordering::Relaxed);
-        WHEEL_CASCADES.store(0, Ordering::Relaxed);
-        ENABLED.store(true, Ordering::Release);
-    }
-
-    /// True when sweeps are currently bracketing their jobs.
-    pub fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    /// Reads the totals accumulated so far.
-    pub fn totals() -> SimStats {
-        SimStats {
-            tasks: TASKS.load(Ordering::Relaxed),
-            tracer_locks: TRACER_LOCKS.load(Ordering::Relaxed),
-            sched_ops: SCHED_OPS.load(Ordering::Relaxed),
-            alloc_calls: ALLOC_CALLS.load(Ordering::Relaxed),
-            alloc_bytes: ALLOC_BYTES.load(Ordering::Relaxed),
-            wheel_cascades: WHEEL_CASCADES.load(Ordering::Relaxed),
-        }
-    }
-
-    pub(super) fn add(delta: &ProfileSnapshot) {
-        TASKS.fetch_add(1, Ordering::Relaxed);
-        TRACER_LOCKS.fetch_add(delta.tracer_locks, Ordering::Relaxed);
-        SCHED_OPS.fetch_add(delta.sched_ops, Ordering::Relaxed);
-        ALLOC_CALLS.fetch_add(delta.alloc_calls, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(delta.alloc_bytes, Ordering::Relaxed);
-        WHEEL_CASCADES.fetch_add(delta.wheel_cascades, Ordering::Relaxed);
-    }
-}
-
-/// Runs `f()` and, when profiling is enabled, adds this thread's counter
-/// delta for the call into the [`sim_profile`] totals.
-fn run_measured<O>(f: impl FnOnce() -> O) -> O {
-    if !sim_profile::enabled() {
-        return f();
-    }
-    let before = ProfileSnapshot::now();
-    let out = f();
-    sim_profile::add(&ProfileSnapshot::now().delta_since(&before));
-    out
-}
 
 /// Execution context for one figure: either strictly serial, or running
 /// its jobs on a shared set of workers.
@@ -147,10 +55,9 @@ impl<'a> Sweep<'a> {
         O: Send + 'static,
         F: Fn(I) -> O + Send + Sync + 'static,
     {
-        let measured = move |item| run_measured(|| f(item));
         match self.workers {
-            Some(w) => w.map(items, measured),
-            None => items.into_iter().map(measured).collect(),
+            Some(w) => w.map(items, f),
+            None => items.into_iter().map(f).collect(),
         }
     }
 }
@@ -166,16 +73,16 @@ pub struct Figure {
 }
 
 /// Runs `f(item)` for every item (ordered outputs) as a standalone call:
-/// on [`jobs`] workers, or as a plain serial loop when that is 1. This is
-/// the entry the test-suite sweeps (chaos corpus, randomized plans) use —
-/// panics from `f` propagate to the caller, lowest index first.
+/// on [`pool::default_jobs`] workers, or as a plain serial loop when that
+/// is 1. This is the entry the test-suite sweeps (chaos corpus, randomized
+/// plans) use — panics from `f` propagate to the caller, lowest index first.
 pub fn par_map<I, O, F>(items: Vec<I>, f: F) -> Vec<O>
 where
     I: Send + 'static,
     O: Send + 'static,
     F: Fn(I) -> O + Send + Sync + 'static,
 {
-    match jobs().min(items.len()) {
+    match pool::default_jobs().min(items.len()) {
         0 | 1 => Sweep::SERIAL.map(items, f),
         n => pool::with_workers(n, |w| Sweep::pooled(w).map(items, f)),
     }
@@ -229,20 +136,6 @@ mod tests {
     fn par_map_matches_serial_loop() {
         let serial: Vec<u64> = (0..33u64).map(|x| x + 7).collect();
         assert_eq!(par_map((0..33u64).collect(), |x| x + 7), serial);
-    }
-
-    #[test]
-    fn sim_profile_accumulates_only_when_enabled() {
-        // Disabled by default: mapping adds nothing.
-        let before = sim_profile::totals();
-        let _ = Sweep::SERIAL.map(vec![1u64, 2, 3], |x| x);
-        if !sim_profile::enabled() {
-            assert_eq!(sim_profile::totals(), before);
-        }
-        sim_profile::enable();
-        let _ = Sweep::SERIAL.map(vec![1u64, 2, 3], |x| x);
-        let t = sim_profile::totals();
-        assert!(t.tasks >= 3, "each job contributes a delta, got {t:?}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::policy::PolicyKind;
 
 /// Which protocol variant a node runs — the three replicated setups of the
-//  evaluation (§7).
+/// evaluation (§7).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Mode {
     /// Vanilla Raft ported onto R2P2: clients talk to the leader, requests

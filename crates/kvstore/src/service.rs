@@ -41,11 +41,6 @@ impl KvService {
     pub fn store(&self) -> &Store {
         &self.store
     }
-
-    /// Mutable store access (e.g. dataset preloading).
-    pub fn store_mut(&mut self) -> &mut Store {
-        &mut self.store
-    }
 }
 
 impl Service for KvService {

@@ -23,12 +23,23 @@ use std::sync::{mpsc, Condvar, Mutex, MutexGuard, PoisonError};
 /// allocation-heavy worlds than cores at once was measured to cost
 /// 10–20 % in user time (DESIGN.md §13), so the cap is applied here,
 /// where the count is chosen; [`with_workers`] spawns what it is told.
-/// `1` means callers take their plain serial loop.
+/// `1` means callers take their plain serial loop. Panics on an `HC_JOBS`
+/// that is not a number.
 pub fn default_jobs() -> usize {
-    let asked = std::env::var("HC_JOBS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok());
-    asked.map_or(available_cores(), |n| n.clamp(1, available_cores()))
+    let raw = std::env::var_os("HC_JOBS");
+    parse_jobs(
+        raw.as_deref().map(|v| v.to_string_lossy()).as_deref(),
+        available_cores(),
+    )
+}
+
+fn parse_jobs(hc_jobs: Option<&str>, cores: usize) -> usize {
+    let Some(v) = hc_jobs else { return cores };
+    let asked: usize = v
+        .trim()
+        .parse()
+        .unwrap_or_else(|_| panic!("HC_JOBS={v:?}: expected a worker count"));
+    asked.clamp(1, cores)
 }
 
 /// `std::thread::available_parallelism` with a safe fallback.
@@ -241,7 +252,16 @@ mod tests {
 
     #[test]
     fn default_jobs_honors_env_override() {
-        // Can't set env safely across parallel tests; check the bounds.
         assert!((1..=available_cores()).contains(&default_jobs()));
+        assert_eq!(parse_jobs(None, 8), 8);
+        assert_eq!(parse_jobs(Some("4"), 8), 4);
+        assert_eq!(parse_jobs(Some(" 4\n"), 8), 4);
+        assert_eq!(parse_jobs(Some("0"), 8), 1, "at least one worker");
+        assert_eq!(parse_jobs(Some("64"), 8), 8, "capped at the cores");
+        for typo in ["four", "", "4x", "-1"] {
+            let err = catch_unwind(|| parse_jobs(Some(typo), 8)).unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains(&format!("HC_JOBS={typo:?}")), "{msg}");
+        }
     }
 }

@@ -86,6 +86,22 @@ pub mod test_runner {
         state: u64,
     }
 
+    /// `PROPTEST_SEED` if set, else FNV-1a over the test name.
+    pub(crate) fn parse_seed(proptest_seed: Option<&str>, test_name: &str) -> u64 {
+        if let Some(v) = proptest_seed {
+            return v
+                .trim()
+                .parse()
+                .unwrap_or_else(|_| panic!("PROPTEST_SEED={v:?}: expected a decimal u64"));
+        }
+        let mut h: u64 = 0xcbf29ce484222325;
+        for b in test_name.bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+        h
+    }
+
     impl TestRng {
         /// Seeds from an explicit value.
         pub fn from_seed(seed: u64) -> TestRng {
@@ -93,20 +109,12 @@ pub mod test_runner {
         }
 
         /// Seeds deterministically from a test's fully-qualified name, or
-        /// from `PROPTEST_SEED` if set in the environment.
+        /// from `PROPTEST_SEED` if set in the environment (panics if that
+        /// is not a decimal `u64`).
         pub fn deterministic(test_name: &str) -> TestRng {
-            if let Ok(s) = std::env::var("PROPTEST_SEED") {
-                if let Ok(seed) = s.trim().parse::<u64>() {
-                    return TestRng::from_seed(seed);
-                }
-            }
-            // FNV-1a over the test name.
-            let mut h: u64 = 0xcbf29ce484222325;
-            for b in test_name.bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-            TestRng::from_seed(h)
+            let raw = std::env::var_os("PROPTEST_SEED");
+            let raw = raw.as_deref().map(|v| v.to_string_lossy());
+            TestRng::from_seed(parse_seed(raw.as_deref(), test_name))
         }
 
         /// The seed this generator started from (for failure reports).
@@ -623,6 +631,19 @@ mod tests {
         #[test]
         fn config_is_respected(x in 0u32..100) {
             prop_assert!(x < 100);
+        }
+    }
+
+    #[test]
+    fn proptest_seed_overrides_the_name_hash_or_panics() {
+        use crate::test_runner::parse_seed;
+        assert_eq!(parse_seed(Some("42"), "a::b"), 42);
+        assert_eq!(parse_seed(None, ""), 0xcbf29ce484222325);
+        assert_ne!(parse_seed(None, "a::b"), parse_seed(None, "a::c"));
+        for typo in ["abc", "", "0x2a", "-1"] {
+            let err = std::panic::catch_unwind(|| parse_seed(Some(typo), "a::b")).unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains(&format!("PROPTEST_SEED={typo:?}")), "{msg}");
         }
     }
 

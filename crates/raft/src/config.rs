@@ -32,23 +32,6 @@ pub struct Config {
     /// the window is full and a heartbeat fires, the unacked window is
     /// retransmitted from `matched + 1` (presumed lost).
     pub max_inflight: usize,
-    /// If true, the leader broadcasts a commit-bearing AppendEntries as
-    /// soon as its commit index advances, instead of waiting for the next
-    /// heartbeat. This is the "next communication round" of Figure 2
-    /// collapsed to its minimum, and is what gives the 2.5-RTT unloaded
-    /// latency of §3.7.
-    pub eager_commit_notify: bool,
-    /// If true, an election timeout first runs a Pre-Vote round (Ongaro's
-    /// thesis §9.6): the node probes for a quorum *without* bumping its
-    /// term, and only starts a real election if a quorum would grant the
-    /// vote. Keeps nodes returning from a partition, pause, or restart from
-    /// deposing a stable leader with an inflated term.
-    pub pre_vote: bool,
-    /// If true, a leader that has not heard from a quorum of peers within
-    /// an election timeout steps down to follower (check-quorum). A leader
-    /// partitioned into a minority stops accepting work instead of
-    /// stranding admitted requests forever.
-    pub check_quorum: bool,
     /// Seed for the node's deterministic election-timeout randomness.
     pub seed: u64,
 }
@@ -65,9 +48,6 @@ impl Config {
             heartbeat_interval: 1_000_000,
             max_batch: 64,
             max_inflight: 256,
-            eager_commit_notify: true,
-            pre_vote: true,
-            check_quorum: true,
             seed: 0x5eed + id as u64,
         }
     }

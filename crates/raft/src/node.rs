@@ -546,17 +546,15 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
                     // quorum within an election timeout is probably on the
                     // minority side of a partition; step down so clients
                     // stop being admitted into a log that cannot commit.
-                    if self.cfg.check_quorum {
-                        let grace = self.cfg.election_timeout_max;
-                        let heard = 1 + self
-                            .progress
-                            .values()
-                            .filter(|p| now.saturating_sub(p.last_heard) < grace)
-                            .count();
-                        if heard < self.cfg.quorum() {
-                            self.become_follower(self.term, None, now, out);
-                            return;
-                        }
+                    let grace = self.cfg.election_timeout_max;
+                    let heard = 1 + self
+                        .progress
+                        .values()
+                        .filter(|p| now.saturating_sub(p.last_heard) < grace)
+                        .count();
+                    if heard < self.cfg.quorum() {
+                        self.become_follower(self.term, None, now, out);
+                        return;
                     }
                     self.heartbeat_due = now + self.cfg.heartbeat_interval;
                     let target = self.log.last_index().min(self.ceiling);
@@ -696,13 +694,11 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
         }
     }
 
-    /// Election timeout fired: either probe for a Pre-Vote quorum (no term
-    /// bump, no durable state change) or campaign directly.
+    /// Election timeout fired: probe for a Pre-Vote quorum (Ongaro's thesis
+    /// §9.6; no term bump, no durable state change) and campaign only once
+    /// a quorum would grant the vote, so a node returning from a partition,
+    /// pause, or restart cannot depose a stable leader with an inflated term.
     fn start_election(&mut self, now: u64, out: &mut Vec<Action<C>>) {
-        if !self.cfg.pre_vote {
-            self.campaign(now, out);
-            return;
-        }
         self.role = Role::PreCandidate;
         self.votes = 1;
         self.voters = vec![self.cfg.id];
@@ -1141,8 +1137,8 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
     }
 
     /// Advances the commit index if a quorum matches, restricted to entries
-    /// of the current term (Raft §5.4.2), and on advance optionally
-    /// broadcasts the new commit index eagerly.
+    /// of the current term (Raft §5.4.2), and on advance broadcasts the new
+    /// commit index eagerly.
     fn maybe_commit(&mut self, out: &mut Vec<Action<C>>) {
         let own = self.log.last_index().min(self.ceiling);
         let matches = self
@@ -1154,23 +1150,23 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
         if candidate > self.commit && self.log.term_at(candidate) == Some(self.term) {
             self.commit = candidate;
             out.push(Action::Commit { upto: self.commit });
-            if self.cfg.eager_commit_notify {
-                // Tell followers about the new commit index right away —
-                // but only the ones with nothing in flight that have not
-                // already been told it. A busy pipeline delivers the commit
-                // index on its next data-carrying AppendEntries anyway, and
-                // forcing empty appends at high load would double the
-                // leader's packet rate; a follower the driver reported via
-                // `note_commit_told` heard it from the aggregator.
-                let target = self.log.last_index().min(self.ceiling);
-                for i in 0..self.peer_ids.len() {
-                    let peer = self.peer_ids[i];
-                    let notify = self.progress.get(&peer).is_some_and(|p| {
-                        p.matched + 1 == p.next && p.next > target && p.commit_told < self.commit
-                    });
-                    if notify {
-                        self.send_append(peer, target, true, out);
-                    }
+            // Tell followers about the new commit index right away (the
+            // "next communication round" of Figure 2 collapsed to its
+            // minimum, which gives the 2.5-RTT unloaded latency of §3.7) —
+            // but only the ones with nothing in flight that have not
+            // already been told it. A busy pipeline delivers the commit
+            // index on its next data-carrying AppendEntries anyway, and
+            // forcing empty appends at high load would double the
+            // leader's packet rate; a follower the driver reported via
+            // `note_commit_told` heard it from the aggregator.
+            let target = self.log.last_index().min(self.ceiling);
+            for i in 0..self.peer_ids.len() {
+                let peer = self.peer_ids[i];
+                let notify = self.progress.get(&peer).is_some_and(|p| {
+                    p.matched + 1 == p.next && p.next > target && p.commit_told < self.commit
+                });
+                if notify {
+                    self.send_append(peer, target, true, out);
                 }
             }
         }
@@ -1198,16 +1194,16 @@ mod tests {
     /// Node 0 of a five-node group, elected at `T0` with entry 1 shipped to
     /// every follower and nothing acknowledged yet.
     fn leader_with_one_entry_in_flight() -> RaftNode<u64> {
-        let mut cfg = Config::new(0, vec![0, 1, 2, 3, 4]);
-        cfg.pre_vote = false;
-        let mut n = RaftNode::new(cfg, 0);
+        let mut n = RaftNode::new(Config::new(0, vec![0, 1, 2, 3, 4]), 0);
         let sink = &mut Vec::new();
         n.tick_into(T0, sink);
+        // A quorum grants the Pre-Vote probe, then the vote itself.
+        let granted = true;
         for peer in [1, 2] {
-            let vote = Message::RequestVoteReply {
-                term: 1,
-                granted: true,
-            };
+            n.step_into(peer, Message::PreVoteReply { term: 1, granted }, T0, sink);
+        }
+        for peer in [1, 2] {
+            let vote = Message::RequestVoteReply { term: 1, granted };
             n.step_into(peer, vote, T0, sink);
         }
         assert!(n.is_leader());

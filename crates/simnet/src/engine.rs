@@ -358,11 +358,6 @@ impl<M: Clone + Debug + 'static> Sim<M> {
         self.push(at.max(self.now), Ev::Kill { node });
     }
 
-    /// Immediately fail-stops `node`.
-    pub fn kill_now(&mut self, node: NodeId) {
-        self.apply_fault(FaultCmd::Kill { node });
-    }
-
     /// Schedules a single fault transition (clamped to `now` if `at` is in
     /// the past).
     pub fn schedule_fault(&mut self, at: SimTime, cmd: FaultCmd) {
@@ -418,11 +413,6 @@ impl<M: Clone + Debug + 'static> Sim<M> {
         self.nodes[node as usize].alive
     }
 
-    /// Whether `node` is currently paused (stalled-but-alive).
-    pub fn is_paused(&self, node: NodeId) -> bool {
-        self.nodes[node as usize].paused
-    }
-
     /// How many times `node` has crash–restarted (its incarnation number).
     pub fn restarts(&self, node: NodeId) -> u64 {
         self.nodes[node as usize].epoch
@@ -439,9 +429,8 @@ impl<M: Clone + Debug + 'static> Sim<M> {
         self.now
     }
 
-    /// Total events dispatched by the engine so far. Wall-clock throughput
-    /// of the simulator is `events_processed / elapsed` — the number the
-    /// `sim_throughput` bench pins.
+    /// Total events dispatched by the engine so far — a pure function of
+    /// the seed, pinned per chaos seed in `tests/determinism_guard.rs`.
     pub fn events_processed(&self) -> u64 {
         self.processed
     }

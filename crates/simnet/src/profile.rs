@@ -4,9 +4,8 @@
 //! a world runs start-to-finish on one thread — so plain thread-local
 //! counters, snapshotted before and after a run on the executing thread,
 //! attribute costs to worlds with zero synchronization on the hot path. An
-//! increment here is one thread-local `u64` bump (no atomics, no locks);
-//! the counters are always on, and the `sim_throughput` events/sec gate
-//! bounds their cost.
+//! increment here is one thread-local `u64` bump (no atomics, no locks),
+//! and the counters are always on; `hcbench` reads them per run.
 //!
 //! Three cost classes are counted:
 //!
@@ -19,10 +18,7 @@
 //!   contended" when diagnosing parallel-suite slowdowns.
 //! * **Heap traffic** — allocation calls and bytes, counted only when the
 //!   running binary installs [`CountingAlloc`] as its global allocator
-//!   (the bench binaries do; unit tests don't and simply read zeros).
-//!   Measured oversubscription cost on this container tracks allocator
-//!   pressure, so bytes-allocated-per-world is the headline `--profile`
-//!   number.
+//!   (`hcbench` does; everything else simply reads zeros).
 //!
 //! Snapshots subtract ([`ProfileSnapshot::delta_since`]) so callers bracket
 //! a region: snapshot, run the world, snapshot, diff.
@@ -82,16 +78,6 @@ impl ProfileSnapshot {
             alloc_calls: self.alloc_calls - earlier.alloc_calls,
             alloc_bytes: self.alloc_bytes - earlier.alloc_bytes,
         }
-    }
-
-    /// Adds `other`'s counts into `self` (for merging per-world deltas
-    /// into a suite total).
-    pub fn accumulate(&mut self, other: &ProfileSnapshot) {
-        self.tracer_locks += other.tracer_locks;
-        self.sched_ops += other.sched_ops;
-        self.wheel_cascades += other.wheel_cascades;
-        self.alloc_calls += other.alloc_calls;
-        self.alloc_bytes += other.alloc_bytes;
     }
 }
 

@@ -316,13 +316,6 @@ impl Tracer {
             .collect()
     }
 
-    /// The last `n` events, oldest first.
-    pub fn tail(&self, n: usize) -> Vec<TraceEvent> {
-        let g = self.ring();
-        let skip = g.buf.len().saturating_sub(n);
-        g.buf.iter().skip(skip).cloned().collect()
-    }
-
     /// Renders the last `n` events as one line each, streamed into a single
     /// buffer straight from the ring — no event clones, one allocation
     /// (growing the output string). Violation bundles and failure dumps go
@@ -337,11 +330,6 @@ impl Tracer {
             let _ = writeln!(out, "{e}");
         }
         out
-    }
-
-    /// Drops all buffered events (sequence numbers keep advancing).
-    pub fn clear(&self) {
-        self.ring().buf.clear();
     }
 }
 

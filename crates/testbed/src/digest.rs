@@ -110,9 +110,10 @@ pub struct DigestReport {
     pub sim_events: u64,
 }
 
-/// The canonical chaos point digested by the determinism guard and the
-/// `sim_throughput` bench: 5-way HovercRaft/JBSQ at 25 kRPS with client
-/// retries, faulted by the seeded [`FaultPlan`] the chaos suite uses.
+/// The canonical chaos point of the determinism guard and the chaos suite
+/// (`tests/chaos.rs`): 5-way HovercRaft/JBSQ at 25 kRPS with client retries
+/// on, so requests survive the faults they straddle. Load runs 150–500 ms
+/// (50 ms warm-up, 300 ms measured).
 pub fn chaos_digest_opts(seed: u64) -> ClusterOpts {
     let mut o = ClusterOpts::new(Setup::Hovercraft(PolicyKind::Jbsq), 5, 25_000.0);
     o.warmup = SimDur::millis(50);

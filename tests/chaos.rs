@@ -14,23 +14,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use hovercraft::PolicyKind;
 use simnet::{FaultPlan, FaultPlanConfig, SimDur, SimTime, TraceEvent};
 use testbed::invariants::predicates;
-use testbed::{Cluster, ClusterOpts, RetryPolicy, ServerAgent, Setup};
+use testbed::{chaos_digest_opts as chaos_opts, Cluster, ClusterOpts, ServerAgent, Setup};
 
 fn ms(x: u64) -> SimTime {
     SimTime::ZERO + SimDur::millis(x)
-}
-
-/// The standard chaos point: 5-way HovercRaft under moderate load with
-/// client retries on, so requests survive the faults they straddle.
-/// Load runs 150–500 ms (50 ms warm-up, 300 ms measured).
-fn chaos_opts(seed: u64) -> ClusterOpts {
-    let mut o = ClusterOpts::new(Setup::Hovercraft(PolicyKind::Jbsq), 5, 25_000.0);
-    o.warmup = SimDur::millis(50);
-    o.measure = SimDur::millis(300);
-    o.bound = 64;
-    o.retry = Some(RetryPolicy::default());
-    o.seed = seed;
-    o
 }
 
 /// The snapshot chaos point: the standard chaos cluster plus an aggressive
@@ -533,18 +520,37 @@ fn run_snapshot_chaos_case(seed: u64) {
     );
 }
 
-/// Reads a u64 env knob, accepting decimal or `0x`-prefixed hex.
+/// Reads a u64 env knob, accepting decimal or `0x`-prefixed hex. Panics
+/// on anything else: a typo must not turn a 64-case sweep into 3 cases.
 fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| {
-            let v = v.trim();
-            match v.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                None => v.parse().ok(),
-            }
-        })
-        .unwrap_or(default)
+    let raw = std::env::var_os(name);
+    let raw = raw.as_deref().map(|v| v.to_string_lossy());
+    parse_u64(name, raw.as_deref(), default)
+}
+
+fn parse_u64(name: &str, raw: Option<&str>, default: u64) -> u64 {
+    let Some(v) = raw else { return default };
+    let t = v.trim();
+    let parsed = t
+        .strip_prefix("0x")
+        .map_or_else(|| t.parse(), |hex| u64::from_str_radix(hex, 16));
+    parsed.unwrap_or_else(|_| panic!("{name}={v:?}: expected a decimal or 0x-hex u64"))
+}
+
+#[test]
+fn chaos_env_knobs_parse_or_panic() {
+    assert_eq!(parse_u64("CHAOS_CASES", None, 3), 3);
+    assert_eq!(parse_u64("CHAOS_CASES", Some("64"), 3), 64);
+    assert_eq!(parse_u64("CHAOS_SEED", Some(" 0xc0ffee\n"), 0), 0xc0ffee);
+    for (name, typo) in [
+        ("CHAOS_CASES", "64x"),
+        ("CHAOS_SEED", "0xZZ"),
+        ("CHAOS_SEED", ""),
+    ] {
+        let err = std::panic::catch_unwind(|| parse_u64(name, Some(typo), 3)).unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains(&format!("{name}={typo:?}")), "{msg}");
+    }
 }
 
 #[test]

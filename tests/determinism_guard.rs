@@ -11,13 +11,9 @@
 //! digest and fails here.
 //!
 //! If a digest changes because of an *intentional* protocol change (not an
-//! optimization), re-pin by running:
-//!
-//! ```text
-//! HC_PIN_DIGESTS=1 cargo test --release --test determinism_guard -- --nocapture
-//! ```
-//!
-//! and pasting the printed table — and say why in the commit message.
+//! optimization), re-pin by pasting the `got` rows the failure message
+//! prints over the matching rows of `PINNED` — and say why in the commit
+//! message.
 
 use testbed::{digest_chaos_run, DigestReport};
 
@@ -31,7 +27,9 @@ use testbed::{digest_chaos_run, DigestReport};
 /// whole corpus pinnable.) Seeds are drawn from `tests/chaos_corpus.txt`:
 /// 1 exercises partition + restart + re-partition, 91 a minority-isolated
 /// leader with a large catch-up backlog, 47571 back-to-back restarts with
-/// a trace-ring-evicting re-execution burst.
+/// a trace-ring-evicting re-execution burst. 777 is not in the corpus: it
+/// is the seed whose digest was first pinned against the engine's original
+/// binary-heap queue, kept as the link to that reference.
 const PINNED: &[(u64, DigestReport)] = &[
     (
         1,
@@ -62,36 +60,41 @@ const PINNED: &[(u64, DigestReport)] = &[
             sim_events: 698255,
         },
     ),
+    (
+        777,
+        DigestReport {
+            digest: 0x67d912db5d3e2fce,
+            events: 279165,
+            total_recorded: 279165,
+            sim_events: 603368,
+        },
+    ),
 ];
+
+/// One `PINNED` row as Rust source, ready to paste.
+fn row(seed: u64, r: &DigestReport) -> String {
+    format!(
+        "    ({seed}, DigestReport {{ digest: {:#018x}, events: {}, total_recorded: {}, \
+         sim_events: {} }}),",
+        r.digest, r.events, r.total_recorded, r.sim_events
+    )
+}
 
 #[test]
 fn chaos_corpus_digests_are_pinned() {
-    let pin_mode = std::env::var("HC_PIN_DIGESTS")
-        .map(|v| v == "1")
-        .unwrap_or(false);
-    if pin_mode {
-        println!("const PINNED: &[(u64, DigestReport)] = &[");
-    }
-    let mut mismatches = Vec::new();
-    for &(seed, expected) in PINNED {
-        let got = digest_chaos_run(seed);
-        if pin_mode {
-            println!(
-                "    (\n        {seed},\n        DigestReport {{\n            \
-                 digest: {:#018x},\n            events: {},\n            \
-                 total_recorded: {},\n            sim_events: {},\n        }},\n    ),",
-                got.digest, got.events, got.total_recorded, got.sim_events
-            );
-            continue;
-        }
-        if got != expected {
-            mismatches.push(format!("seed {seed}: expected {expected:x?}, got {got:x?}"));
-        }
-    }
-    if pin_mode {
-        println!("];");
-        return;
-    }
+    let mismatches: Vec<String> = PINNED
+        .iter()
+        .filter_map(|&(seed, expected)| {
+            let got = digest_chaos_run(seed);
+            (got != expected).then(|| {
+                format!(
+                    "seed {seed}:\n  expected\n{}\n  got\n{}",
+                    row(seed, &expected),
+                    row(seed, &got)
+                )
+            })
+        })
+        .collect();
     assert!(
         mismatches.is_empty(),
         "trace digests diverged from pinned baseline — the engine is no longer \
