@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! run_all_figs [--results DIR | --stdout] [--bench-out PATH] [--compare-serial]
-//!              [--gate-parity] [--list] [FIGURE ...]
+//!              [--list] [FIGURE ...]
 //! ```
 //!
 //! * `HC_JOBS=N` sets the worker count (default and maximum: all cores;
@@ -26,15 +26,12 @@
 //! * `--bench-out PATH` writes the `suite_*` keys (worker count, cores,
 //!   figures, wall-clock and output digest per pass) to PATH as one flat
 //!   JSON object, one pair per line, replacing the file.
-//! * `--gate-parity` (implies `--compare-serial`) exits non-zero if the
-//!   parallel suite is slower than [`PARITY`]× serial — the tripwire for
-//!   "parallelism costs wall-clock", which holds on *any* core count
-//!   because workers are capped at cores. It is a contract about
-//!   measurement-quality runs and refuses to run under `HC_FAST=1`.
 //!
 //! Exit status: `0` all green; `1` a figure failed (the shell wrapper
-//! `run_figs.sh` forwards it), serial and parallel outputs differ, or the
-//! parity check failed; `2` bad usage.
+//! `run_figs.sh` forwards it) or serial and parallel outputs differ; `2`
+//! bad usage.
+
+#![forbid(unsafe_code)]
 
 use std::borrow::Cow;
 use std::time::Instant;
@@ -44,9 +41,6 @@ use hovercraft_bench::sweep::{fnv1a64, try_render, Figure, Sweep};
 
 /// Outcome of one figure render.
 type FigResult = Result<String, String>;
-
-/// `--gate-parity` bound: parallel wall-clock over serial wall-clock.
-const PARITY: f64 = 1.05;
 
 /// Runs the given figures on `jobs` workers: each figure gets a thread
 /// that only plans and renders, and every world any of them maps is one
@@ -94,7 +88,7 @@ fn suite_digest(figures: &[Figure], outputs: &[FigResult]) -> u64 {
 fn usage() -> ! {
     eprintln!(
         "usage: run_all_figs [--results DIR | --stdout] [--bench-out PATH] [--compare-serial] \
-         [--gate-parity] [--list] [FIGURE ...]"
+         [--list] [FIGURE ...]"
     );
     std::process::exit(2);
 }
@@ -104,7 +98,6 @@ fn main() {
     let mut bench_out: Option<String> = None;
     let mut compare_serial = false;
     let mut to_stdout = false;
-    let mut gate_parity = false;
     let mut names: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -113,10 +106,6 @@ fn main() {
             "--bench-out" => bench_out = Some(args.next().unwrap_or_else(|| usage())),
             "--compare-serial" => compare_serial = true,
             "--stdout" => to_stdout = true,
-            "--gate-parity" => {
-                gate_parity = true;
-                compare_serial = true;
-            }
             "--list" => {
                 for f in figs::all() {
                     println!("{}", f.name);
@@ -142,13 +131,6 @@ fn main() {
     };
 
     let fast = hovercraft_bench::fast();
-    if gate_parity && fast {
-        eprintln!(
-            "error: --gate-parity under HC_FAST=1 would assert a timing target on smoke \
-             windows. Unset HC_FAST for a measurement run."
-        );
-        std::process::exit(2);
-    }
     // With --stdout the figures own stdout; the driver's lines move aside.
     let say = |line: std::fmt::Arguments<'_>| {
         if to_stdout {
@@ -231,20 +213,6 @@ fn main() {
         ));
         if *digest_ser != digest_par {
             failures.push("suite digest (serial vs parallel)".to_string());
-        }
-        // Parallel must never cost wall-clock, on any machine: the cap at
-        // cores means worst case is serial plus noise.
-        if gate_parity {
-            if wall_par > wall_ser * PARITY {
-                failures.push(format!(
-                    "parity gate: parallel {wall_par:.2}s > serial {wall_ser:.2}s x {PARITY:.2} \
-                     — parallelism is costing wall-clock again"
-                ));
-            } else {
-                say(format_args!(
-                    "parity gate: parallel {wall_par:.2}s <= serial {wall_ser:.2}s x {PARITY:.2} — ok"
-                ));
-            }
         }
     }
 

@@ -34,6 +34,7 @@
 //! cost, allocations and per-layer time are `hcbench`'s (`benchmark/`).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod figs;
 pub mod sweep;

@@ -7,6 +7,8 @@
 //! Semantics follow the real crate (network byte order, `freeze`, static
 //! slices) so swapping the real dependency back in is a one-line change.
 
+#![forbid(unsafe_code)]
+
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};

@@ -28,6 +28,7 @@
 //! of this machinery and lives in the testbed.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod aggregator;
 mod cmd;

@@ -24,6 +24,7 @@
 //! replacements (`FxHashMap::default()` instead of `HashMap::new()`).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -22,6 +22,7 @@
 //!   application-agnostic claim, demonstrated.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod command;
 mod cost;

@@ -30,16 +30,6 @@ impl Value {
             Value::Set(_) => "set",
         }
     }
-
-    /// Approximate in-memory footprint in bytes (used by cost accounting).
-    pub fn approx_size(&self) -> usize {
-        match self {
-            Value::Str(s) => s.len(),
-            Value::List(l) => l.iter().map(|e| e.len()).sum(),
-            Value::Hash(h) => h.iter().map(|(k, v)| k.len() + v.len()).sum(),
-            Value::Set(s) => s.iter().map(|e| e.len()).sum(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -52,14 +42,5 @@ mod tests {
         assert_eq!(Value::List(VecDeque::new()).type_name(), "list");
         assert_eq!(Value::Hash(BTreeMap::new()).type_name(), "hash");
         assert_eq!(Value::Set(BTreeSet::new()).type_name(), "set");
-    }
-
-    #[test]
-    fn approx_size_sums_contents() {
-        let mut h = BTreeMap::new();
-        h.insert(Bytes::from_static(b"f1"), Bytes::from_static(b"0123456789"));
-        h.insert(Bytes::from_static(b"f2"), Bytes::from_static(b"x"));
-        assert_eq!(Value::Hash(h).approx_size(), 2 + 10 + 2 + 1);
-        assert_eq!(Value::Str(Bytes::from_static(b"abc")).approx_size(), 3);
     }
 }

@@ -4,21 +4,19 @@
 //! USENIX ATC '19) that drives every experiment in the HovercRaft paper:
 //! an **open-loop Poisson arrival process** ([`PoissonArrivals`]) so
 //! queueing is exposed honestly, exact order-statistics percentiles
-//! ([`LatencyRecorder`]) for trustworthy 99th-percentile reporting, a
+//! ([`LatencyRecorder`]) for trustworthy 99th-percentile reporting, and a
 //! windowed time series ([`WindowedSeries`]) for failure timelines
-//! (Figure 12), and the "max throughput under an SLO" sweep
-//! ([`max_throughput_under_slo`]) behind Figures 8, 9, and 13.
+//! (Figure 12).
 //!
 //! The crate is clock-agnostic: times are plain nanoseconds supplied by the
 //! caller, so the same instruments run against the simulator's virtual
 //! clock or a real one.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod poisson;
-mod slo;
 mod stats;
 
 pub use poisson::PoissonArrivals;
-pub use slo::{load_ladder, max_throughput_under_slo, LoadPoint};
 pub use stats::{LatencyRecorder, WindowSummary, WindowedSeries};

@@ -22,6 +22,8 @@
 //! timings — for CI to diff against the committed `tests/mc_digest.txt`:
 //! the explored space cannot grow *or shrink* silently.
 
+#![forbid(unsafe_code)]
+
 use std::io::Write;
 use std::process::ExitCode;
 use std::time::Instant;

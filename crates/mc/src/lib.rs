@@ -28,6 +28,8 @@
 //! The `mc_explore` binary drives exploration from CI (see the `mc` job)
 //! and dumps counterexample bundles on failure.
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod explore;
 pub mod model;

@@ -14,6 +14,8 @@
 //! not call `map` on the queue that runs it — callers do not execute jobs,
 //! so with every worker waiting nothing would.
 
+#![forbid(unsafe_code)]
+
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Condvar, Mutex, MutexGuard, PoisonError};

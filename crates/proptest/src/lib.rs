@@ -19,6 +19,8 @@
 //!   of its fully-qualified name, so failures reproduce without a
 //!   `proptest-regressions` file. Set `PROPTEST_SEED=<u64>` to override.
 
+#![forbid(unsafe_code)]
+
 pub mod test_runner {
     use std::fmt;
 

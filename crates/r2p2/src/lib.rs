@@ -26,6 +26,7 @@
 //! ([`ReqIdAlloc`]), and wire-size accounting ([`msg_wire_size`]).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod chunk;
 mod header;

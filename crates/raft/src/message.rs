@@ -101,11 +101,6 @@ impl<C> Message<C> {
             | Message::AppendEntriesReply { term, .. } => *term,
         }
     }
-
-    /// True for AppendEntries with no entries (pure heartbeat/commit bump).
-    pub fn is_heartbeat(&self) -> bool {
-        matches!(self, Message::AppendEntries { entries, .. } if entries.is_empty())
-    }
 }
 
 #[cfg(test)]
@@ -130,31 +125,5 @@ mod tests {
             from: 3,
         };
         assert_eq!(m.term(), 9);
-    }
-
-    #[test]
-    fn heartbeat_detection() {
-        let hb: Message<u8> = Message::AppendEntries {
-            term: 1,
-            leader: 0,
-            prev_log_index: 0,
-            prev_log_term: 0,
-            entries: vec![],
-            leader_commit: 0,
-        };
-        assert!(hb.is_heartbeat());
-        let ae: Message<u8> = Message::AppendEntries {
-            term: 1,
-            leader: 0,
-            prev_log_index: 0,
-            prev_log_term: 0,
-            entries: vec![Entry {
-                term: 1,
-                index: 1,
-                cmd: 9,
-            }],
-            leader_commit: 0,
-        };
-        assert!(!ae.is_heartbeat());
     }
 }

@@ -410,35 +410,14 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
         out
     }
 
-    /// Driver hook: a non-AppendEntries message that only the current
-    /// leader sends (e.g. a snapshot chunk) arrived, carrying `term` and
-    /// the sender's id. Counts as leader contact — it feeds leader
-    /// stickiness and resets the election timer — because a follower
-    /// receiving a long snapshot stream gets no AppendEntries (the leader
-    /// cannot build one below its horizon) and must not depose the leader
-    /// mid-transfer. Messages from stale terms are ignored.
-    pub fn note_leader_contact(&mut self, term: Term, leader: RaftId, now: u64) -> Vec<Action<C>> {
-        let mut out = Vec::new();
-        if term < self.term {
-            return out;
-        }
-        if term > self.term || self.role != Role::Follower {
-            self.become_follower(term, Some(leader), now, &mut out);
-        }
-        self.leader_id = Some(leader);
-        self.last_leader_contact = now;
-        self.reset_election_deadline(now);
-        out
-    }
-
     /// Driver hook: a snapshot chunk arrived from *some* peer serving a
     /// transfer — not necessarily the leader (recovery is peer-served, §5).
-    /// Unlike [`Self::note_leader_contact`] this never asserts leadership on
-    /// behalf of the sender: a same-term leader receiving a chunk stays
-    /// leader, and no `leader_id` hint is planted. It still suppresses
-    /// elections on followers — a node mid-catch-up gets no AppendEntries
-    /// (nothing can be built for it below the serving peer's horizon) and
-    /// must not depose a healthy leader while the stream runs.
+    /// This never asserts leadership on behalf of the sender: a same-term
+    /// leader receiving a chunk stays leader, and no `leader_id` hint is
+    /// planted. It still suppresses elections on followers — a node
+    /// mid-catch-up gets no AppendEntries (nothing can be built for it below
+    /// the serving peer's horizon) and must not depose a healthy leader
+    /// while the stream runs.
     pub fn note_peer_contact(&mut self, term: Term, now: u64) -> Vec<Action<C>> {
         let mut out = Vec::new();
         if term < self.term {

@@ -9,6 +9,8 @@
 //! which is the property the simulator's replay/debugging workflow relies
 //! on (DESIGN §5).
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Low-level generator interface: a source of 64-bit words.

@@ -58,6 +58,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 mod agent;
 mod counters;
@@ -77,7 +78,7 @@ pub use engine::{DropFilter, RestartHook, Sim};
 pub use fault::{FaultCmd, FaultPlan, FaultPlanConfig, LinkFault};
 pub use packet::{Addr, NodeId, Packet};
 pub use params::{FabricParams, NicParams};
-pub use profile::{CountingAlloc, ProfileSnapshot, SpinGuard, SpinLock};
+pub use profile::{CountingAlloc, ProfileSnapshot};
 pub use switch::{GroupTable, SwitchEmit, SwitchProgram, Verdict};
 pub use time::{SimDur, SimTime};
 pub use trace::{Detail, DetailFn, TraceEvent, Tracer, DEFAULT_TRACE_CAP};

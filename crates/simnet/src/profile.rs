@@ -12,10 +12,9 @@
 //! * **Scheduler ops** — event-queue pushes and pops in the engine
 //!   ([`ProfileSnapshot::sched_ops`]); the baseline "how much work did this
 //!   world do" denominator.
-//! * **Tracer lock acquisitions** — every acquisition of a tracer's ring
-//!   lock ([`ProfileSnapshot::tracer_locks`]); this is the counter that
-//!   distinguishes "the tracer lock is hot" from "the tracer lock is
-//!   contended" when diagnosing parallel-suite slowdowns.
+//! * **Tracer ring borrows** — every borrow of a tracer's ring, one per
+//!   [`crate::Tracer`] method call ([`ProfileSnapshot::tracer_locks`], the
+//!   name `hcbench` reads it under).
 //! * **Heap traffic** — allocation calls and bytes, counted only when the
 //!   running binary installs [`CountingAlloc`] as its global allocator
 //!   (`hcbench` does; everything else simply reads zeros).
@@ -25,8 +24,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 thread_local! {
     static TRACER_LOCKS: Cell<u64> = const { Cell::new(0) };
@@ -39,7 +36,7 @@ thread_local! {
 /// Point-in-time reading of this thread's counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ProfileSnapshot {
-    /// Tracer ring-lock acquisitions on this thread.
+    /// Tracer ring borrows on this thread.
     pub tracer_locks: u64,
     /// Engine event-queue operations (pushes + pops) on this thread.
     pub sched_ops: u64,
@@ -114,6 +111,10 @@ pub(crate) fn note_wheel_cascades(n: u64) {
 /// and during thread teardown (where the increment is silently skipped).
 pub struct CountingAlloc;
 
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one the caller already upholds; the counters are plain
+// thread-local `Cell`s that never allocate.
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
@@ -138,94 +139,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-/// A minimal test-and-test-and-set spin lock that **cannot poison**.
-///
-/// The tracer ring is private to one simulator world and worlds are
-/// single-threaded, so its lock is uncontended by construction — what
-/// matters is the *uncontended* acquire cost (one compare-exchange, no
-/// futex bookkeeping) and the failure behavior: the guard releases on drop
-/// **including during a panic unwind**, so a checker panicking inside
-/// [`crate::Tracer::for_each_since`] leaves the tracer fully usable for
-/// the violation-bundle dump instead of cascading `PoisonError` panics
-/// through every other clone holder (which used to bury the original
-/// panic message). Spinning is acceptable precisely because contention is
-/// limited to "a panic dump racing a recorder" — transient by nature.
-pub struct SpinLock<T> {
-    locked: AtomicBool,
-    value: std::cell::UnsafeCell<T>,
-}
-
-// Same bounds as Mutex: the lock hands out &mut T across threads.
-unsafe impl<T: Send> Send for SpinLock<T> {}
-unsafe impl<T: Send> Sync for SpinLock<T> {}
-
-impl<T> SpinLock<T> {
-    /// Wraps `value` in an unlocked lock.
-    pub const fn new(value: T) -> Self {
-        SpinLock {
-            locked: AtomicBool::new(false),
-            value: std::cell::UnsafeCell::new(value),
-        }
-    }
-
-    /// Acquires the lock, spinning until it is free. Never fails, never
-    /// poisons.
-    pub fn lock(&self) -> SpinGuard<'_, T> {
-        while self
-            .locked
-            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            // Test-and-test-and-set: spin on a plain load so the waiting
-            // core doesn't bounce the cache line with failed RMWs.
-            while self.locked.load(Ordering::Relaxed) {
-                std::hint::spin_loop();
-            }
-        }
-        SpinGuard { lock: self }
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for SpinLock<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Best-effort, like std's Mutex: don't block a Debug print.
-        f.debug_struct("SpinLock")
-            .field("locked", &self.locked.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
-
-/// RAII guard for [`SpinLock`]; releases on drop, unwind included.
-pub struct SpinGuard<'a, T> {
-    lock: &'a SpinLock<T>,
-}
-
-impl<T> Deref for SpinGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // Safety: the guard holds the lock, so access is exclusive.
-        unsafe { &*self.lock.value.get() }
-    }
-}
-
-impl<T> DerefMut for SpinGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // Safety: the guard holds the lock, so access is exclusive.
-        unsafe { &mut *self.lock.value.get() }
-    }
-}
-
-impl<T> Drop for SpinGuard<'_, T> {
-    fn drop(&mut self) {
-        self.lock.locked.store(false, Ordering::Release);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::Arc;
 
     #[test]
     fn snapshot_delta_isolates_a_region() {
@@ -255,37 +171,5 @@ mod tests {
             0,
             "another thread's ops must not bleed into this thread's counters"
         );
-    }
-
-    #[test]
-    fn spinlock_guards_exclusive_access() {
-        let lock = Arc::new(SpinLock::new(0u64));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let l = Arc::clone(&lock);
-                std::thread::spawn(move || {
-                    for _ in 0..10_000 {
-                        *l.lock() += 1;
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*lock.lock(), 40_000);
-    }
-
-    #[test]
-    fn spinlock_releases_on_unwind() {
-        let lock = SpinLock::new(7u64);
-        let res = catch_unwind(AssertUnwindSafe(|| {
-            let _g = lock.lock();
-            panic!("holder dies");
-        }));
-        assert!(res.is_err());
-        // A poisoning lock would deadlock or panic here; the spin lock
-        // must simply be free again.
-        assert_eq!(*lock.lock(), 7);
     }
 }

@@ -95,13 +95,6 @@ impl SimDur {
         SimDur(n * 1_000_000_000)
     }
 
-    /// A span of `us` (possibly fractional) microseconds, rounded to the
-    /// nearest nanosecond.
-    #[inline]
-    pub fn micros_f64(us: f64) -> SimDur {
-        SimDur((us * 1_000.0).round() as u64)
-    }
-
     /// Returns the raw nanosecond count.
     #[inline]
     pub fn as_nanos(self) -> u64 {
@@ -238,7 +231,6 @@ mod tests {
         assert_eq!(SimDur::micros(3).as_nanos(), 3_000);
         assert_eq!(SimDur::millis(2).as_nanos(), 2_000_000);
         assert_eq!(SimDur::secs(1).as_nanos(), 1_000_000_000);
-        assert_eq!(SimDur::micros_f64(1.5).as_nanos(), 1_500);
     }
 
     #[test]

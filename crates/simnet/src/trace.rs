@@ -18,11 +18,12 @@
 //! load the simulator records millions of events and renders none of them.
 
 use crate::packet::{Addr, NodeId};
-use crate::profile::{self, SpinGuard, SpinLock};
+use crate::profile;
 use crate::time::SimTime;
+use std::cell::{Ref, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Renders a lazily recorded detail payload from its three raw words.
 ///
@@ -151,21 +152,19 @@ struct Inner {
 /// event is evicted (its `seq` is never reused, so incremental consumers
 /// can detect gaps).
 ///
-/// The handle is `Send + Sync` (an `Arc<SpinLock<_>>`, not
-/// `Rc<RefCell<_>>`) so a whole `Sim` world — which clones the tracer into
-/// every server, switch program, and restart hook — can be *constructed
-/// and driven on a pool worker thread*. Each simulation still owns a
-/// private tracer, so the lock is uncontended by construction; the spin
-/// lock keeps the uncontended acquire to one compare-exchange with no
-/// futex bookkeeping, and — unlike a std `Mutex` — it **cannot poison**: a
-/// checker panicking inside [`Tracer::for_each_since`] releases the lock
+/// A world is built, driven and dropped on one thread, and each world owns
+/// a private tracer, so the ring sits behind `Rc<RefCell<_>>`: the handle
+/// is deliberately not `Send`, and what crosses threads is the world's
+/// result, never its tracer. A `RefCell` borrow **cannot poison**: a
+/// checker panicking inside [`Tracer::for_each_since`] releases the borrow
 /// on unwind and every other clone holder keeps working, so the original
-/// panic message and the violation-bundle dump survive intact. Lock
-/// acquisitions are counted into the thread's
+/// panic message and the violation-bundle dump survive intact. Recording
+/// from inside a scan callback is a bug and panics with `BorrowMutError`.
+/// Ring borrows are counted into the thread's
 /// [`crate::ProfileSnapshot::tracer_locks`].
 #[derive(Clone)]
 pub struct Tracer {
-    inner: Arc<SpinLock<Inner>>,
+    inner: Rc<RefCell<Inner>>,
 }
 
 /// Default ring capacity: enough to hold the interesting tail of a
@@ -182,7 +181,7 @@ impl Tracer {
     /// Creates a tracer whose ring holds at most `cap` events.
     pub fn new(cap: usize) -> Self {
         Tracer {
-            inner: Arc::new(SpinLock::new(Inner {
+            inner: Rc::new(RefCell::new(Inner {
                 cap: cap.max(1),
                 next_seq: 0,
                 buf: VecDeque::new(),
@@ -190,11 +189,12 @@ impl Tracer {
         }
     }
 
-    /// Acquires the ring lock, counting the acquisition into the calling
-    /// thread's profiling counters. Every method goes through here.
-    fn ring(&self) -> SpinGuard<'_, Inner> {
+    /// Borrows the ring to read it, counting the borrow into the calling
+    /// thread's profiling counters. Every reading method goes through here;
+    /// [`Tracer::record`], the one writer, counts its own.
+    fn ring(&self) -> Ref<'_, Inner> {
         profile::note_tracer_lock();
-        self.inner.lock()
+        self.inner.borrow()
     }
 
     /// Appends one event, evicting the oldest if the ring is full.
@@ -206,7 +206,8 @@ impl Tracer {
         key: u64,
         detail: impl Into<Detail>,
     ) {
-        let mut g = self.ring();
+        profile::note_tracer_lock();
+        let mut g = self.inner.borrow_mut();
         let seq = g.next_seq;
         g.next_seq += 1;
         if g.buf.len() == g.cap {
@@ -396,18 +397,17 @@ mod tests {
 
     #[test]
     fn tracer_and_events_are_send_and_sync() {
-        // Compile-time assertion: the tracing seam must stay `Send` so
-        // whole simulator worlds can run on pool worker threads.
+        // Compile-time assertion: the `Tracer` handle stays on its world's
+        // thread (it is an `Rc`); what it hands out may leave the world.
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Tracer>();
         assert_send_sync::<TraceEvent>();
         assert_send_sync::<Detail>();
     }
 
     #[test]
     fn panic_during_scan_does_not_poison_the_tracer() {
-        // A checker panicking inside `for_each_since` (while the ring lock
-        // is held) must leave the tracer fully usable: recording, scanning,
+        // A checker panicking inside `for_each_since` (while the ring is
+        // borrowed) must leave the tracer fully usable: recording, scanning,
         // and dumping all still work, and no secondary panic ever replaces
         // the checker's own message. This is what lets a violation bundle
         // be rendered *after* the invariant checker has already panicked.

@@ -12,6 +12,7 @@
 //! build a [`Cluster`] directly and drive `cluster.sim` by hand.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod client;
 mod cluster;

@@ -13,6 +13,7 @@
 //! * the **zipfian** generators YCSB is built on ([`Zipfian`]).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod dist;
 mod synth;

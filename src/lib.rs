@@ -21,6 +21,7 @@
 //! crate for the per-figure reproduction harness.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use hovercraft;
 pub use lancet;

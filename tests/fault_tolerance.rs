@@ -4,7 +4,9 @@
 
 use hovercraft::PolicyKind;
 use simnet::{SimDur, SimTime};
-use testbed::{summarize, ClientAgent, Cluster, ClusterOpts, FcProgram, ServerAgent, Setup};
+use testbed::{
+    summarize, AggProgram, ClientAgent, Cluster, ClusterOpts, FcProgram, ServerAgent, Setup,
+};
 
 fn opts(setup: Setup, n: u32, rate: f64, bound: usize, seed: u64) -> ClusterOpts {
     let mut o = ClusterOpts::new(setup, n, rate);
@@ -102,6 +104,51 @@ fn aggregator_failure_falls_back_to_point_to_point() {
         "answered {}/{}",
         r.responses,
         r.sent
+    );
+}
+
+#[test]
+fn replaced_aggregator_is_adopted_by_the_next_leader() {
+    // §5: an aggregator holds soft state only, so a failed one is replaced
+    // by an empty device and the next elected leader adopts it through a
+    // VoteProbe. Fail the device mid-load (the cluster falls back to
+    // point-to-point), replace it, then force one more election.
+    let o = opts(Setup::HovercraftPp(PolicyKind::Jbsq), 3, 50_000.0, 128, 19);
+    let mut cluster = Cluster::build(o);
+    cluster.settle();
+    let agg = cluster.agg_prog_index().expect("HovercRaft++ has a device");
+    let confirmed = |c: &Cluster, n| c.sim.agent::<ServerAgent>(n).node().aggregator_confirmed();
+    let fanouts = |c: &mut Cluster| {
+        c.sim
+            .switch_program_mut::<AggProgram>(agg)
+            .agg
+            .stats()
+            .fanouts
+    };
+    cluster.run_until_checked(SimTime::ZERO + SimDur::millis(200));
+    cluster.fail_aggregator();
+    cluster.run_until_checked(SimTime::ZERO + SimDur::millis(300));
+    let fallback = cluster.leader().expect("a leader without the device");
+    assert!(
+        !confirmed(&cluster, fallback),
+        "leader must not trust a dead aggregator"
+    );
+    cluster.replace_aggregator();
+    let before = fanouts(&mut cluster);
+    cluster
+        .sim
+        .kill_at(fallback, SimTime::ZERO + SimDur::millis(320));
+    cluster.run_to_completion_checked();
+    let next = cluster.leader().expect("a third leader");
+    assert_ne!(next, fallback);
+    assert!(
+        confirmed(&cluster, next),
+        "the leader elected after the replacement adopts the new device"
+    );
+    let after = fanouts(&mut cluster);
+    assert!(
+        after > before,
+        "the device fans out again: {before} -> {after}"
     );
 }
 
