@@ -10,11 +10,17 @@
 //! Our measured Tx additionally includes the FEEDBACK message per reply
 //! when flow control is deployed (HovercRaft modes), and reply
 //! load-balancing is left on, so HovercRaft leader Tx ≈ (N-1) + 1/N + 1/N.
+//!
+//! The analytic counts are per *unbatched* request: one entry per
+//! AppendEntries. The leader ships once per batch of received input, so
+//! each cell also reports the measured batch — entries per data-carrying
+//! AppendEntries (an aggregator copy counts once) — which divides the
+//! per-follower append and ack terms.
 
 use std::fmt::Write as _;
 
 use hovercraft::PolicyKind;
-use testbed::{run_experiment, ClusterOpts, Setup};
+use testbed::{summarize, Cluster, ClusterOpts, ExpResult, ServerAgent, Setup};
 
 use crate::sweep::{Figure, Sweep};
 use crate::{with_windows, write_banner};
@@ -39,7 +45,11 @@ fn run(sw: &Sweep<'_>) -> String {
     let _ = writeln!(
         out,
         "{:>3} {:>9} | {:>24} | {:>24} | {:>24}",
-        "N", "load", "VanillaRaft rx/tx", "HovercRaft rx/tx", "HovercRaft++ rx/tx"
+        "N",
+        "load",
+        "VanillaRaft rx/tx/batch",
+        "HovercRaft rx/tx/batch",
+        "HovercRaft++ rx/tx/batch"
     );
     let ns = [3u32, 5, 7, 9];
     let setups = [
@@ -64,15 +74,15 @@ fn run(sw: &Sweep<'_>) -> String {
         .iter()
         .flat_map(|&(n, rate)| setups.map(|setup| with_windows(ClusterOpts::new(setup, n, rate))))
         .collect();
-    let results = sw.map(jobs, run_experiment);
+    let results = sw.map(jobs, run_cell);
     for (&(n, rate), row) in rows.iter().zip(results.chunks(setups.len())) {
         let mut cells = Vec::new();
-        for r in row {
+        for (r, batch) in row {
             let leader = r.leader.expect("leader") as usize;
             let c = r.server_counters[leader];
             let per = r.responses.max(1) as f64;
             cells.push(format!(
-                "{:>6.2} / {:<6.2}",
+                "{:>6.2} / {:<6.2} x{batch:<5.2}",
                 c.rx_msgs as f64 / per,
                 c.tx_msgs as f64 / per
             ));
@@ -88,5 +98,26 @@ fn run(sw: &Sweep<'_>) -> String {
     }
     let _ = writeln!(out);
     let _ = writeln!(out, "analytic (paper):   Raft rx=N, tx=N | HovercRaft rx=N, tx=(N-1)+1/N(+fb) | HC++ rx=2, tx=1+1/N(+fb)");
+    let _ = writeln!(out, "(analytic counts assume one entry per AppendEntries; xB = measured entries per AppendEntries)");
     out
+}
+
+/// Runs one cell and returns its summary with the mean batch over the
+/// measured window: entries per data-carrying AppendEntries (only leaders
+/// send those, so summing over every server needs no leader lookup).
+fn run_cell(opts: ClusterOpts) -> (ExpResult, f64) {
+    let mut c = Cluster::build(opts);
+    c.settle();
+    c.sim.run_until(c.opts().load_start + c.opts().warmup);
+    let sent = |c: &Cluster| {
+        c.servers.iter().fold((0, 0), |(a, e), &s| {
+            let st = c.sim.agent::<ServerAgent>(s).node().stats();
+            (a + st.appends_sent, e + st.entries_sent)
+        })
+    };
+    let (appends0, entries0) = sent(&c);
+    c.run_to_completion();
+    let (appends1, entries1) = sent(&c);
+    let batch = (entries1 - entries0) as f64 / (appends1 - appends0).max(1) as f64;
+    (summarize(&mut c), batch)
 }

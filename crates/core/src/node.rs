@@ -19,7 +19,8 @@
 //! Like the raft layer, the node is sans-io: every entry point returns
 //! [`Output`]s — packets to transmit and work to schedule on the
 //! application thread. The simulation harness (or a real runtime) owns the
-//! clock and the wires.
+//! clock and the wires, and decides when a batch of input has ended: new
+//! entries ship only when it calls [`HcNode::flush`].
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -96,6 +97,12 @@ pub struct HcStats {
     /// Pool entries examined by [`UnorderedPool::gc`]: the maintenance work
     /// the tick actually did (zero while nothing can expire).
     pub gc_examined: u64,
+    /// Data-carrying AppendEntries this node sent as leader (one aggregator
+    /// copy counts once).
+    pub appends_sent: u64,
+    /// Entries carried by those AppendEntries: `entries_sent /
+    /// appends_sent` is the mean batch.
+    pub entries_sent: u64,
 }
 
 /// Durable per-node state captured across a crash–restart: what a real
@@ -522,6 +529,20 @@ impl<S: Service> HcNode<S> {
         self.events.push_back(ev);
     }
 
+    /// Traces one AppendEntries leaving this node and counts it if it
+    /// carries entries.
+    fn note_append_sent(&mut self, dst: u32, entries: u64, commit: LogIndex) {
+        if entries > 0 {
+            self.stats.appends_sent += 1;
+            self.stats.entries_sent += entries;
+        }
+        self.push_event(ProtoEvent::AppendSent {
+            dst,
+            entries,
+            commit,
+        });
+    }
+
     // ---- accessors ---------------------------------------------------------
 
     /// This node's id (== its unicast network address).
@@ -622,7 +643,7 @@ impl<S: Service> HcNode<S> {
     ) {
         match msg {
             WireMsg::Request { id, kind, body } => {
-                self.on_request(id, kind, body, now, out, arena);
+                self.on_request(id, kind, body, now, out);
             }
             WireMsg::Raft(m) => self.on_raft(src, m, now, out, arena),
             WireMsg::RecoveryReq { id } => {
@@ -716,18 +737,12 @@ impl<S: Service> HcNode<S> {
         {
             self.incoming = None;
         }
-        self.try_announce(now, out, arena);
+        self.try_announce(now);
     }
 
     /// The application thread finished executing entry `index`. Outputs are
     /// appended to `out` (see [`HcNode::on_message`]).
-    pub fn on_exec_done(
-        &mut self,
-        index: LogIndex,
-        now: u64,
-        out: &mut Vec<Output>,
-        arena: &mut ByteArena,
-    ) {
+    pub fn on_exec_done(&mut self, index: LogIndex, now: u64, out: &mut Vec<Output>) {
         if index <= self.applied {
             // A snapshot install jumped the applied cursor past this
             // execution while it sat on the app thread. Its effects are
@@ -741,7 +756,7 @@ impl<S: Service> HcNode<S> {
         self.raft.set_applied(index);
         if self.is_leader() {
             self.ledger.observe_applied(self.id(), index);
-            self.try_announce(now, out, arena);
+            self.try_announce(now);
         }
         if let Some(p) = self.pending.remove(&index) {
             if p.respond {
@@ -770,6 +785,26 @@ impl<S: Service> HcNode<S> {
         self.maybe_snapshot(now);
     }
 
+    /// Ships every announced entry not yet sent to each follower whose
+    /// in-flight window is open — the only place new entries leave the
+    /// leader. Drivers call it when their input batch is exhausted (a
+    /// simulated node: its RX ring is empty), so under load one
+    /// AppendEntries per follower carries everything ordered meanwhile,
+    /// and an idle leader ships each request at once. Drivers without an
+    /// input queue call it after every entry point. A no-op on followers
+    /// and when nothing new is shippable.
+    pub fn flush(&mut self, now: u64, out: &mut Vec<Output>, arena: &mut ByteArena) {
+        // One pump ships at most `max_batch` entries per follower; repeat
+        // until a pump sends nothing.
+        loop {
+            let sent = self.stats.appends_sent;
+            self.with_raft(|r, a| r.pump_into(now, a), now, out, arena);
+            if self.stats.appends_sent == sent {
+                return;
+            }
+        }
+    }
+
     // ---- client requests ---------------------------------------------------
 
     fn on_request(
@@ -779,7 +814,6 @@ impl<S: Service> HcNode<S> {
         body: Bytes,
         now: u64,
         out: &mut Vec<Output>,
-        arena: &mut ByteArena,
     ) {
         self.stats.requests += 1;
         match self.cfg.mode {
@@ -806,7 +840,6 @@ impl<S: Service> HcNode<S> {
                     self.push_event(ProtoEvent::Proposed { index, id });
                     self.pool.insert(id, kind, body, now);
                     self.pool.mark_ordered(id);
-                    self.with_raft(|r, a| r.pump_into(now, a), now, out, arena);
                 }
             }
             Mode::Hovercraft | Mode::HovercraftPp => {
@@ -826,7 +859,7 @@ impl<S: Service> HcNode<S> {
                     if let Ok(index) = self.raft.propose(Cmd::meta(desc)) {
                         self.push_event(ProtoEvent::Proposed { index, id });
                         self.pool.mark_ordered(id);
-                        self.try_announce(now, out, arena);
+                        self.try_announce(now);
                     }
                 }
             }
@@ -904,7 +937,7 @@ impl<S: Service> HcNode<S> {
         }
         let from = Self::raft_peer_of(src, &m);
         self.with_raft(|r, a| r.step_into(from, m, now, a), now, out, arena);
-        self.try_announce(now, out, arena);
+        self.try_announce(now);
     }
 
     /// The Raft-level peer a message is from. Replies carry an explicit
@@ -972,17 +1005,16 @@ impl<S: Service> HcNode<S> {
                     arena,
                 );
             }
-            self.try_announce(now, out, arena);
+            self.try_announce(now);
         } else {
             self.with_raft(|r, a| r.observe_commit_into(commit, a), now, out, arena);
         }
     }
 
     /// Runs `f` against the raft core with the node's reusable action
-    /// scratch, then drains the produced actions. Re-entrant paths
-    /// (drain → became-leader → announce → pump) see an empty buffer via
-    /// `std::mem::take` and fall back to a fresh allocation — rare enough
-    /// (role changes only) that steady state never allocates here.
+    /// scratch, then drains the produced actions, so steady state never
+    /// allocates here. (A re-entrant call would see an empty buffer via
+    /// `std::mem::take` and fall back to a fresh allocation.)
     fn with_raft(
         &mut self,
         f: impl FnOnce(&mut RaftNode<Cmd>, &mut Vec<Action<Cmd>>),
@@ -1026,11 +1058,7 @@ impl<S: Service> HcNode<S> {
                             leader_commit,
                             ..
                         } if !self.use_aggregator(to) => {
-                            self.push_event(ProtoEvent::AppendSent {
-                                dst: to,
-                                entries: entries.len() as u64,
-                                commit: *leader_commit,
-                            });
+                            self.note_append_sent(to, entries.len() as u64, *leader_commit);
                         }
                         _ => {}
                     }
@@ -1058,7 +1086,7 @@ impl<S: Service> HcNode<S> {
                 }
                 Action::BecameLeader { term } => {
                     self.push_event(ProtoEvent::BecameLeader { term });
-                    self.on_became_leader(now, out, arena);
+                    self.on_became_leader(now, out);
                 }
                 Action::BecameFollower { term } => {
                     self.push_event(ProtoEvent::BecameFollower { term });
@@ -1125,11 +1153,7 @@ impl<S: Service> HcNode<S> {
                 ..
             } = &msg
             {
-                self.push_event(ProtoEvent::AppendSent {
-                    dst: agg,
-                    entries: entries.len() as u64,
-                    commit: *leader_commit,
-                });
+                self.note_append_sent(agg, entries.len() as u64, *leader_commit);
             }
             out.push(Output::Send {
                 dst: agg,
@@ -1143,11 +1167,7 @@ impl<S: Service> HcNode<S> {
                     ..
                 } = &msg
                 {
-                    self.push_event(ProtoEvent::AppendSent {
-                        dst: to,
-                        entries: entries.len() as u64,
-                        commit: *leader_commit,
-                    });
+                    self.note_append_sent(to, entries.len() as u64, *leader_commit);
                 }
                 out.push(Output::Send {
                     dst: to,
@@ -1157,7 +1177,7 @@ impl<S: Service> HcNode<S> {
         }
     }
 
-    fn on_became_leader(&mut self, now: u64, out: &mut Vec<Output>, arena: &mut ByteArena) {
+    fn on_became_leader(&mut self, now: u64, out: &mut Vec<Output>) {
         self.ledger.reset();
         self.stalled_members.clear();
         self.xfers.clear();
@@ -1209,7 +1229,7 @@ impl<S: Service> HcNode<S> {
                 });
             }
         }
-        self.try_announce(now, out, arena);
+        self.try_announce(now);
     }
 
     /// Highest contiguous log index whose replier is already assigned.
@@ -1225,14 +1245,11 @@ impl<S: Service> HcNode<S> {
     }
 
     /// §3.3–3.4: stamp repliers into fresh entries (bounded queues + policy)
-    /// and raise the replication ceiling over them, then ship.
-    fn try_announce(&mut self, now: u64, out: &mut Vec<Output>, arena: &mut ByteArena) {
-        if !self.is_leader() {
-            return;
-        }
-        if !self.cfg.mode.is_hovercraft() {
-            // Vanilla mode replicates unconditionally (infinite ceiling).
-            self.with_raft(|r, a| r.pump_into(now, a), now, out, arena);
+    /// and raise the replication ceiling over them; the next
+    /// [`HcNode::flush`] ships them. Vanilla mode has nothing to do here:
+    /// its ceiling is infinite.
+    fn try_announce(&mut self, now: u64) {
+        if !self.is_leader() || !self.cfg.mode.is_hovercraft() {
             return;
         }
         let last = self.raft.log().last_index();
@@ -1283,7 +1300,6 @@ impl<S: Service> HcNode<S> {
             self.raft.set_ceiling(ceiling);
             self.push_event(ProtoEvent::Announced { upto: ceiling });
         }
-        self.with_raft(|r, a| r.pump_into(now, a), now, out, arena);
     }
 
     /// Emits one [`ProtoEvent::ReplierStalled`] / [`ProtoEvent::ReplierRecovered`]
@@ -1820,7 +1836,7 @@ impl<S: Service> HcNode<S> {
             });
             let mut actions = self.raft.on_snapshot_installed(from, snap_index, now);
             self.drain(&mut actions, now, out, arena);
-            self.try_announce(now, out, arena);
+            self.try_announce(now);
         } else {
             // Cumulative: a lower-than-acked offset legitimately rewinds
             // the stream (the follower restarted and lost its buffer).

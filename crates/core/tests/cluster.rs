@@ -94,6 +94,21 @@ impl Cluster {
         }
     }
 
+    /// Runs one entry point of `node` followed by [`HcNode::flush`] — the
+    /// bus has no receive queue, so every entry point ends a batch — and
+    /// returns the outputs.
+    fn enter(
+        &mut self,
+        node: u32,
+        entry: impl FnOnce(&mut HcNode<EchoService>, u64, &mut Vec<Output>, &mut bytes::ByteArena),
+    ) -> Vec<Output> {
+        let mut outs = Vec::new();
+        let nd = &mut self.nodes[node as usize];
+        entry(nd, self.now, &mut outs, &mut self.arena);
+        nd.flush(self.now, &mut outs, &mut self.arena);
+        outs
+    }
+
     fn handle_outputs(&mut self, node: u32, outs: Vec<Output>) {
         for o in outs {
             match o {
@@ -101,13 +116,8 @@ impl Cluster {
                 Output::Execute { index, .. } => {
                     // Logical harness: app work completes instantly and in
                     // order.
-                    let mut outs = Vec::new();
-                    self.nodes[node as usize].on_exec_done(
-                        index,
-                        self.now,
-                        &mut outs,
-                        &mut self.arena,
-                    );
+                    let outs =
+                        self.enter(node, |nd, now, outs, _| nd.on_exec_done(index, now, outs));
                     self.handle_outputs(node, outs);
                 }
             }
@@ -122,8 +132,9 @@ impl Cluster {
             self.bus.rx[node as usize] += 1;
         }
         let agg_commit = matches!(msg, WireMsg::AggCommit { .. });
-        let mut outs = Vec::new();
-        self.nodes[node as usize].on_message(src, msg, self.now, &mut outs, &mut self.arena);
+        let outs = self.enter(node, |nd, now, outs, arena| {
+            nd.on_message(src, msg, now, outs, arena)
+        });
         if agg_commit {
             self.appends_on_agg_commit += outs
                 .iter()
@@ -147,8 +158,7 @@ impl Cluster {
             if !self.alive[id] {
                 continue;
             }
-            let mut outs = Vec::new();
-            self.nodes[id].tick(self.now, &mut outs, &mut self.arena);
+            let outs = self.enter(id as u32, |nd, now, outs, arena| nd.tick(now, outs, arena));
             self.handle_outputs(id as u32, outs);
         }
         let mut due = Vec::new();
@@ -413,6 +423,77 @@ fn agg_commit_is_the_commit_notification() {
     assert_eq!(tc.appends_on_agg_commit, 0);
     for n in &tc.nodes {
         assert_eq!(n.service().writes, 50, "every replica applied everything");
+    }
+}
+
+/// The AppendEntries in `outs` that carry entries, as (destination, entry
+/// count).
+fn data_appends(outs: &[Output]) -> Vec<(u32, usize)> {
+    let mut v: Vec<(u32, usize)> = outs
+        .iter()
+        .filter_map(|o| match o {
+            Output::Send {
+                dst,
+                msg: WireMsg::Raft(raft::Message::AppendEntries { entries, .. }),
+            } if !entries.is_empty() => Some((*dst, entries.len())),
+            _ => None,
+        })
+        .collect();
+    v.sort_unstable();
+    v
+}
+
+#[test]
+fn one_flush_ships_a_whole_batch_in_one_append_per_follower() {
+    const K: usize = 7;
+    for mode in [Mode::Vanilla, Mode::Hovercraft, Mode::HovercraftPp] {
+        let mut tc = settle(mode, 5);
+        // Warm-up: HC++ routes through the aggregator once it answered the
+        // leader's probe and an entry of the term has committed.
+        for i in 0..5u64 {
+            tc.send(OpKind::ReadWrite, &i.to_le_bytes());
+            tc.run_ms(5);
+        }
+        let l = tc.leader().expect("leader") as usize;
+        let now = tc.now;
+        let mut idle = Vec::new();
+        tc.c.nodes[l].flush(now, &mut idle, &mut tc.c.arena);
+        assert!(idle.is_empty(), "{mode:?}: nothing new, nothing sent");
+
+        let before = tc.nodes[l].stats();
+        let mut outs = Vec::new();
+        for i in 0..K as u64 {
+            let msg = WireMsg::Request {
+                id: tc.c.alloc.allocate(),
+                kind: OpKind::ReadWrite,
+                body: Bytes::copy_from_slice(&(100 + i).to_le_bytes()),
+            };
+            tc.c.nodes[l].on_message(CLIENT, msg, now, &mut outs, &mut tc.c.arena);
+        }
+        assert_eq!(
+            data_appends(&outs),
+            [],
+            "{mode:?}: requests alone ship nothing"
+        );
+        tc.c.nodes[l].flush(now, &mut outs, &mut tc.c.arena);
+        let expected: Vec<(u32, usize)> = match mode {
+            Mode::HovercraftPp => vec![(AGG, K)],
+            _ => (0..5).filter(|&n| n != l as u32).map(|n| (n, K)).collect(),
+        };
+        assert_eq!(data_appends(&outs), expected, "{mode:?}");
+        let after = tc.nodes[l].stats();
+        assert_eq!(
+            after.appends_sent - before.appends_sent,
+            expected.len() as u64
+        );
+        assert_eq!(
+            after.entries_sent - before.entries_sent,
+            (expected.len() * K) as u64
+        );
+
+        let mut again = Vec::new();
+        tc.c.nodes[l].flush(now, &mut again, &mut tc.c.arena);
+        assert!(again.is_empty(), "{mode:?}: a second flush has nothing new");
     }
 }
 
@@ -784,6 +865,8 @@ fn drained_only_take_snapshot_fallback_edges() {
         &mut outs,
         &mut arena,
     );
+    // Shipping is what commits on a group of one.
+    node.flush(now, &mut outs, &mut arena);
     park(outs, &mut execs);
     assert_eq!(execs, vec![1], "the request is issued to the app thread");
     assert_eq!(node.applied_index(), 0, "execution has not completed");
@@ -797,7 +880,7 @@ fn drained_only_take_snapshot_fallback_edges() {
 
     // Drain, then the fallback works at the applied index.
     let mut outs = Vec::new();
-    node.on_exec_done(1, now, &mut outs, &mut arena);
+    node.on_exec_done(1, now, &mut outs);
     park(outs, &mut execs);
     assert_eq!(node.applied_index(), 1);
     node.take_snapshot(now);
@@ -829,9 +912,10 @@ fn drained_only_take_snapshot_fallback_edges() {
         &mut outs,
         &mut arena,
     );
+    node.flush(now, &mut outs, &mut arena);
     park(outs, &mut execs);
     let mut outs = Vec::new();
-    node.on_exec_done(2, now, &mut outs, &mut arena);
+    node.on_exec_done(2, now, &mut outs);
     park(outs, &mut execs);
     node.take_snapshot(now);
     assert_eq!(node.snapshot_index(), 2, "back-to-back horizon advances");

@@ -3,13 +3,13 @@
 //! invariant and the unordered pool against its reference model, under
 //! arbitrary event sequences.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hash::Hasher;
 
-use bytes::Bytes;
+use bytes::{ByteArena, Bytes};
 use hovercraft::{
-    Aggregator, Cmd, EntryDesc, OpKind, PolicyKind, PooledReq, ReplierLedger, UnorderedPool,
-    WireMsg,
+    Aggregator, Cmd, EchoService, EntryDesc, HcConfig, HcNode, Mode, OpKind, Output, PolicyKind,
+    PooledReq, ReplierLedger, UnorderedPool, WireMsg,
 };
 use proptest::prelude::*;
 use r2p2::ReqId;
@@ -218,6 +218,76 @@ fn seen(r: Option<&PooledReq>) -> Option<(OpKind, Vec<u8>, u64)> {
     r.map(|r| (r.kind, r.body.to_vec(), r.arrived))
 }
 
+/// When [`hand_elected_leader`] wins its election; far enough out that the
+/// first tick fires the election timer.
+const ELECTED_AT: u64 = 1 << 41;
+
+/// Node 0 of a three-node HovercRaft group, elected leader of term 1 by
+/// feeding it its peers' votes. Batches of two, an in-flight window of five
+/// and a replier bound of three make a handful of requests fill each; the
+/// election timeout is out of reach, so check-quorum never deposes it.
+fn hand_elected_leader() -> HcNode<EchoService> {
+    let mut rc = raft::Config::new(0, vec![0, 1, 2]);
+    rc.election_timeout_min = ELECTED_AT / 2;
+    rc.election_timeout_max = ELECTED_AT;
+    rc.max_batch = 2;
+    rc.max_inflight = 5;
+    let mut cfg = HcConfig::new(rc, Mode::Hovercraft);
+    cfg.bound = 3;
+    let mut node = HcNode::new(cfg, EchoService::default(), 0);
+    let (mut out, mut arena) = (Vec::new(), ByteArena::new());
+    node.tick(ELECTED_AT, &mut out, &mut arena);
+    for vote in [
+        Message::PreVoteReply {
+            term: 1,
+            granted: true,
+        },
+        Message::RequestVoteReply {
+            term: 1,
+            granted: true,
+        },
+    ] {
+        node.on_message(1, WireMsg::Raft(vote), ELECTED_AT, &mut out, &mut arena);
+    }
+    assert!(node.is_leader());
+    node
+}
+
+/// Records what a leader entry point emitted: the highest index each node
+/// has been sent and the executions queued for the application thread.
+/// Fails if an AppendEntries carries an entry with no replier, or if an
+/// entry point that is not allowed to ship (`may_ship == false`) did.
+fn absorb(
+    outs: Vec<Output>,
+    may_ship: bool,
+    shipped: &mut [LogIndex; 3],
+    app: &mut VecDeque<LogIndex>,
+) -> TestCaseResult {
+    for o in outs {
+        match o {
+            Output::Send {
+                dst,
+                msg:
+                    WireMsg::Raft(Message::AppendEntries {
+                        prev_log_index,
+                        entries,
+                        ..
+                    }),
+            } if !entries.is_empty() => {
+                prop_assert!(may_ship, "entries left outside a flush or a heartbeat");
+                for e in &entries {
+                    prop_assert!(e.cmd.desc.replier.is_some(), "entry {} unstamped", e.index);
+                }
+                let hi = prev_log_index + entries.len() as u64;
+                shipped[dst as usize] = shipped[dst as usize].max(hi);
+            }
+            Output::Execute { index, .. } => app.push_back(index),
+            Output::Send { .. } => {}
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     /// The aggregator's commit register is monotone within a term, never
     /// exceeds the announced horizon, and fan-out never targets the leader.
@@ -354,6 +424,82 @@ proptest! {
                 prop_assert!(pool.is_archived(*a));
             }
             prop_assert_eq!(pool.archived_len(), archived.len());
+        }
+    }
+
+    /// Shipping happens at the end of a batch, not per request: over any
+    /// interleaving of client requests, follower acks, ticks, application
+    /// completions and flushes, only a flush (or a heartbeat) puts entries
+    /// on the wire, and after a final flush every announced entry is in
+    /// flight to every follower whose window still has room.
+    #[test]
+    fn final_flush_leaves_no_announced_entry_unsent(
+        ops in proptest::collection::vec((0u8..5, 0u64..1_000), 1..150),
+    ) {
+        let mut node = hand_elected_leader();
+        let mut arena = ByteArena::new();
+        let mut now = ELECTED_AT;
+        let mut shipped = [0 as LogIndex; 3];
+        let mut app = VecDeque::new();
+        let mut rid = 0u16;
+        for (op, val) in ops {
+            let mut out = Vec::new();
+            match op {
+                0 => {
+                    rid += 1;
+                    let req = WireMsg::Request {
+                        id: ReqId::new(9, 9, rid),
+                        kind: OpKind::ReadWrite,
+                        body: Bytes::from(rid.to_le_bytes().to_vec()),
+                    };
+                    node.on_message(9, req, now, &mut out, &mut arena);
+                }
+                1 => {
+                    // A follower acks some prefix of what it was sent.
+                    let f = 1 + (val % 2) as u32;
+                    let matched = node.raft().progress(f).map_or(0, |p| p.matched);
+                    let sent = shipped[f as usize].max(matched);
+                    let m = matched + val % (sent - matched + 1);
+                    let ack = Message::AppendEntriesReply {
+                        term: 1,
+                        success: true,
+                        match_index: m,
+                        conflict_index: 0,
+                        applied_index: m.min(node.raft().commit_index()),
+                        from: f,
+                    };
+                    node.on_message(f, WireMsg::Raft(ack), now, &mut out, &mut arena);
+                }
+                2 => {
+                    now += val * 1_000;
+                    node.tick(now, &mut out, &mut arena);
+                }
+                3 => {
+                    if let Some(index) = app.pop_front() {
+                        node.on_exec_done(index, now, &mut out);
+                    }
+                }
+                _ => node.flush(now, &mut out, &mut arena),
+            }
+            absorb(out, op == 2 || op == 4, &mut shipped, &mut app)?;
+        }
+        let mut out = Vec::new();
+        node.flush(now, &mut out, &mut arena);
+        absorb(out, true, &mut shipped, &mut app)?;
+
+        let raft = node.raft();
+        prop_assert!(raft.is_leader());
+        let announced = raft.log().last_index().min(raft.ceiling());
+        let window = raft.config().max_inflight as u64;
+        for f in [1u32, 2] {
+            let p = raft.progress(f).expect("the leader tracks every follower");
+            if p.next <= p.matched + window {
+                prop_assert!(
+                    shipped[f as usize] >= announced,
+                    "follower {} has room (next {}, matched {}) but was sent up to {} of {} announced",
+                    f, p.next, p.matched, shipped[f as usize], announced
+                );
+            }
         }
     }
 

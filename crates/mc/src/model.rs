@@ -45,6 +45,23 @@ fn with_arena<R>(f: impl FnOnce(&mut ByteArena) -> R) -> R {
     SCRATCH_ARENA.with(|a| f(&mut a.borrow_mut()))
 }
 
+/// Runs one node entry point and then [`HcNode::flush`], returning the
+/// outputs. The model has no RX ring to batch over, so every step ends a
+/// batch: the leader ships what the step announced before anything else
+/// can happen.
+fn step_node(
+    node: &mut HcNode<EchoService>,
+    now: u64,
+    entry: impl FnOnce(&mut HcNode<EchoService>, &mut Vec<Output>, &mut ByteArena),
+) -> Vec<Output> {
+    with_arena(|arena| {
+        let mut outs = Vec::new();
+        entry(node, &mut outs, arena);
+        node.flush(now, &mut outs, arena);
+        outs
+    })
+}
+
 /// One schedulable step of the model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum McAction {
@@ -291,22 +308,15 @@ impl ModelState {
                 };
                 let body = Bytes::from(vec![b'k', k]);
                 for n in 0..N_NODES as usize {
-                    if self.nodes[n].is_some() {
+                    if let Some(node) = self.nodes[n].as_mut() {
                         let now = self.clock[n];
-                        let outs = with_arena(|arena| {
-                            let mut outs = Vec::new();
-                            self.nodes[n].as_mut().expect("live").on_message(
-                                CLIENT_ADDR,
-                                WireMsg::Request {
-                                    id,
-                                    kind,
-                                    body: body.clone(),
-                                },
-                                now,
-                                &mut outs,
-                                arena,
-                            );
-                            outs
+                        let request = WireMsg::Request {
+                            id,
+                            kind,
+                            body: body.clone(),
+                        };
+                        let outs = step_node(node, now, |nd, outs, arena| {
+                            nd.on_message(CLIENT_ADDR, request, now, outs, arena)
                         });
                         self.run_outputs(n as u32, outs)?;
                     }
@@ -332,15 +342,8 @@ impl ModelState {
                 self.ticks_used[n] += 1;
                 self.clock[n] += TICK_QUANTUM;
                 let now = self.clock[n];
-                if self.nodes[n].is_some() {
-                    let outs = with_arena(|arena| {
-                        let mut outs = Vec::new();
-                        self.nodes[n]
-                            .as_mut()
-                            .expect("live")
-                            .tick(now, &mut outs, arena);
-                        outs
-                    });
+                if let Some(node) = self.nodes[n].as_mut() {
+                    let outs = step_node(node, now, |nd, outs, arena| nd.tick(now, outs, arena));
                     self.run_outputs(n as u32, outs)?;
                 }
                 let _ = mutation;
@@ -392,13 +395,9 @@ impl ModelState {
             return Ok(());
         }
         let now = self.clock[n];
-        let outs = with_arena(|arena| {
-            let mut outs = Vec::new();
-            self.nodes[n]
-                .as_mut()
-                .expect("live")
-                .on_message(env.src, env.msg, now, &mut outs, arena);
-            outs
+        let node = self.nodes[n].as_mut().expect("live");
+        let outs = step_node(node, now, |nd, outs, arena| {
+            nd.on_message(env.src, env.msg, now, outs, arena)
         });
         self.run_outputs(env.dst, outs)
     }
@@ -423,14 +422,9 @@ impl ModelState {
                 Output::Execute { index, .. } => {
                     let n = src as usize;
                     let now = self.clock[n];
-                    let more = with_arena(|arena| {
-                        let mut more = Vec::new();
-                        self.nodes[n]
-                            .as_mut()
-                            .expect("executing node is live")
-                            .on_exec_done(index, now, &mut more, arena);
-                        more
-                    });
+                    let node = self.nodes[n].as_mut().expect("executing node is live");
+                    let more =
+                        step_node(node, now, |nd, more, _| nd.on_exec_done(index, now, more));
                     // FIFO: effects of this completion run before any
                     // later queued execution.
                     for (k, o) in more.into_iter().enumerate() {

@@ -73,6 +73,7 @@ pub struct Ctx<'a, M> {
     pub(crate) now: SimTime,
     pub(crate) node: NodeId,
     pub(crate) thread: ThreadClass,
+    pub(crate) rx_backlog: u32,
     pub(crate) effects: &'a mut Vec<Effect<M>>,
     pub(crate) rng: &'a mut SmallRng,
     pub(crate) next_timer: &'a mut u64,
@@ -96,6 +97,15 @@ impl<'a, M> Ctx<'a, M> {
     #[inline]
     pub fn thread(&self) -> ThreadClass {
         self.thread
+    }
+
+    /// Packets already in the node's RX ring behind the one being handled
+    /// (or, from a timer or application handler, waiting in it): the ring
+    /// occupancy a real driver sees after a poll. 0 means the network
+    /// thread has caught up with its input — the end of an RX batch.
+    #[inline]
+    pub fn rx_backlog(&self) -> u32 {
+        self.rx_backlog
     }
 
     /// The node's deterministic random-number generator.

@@ -766,6 +766,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                 now: self.now,
                 node,
                 thread,
+                rx_backlog: slot.net_backlog,
                 effects: &mut effects,
                 rng: &mut slot.rng,
                 next_timer: &mut slot.next_timer,

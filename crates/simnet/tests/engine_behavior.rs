@@ -869,3 +869,117 @@ fn same_instant_timers_fire_in_arming_order() {
         vec![0, 1, 2, 3, 4, 5, 100, 101]
     );
 }
+
+// ---- RX ring occupancy seen by handlers --------------------------------------
+
+/// Records [`Ctx::rx_backlog`] as every handler sees it.
+struct BacklogProbe {
+    /// Arm one timer and one application work item at start.
+    idle_work: bool,
+    /// (handler, backlog, when)
+    seen: Vec<(&'static str, u32, SimTime)>,
+}
+impl BacklogProbe {
+    fn new(idle_work: bool) -> Self {
+        BacklogProbe {
+            idle_work,
+            seen: Vec::new(),
+        }
+    }
+}
+impl Agent<Msg> for BacklogProbe {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        if self.idle_work {
+            ctx.set_timer(SimDur::micros(100), 0);
+            ctx.exec_app(SimDur::micros(5), 0);
+        }
+    }
+    fn on_packet(&mut self, _pkt: Packet<Msg>, ctx: &mut Ctx<'_, Msg>) {
+        self.seen.push(("packet", ctx.rx_backlog(), ctx.now()));
+    }
+    fn on_timer(&mut self, _id: TimerId, _kind: u64, ctx: &mut Ctx<'_, Msg>) {
+        self.seen.push(("timer", ctx.rx_backlog(), ctx.now()));
+    }
+    fn on_app_done(&mut self, _token: u64, ctx: &mut Ctx<'_, Msg>) {
+        self.seen.push(("app", ctx.rx_backlog(), ctx.now()));
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// The backlogs `handler` saw on `node`, in order.
+fn backlogs(s: &Sim<Msg>, node: u32, handler: &str) -> Vec<u32> {
+    let seen = &s.agent::<BacklogProbe>(node).seen;
+    seen.iter()
+        .filter(|e| e.0 == handler)
+        .map(|e| e.1)
+        .collect()
+}
+
+/// A NIC whose 20 µs of RX processing per packet lets a burst queue up.
+fn slow_rx() -> NicParams {
+    NicParams {
+        rx_cpu_per_frag: SimDur::micros(20),
+        ..NicParams::default()
+    }
+}
+
+#[test]
+fn rx_backlog_counts_down_through_a_burst() {
+    let mut s = sim();
+    let srv = s.add_node_with(Box::new(BacklogProbe::new(false)), slow_rx());
+    s.add_node(Box::new(Pinger::new(Addr::node(srv), 5, 64, SimDur::ZERO)));
+    s.run_for(SimDur::millis(1));
+    assert_eq!(backlogs(&s, srv, "packet"), vec![4, 3, 2, 1, 0]);
+}
+
+#[test]
+fn rx_backlog_is_zero_for_timers_and_app_work_on_an_idle_node() {
+    let mut s = sim();
+    let srv = s.add_node(Box::new(BacklogProbe::new(true)));
+    s.run_for(SimDur::millis(1));
+    assert_eq!(backlogs(&s, srv, "timer"), vec![0]);
+    assert_eq!(backlogs(&s, srv, "app"), vec![0]);
+}
+
+#[test]
+fn rx_backlog_is_zero_after_a_restart_drops_the_queued_packets() {
+    let mut s = sim();
+    let srv = s.add_node_with(Box::new(BacklogProbe::new(true)), slow_rx());
+    let cli = s.add_node(Box::new(Pinger::new(Addr::node(srv), 5, 64, SimDur::ZERO)));
+    s.set_restart_hook(Box::new(|_node, _now, old| old));
+    // After the first delivery, with four packets still in the ring.
+    let restart = SimTime::ZERO + SimDur::micros(30);
+    s.restart_at(srv, restart);
+    s.run_for(SimDur::millis(1));
+    s.inject(cli, Addr::node(srv), 64, Msg::Ping(9));
+    s.run_for(SimDur::millis(1));
+    let seen = &s.agent::<BacklogProbe>(srv).seen;
+    let before: Vec<u32> = seen
+        .iter()
+        .filter(|e| e.0 == "packet" && e.2 < restart)
+        .map(|e| e.1)
+        .collect();
+    assert_eq!(before, vec![4], "the restart hit a non-empty ring");
+    let after: Vec<(&str, u32)> = seen
+        .iter()
+        .filter(|e| e.2 >= restart)
+        .map(|e| (e.0, e.1))
+        .collect();
+    assert_eq!(after, vec![("app", 0), ("timer", 0), ("packet", 0)]);
+}
+
+#[test]
+fn stalled_deliveries_count_down_on_resume() {
+    let mut s = sim();
+    let srv = s.add_node(Box::new(BacklogProbe::new(false)));
+    s.add_node(Box::new(Pinger::new(Addr::node(srv), 5, 64, SimDur::ZERO)));
+    s.pause_at(srv, SimTime::ZERO);
+    s.resume_at(srv, SimTime::ZERO + SimDur::micros(500));
+    s.run_for(SimDur::millis(1));
+    assert_eq!(backlogs(&s, srv, "packet"), vec![4, 3, 2, 1, 0]);
+}

@@ -3,6 +3,7 @@
 
 use std::any::Any;
 
+use bytes::ByteArena;
 use hovercraft::{HcConfig, HcNode, Output, Service, WireMsg};
 use simnet::{Addr, Agent, Ctx, Packet, SimDur, TimerId, Tracer};
 
@@ -83,6 +84,28 @@ impl ServerAgent {
         &mut self.node
     }
 
+    /// Runs one node entry point, then — if the RX ring is empty, i.e. this
+    /// handler ends the network thread's current batch of input — ships
+    /// what the batch announced ([`HcNode::flush`]), and carries out and
+    /// traces the outputs. Under load the ring is rarely empty, so one
+    /// AppendEntries per follower carries a whole batch of entries; at low
+    /// load every request ships at once.
+    fn handle(
+        &mut self,
+        ctx: &mut Ctx<'_, WireMsg>,
+        entry: impl FnOnce(&mut HcNode<Box<dyn Service>>, u64, &mut Vec<Output>, &mut ByteArena),
+    ) {
+        let now = ctx.now().as_nanos();
+        let mut outs = std::mem::take(&mut self.outs);
+        entry(&mut self.node, now, &mut outs, ctx.arena());
+        if ctx.rx_backlog() == 0 {
+            self.node.flush(now, &mut outs, ctx.arena());
+        }
+        self.outs = outs;
+        self.run(ctx);
+        self.flush_events(ctx);
+    }
+
     /// Carries out the outputs accumulated in `self.outs`, draining the
     /// buffer in place (capacity is retained for the next entry point).
     fn run(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
@@ -144,36 +167,21 @@ impl Agent<WireMsg> for ServerAgent {
     }
 
     fn on_packet(&mut self, pkt: Packet<WireMsg>, ctx: &mut Ctx<'_, WireMsg>) {
-        let mut outs = std::mem::take(&mut self.outs);
-        self.node.on_message(
-            pkt.src.0,
-            pkt.payload,
-            ctx.now().as_nanos(),
-            &mut outs,
-            ctx.arena(),
-        );
-        self.outs = outs;
-        self.run(ctx);
-        self.flush_events(ctx);
+        self.handle(ctx, |node, now, outs, arena| {
+            node.on_message(pkt.src.0, pkt.payload, now, outs, arena)
+        });
     }
 
     fn on_timer(&mut self, _id: TimerId, kind: u64, ctx: &mut Ctx<'_, WireMsg>) {
         debug_assert_eq!(kind, TICK);
-        let mut outs = std::mem::take(&mut self.outs);
-        self.node.tick(ctx.now().as_nanos(), &mut outs, ctx.arena());
-        self.outs = outs;
-        self.run(ctx);
-        self.flush_events(ctx);
+        self.handle(ctx, |node, now, outs, arena| node.tick(now, outs, arena));
         ctx.set_timer(TICK_INTERVAL, TICK);
     }
 
     fn on_app_done(&mut self, token: u64, ctx: &mut Ctx<'_, WireMsg>) {
-        let mut outs = std::mem::take(&mut self.outs);
-        self.node
-            .on_exec_done(token, ctx.now().as_nanos(), &mut outs, ctx.arena());
-        self.outs = outs;
-        self.run(ctx);
-        self.flush_events(ctx);
+        self.handle(ctx, |node, now, outs, _| {
+            node.on_exec_done(token, now, outs)
+        });
     }
 
     fn as_any(&self) -> &dyn Any {

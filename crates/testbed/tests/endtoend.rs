@@ -73,6 +73,27 @@ fn moderate_load_all_setups_keep_up() {
 }
 
 #[test]
+fn small_deployment_meets_the_slo_at_950_krps() {
+    // `hcbench`'s `small`: HovercRaft N = 5, 24 B requests, 8 B replies,
+    // S = 1 µs, four clients. One AppendEntries per follower per request
+    // (plus its ack) costs the leader's network thread ≈ 1.14 µs per
+    // request and caps it near 877 kRPS; shipping once per RX batch moves
+    // the bound to the application thread (≈ 988 kRPS).
+    let mut o = quick(Setup::Hovercraft(PolicyKind::Jbsq), 5, 950_000.0);
+    o.clients = 4;
+    o.warmup = SimDur::millis(15);
+    o.measure = SimDur::millis(60);
+    let r = run_experiment_checked(o);
+    assert!(r.p99_ns <= 500_000, "p99 = {} ns", r.p99_ns);
+    assert!(
+        r.responses as f64 >= 0.98 * r.sent as f64,
+        "{} of {} answered",
+        r.responses,
+        r.sent
+    );
+}
+
+#[test]
 fn reply_lb_shares_reply_traffic() {
     // 6kB replies at a load past a single NIC's reply capacity: only works
     // if followers answer clients too.
