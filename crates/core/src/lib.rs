@@ -46,7 +46,7 @@ pub use cmd::{Cmd, EntryDesc, OpKind};
 pub use config::{HcConfig, Mode};
 pub use flowctl::{FcDecision, FcStats, FlowControl, DEFAULT_RECLAIM_NS};
 pub use msg::{AggStatus, WireMsg};
-pub use node::{DurableState, HcNode, HcStats, Output, RestoreRejected};
+pub use node::{DurableState, HcNode, HcStats, Input, Output, RestoreRejected};
 pub use policy::{PolicyKind, ReplierLedger};
 pub use pool::{PooledReq, UnorderedPool};
 pub use service::{EchoService, Executed, Service};

@@ -16,13 +16,13 @@
 //! * in HovercRaft++ mode, AppendEntries are routed through the in-network
 //!   aggregator and `AGG_COMMIT` messages are folded back into Raft (§4).
 //!
-//! Like the raft layer, the node is sans-io: every entry point returns
-//! [`Output`]s — packets to transmit and work to schedule on the
-//! application thread. The simulation harness (or a real runtime) owns the
-//! clock and the wires, and decides when a batch of input has ended: new
-//! entries ship only when it calls [`HcNode::flush`].
+//! Like the raft layer, the node is sans-io, with one entry point:
+//! [`HcNode::step`] takes an [`Input`] and returns [`Output`]s — packets
+//! to transmit and work to schedule on the application thread. The driver
+//! owns the clock and the wires, and says whether a step ends a batch of
+//! input: new entries ship only then. [`HcNode::drain_events`] yields the
+//! step's protocol events until the next step replaces them.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use fxhash::{FxHashMap, FxHashSet};
@@ -41,11 +41,22 @@ use crate::pool::UnorderedPool;
 use crate::service::Service;
 use crate::trace::ProtoEvent;
 
-/// Bound on the internal protocol-event buffer. Drivers that trace drain it
-/// after every entry point, so it stays tiny; drivers that don't (unit
-/// tests, benches) must not leak memory, so the oldest events are dropped
-/// past this point.
-const EVENT_BUF_CAP: usize = 8192;
+/// One protocol input to [`HcNode::step`].
+#[derive(Debug)]
+pub enum Input {
+    /// A message arrived from network address `src`.
+    Message {
+        /// Sender's network address.
+        src: u32,
+        /// The message.
+        msg: WireMsg,
+    },
+    /// Periodic maintenance (elections, heartbeats, GC, retries); drive it
+    /// a few times per Raft heartbeat interval.
+    Tick,
+    /// The application thread finished executing this log index.
+    ExecDone(LogIndex),
+}
 
 /// An effect the driver must carry out for the node.
 #[derive(Clone, Debug)]
@@ -58,8 +69,8 @@ pub enum Output {
         /// The message.
         msg: WireMsg,
     },
-    /// Charge `cost_ns` to the application thread, then call
-    /// [`HcNode::on_exec_done`] with `index`.
+    /// Charge `cost_ns` to the application thread, then feed back
+    /// [`Input::ExecDone`]`(index)`.
     Execute {
         /// The log entry being applied.
         index: LogIndex,
@@ -283,8 +294,8 @@ pub struct HcNode<S> {
     /// aggregator, so successful replies retrace that path.
     last_ae_via_agg: bool,
     stats: HcStats,
-    /// Protocol events since the last [`HcNode::drain_events`] call.
-    events: VecDeque<ProtoEvent>,
+    /// Protocol events of the current step (cleared when the next begins).
+    events: Vec<ProtoEvent>,
     /// Term of the last election we recorded a trace event for (dedupes the
     /// per-peer RequestVote fan-out into one event).
     last_election_term: u64,
@@ -338,7 +349,7 @@ impl<S: Service> HcNode<S> {
             agg_confirmed: false,
             last_ae_via_agg: false,
             stats: HcStats::default(),
-            events: VecDeque::new(),
+            events: Vec::new(),
             last_election_term: 0,
             last_prevote_term: 0,
             stalled_members: FxHashSet::default(),
@@ -522,13 +533,6 @@ impl<S: Service> HcNode<S> {
         Ok(node)
     }
 
-    fn push_event(&mut self, ev: ProtoEvent) {
-        if self.events.len() == EVENT_BUF_CAP {
-            self.events.pop_front();
-        }
-        self.events.push_back(ev);
-    }
-
     /// Traces one AppendEntries leaving this node and counts it if it
     /// carries entries.
     fn note_append_sent(&mut self, dst: u32, entries: u64, commit: LogIndex) {
@@ -536,7 +540,7 @@ impl<S: Service> HcNode<S> {
             self.stats.appends_sent += 1;
             self.stats.entries_sent += entries;
         }
-        self.push_event(ProtoEvent::AppendSent {
+        self.events.push(ProtoEvent::AppendSent {
             dst,
             entries,
             commit,
@@ -605,10 +609,9 @@ impl<S: Service> HcNode<S> {
     pub fn queue_depth(&self, node: RaftId) -> usize {
         self.ledger.depth(node)
     }
-    /// Takes the protocol events recorded since the last call, oldest
-    /// first, without allocating. Drivers that trace should consume this
-    /// after every entry point; events past an internal bound are dropped
-    /// oldest-first.
+    /// Takes the protocol events of the last [`HcNode::step`], oldest
+    /// first, without allocating. Drivers that trace consume this after
+    /// every step: the next step discards whatever is left undrained.
     pub fn drain_events(&mut self) -> impl Iterator<Item = ProtoEvent> + '_ {
         self.events.drain(..)
     }
@@ -628,12 +631,35 @@ impl<S: Service> HcNode<S> {
         &mut self.ledger
     }
 
-    // ---- entry points ------------------------------------------------------
+    // ---- the entry point -----------------------------------------------------
+
+    /// Feeds one input to the node at time `now`, appending the effects to
+    /// `out` (caller-owned scratch, reused so the steady state never
+    /// allocates). Set `batch_ends` when no input is queued behind this one
+    /// (a simulated node: its RX ring is empty); only then do new entries
+    /// leave the leader, so under load one AppendEntries per follower
+    /// carries a whole batch. A driver without an input queue always sets it.
+    pub fn step(
+        &mut self,
+        now: u64,
+        input: Input,
+        batch_ends: bool,
+        out: &mut Vec<Output>,
+        arena: &mut ByteArena,
+    ) {
+        self.events.clear();
+        match input {
+            Input::Message { src, msg } => self.on_message(src, msg, now, out, arena),
+            Input::Tick => self.tick(now, out, arena),
+            Input::ExecDone(index) => self.on_exec_done(index, now, out),
+        }
+        if batch_ends {
+            self.flush(now, out, arena);
+        }
+    }
 
     /// Handles one incoming message; `src` is the sender's network address.
-    /// Outputs are appended to `out`, a caller-owned scratch buffer reused
-    /// across calls so the steady state never allocates for outputs.
-    pub fn on_message(
+    fn on_message(
         &mut self,
         src: u32,
         msg: WireMsg,
@@ -649,7 +675,7 @@ impl<S: Service> HcNode<S> {
             WireMsg::RecoveryReq { id } => {
                 if let Some((kind, body)) = self.pool.get(id).map(|r| (r.kind, r.body.clone())) {
                     self.stats.recoveries_served += 1;
-                    self.push_event(ProtoEvent::RecoveryServed { id, to: src });
+                    self.events.push(ProtoEvent::RecoveryServed { id, to: src });
                     out.push(Output::Send {
                         dst: src,
                         msg: WireMsg::RecoveryRep { id, kind, body },
@@ -676,7 +702,7 @@ impl<S: Service> HcNode<S> {
             }
             WireMsg::RecoveryRep { id, kind, body } => {
                 if self.missing.remove(&id).is_some() {
-                    self.push_event(ProtoEvent::RecoveryCompleted { id });
+                    self.events.push(ProtoEvent::RecoveryCompleted { id });
                 }
                 self.pool.insert_recovered(id, kind, body, now);
                 self.try_apply(now, out, arena);
@@ -720,10 +746,8 @@ impl<S: Service> HcNode<S> {
         }
     }
 
-    /// Periodic maintenance: Raft ticks (elections/heartbeats), pool GC,
-    /// recovery retries, and announcement retries. Call a few times per
-    /// Raft heartbeat interval.
-    pub fn tick(&mut self, now: u64, out: &mut Vec<Output>, arena: &mut ByteArena) {
+    /// Periodic maintenance ([`Input::Tick`]).
+    fn tick(&mut self, now: u64, out: &mut Vec<Output>, arena: &mut ByteArena) {
         self.with_raft(|r, a| r.tick_into(now, a), now, out, arena);
         self.pool.gc(now, self.cfg.gc_timeout_ns);
         self.retry_recoveries(now, out);
@@ -740,9 +764,8 @@ impl<S: Service> HcNode<S> {
         self.try_announce(now);
     }
 
-    /// The application thread finished executing entry `index`. Outputs are
-    /// appended to `out` (see [`HcNode::on_message`]).
-    pub fn on_exec_done(&mut self, index: LogIndex, now: u64, out: &mut Vec<Output>) {
+    /// The application thread finished executing entry `index`.
+    fn on_exec_done(&mut self, index: LogIndex, now: u64, out: &mut Vec<Output>) {
         if index <= self.applied {
             // A snapshot install jumped the applied cursor past this
             // execution while it sat on the app thread. Its effects are
@@ -761,7 +784,7 @@ impl<S: Service> HcNode<S> {
         if let Some(p) = self.pending.remove(&index) {
             if p.respond {
                 self.stats.responses += 1;
-                self.push_event(ProtoEvent::ReplySent {
+                self.events.push(ProtoEvent::ReplySent {
                     index,
                     id: p.id,
                     to: p.client,
@@ -774,7 +797,7 @@ impl<S: Service> HcNode<S> {
                     },
                 });
                 if let Some(fc) = self.cfg.flowctl_addr {
-                    self.push_event(ProtoEvent::FeedbackSent { index });
+                    self.events.push(ProtoEvent::FeedbackSent { index });
                     out.push(Output::Send {
                         dst: fc,
                         msg: WireMsg::Feedback,
@@ -786,14 +809,10 @@ impl<S: Service> HcNode<S> {
     }
 
     /// Ships every announced entry not yet sent to each follower whose
-    /// in-flight window is open — the only place new entries leave the
-    /// leader. Drivers call it when their input batch is exhausted (a
-    /// simulated node: its RX ring is empty), so under load one
-    /// AppendEntries per follower carries everything ordered meanwhile,
-    /// and an idle leader ships each request at once. Drivers without an
-    /// input queue call it after every entry point. A no-op on followers
-    /// and when nothing new is shippable.
-    pub fn flush(&mut self, now: u64, out: &mut Vec<Output>, arena: &mut ByteArena) {
+    /// in-flight window is open, at the end of a batch (see
+    /// [`HcNode::step`]). A no-op on followers and when nothing new is
+    /// shippable.
+    fn flush(&mut self, now: u64, out: &mut Vec<Output>, arena: &mut ByteArena) {
         // One pump ships at most `max_batch` entries per follower; repeat
         // until a pump sends nothing.
         loop {
@@ -821,7 +840,7 @@ impl<S: Service> HcNode<S> {
                 if !self.is_leader() {
                     // Clients are expected to target the leader; NACK so the
                     // client can rediscover it.
-                    self.push_event(ProtoEvent::NackSent { id });
+                    self.events.push(ProtoEvent::NackSent { id });
                     out.push(Output::Send {
                         dst: id.src_ip,
                         msg: WireMsg::Nack { id },
@@ -837,7 +856,7 @@ impl<S: Service> HcNode<S> {
                 // Vanilla Raft: the leader answers everything.
                 desc.replier = Some(self.id());
                 if let Ok(index) = self.raft.propose(Cmd::full(desc, body.clone())) {
-                    self.push_event(ProtoEvent::Proposed { index, id });
+                    self.events.push(ProtoEvent::Proposed { index, id });
                     self.pool.insert(id, kind, body, now);
                     self.pool.mark_ordered(id);
                 }
@@ -857,7 +876,7 @@ impl<S: Service> HcNode<S> {
                     let hash = body_hash(&parked.body);
                     let desc = EntryDesc::new(id, hash, kind);
                     if let Ok(index) = self.raft.propose(Cmd::meta(desc)) {
-                        self.push_event(ProtoEvent::Proposed { index, id });
+                        self.events.push(ProtoEvent::Proposed { index, id });
                         self.pool.mark_ordered(id);
                         self.try_announce(now);
                     }
@@ -898,7 +917,8 @@ impl<S: Service> HcNode<S> {
                     if !self.pool.mark_ordered(id) && !self.missing.contains_key(&id) {
                         self.stats.recoveries_sent += 1;
                         self.missing.insert(id, now);
-                        self.push_event(ProtoEvent::RecoveryRequested { id, to: *leader });
+                        self.events
+                            .push(ProtoEvent::RecoveryRequested { id, to: *leader });
                         out.push(Output::Send {
                             dst: *leader,
                             msg: WireMsg::RecoveryReq { id },
@@ -921,7 +941,7 @@ impl<S: Service> HcNode<S> {
             if self.is_leader() && *term == self.raft.term() {
                 self.ledger.observe_applied(*from, *applied_index);
                 self.ledger.note_heard(*from, now);
-                self.push_event(ProtoEvent::AppendAcked {
+                self.events.push(ProtoEvent::AppendAcked {
                     from: *from,
                     success: *success,
                     match_index: *match_index,
@@ -985,7 +1005,7 @@ impl<S: Service> HcNode<S> {
             for s in status {
                 self.ledger.observe_applied(s.node, s.applied_index);
                 self.ledger.note_heard(s.node, now);
-                self.push_event(ProtoEvent::AppendAcked {
+                self.events.push(ProtoEvent::AppendAcked {
                     from: s.node,
                     success: true,
                     match_index: s.match_index,
@@ -1047,11 +1067,12 @@ impl<S: Service> HcNode<S> {
                         Message::RequestVote { term, .. } if *term != self.last_election_term => {
                             // One event per election, not per solicited peer.
                             self.last_election_term = *term;
-                            self.push_event(ProtoEvent::ElectionStarted { term: *term });
+                            self.events
+                                .push(ProtoEvent::ElectionStarted { term: *term });
                         }
                         Message::PreVote { term, .. } if *term != self.last_prevote_term => {
                             self.last_prevote_term = *term;
-                            self.push_event(ProtoEvent::PreVoteStarted { term: *term });
+                            self.events.push(ProtoEvent::PreVoteStarted { term: *term });
                         }
                         Message::AppendEntries {
                             entries,
@@ -1081,15 +1102,15 @@ impl<S: Service> HcNode<S> {
                     }
                 }
                 Action::Commit { upto } => {
-                    self.push_event(ProtoEvent::CommitAdvanced { to: upto });
+                    self.events.push(ProtoEvent::CommitAdvanced { to: upto });
                     self.try_apply(now, out, arena);
                 }
                 Action::BecameLeader { term } => {
-                    self.push_event(ProtoEvent::BecameLeader { term });
+                    self.events.push(ProtoEvent::BecameLeader { term });
                     self.on_became_leader(now, out);
                 }
                 Action::BecameFollower { term } => {
-                    self.push_event(ProtoEvent::BecameFollower { term });
+                    self.events.push(ProtoEvent::BecameFollower { term });
                     self.ledger.reset();
                     self.stalled_members.clear();
                     self.recovering.clear();
@@ -1214,7 +1235,7 @@ impl<S: Service> HcNode<S> {
                 };
                 let desc = EntryDesc::new(id, hash, kind);
                 if let Ok(index) = self.raft.propose(Cmd::meta(desc)) {
-                    self.push_event(ProtoEvent::Proposed { index, id });
+                    self.events.push(ProtoEvent::Proposed { index, id });
                     self.pool.mark_ordered(id);
                 }
             }
@@ -1288,7 +1309,7 @@ impl<S: Service> HcNode<S> {
                     e.cmd.desc.replier = Some(r);
                 }
                 self.ledger.assign(r, idx);
-                self.push_event(ProtoEvent::ReplierAssigned {
+                self.events.push(ProtoEvent::ReplierAssigned {
                     index: idx,
                     replier: r,
                 });
@@ -1298,7 +1319,7 @@ impl<S: Service> HcNode<S> {
         }
         if advanced {
             self.raft.set_ceiling(ceiling);
-            self.push_event(ProtoEvent::Announced { upto: ceiling });
+            self.events.push(ProtoEvent::Announced { upto: ceiling });
         }
     }
 
@@ -1310,9 +1331,9 @@ impl<S: Service> HcNode<S> {
             let m = self.cfg.raft.members[i];
             let stalled = self.ledger.is_stalled(m, now, self.cfg.stall_timeout_ns);
             if stalled && self.stalled_members.insert(m) {
-                self.push_event(ProtoEvent::ReplierStalled { node: m });
+                self.events.push(ProtoEvent::ReplierStalled { node: m });
             } else if !stalled && self.stalled_members.remove(&m) {
-                self.push_event(ProtoEvent::ReplierRecovered { node: m });
+                self.events.push(ProtoEvent::ReplierRecovered { node: m });
             }
         }
     }
@@ -1338,7 +1359,7 @@ impl<S: Service> HcNode<S> {
                         // already running (or starts now); apply stalls.
                         self.stats.apply_stalls += 1;
                         if !self.missing.contains_key(&desc.id) {
-                            self.push_event(ProtoEvent::ApplyStalled {
+                            self.events.push(ProtoEvent::ApplyStalled {
                                 index: idx,
                                 id: desc.id,
                             });
@@ -1367,7 +1388,7 @@ impl<S: Service> HcNode<S> {
             };
             let (reply, cost) = if execute {
                 self.stats.executed += 1;
-                self.push_event(ProtoEvent::Executed {
+                self.events.push(ProtoEvent::Executed {
                     index: idx,
                     id: desc.id,
                 });
@@ -1375,7 +1396,7 @@ impl<S: Service> HcNode<S> {
                 (Some(r.reply), r.cost_ns)
             } else {
                 self.stats.ro_skipped += 1;
-                self.push_event(ProtoEvent::RoSkipped {
+                self.events.push(ProtoEvent::RoSkipped {
                     index: idx,
                     id: desc.id,
                 });
@@ -1457,7 +1478,8 @@ impl<S: Service> HcNode<S> {
             self.missing.insert(id, now);
             if let Some(l) = leader {
                 self.stats.recoveries_sent += 1;
-                self.push_event(ProtoEvent::RecoveryRequested { id, to: l });
+                self.events
+                    .push(ProtoEvent::RecoveryRequested { id, to: l });
                 out.push(Output::Send {
                     dst: l,
                     msg: WireMsg::RecoveryReq { id },
@@ -1502,7 +1524,7 @@ impl<S: Service> HcNode<S> {
         }
         self.stats.recoveries_sent += sent;
         for e in evs {
-            self.push_event(e);
+            self.events.push(e);
         }
     }
 
@@ -1580,12 +1602,12 @@ impl<S: Service> HcNode<S> {
         let dropped = self.pool.compact_archive(&ids, now);
         self.raft.compact_to(snap.index);
         self.stats.snapshots += 1;
-        self.push_event(ProtoEvent::SnapshotTaken {
+        self.events.push(ProtoEvent::SnapshotTaken {
             index: snap.index,
             bytes: snap.data.len() as u64,
         });
         if dropped > 0 {
-            self.push_event(ProtoEvent::BodiesCompacted {
+            self.events.push(ProtoEvent::BodiesCompacted {
                 upto: snap.index,
                 dropped: dropped as u64,
             });
@@ -1611,7 +1633,7 @@ impl<S: Service> HcNode<S> {
             return;
         };
         self.stats.transfers += 1;
-        self.push_event(ProtoEvent::TransferStarted {
+        self.events.push(ProtoEvent::TransferStarted {
             to,
             index: snap.index,
             bytes: snap.data.len() as u64,
@@ -1644,7 +1666,7 @@ impl<S: Service> HcNode<S> {
         let snap_term = x.snap.term;
         x.last_sent = now;
         self.stats.chunks_sent += 1;
-        self.push_event(ProtoEvent::ChunkSent {
+        self.events.push(ProtoEvent::ChunkSent {
             to,
             index: snap_index,
             offset,
@@ -1773,7 +1795,7 @@ impl<S: Service> HcNode<S> {
             let next = (x.buf.len() as u64).min(x.total);
             (next, next >= x.total)
         };
-        self.push_event(ProtoEvent::ChunkAcked {
+        self.events.push(ProtoEvent::ChunkAcked {
             index: snap_index,
             next,
         });
@@ -1830,7 +1852,7 @@ impl<S: Service> HcNode<S> {
         let total = x.snap.data.len() as u64;
         if next_offset >= total {
             self.xfers.remove(&from);
-            self.push_event(ProtoEvent::TransferDone {
+            self.events.push(ProtoEvent::TransferDone {
                 to: from,
                 index: snap_index,
             });
@@ -1899,12 +1921,12 @@ impl<S: Service> HcNode<S> {
             data,
         });
         self.stats.installs += 1;
-        self.push_event(ProtoEvent::SnapshotInstalled {
+        self.events.push(ProtoEvent::SnapshotInstalled {
             index: snap_index,
             term: snap_term,
         });
         if dropped > 0 {
-            self.push_event(ProtoEvent::BodiesCompacted {
+            self.events.push(ProtoEvent::BodiesCompacted {
                 upto: snap_index,
                 dropped: dropped as u64,
             });

@@ -2,9 +2,11 @@
 //!
 //! Every externally meaningful protocol step — elections, append/ack
 //! traffic, commit advancement, replier assignment, recovery, reply and
-//! flow-control emission — is recorded as a [`ProtoEvent`] in a small
-//! internal buffer that the driver drains after each entry point
-//! ([`HcNode::drain_events`](crate::HcNode::drain_events)). The testbed
+//! flow-control emission — is recorded as a [`ProtoEvent`] in a per-step
+//! buffer that the driver drains after each
+//! [`HcNode::step`](crate::HcNode::step)
+//! ([`HcNode::drain_events`](crate::HcNode::drain_events)); the next step
+//! discards what a driver that does not trace leaves behind. The testbed
 //! forwards the drained events into a `simnet::Tracer`, stamping them with
 //! virtual time; the invariant checker consumes the same stream (e.g. the
 //! exactly-one-reply-per-request check keys on [`ProtoEvent::key`]).

@@ -5,8 +5,8 @@
 
 use bytes::Bytes;
 use hovercraft::{
-    Aggregator, EchoService, FcDecision, FlowControl, HcConfig, HcNode, Mode, OpKind, Output,
-    PolicyKind, WireMsg,
+    Aggregator, EchoService, FcDecision, FlowControl, HcConfig, HcNode, Input, Mode, OpKind,
+    Output, PolicyKind, ProtoEvent, WireMsg,
 };
 use r2p2::{ReqId, ReqIdAlloc};
 use raft::RaftId;
@@ -94,18 +94,11 @@ impl Cluster {
         }
     }
 
-    /// Runs one entry point of `node` followed by [`HcNode::flush`] — the
-    /// bus has no receive queue, so every entry point ends a batch — and
-    /// returns the outputs.
-    fn enter(
-        &mut self,
-        node: u32,
-        entry: impl FnOnce(&mut HcNode<EchoService>, u64, &mut Vec<Output>, &mut bytes::ByteArena),
-    ) -> Vec<Output> {
+    /// Steps `node` with one input and returns the outputs. The bus has no
+    /// receive queue, so every step ends a batch.
+    fn step_node(&mut self, node: u32, input: Input) -> Vec<Output> {
         let mut outs = Vec::new();
-        let nd = &mut self.nodes[node as usize];
-        entry(nd, self.now, &mut outs, &mut self.arena);
-        nd.flush(self.now, &mut outs, &mut self.arena);
+        self.nodes[node as usize].step(self.now, input, true, &mut outs, &mut self.arena);
         outs
     }
 
@@ -116,8 +109,7 @@ impl Cluster {
                 Output::Execute { index, .. } => {
                     // Logical harness: app work completes instantly and in
                     // order.
-                    let outs =
-                        self.enter(node, |nd, now, outs, _| nd.on_exec_done(index, now, outs));
+                    let outs = self.step_node(node, Input::ExecDone(index));
                     self.handle_outputs(node, outs);
                 }
             }
@@ -132,9 +124,7 @@ impl Cluster {
             self.bus.rx[node as usize] += 1;
         }
         let agg_commit = matches!(msg, WireMsg::AggCommit { .. });
-        let outs = self.enter(node, |nd, now, outs, arena| {
-            nd.on_message(src, msg, now, outs, arena)
-        });
+        let outs = self.step_node(node, Input::Message { src, msg });
         if agg_commit {
             self.appends_on_agg_commit += outs
                 .iter()
@@ -158,7 +148,7 @@ impl Cluster {
             if !self.alive[id] {
                 continue;
             }
-            let outs = self.enter(id as u32, |nd, now, outs, arena| nd.tick(now, outs, arena));
+            let outs = self.step_node(id as u32, Input::Tick);
             self.handle_outputs(id as u32, outs);
         }
         let mut due = Vec::new();
@@ -454,13 +444,13 @@ fn one_flush_ships_a_whole_batch_in_one_append_per_follower() {
             tc.send(OpKind::ReadWrite, &i.to_le_bytes());
             tc.run_ms(5);
         }
-        let l = tc.leader().expect("leader") as usize;
-        let now = tc.now;
-        let mut idle = Vec::new();
-        tc.c.nodes[l].flush(now, &mut idle, &mut tc.c.arena);
+        let l = tc.leader().expect("leader");
+        // A batch-ending tick at the instant the cluster just ticked: due
+        // for nothing itself, so whatever it sends is the flush's.
+        let idle = tc.step_node(l, Input::Tick);
         assert!(idle.is_empty(), "{mode:?}: nothing new, nothing sent");
 
-        let before = tc.nodes[l].stats();
+        let before = tc.nodes[l as usize].stats();
         let mut outs = Vec::new();
         for i in 0..K as u64 {
             let msg = WireMsg::Request {
@@ -468,20 +458,21 @@ fn one_flush_ships_a_whole_batch_in_one_append_per_follower() {
                 kind: OpKind::ReadWrite,
                 body: Bytes::copy_from_slice(&(100 + i).to_le_bytes()),
             };
-            tc.c.nodes[l].on_message(CLIENT, msg, now, &mut outs, &mut tc.c.arena);
+            let input = Input::Message { src: CLIENT, msg };
+            tc.c.nodes[l as usize].step(tc.c.now, input, false, &mut outs, &mut tc.c.arena);
         }
         assert_eq!(
             data_appends(&outs),
             [],
             "{mode:?}: requests alone ship nothing"
         );
-        tc.c.nodes[l].flush(now, &mut outs, &mut tc.c.arena);
+        let outs = tc.step_node(l, Input::Tick);
         let expected: Vec<(u32, usize)> = match mode {
             Mode::HovercraftPp => vec![(AGG, K)],
-            _ => (0..5).filter(|&n| n != l as u32).map(|n| (n, K)).collect(),
+            _ => (0..5).filter(|&n| n != l).map(|n| (n, K)).collect(),
         };
         assert_eq!(data_appends(&outs), expected, "{mode:?}");
-        let after = tc.nodes[l].stats();
+        let after = tc.nodes[l as usize].stats();
         assert_eq!(
             after.appends_sent - before.appends_sent,
             expected.len() as u64
@@ -491,10 +482,37 @@ fn one_flush_ships_a_whole_batch_in_one_append_per_follower() {
             (expected.len() * K) as u64
         );
 
-        let mut again = Vec::new();
-        tc.c.nodes[l].flush(now, &mut again, &mut tc.c.arena);
+        let again = tc.step_node(l, Input::Tick);
         assert!(again.is_empty(), "{mode:?}: a second flush has nothing new");
     }
+}
+
+/// A driver that never drains holds one step's events, not the node's
+/// history: after 10 000 undrained steps, `drain_events` returns exactly
+/// what the last one recorded.
+#[test]
+fn undrained_events_do_not_outlive_their_step() {
+    let mut tc = settle(Mode::Hovercraft, 3);
+    let l = tc.leader().expect("leader");
+    let mut last = None;
+    for i in 0..10_000u64 {
+        let id = tc.c.alloc.allocate();
+        let msg = WireMsg::Request {
+            id,
+            kind: OpKind::ReadWrite,
+            body: Bytes::copy_from_slice(&i.to_le_bytes()),
+        };
+        tc.step_node(l, Input::Message { src: CLIENT, msg });
+        last = Some(id);
+    }
+    // Every replier queue filled long ago, so the last request was
+    // proposed and left unannounced: one event.
+    let node = &mut tc.c.nodes[l as usize];
+    let index = node.raft().log().last_index();
+    let events: Vec<ProtoEvent> = node.drain_events().collect();
+    let id = last.expect("requests were sent");
+    assert_eq!(events, [ProtoEvent::Proposed { index, id }]);
+    assert_eq!(node.drain_events().count(), 0, "drained means empty");
 }
 
 #[test]
@@ -845,28 +863,25 @@ fn drained_only_take_snapshot_fallback_edges() {
     while !node.is_leader() {
         now += 1_000_000;
         let mut outs = Vec::new();
-        node.tick(now, &mut outs, &mut arena);
+        node.step(now, Input::Tick, false, &mut outs, &mut arena);
         park(outs, &mut execs);
         assert!(now < 10_000_000_000, "single node must elect itself");
     }
 
     // Order one request but leave it executing on the app thread.
     let mut alloc = ReqIdAlloc::new(CLIENT, 500);
-    let id = alloc.allocate();
-    let mut outs = Vec::new();
-    node.on_message(
-        CLIENT,
-        WireMsg::Request {
+    let request = |id: ReqId, body: &'static [u8]| Input::Message {
+        src: CLIENT,
+        msg: WireMsg::Request {
             id,
             kind: OpKind::ReadWrite,
-            body: Bytes::from_static(b"snap-edge"),
+            body: Bytes::from_static(body),
         },
-        now,
-        &mut outs,
-        &mut arena,
-    );
-    // Shipping is what commits on a group of one.
-    node.flush(now, &mut outs, &mut arena);
+    };
+    let mut outs = Vec::new();
+    // Shipping, at the end of the batch, is what commits on a group of one.
+    let input = request(alloc.allocate(), b"snap-edge");
+    node.step(now, input, true, &mut outs, &mut arena);
     park(outs, &mut execs);
     assert_eq!(execs, vec![1], "the request is issued to the app thread");
     assert_eq!(node.applied_index(), 0, "execution has not completed");
@@ -880,7 +895,7 @@ fn drained_only_take_snapshot_fallback_edges() {
 
     // Drain, then the fallback works at the applied index.
     let mut outs = Vec::new();
-    node.on_exec_done(1, now, &mut outs);
+    node.step(now, Input::ExecDone(1), false, &mut outs, &mut arena);
     park(outs, &mut execs);
     assert_eq!(node.applied_index(), 1);
     node.take_snapshot(now);
@@ -899,23 +914,12 @@ fn drained_only_take_snapshot_fallback_edges() {
 
     // One more entry, drain, snapshot again: a fresh boundary one entry
     // past the old one (horizons may be arbitrarily close).
-    let id2 = alloc.allocate();
     let mut outs = Vec::new();
-    node.on_message(
-        CLIENT,
-        WireMsg::Request {
-            id: id2,
-            kind: OpKind::ReadWrite,
-            body: Bytes::from_static(b"snap-edge-2"),
-        },
-        now,
-        &mut outs,
-        &mut arena,
-    );
-    node.flush(now, &mut outs, &mut arena);
+    let input = request(alloc.allocate(), b"snap-edge-2");
+    node.step(now, input, true, &mut outs, &mut arena);
     park(outs, &mut execs);
     let mut outs = Vec::new();
-    node.on_exec_done(2, now, &mut outs);
+    node.step(now, Input::ExecDone(2), false, &mut outs, &mut arena);
     park(outs, &mut execs);
     node.take_snapshot(now);
     assert_eq!(node.snapshot_index(), 2, "back-to-back horizon advances");

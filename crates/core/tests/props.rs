@@ -8,8 +8,8 @@ use std::hash::Hasher;
 
 use bytes::{ByteArena, Bytes};
 use hovercraft::{
-    Aggregator, Cmd, EchoService, EntryDesc, HcConfig, HcNode, Mode, OpKind, Output, PolicyKind,
-    PooledReq, ReplierLedger, UnorderedPool, WireMsg,
+    Aggregator, Cmd, EchoService, EntryDesc, HcConfig, HcNode, Input, Mode, OpKind, Output,
+    PolicyKind, PooledReq, ReplierLedger, UnorderedPool, WireMsg,
 };
 use proptest::prelude::*;
 use r2p2::ReqId;
@@ -236,7 +236,7 @@ fn hand_elected_leader() -> HcNode<EchoService> {
     cfg.bound = 3;
     let mut node = HcNode::new(cfg, EchoService::default(), 0);
     let (mut out, mut arena) = (Vec::new(), ByteArena::new());
-    node.tick(ELECTED_AT, &mut out, &mut arena);
+    node.step(ELECTED_AT, Input::Tick, false, &mut out, &mut arena);
     for vote in [
         Message::PreVoteReply {
             term: 1,
@@ -247,16 +247,18 @@ fn hand_elected_leader() -> HcNode<EchoService> {
             granted: true,
         },
     ] {
-        node.on_message(1, WireMsg::Raft(vote), ELECTED_AT, &mut out, &mut arena);
+        let (src, msg) = (1, WireMsg::Raft(vote));
+        let input = Input::Message { src, msg };
+        node.step(ELECTED_AT, input, false, &mut out, &mut arena);
     }
     assert!(node.is_leader());
     node
 }
 
-/// Records what a leader entry point emitted: the highest index each node
-/// has been sent and the executions queued for the application thread.
-/// Fails if an AppendEntries carries an entry with no replier, or if an
-/// entry point that is not allowed to ship (`may_ship == false`) did.
+/// Records what a leader step emitted: the highest index each node has
+/// been sent and the executions queued for the application thread. Fails
+/// if an AppendEntries carries an entry with no replier, or if a step that
+/// is not allowed to ship (`may_ship == false`) did.
 fn absorb(
     outs: Vec<Output>,
     may_ship: bool,
@@ -274,7 +276,7 @@ fn absorb(
                         ..
                     }),
             } if !entries.is_empty() => {
-                prop_assert!(may_ship, "entries left outside a flush or a heartbeat");
+                prop_assert!(may_ship, "entries left outside a batch end or a heartbeat");
                 for e in &entries {
                     prop_assert!(e.cmd.desc.replier.is_some(), "entry {} unstamped", e.index);
                 }
@@ -428,13 +430,14 @@ proptest! {
     }
 
     /// Shipping happens at the end of a batch, not per request: over any
-    /// interleaving of client requests, follower acks, ticks, application
-    /// completions and flushes, only a flush (or a heartbeat) puts entries
-    /// on the wire, and after a final flush every announced entry is in
-    /// flight to every follower whose window still has room.
+    /// interleaving of client requests, follower acks, ticks and
+    /// application completions, each ending a batch or not, only a
+    /// batch-ending step (or a heartbeat) puts entries on the wire, and
+    /// after a final batch-ending step every announced entry is in flight
+    /// to every follower whose window still has room.
     #[test]
     fn final_flush_leaves_no_announced_entry_unsent(
-        ops in proptest::collection::vec((0u8..5, 0u64..1_000), 1..150),
+        ops in proptest::collection::vec((0u8..4, 0u64..1_000, any::<bool>()), 1..150),
     ) {
         let mut node = hand_elected_leader();
         let mut arena = ByteArena::new();
@@ -442,9 +445,8 @@ proptest! {
         let mut shipped = [0 as LogIndex; 3];
         let mut app = VecDeque::new();
         let mut rid = 0u16;
-        for (op, val) in ops {
-            let mut out = Vec::new();
-            match op {
+        for (op, val, batch_ends) in ops {
+            let input = match op {
                 0 => {
                     rid += 1;
                     let req = WireMsg::Request {
@@ -452,7 +454,7 @@ proptest! {
                         kind: OpKind::ReadWrite,
                         body: Bytes::from(rid.to_le_bytes().to_vec()),
                     };
-                    node.on_message(9, req, now, &mut out, &mut arena);
+                    Input::Message { src: 9, msg: req }
                 }
                 1 => {
                     // A follower acks some prefix of what it was sent.
@@ -468,23 +470,24 @@ proptest! {
                         applied_index: m.min(node.raft().commit_index()),
                         from: f,
                     };
-                    node.on_message(f, WireMsg::Raft(ack), now, &mut out, &mut arena);
+                    Input::Message { src: f, msg: WireMsg::Raft(ack) }
                 }
                 2 => {
                     now += val * 1_000;
-                    node.tick(now, &mut out, &mut arena);
+                    Input::Tick
                 }
-                3 => {
-                    if let Some(index) = app.pop_front() {
-                        node.on_exec_done(index, now, &mut out);
-                    }
-                }
-                _ => node.flush(now, &mut out, &mut arena),
-            }
-            absorb(out, op == 2 || op == 4, &mut shipped, &mut app)?;
+                _ => match app.pop_front() {
+                    Some(index) => Input::ExecDone(index),
+                    None => continue,
+                },
+            };
+            let mut out = Vec::new();
+            node.step(now, input, batch_ends, &mut out, &mut arena);
+            absorb(out, batch_ends || op == 2, &mut shipped, &mut app)?;
         }
+        // The final flush: a batch-ending tick at the same instant.
         let mut out = Vec::new();
-        node.flush(now, &mut out, &mut arena);
+        node.step(now, Input::Tick, true, &mut out, &mut arena);
         absorb(out, true, &mut shipped, &mut app)?;
 
         let raft = node.raft();

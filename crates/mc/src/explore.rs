@@ -154,7 +154,7 @@ impl Counterexample {
                 }
                 _ => a.to_string(),
             };
-            let r = state.apply(scope, a, self.mutation);
+            let r = state.apply(scope, a);
             out.push_str(&format!("  {i:>3}. {what:<40} {}\n", state.describe()));
             if let Err(v) = r {
                 out.push_str(&format!("  send-time violation: {}\n", v.0));
@@ -252,7 +252,7 @@ pub fn explore(scope: &Scope, mutation: Mutation, limits: Limits) -> Report {
         for action in state.enabled(scope) {
             report.transitions += 1;
             let mut next = state.clone();
-            let send_verdict = next.apply(scope, action, mutation);
+            let send_verdict = next.apply(scope, action);
             let verdict =
                 send_verdict.and_then(|()| next.check_invariants(&state, scope, mutation));
             if let Err(v) = verdict {
@@ -306,7 +306,7 @@ pub fn replay(
         }
         let pre = state.clone();
         state
-            .apply(scope, a, mutation)
+            .apply(scope, a)
             .and_then(|()| state.check_invariants(&pre, scope, mutation))
             .map_err(|v| (i, v.0))?;
     }

@@ -26,7 +26,9 @@
 use std::fmt;
 
 use bytes::{ByteArena, Bytes};
-use hovercraft::{Aggregator, DurableState, EchoService, HcNode, Mode, OpKind, Output, WireMsg};
+use hovercraft::{
+    Aggregator, DurableState, EchoService, HcNode, Input, Mode, OpKind, Output, WireMsg,
+};
 use r2p2::ReqId;
 use testbed::invariants::predicates::{self, Mutation, ReplierStep};
 
@@ -45,19 +47,13 @@ fn with_arena<R>(f: impl FnOnce(&mut ByteArena) -> R) -> R {
     SCRATCH_ARENA.with(|a| f(&mut a.borrow_mut()))
 }
 
-/// Runs one node entry point and then [`HcNode::flush`], returning the
-/// outputs. The model has no RX ring to batch over, so every step ends a
-/// batch: the leader ships what the step announced before anything else
-/// can happen.
-fn step_node(
-    node: &mut HcNode<EchoService>,
-    now: u64,
-    entry: impl FnOnce(&mut HcNode<EchoService>, &mut Vec<Output>, &mut ByteArena),
-) -> Vec<Output> {
+/// Steps `node` with one input, returning the outputs. The model has no RX
+/// ring to batch over, so every step ends a batch: the leader ships what
+/// the step announced before anything else can happen.
+fn step_node(node: &mut HcNode<EchoService>, now: u64, input: Input) -> Vec<Output> {
     with_arena(|arena| {
         let mut outs = Vec::new();
-        entry(node, &mut outs, arena);
-        node.flush(now, &mut outs, arena);
+        node.step(now, input, true, &mut outs, arena);
         outs
     })
 }
@@ -194,7 +190,7 @@ impl ModelState {
                 } else {
                     McAction::Deliver(0)
                 };
-                st.apply(scope, act, Mutation::None)
+                st.apply(scope, act)
                     .expect("election prologue cannot violate invariants");
                 steps += 1;
                 assert!(steps < 200, "election prologue failed to converge");
@@ -290,12 +286,7 @@ impl ModelState {
     /// Applies `action` in place. Returns `Err` the moment a send-time
     /// invariant (exactly-one reply) breaks; state invariants are checked
     /// separately by [`ModelState::check_invariants`].
-    pub fn apply(
-        &mut self,
-        scope: &Scope,
-        action: McAction,
-        mutation: Mutation,
-    ) -> Result<(), ViolationMsg> {
+    pub fn apply(&mut self, scope: &Scope, action: McAction) -> Result<(), ViolationMsg> {
         match action {
             McAction::ClientReq => {
                 let k = self.next_client;
@@ -310,14 +301,9 @@ impl ModelState {
                 for n in 0..N_NODES as usize {
                     if let Some(node) = self.nodes[n].as_mut() {
                         let now = self.clock[n];
-                        let request = WireMsg::Request {
-                            id,
-                            kind,
-                            body: body.clone(),
-                        };
-                        let outs = step_node(node, now, |nd, outs, arena| {
-                            nd.on_message(CLIENT_ADDR, request, now, outs, arena)
-                        });
+                        let (src, body) = (CLIENT_ADDR, body.clone());
+                        let msg = WireMsg::Request { id, kind, body };
+                        let outs = step_node(node, now, Input::Message { src, msg });
                         self.run_outputs(n as u32, outs)?;
                     }
                 }
@@ -343,10 +329,9 @@ impl ModelState {
                 self.clock[n] += TICK_QUANTUM;
                 let now = self.clock[n];
                 if let Some(node) = self.nodes[n].as_mut() {
-                    let outs = step_node(node, now, |nd, outs, arena| nd.tick(now, outs, arena));
+                    let outs = step_node(node, now, Input::Tick);
                     self.run_outputs(n as u32, outs)?;
                 }
-                let _ = mutation;
                 Ok(())
             }
             McAction::Crash(n) => {
@@ -375,10 +360,10 @@ impl ModelState {
     }
 
     /// Routes one envelope to its destination and runs the effects.
-    fn deliver(&mut self, env: Env) -> Result<(), ViolationMsg> {
-        if env.dst == AGG_ADDR {
+    fn deliver(&mut self, Env { src, dst, msg }: Env) -> Result<(), ViolationMsg> {
+        if dst == AGG_ADDR {
             if let Some(agg) = self.agg.as_mut() {
-                let emitted = agg.on_packet(env.src, env.msg);
+                let emitted = agg.on_packet(src, msg);
                 for (dst, msg) in emitted {
                     self.net.push(Env {
                         src: AGG_ADDR,
@@ -389,17 +374,15 @@ impl ModelState {
             }
             return Ok(());
         }
-        let n = env.dst as usize;
+        let n = dst as usize;
         if n >= self.nodes.len() || self.nodes[n].is_none() {
             // A packet to a crashed node dies at the dead NIC.
             return Ok(());
         }
         let now = self.clock[n];
         let node = self.nodes[n].as_mut().expect("live");
-        let outs = step_node(node, now, |nd, outs, arena| {
-            nd.on_message(env.src, env.msg, now, outs, arena)
-        });
-        self.run_outputs(env.dst, outs)
+        let outs = step_node(node, now, Input::Message { src, msg });
+        self.run_outputs(dst, outs)
     }
 
     /// Carries out a node's outputs: sends enter the in-flight set (or
@@ -423,8 +406,7 @@ impl ModelState {
                     let n = src as usize;
                     let now = self.clock[n];
                     let node = self.nodes[n].as_mut().expect("executing node is live");
-                    let more =
-                        step_node(node, now, |nd, more, _| nd.on_exec_done(index, now, more));
+                    let more = step_node(node, now, Input::ExecDone(index));
                     // FIFO: effects of this completion run before any
                     // later queued execution.
                     for (k, o) in more.into_iter().enumerate() {

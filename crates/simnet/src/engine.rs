@@ -332,13 +332,6 @@ impl<M: Clone + Debug + 'static> Sim<M> {
             .expect("switch program type mismatch")
     }
 
-    /// Flushes soft state in every switch program (device reboot).
-    pub fn reset_switch_programs(&mut self) {
-        for p in &mut self.programs {
-            p.reset();
-        }
-    }
-
     /// Sets the independent per-copy loss probability at the switch output.
     pub fn set_loss_rate(&mut self, p: f64) {
         self.fabric.loss_rate = p;

@@ -47,9 +47,9 @@ pub enum Verdict<M> {
 ///
 /// Programs run in registration order on every packet entering the switch.
 /// They hold only *soft state* (the paper's correctness argument for
-/// HovercRaft++ depends on this): the engine calls [`SwitchProgram::reset`]
-/// when an experiment asks for dataplane state to be flushed, e.g. after a
-/// simulated switch failure.
+/// HovercRaft++ depends on this): a driver that models a device reboot or
+/// replacement, e.g. after a simulated switch failure, reaches the program
+/// with `Sim::switch_program_mut` and calls [`SwitchProgram::reset`].
 pub trait SwitchProgram<M>: 'static {
     /// Processes one packet at line rate.
     fn process(&mut self, pkt: Packet<M>, now: SimTime, out: &mut SwitchEmit<M>) -> Verdict<M>;

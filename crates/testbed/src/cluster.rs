@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 
 use hovercraft::{HcConfig, HcNode, Mode, WireMsg};
 use minikv::{CostModel, KvService};
-use simnet::{Addr, FabricParams, NicParams, NodeId, Sim, SimDur, SimTime, Tracer};
+use simnet::{Addr, FabricParams, NicParams, NodeId, Sim, SimDur, SimTime, SwitchProgram, Tracer};
 use workload::{RecordSpec, SynthService, SynthSpec, YcsbGen, YcsbWorkload};
 
 use crate::client::{ClientAgent, ClientResults, ClientWorkload, RetryPolicy};
@@ -343,9 +343,7 @@ impl Cluster {
     /// newly elected leader will adopt it after a successful VoteProbe.
     pub fn replace_aggregator(&mut self) {
         let idx = self.agg_prog.expect("no aggregator in this setup");
-        let prog = self.sim.switch_program_mut::<AggProgram>(idx);
-        prog.failed = false;
-        prog.agg.flush();
+        self.sim.switch_program_mut::<AggProgram>(idx).reset();
     }
 
     fn default_target(opts: &ClusterOpts, first_server: NodeId) -> Addr {

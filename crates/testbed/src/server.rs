@@ -3,8 +3,7 @@
 
 use std::any::Any;
 
-use bytes::ByteArena;
-use hovercraft::{HcConfig, HcNode, Output, Service, WireMsg};
+use hovercraft::{HcConfig, HcNode, Input, Output, Service, WireMsg};
 use simnet::{Addr, Agent, Ctx, Packet, SimDur, TimerId, Tracer};
 
 /// Timer kind for the periodic protocol tick.
@@ -27,8 +26,8 @@ const AE_COPY_PER_BYTE_DECINS: u64 = 14; // 1.4 ns/byte
 pub struct ServerAgent {
     node: HcNode<Box<dyn Service>>,
     tracer: Option<Tracer>,
-    /// Reusable output scratch: entry points append into this and `run`
-    /// drains it, so steady-state handling never allocates for outputs.
+    /// Reusable output scratch: steps append into this and `run` drains
+    /// it, so steady-state handling never allocates for outputs.
     outs: Vec<Output>,
 }
 
@@ -54,7 +53,7 @@ impl ServerAgent {
     }
 
     /// Forwards the node's protocol events into `tracer`, stamped with
-    /// virtual time, after every entry point.
+    /// virtual time, after every step.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = Some(tracer);
     }
@@ -84,30 +83,22 @@ impl ServerAgent {
         &mut self.node
     }
 
-    /// Runs one node entry point, then — if the RX ring is empty, i.e. this
-    /// handler ends the network thread's current batch of input — ships
-    /// what the batch announced ([`HcNode::flush`]), and carries out and
-    /// traces the outputs. Under load the ring is rarely empty, so one
-    /// AppendEntries per follower carries a whole batch of entries; at low
-    /// load every request ships at once.
-    fn handle(
-        &mut self,
-        ctx: &mut Ctx<'_, WireMsg>,
-        entry: impl FnOnce(&mut HcNode<Box<dyn Service>>, u64, &mut Vec<Output>, &mut ByteArena),
-    ) {
+    /// Steps the node with one input, then carries out and traces the
+    /// outputs. The step ends a batch when the RX ring is empty: under
+    /// load the ring is rarely empty, so one AppendEntries per follower
+    /// carries a whole batch of entries; at low load every request ships
+    /// at once.
+    fn step(&mut self, ctx: &mut Ctx<'_, WireMsg>, input: Input) {
         let now = ctx.now().as_nanos();
-        let mut outs = std::mem::take(&mut self.outs);
-        entry(&mut self.node, now, &mut outs, ctx.arena());
-        if ctx.rx_backlog() == 0 {
-            self.node.flush(now, &mut outs, ctx.arena());
-        }
-        self.outs = outs;
+        let batch_ends = ctx.rx_backlog() == 0;
+        self.node
+            .step(now, input, batch_ends, &mut self.outs, ctx.arena());
         self.run(ctx);
         self.flush_events(ctx);
     }
 
     /// Carries out the outputs accumulated in `self.outs`, draining the
-    /// buffer in place (capacity is retained for the next entry point).
+    /// buffer in place (capacity is retained for the next step).
     fn run(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
         // Only VanillaRaft entries carry payloads; HovercRaft's are
         // metadata-only by construction (§3.2) and need no scan.
@@ -167,21 +158,18 @@ impl Agent<WireMsg> for ServerAgent {
     }
 
     fn on_packet(&mut self, pkt: Packet<WireMsg>, ctx: &mut Ctx<'_, WireMsg>) {
-        self.handle(ctx, |node, now, outs, arena| {
-            node.on_message(pkt.src.0, pkt.payload, now, outs, arena)
-        });
+        let (src, msg) = (pkt.src.0, pkt.payload);
+        self.step(ctx, Input::Message { src, msg });
     }
 
     fn on_timer(&mut self, _id: TimerId, kind: u64, ctx: &mut Ctx<'_, WireMsg>) {
         debug_assert_eq!(kind, TICK);
-        self.handle(ctx, |node, now, outs, arena| node.tick(now, outs, arena));
+        self.step(ctx, Input::Tick);
         ctx.set_timer(TICK_INTERVAL, TICK);
     }
 
     fn on_app_done(&mut self, token: u64, ctx: &mut Ctx<'_, WireMsg>) {
-        self.handle(ctx, |node, now, outs, _| {
-            node.on_exec_done(token, now, outs)
-        });
+        self.step(ctx, Input::ExecDone(token));
     }
 
     fn as_any(&self) -> &dyn Any {

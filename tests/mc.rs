@@ -156,9 +156,7 @@ fn greedy_schedule_reaches_quiescence() {
             break;
         };
         let pre = state.clone();
-        state
-            .apply(&scope, act, Mutation::None)
-            .expect("no violation");
+        state.apply(&scope, act).expect("no violation");
         state
             .check_invariants(&pre, &scope, Mutation::None)
             .expect("no violation");
@@ -180,8 +178,8 @@ fn symmetric_fingerprints_identify_mirror_states() {
     let scope = Scope::elect_scope();
     let mut a = ModelState::init(&scope);
     let mut b = ModelState::init(&scope);
-    a.apply(&scope, McAction::Tick(0), Mutation::None).unwrap();
-    b.apply(&scope, McAction::Tick(1), Mutation::None).unwrap();
+    a.apply(&scope, McAction::Tick(0)).unwrap();
+    b.apply(&scope, McAction::Tick(1)).unwrap();
     assert_ne!(
         fingerprint(&a, &scope, false),
         fingerprint(&b, &scope, false),
