@@ -37,7 +37,7 @@ use crate::cmd::{Cmd, EntryDesc, OpKind};
 use crate::config::{HcConfig, Mode};
 use crate::msg::{AggStatus, WireMsg};
 use crate::policy::ReplierLedger;
-use crate::pool::UnorderedPool;
+use crate::pool::{merge_sorted_ids, UnorderedPool};
 use crate::service::Service;
 use crate::trace::ProtoEvent;
 
@@ -114,6 +114,10 @@ pub struct HcStats {
     /// Entries carried by those AppendEntries: `entries_sent /
     /// appends_sent` is the mean batch.
     pub entries_sent: u64,
+    /// Ids snapshot capture passed through a comparison sort: the retained
+    /// entries of each capture, never the live tombstones (the pool keeps
+    /// those sorted).
+    pub snapshot_ids_sorted: u64,
 }
 
 /// Durable per-node state captured across a crash–restart: what a real
@@ -190,15 +194,15 @@ struct Snapshot {
 /// — and re-executed — by a later leader election (§5's new-leader backlog
 /// flush), violating exactly-one-reply. The set is bounded: tombstones
 /// expire on the pool GC boundary, so it holds at most one GC window of
-/// ids plus the entries of the snapshot interval being compacted.
-fn encode_snapshot_blob(service: Bytes, mut ids: Vec<ReqId>) -> Bytes {
-    ids.sort_unstable();
-    ids.dedup();
+/// ids plus the entries of the snapshot interval being compacted. `ids`
+/// must be sorted and duplicate-free.
+fn encode_snapshot_blob(service: Bytes, ids: &[ReqId]) -> Bytes {
+    debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids sorted, unique");
     let mut buf = Vec::with_capacity(16 + service.len() + 8 * ids.len());
     buf.extend_from_slice(&(service.len() as u64).to_le_bytes());
     buf.extend_from_slice(&service);
     buf.extend_from_slice(&(ids.len() as u64).to_le_bytes());
-    for id in &ids {
+    for id in ids {
         buf.extend_from_slice(&id.as_u64().to_le_bytes());
     }
     Bytes::from(buf)
@@ -1430,16 +1434,11 @@ impl<S: Service> HcNode<S> {
                     .is_none_or(|p| idx >= p.index + interval)
             {
                 if let Some(term) = self.raft.log().term_at(idx) {
-                    // The blob carries the ids of everything ordered at or
-                    // below `idx`: the retained entries being compacted plus
-                    // the live tombstones from earlier compactions (older
-                    // ids have expired along with their duplicates).
-                    let mut ids = self.ids_upto(idx);
-                    ids.extend(self.pool.tombstone_ids());
+                    let ids = self.covered_ids(idx);
                     self.pending_snap = Some(Snapshot {
                         index: idx,
                         term,
-                        data: encode_snapshot_blob(self.service.snapshot(), ids),
+                        data: encode_snapshot_blob(self.service.snapshot(), &ids),
                     });
                 }
             }
@@ -1546,6 +1545,21 @@ impl<S: Service> HcNode<S> {
         ids
     }
 
+    /// The ids a snapshot at `upto` carries, sorted and duplicate-free:
+    /// everything ordered at or below `upto`, that is the retained entries
+    /// being compacted plus the live tombstones of earlier compactions
+    /// (older ids have expired along with their duplicates). Only the
+    /// retained entries are sorted here; the pool keeps its tombstones
+    /// sorted, so they cost one merge.
+    fn covered_ids(&mut self, upto: LogIndex) -> Vec<ReqId> {
+        let mut ids = self.ids_upto(upto);
+        self.stats.snapshot_ids_sorted += ids.len() as u64;
+        ids.sort_unstable();
+        ids.dedup();
+        merge_sorted_ids(&mut ids, self.pool.tombstones());
+        ids
+    }
+
     /// Takes a snapshot at the configured horizon: every
     /// `snapshot_interval` applied entries (0 disables snapshotting
     /// entirely, preserving pre-snapshot behavior bit-for-bit).
@@ -1583,9 +1597,8 @@ impl<S: Service> HcNode<S> {
         let Some(term) = self.raft.log().term_at(index) else {
             return;
         };
-        let mut ids = self.ids_upto(index);
-        ids.extend(self.pool.tombstone_ids());
-        let data = encode_snapshot_blob(self.service.snapshot(), ids);
+        let ids = self.covered_ids(index);
+        let data = encode_snapshot_blob(self.service.snapshot(), &ids);
         self.commit_snapshot(Snapshot { index, term, data }, now);
     }
 
@@ -1939,24 +1952,21 @@ impl<S: Service> HcNode<S> {
 #[cfg(test)]
 mod snapshot_blob_tests {
     use super::*;
+    use crate::service::EchoService;
 
     #[test]
     fn blob_round_trips_service_and_ids() {
         let service = Bytes::from_static(b"state-machine-bytes");
-        let ids = vec![
-            ReqId::new(5, 1000, 994),
-            ReqId::new(1, 2, 3),
-            ReqId::new(1, 2, 3),
-        ];
-        let blob = encode_snapshot_blob(service.clone(), ids);
+        let ids = [ReqId::new(1, 2, 3), ReqId::new(5, 1000, 994)];
+        let blob = encode_snapshot_blob(service.clone(), &ids);
         let (svc, got) = decode_snapshot_blob(&blob);
         assert_eq!(svc, service);
-        assert_eq!(got, vec![ReqId::new(1, 2, 3), ReqId::new(5, 1000, 994)]);
+        assert_eq!(got, ids);
     }
 
     #[test]
     fn empty_service_and_empty_ids_round_trip() {
-        let blob = encode_snapshot_blob(Bytes::new(), Vec::new());
+        let blob = encode_snapshot_blob(Bytes::new(), &[]);
         let (svc, ids) = decode_snapshot_blob(&blob);
         assert!(svc.is_empty());
         assert!(ids.is_empty());
@@ -1973,5 +1983,55 @@ mod snapshot_blob_tests {
         let (svc, ids) = decode_snapshot_blob(&raw);
         assert_eq!(svc, raw);
         assert!(ids.is_empty());
+    }
+
+    /// Steps `node` and completes every execution it issues at once and in
+    /// order, as the core test bus does.
+    fn drive(node: &mut HcNode<EchoService>, now: u64, input: Input, arena: &mut ByteArena) {
+        let mut out = Vec::new();
+        node.step(now, input, true, &mut out, arena);
+        let mut i = 0;
+        while i < out.len() {
+            if let Output::Execute { index, .. } = out[i] {
+                node.step(now, Input::ExecDone(index), true, &mut out, arena);
+            }
+            i += 1;
+        }
+    }
+
+    #[test]
+    fn capture_sorts_each_interval_once_and_never_the_tombstones() {
+        const INTERVAL: u64 = 100;
+        const REQUESTS: u16 = 1_000;
+        let mut cfg = HcConfig::new(raft::Config::new(0, vec![0]), Mode::Hovercraft);
+        cfg.snapshot_interval = INTERVAL;
+        let mut node = HcNode::new(cfg, EchoService::default(), 0);
+        let mut arena = ByteArena::new();
+        let mut now = 0;
+        while !node.is_leader() {
+            now += 250_000;
+            assert!(now < 1_000_000_000, "a single node elects itself");
+            drive(&mut node, now, Input::Tick, &mut arena);
+        }
+        for rid in 0..REQUESTS {
+            now += 1_000;
+            let msg = WireMsg::Request {
+                id: ReqId::new(100, 1, rid),
+                kind: OpKind::ReadWrite,
+                body: Bytes::from_static(b"w"),
+            };
+            drive(&mut node, now, Input::Message { src: 100, msg }, &mut arena);
+        }
+        // Ten snapshots, each capture sorting only the 100 entries of its
+        // interval: 1 000 ids, where sorting the tombstones as well would
+        // have been 100 + 200 + … + 1 000 = 5 500.
+        let stats = node.stats();
+        assert_eq!(stats.snapshots, 10);
+        assert_eq!(stats.snapshot_ids_sorted, 1_000);
+        assert_eq!(node.pool().tombstones().len(), 1_000);
+        // The last blob still carries every covered id, sorted.
+        let (_, ids) = decode_snapshot_blob(&node.durable_state().snapshot);
+        let expected: Vec<ReqId> = (0..REQUESTS).map(|rid| ReqId::new(100, 1, rid)).collect();
+        assert_eq!(ids, expected);
     }
 }

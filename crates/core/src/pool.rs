@@ -11,6 +11,8 @@
 //! serve `recovery_request`s from peers that missed the multicast, and so
 //! the applier can execute entries in log order.
 
+use std::collections::hash_map::Entry;
+
 use fxhash::FxHashMap;
 
 use bytes::Bytes;
@@ -42,6 +44,12 @@ pub struct UnorderedPool {
     /// GC timeout expires them, which bounds memory by the request rate
     /// times the timeout instead of the full history.
     compacted: FxHashMap<ReqId, u64>,
+    /// The keys of `compacted`, sorted: snapshot capture merges them with
+    /// the interval's ids instead of sorting the whole set again. Each
+    /// compaction sorts only its fresh ids and merges them in; GC filters
+    /// it on the pass that scans `compacted`. Derived state, like the
+    /// bounds below.
+    compacted_sorted: Vec<ReqId>,
     /// Lower bounds on the oldest `arrived` in `unordered` and the oldest
     /// stamp in `compacted` (`u64::MAX`: nothing stamped since a scan left
     /// the map empty). Every writer of a stamp lowers the bound and entries
@@ -62,6 +70,7 @@ impl Default for UnorderedPool {
             unordered: FxHashMap::default(),
             archive: FxHashMap::default(),
             compacted: FxHashMap::default(),
+            compacted_sorted: Vec::new(),
             unordered_oldest: u64::MAX,
             compacted_oldest: u64::MAX,
             gc_examined: 0,
@@ -95,6 +104,33 @@ fn expire<V>(
     });
     *oldest = survivors_oldest;
     examined
+}
+
+/// Merges `add` into `ids`, both sorted and duplicate-free, keeping `ids`
+/// sorted and duplicate-free: one linear pass from the back, in place, no
+/// comparison sort.
+pub(crate) fn merge_sorted_ids(ids: &mut Vec<ReqId>, add: &[ReqId]) {
+    // `ids[..i]` is the unmerged front; everything from `k` on is final.
+    let mut i = ids.len();
+    // Exact: the merge copies `ids` anyway, and doubling would leave the
+    // tombstone mirror up to twice its live size.
+    ids.reserve_exact(add.len());
+    ids.extend_from_slice(add);
+    let mut k = ids.len();
+    for &id in add.iter().rev() {
+        while i > 0 && ids[i - 1] > id {
+            i -= 1;
+            k -= 1;
+            ids[k] = ids[i];
+        }
+        if i > 0 && ids[i - 1] == id {
+            continue;
+        }
+        k -= 1;
+        ids[k] = id;
+    }
+    // Each duplicate skipped left one slot between the front and the rest.
+    ids.drain(i..k);
 }
 
 impl UnorderedPool {
@@ -191,6 +227,12 @@ impl UnorderedPool {
             now,
             timeout,
         );
+        // Tombstones leave only through `expire`, so the mirror is stale
+        // only right after a pass that dropped some.
+        if self.compacted_sorted.len() != self.compacted.len() {
+            let live = &self.compacted;
+            self.compacted_sorted.retain(|id| live.contains_key(id));
+        }
         self.gc_examined += (parked + tombstones) as u64;
         before - self.unordered.len()
     }
@@ -220,9 +262,16 @@ impl UnorderedPool {
         self.archive.len()
     }
 
-    /// Ids of all live (unexpired) compaction tombstones.
-    pub fn tombstone_ids(&self) -> Vec<ReqId> {
-        self.compacted.keys().copied().collect()
+    /// Ids of all live (unexpired) compaction tombstones, sorted.
+    pub fn tombstones(&self) -> &[ReqId] {
+        &self.compacted_sorted
+    }
+
+    /// Adds ids that just entered `compacted` to its sorted mirror: sorts
+    /// only the fresh batch and merges it in.
+    fn mirror_fresh(&mut self, mut fresh: Vec<ReqId>) {
+        fresh.sort_unstable();
+        merge_sorted_ids(&mut self.compacted_sorted, &fresh);
     }
 
     /// Number of live (unexpired) compaction tombstones.
@@ -242,6 +291,7 @@ impl UnorderedPool {
     /// Returns how many parked bodies were dropped.
     pub fn seed_tombstones(&mut self, ids: &[ReqId], now: u64) -> usize {
         let mut dropped = 0;
+        let mut fresh = Vec::with_capacity(ids.len());
         for id in ids {
             if self.unordered.remove(id).is_some() {
                 dropped += 1;
@@ -249,11 +299,15 @@ impl UnorderedPool {
             if self.archive.remove(id).is_some() {
                 dropped += 1;
             }
-            self.compacted.entry(*id).or_insert(now);
+            if let Entry::Vacant(slot) = self.compacted.entry(*id) {
+                slot.insert(now);
+                fresh.push(*id);
+            }
         }
         if !ids.is_empty() {
             self.compacted_oldest = self.compacted_oldest.min(now);
         }
+        self.mirror_fresh(fresh);
         dropped
     }
 
@@ -298,15 +352,19 @@ impl UnorderedPool {
     /// independently. Returns how many bodies were dropped.
     pub fn compact_archive(&mut self, ids: &[ReqId], now: u64) -> usize {
         let before = self.archive.len();
+        let mut fresh = Vec::with_capacity(ids.len());
         for id in ids {
-            if self.archive.remove(id).is_some() {
-                self.compacted.insert(*id, now);
+            // An id archived again after its tombstone (a late recovery
+            // reply) is re-stamped; only new tombstones join the mirror.
+            if self.archive.remove(id).is_some() && self.compacted.insert(*id, now).is_none() {
+                fresh.push(*id);
             }
         }
         let dropped = before - self.archive.len();
         if dropped > 0 {
             self.compacted_oldest = self.compacted_oldest.min(now);
         }
+        self.mirror_fresh(fresh);
         dropped
     }
 }
@@ -435,9 +493,7 @@ mod tests {
         assert!(p.is_archived(id(7)));
         p.insert(id(1), OpKind::ReadWrite, Bytes::from_static(b"dup"), 60);
         assert_eq!(p.unordered_len(), 0);
-        let mut ids = p.tombstone_ids();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![id(1), id(2), id(7)]);
+        assert_eq!(p.tombstones(), [id(1), id(2), id(7)]);
         // Seeded tombstones expire on the normal GC boundary.
         p.gc(50 + 601, 600);
         assert!(!p.is_archived(id(7)));
@@ -487,6 +543,27 @@ mod tests {
             p.tombstone_len(),
             50_000 - batches[0].len() - batches[1].len()
         );
+    }
+
+    #[test]
+    fn merge_is_the_sorted_union() {
+        let ids = |ns: &[u16]| ns.iter().map(|&n| id(n)).collect::<Vec<_>>();
+        for (a, b) in [
+            (&[][..], &[][..]),
+            (&[1, 4, 6], &[]),
+            (&[], &[2, 3]),
+            (&[1, 4, 6], &[0, 2, 5, 9]),
+            (&[1, 4, 6], &[1, 4, 5, 6, 7]),
+            (&[5, 6], &[1, 2]),
+        ] {
+            let mut merged = ids(a);
+            merge_sorted_ids(&mut merged, &ids(b));
+            let mut expected = ids(a);
+            expected.extend(ids(b));
+            expected.sort_unstable();
+            expected.dedup();
+            assert_eq!(merged, expected, "{a:?} ∪ {b:?}");
+        }
     }
 
     #[test]

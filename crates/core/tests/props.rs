@@ -610,9 +610,7 @@ proptest! {
                 prop_assert_eq!(seen(pool.get(id)), seen(model.get(id)), "get {:?}", id);
             }
             prop_assert_eq!(pool.unordered_ids(), model.unordered_ids());
-            let mut tombs = pool.tombstone_ids();
-            tombs.sort_unstable();
-            prop_assert_eq!(tombs, model.tombstone_ids());
+            prop_assert_eq!(pool.tombstones(), &model.tombstone_ids()[..], "sorted tombstone mirror");
             prop_assert_eq!(pool.unordered_len(), model.unordered.len());
             prop_assert_eq!(pool.archived_len(), model.archive.len());
             prop_assert_eq!(pool.tombstone_len(), model.compacted.len());

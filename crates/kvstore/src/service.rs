@@ -13,7 +13,9 @@ use crate::cost::CostModel;
 use crate::reply::Reply;
 use crate::store::Store;
 
-/// The store wrapped as a [`Service`].
+/// The store wrapped as a [`Service`]. Clones are independent replicas
+/// of the state (see [`Store`]), cheap because the records are shared.
+#[derive(Clone)]
 pub struct KvService {
     store: Store,
     cost: CostModel,

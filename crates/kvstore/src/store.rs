@@ -31,8 +31,10 @@ pub struct ExecMetrics {
     pub records: usize,
 }
 
-/// The data store.
-#[derive(Default)]
+/// The data store. A clone shares every key and value buffer with the
+/// original (they are refcounted [`Bytes`]) but owns its map, so a write
+/// to either leaves the other unchanged.
+#[derive(Clone, Default)]
 pub struct Store {
     map: BTreeMap<Bytes, Value>,
 }

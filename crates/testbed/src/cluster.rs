@@ -4,7 +4,7 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use hovercraft::{HcConfig, HcNode, Mode, WireMsg};
+use hovercraft::{HcConfig, HcNode, Mode, Service, WireMsg};
 use minikv::{CostModel, KvService};
 use simnet::{Addr, FabricParams, NicParams, NodeId, Sim, SimDur, SimTime, SwitchProgram, Tracer};
 use workload::{RecordSpec, SynthService, SynthSpec, YcsbGen, YcsbWorkload};
@@ -158,30 +158,46 @@ pub struct Cluster {
     opts: ClusterOpts,
 }
 
-fn make_service(kind: ServiceKind) -> Box<dyn hovercraft::Service> {
-    match kind {
-        ServiceKind::Synth => Box::new(SynthService::default()),
-        ServiceKind::Kv => Box::new(KvService::new(CostModel::default())),
-    }
+/// The application state every server starts from, built once per world
+/// (outside simulated time) and cloned wherever a service is needed: each
+/// replica, the unreplicated baseline, and every crash–restart rejoin (a
+/// restarted node's state machine starts from this same image and
+/// re-applies its log from index 1, or restores its snapshot over it).
+enum ServiceImage {
+    /// The synthetic service holds no state worth sharing.
+    Synth,
+    /// The store, preloaded with the YCSB records when the workload has
+    /// any. A clone shares the record buffers and owns its map, so a write
+    /// on one replica stays private to it.
+    Kv(KvService),
 }
 
-/// Builds the application service for one server, preloaded identically on
-/// every replica (outside simulated time). Also the service factory for
-/// crash–restart rejoin: a restarted node's state machine starts from this
-/// same preloaded image and re-applies its log from index 1.
-fn build_service(opts: &ClusterOpts) -> Box<dyn hovercraft::Service> {
-    let mut svc = make_service(opts.service);
-    if opts.service == ServiceKind::Kv {
-        if let WorkloadKind::Ycsb { records, .. } = &opts.workload {
-            let gen = YcsbGen::new(YcsbWorkload::E, *records, RecordSpec::default(), 0);
-            // Preload runs outside simulated time; a throwaway arena is fine.
-            let mut arena = bytes::ByteArena::new();
-            for cmd in gen.load_phase() {
-                svc.execute(&cmd.encode(), false, &mut arena);
+impl ServiceImage {
+    fn new(opts: &ClusterOpts) -> ServiceImage {
+        match opts.service {
+            ServiceKind::Synth => ServiceImage::Synth,
+            ServiceKind::Kv => {
+                let mut kv = KvService::new(CostModel::default());
+                if let WorkloadKind::Ycsb { records, .. } = &opts.workload {
+                    let gen = YcsbGen::new(YcsbWorkload::E, *records, RecordSpec::default(), 0);
+                    // A throwaway arena: the preload's replies are dropped.
+                    let mut arena = bytes::ByteArena::new();
+                    for cmd in gen.load_phase() {
+                        kv.execute(&cmd.encode(), false, &mut arena);
+                    }
+                }
+                ServiceImage::Kv(kv)
             }
         }
     }
-    svc
+
+    /// A fresh service in the image's state.
+    fn instance(&self) -> Box<dyn Service> {
+        match self {
+            ServiceImage::Synth => Box::new(SynthService::default()),
+            ServiceImage::Kv(kv) => Box::new(kv.clone()),
+        }
+    }
 }
 
 /// NIC profile for client generators: the paper uses a pool of Lancet
@@ -203,12 +219,13 @@ impl Cluster {
         let mut sim: Sim<WireMsg> = Sim::new(FabricParams::default(), opts.seed);
         let n = opts.n;
         let members: Vec<u32> = (0..n).collect();
+        let image = ServiceImage::new(&opts);
 
         // Servers occupy node ids 0..n so Raft ids equal addresses.
         let mut servers = Vec::with_capacity(n as usize);
         for id in &members {
             let agent: Box<dyn simnet::Agent<WireMsg>> = match opts.setup.mode() {
-                None => Box::new(UnrepAgent::new(build_service(&opts))),
+                None => Box::new(UnrepAgent::new(image.instance())),
                 Some(mode) => {
                     let mut rc = raft::Config::new(*id, members.clone());
                     rc.seed = opts.seed.wrapping_mul(31).wrapping_add(*id as u64 * 7 + 3);
@@ -227,7 +244,7 @@ impl Cluster {
                     if opts.snap_chunk_bytes > 0 {
                         cfg.snap_chunk_bytes = opts.snap_chunk_bytes;
                     }
-                    Box::new(ServerAgent::new(cfg, build_service(&opts)))
+                    Box::new(ServerAgent::new(cfg, image.instance()))
                 }
             };
             servers.push(sim.add_node(agent));
@@ -250,8 +267,8 @@ impl Cluster {
             // the log above the snapshot, with missing bodies re-fetched
             // via the recovery protocol (§5). The epoch check makes a
             // restore from a stale incarnation a traced, fatal error
-            // instead of a silent reinitialization.
-            let hook_opts = opts.clone();
+            // instead of a silent reinitialization. The hook owns the
+            // world's image from here on.
             let hook_tracer = tracer.clone();
             sim.set_restart_hook(Box::new(move |node, now, old| {
                 let crashed = old
@@ -263,7 +280,7 @@ impl Cluster {
                 let new_epoch = crashed.epoch() + 1;
                 let restored = HcNode::restore(
                     crashed.config().clone(),
-                    build_service(&hook_opts),
+                    image.instance(),
                     now.as_nanos(),
                     durable,
                     new_epoch,
@@ -553,5 +570,48 @@ impl Cluster {
     /// The build options.
     pub fn opts(&self) -> &ClusterOpts {
         &self.opts
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytes::Bytes;
+    use minikv::{Command, Reply};
+
+    #[test]
+    fn image_instances_share_records_and_keep_writes_private() {
+        let mut opts = ClusterOpts::new(Setup::Unrep, 1, 1.0);
+        opts.service = ServiceKind::Kv;
+        opts.workload = WorkloadKind::Ycsb {
+            workload: YcsbWorkload::E,
+            records: 100,
+        };
+        let image = ServiceImage::new(&opts);
+        let ServiceImage::Kv(kv) = &image else {
+            panic!("a Kv world builds a Kv image");
+        };
+        // The stores of two instances, as `instance` clones them.
+        let (mut a, mut b) = (kv.store().clone(), kv.store().clone());
+        let get = Command::Get(Bytes::from(format!("usertable/{}", workload::key_of(7))));
+        match (a.execute(&get).0, b.execute(&get).0) {
+            (Reply::Bulk(ra), Reply::Bulk(rb)) => {
+                assert_eq!(ra.as_ptr(), rb.as_ptr(), "one allocation per record");
+            }
+            other => panic!("preloaded record missing: {other:?}"),
+        }
+
+        // An INSERT that overwrites a preloaded key stays on its instance.
+        let preloaded = kv.snapshot();
+        let (mut a, b) = (image.instance(), image.instance());
+        let overwrite = Command::Insert(
+            Bytes::from_static(b"usertable"),
+            Bytes::from(workload::key_of(7)),
+            Bytes::from_static(b"rewritten"),
+        );
+        a.execute(&overwrite.encode(), false, &mut bytes::ByteArena::new());
+        assert_ne!(a.snapshot(), preloaded);
+        assert_eq!(b.snapshot(), preloaded, "the other instance is unchanged");
+        assert_eq!(kv.snapshot(), preloaded, "so is the image");
     }
 }

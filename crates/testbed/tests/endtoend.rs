@@ -1,13 +1,15 @@
 //! End-to-end tests of the full simulated testbed: every setup serves an
 //! open-loop load with µs-scale latency and sane accounting.
 
-use hovercraft::PolicyKind;
-use simnet::SimDur;
+use bytes::{ByteArena, Bytes};
+use hovercraft::{PolicyKind, Service};
+use minikv::{CostModel, KvService};
+use simnet::{SimDur, SimTime};
 use testbed::{
     run_experiment_checked, summarize, AggProgram, Cluster, ClusterOpts, ServerAgent, ServiceKind,
     Setup, WorkloadKind,
 };
-use workload::{ServiceDist, SynthSpec, YcsbWorkload};
+use workload::{RecordSpec, ServiceDist, SynthSpec, YcsbGen, YcsbWorkload};
 
 fn quick(setup: Setup, n: u32, rate: f64) -> ClusterOpts {
     let mut o = ClusterOpts::new(setup, n, rate);
@@ -113,15 +115,78 @@ fn reply_lb_shares_reply_traffic() {
 
 #[test]
 fn ycsbe_on_kv_store_works_end_to_end() {
-    let mut o = quick(Setup::HovercraftPp(PolicyKind::Jbsq), 3, 20_000.0);
+    let r = run_experiment_checked(ycsbe(Setup::HovercraftPp(PolicyKind::Jbsq), 3, 1_000));
+    assert!(r.achieved_rps > 20_000.0 * 0.9, "{r:?}");
+    assert!(r.p99_ns < 500_000, "p99 = {}", r.p99_ns);
+}
+
+fn ycsbe(setup: Setup, n: u32, records: u64) -> ClusterOpts {
+    let mut o = quick(setup, n, 20_000.0);
     o.service = ServiceKind::Kv;
     o.workload = WorkloadKind::Ycsb {
         workload: YcsbWorkload::E,
-        records: 1_000,
+        records,
     };
-    let r = run_experiment_checked(o);
-    assert!(r.achieved_rps > 20_000.0 * 0.9, "{r:?}");
-    assert!(r.p99_ns < 500_000, "p99 = {}", r.p99_ns);
+    o
+}
+
+/// The serialized store of server `s`.
+fn store_snapshot(cluster: &Cluster, s: u32) -> Bytes {
+    cluster
+        .sim
+        .agent::<ServerAgent>(s)
+        .node()
+        .service()
+        .snapshot()
+}
+
+#[test]
+fn every_replica_starts_from_the_preloaded_store() {
+    // The world preloads one image and clones it per replica; each clone
+    // must hold exactly what preloading a store of its own would give.
+    let records = 10_000;
+    let cluster = Cluster::build(ycsbe(Setup::HovercraftPp(PolicyKind::Jbsq), 5, records));
+    let mut own = KvService::new(CostModel::default());
+    let gen = YcsbGen::new(YcsbWorkload::E, records, RecordSpec::default(), 0);
+    let mut arena = ByteArena::new();
+    for cmd in gen.load_phase() {
+        own.execute(&cmd.encode(), false, &mut arena);
+    }
+    let expected = own.snapshot();
+    for &s in &cluster.servers {
+        let same = store_snapshot(&cluster, s) == expected;
+        assert!(same, "server {s} starts from a different store");
+    }
+}
+
+#[test]
+fn kv_follower_restarts_from_the_image_and_converges() {
+    let mut cluster = Cluster::build(ycsbe(Setup::HovercraftPp(PolicyKind::Jbsq), 3, 1_000));
+    cluster.settle();
+    let leader = cluster.leader().expect("settled leader");
+    let victim = cluster
+        .servers
+        .iter()
+        .copied()
+        .find(|&s| s != leader)
+        .expect("a follower");
+    let at = |ms| SimTime::ZERO + SimDur::millis(ms);
+    cluster.sim.kill_at(victim, at(200));
+    cluster.sim.restart_at(victim, at(250));
+    cluster.run_to_completion_checked();
+    // Drain: the restarted node re-applies its log over a fresh clone of
+    // the image and re-fetches the bodies it never pooled.
+    cluster.run_checked(SimDur::millis(100));
+    assert_eq!(cluster.sim.restarts(victim), 1, "exactly one crash–restart");
+    let applied = |s| cluster.sim.agent::<ServerAgent>(s).node().applied_index();
+    assert!(applied(leader) > 0, "the run made progress");
+    assert_eq!(applied(victim), applied(leader), "the victim caught up");
+    let leader_store = store_snapshot(&cluster, leader);
+    for &s in &cluster.servers {
+        assert!(cluster.sim.is_alive(s));
+        let same = store_snapshot(&cluster, s) == leader_store;
+        assert!(same, "server {s} holds a different store than the leader");
+    }
 }
 
 #[test]
