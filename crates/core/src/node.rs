@@ -660,6 +660,11 @@ impl<S: Service> HcNode<S> {
         if batch_ends {
             self.flush(now, out, arena);
         }
+        debug_assert_eq!(
+            self.last_snapshot.is_some(),
+            self.raft.log().snapshot_index() > 0,
+            "a node holds a snapshot exactly when its log is compacted"
+        );
     }
 
     /// Handles one incoming message; `src` is the sender's network address.
@@ -684,7 +689,7 @@ impl<S: Service> HcNode<S> {
                         dst: src,
                         msg: WireMsg::RecoveryRep { id, kind, body },
                     });
-                } else if (self.last_snapshot.is_some() || self.raft.log().snapshot_index() > 0)
+                } else if self.last_snapshot.is_some()
                     && src != self.id()
                     && self.cfg.raft.members.contains(&src)
                 {
@@ -1575,33 +1580,6 @@ impl<S: Service> HcNode<S> {
         self.commit_snapshot(snap, now);
     }
 
-    /// Serializes the state machine immediately at the applied index — only
-    /// sound when the app pipeline is drained (the service holds the effects
-    /// of every *issued* entry, which runs ahead of `applied`; with issues
-    /// outstanding this refuses rather than capture a blob that is ahead of
-    /// its claimed index). Fallback for restored nodes that own a compacted
-    /// log without a snapshot in memory, and for drivers that want a
-    /// snapshot at a quiescent point (e.g. before persisting
-    /// [`HcNode::durable_state`]); the steady-state path captures at issue
-    /// time instead (`try_apply`). A no-op when there is nothing to
-    /// snapshot: an empty log, an applied cursor still at 0, or a horizon
-    /// at or below the existing snapshot boundary.
-    pub fn take_snapshot(&mut self, now: u64) {
-        if self.next_apply != self.applied + 1 {
-            return;
-        }
-        let index = self.applied;
-        if index == 0 || index <= self.raft.log().snapshot_index() {
-            return;
-        }
-        let Some(term) = self.raft.log().term_at(index) else {
-            return;
-        };
-        let ids = self.covered_ids(index);
-        let data = encode_snapshot_blob(self.service.snapshot(), &ids);
-        self.commit_snapshot(Snapshot { index, term, data }, now);
-    }
-
     /// Publishes a snapshot whose blob is known to correspond exactly to
     /// its index: compacts the ordering log below it and drops the archived
     /// bodies the compacted entries referenced (leaving dedupe tombstones —
@@ -1636,11 +1614,6 @@ impl<S: Service> HcNode<S> {
     fn ensure_transfer(&mut self, to: RaftId, now: u64, out: &mut Vec<Output>) {
         if to == self.id() || self.xfers.contains_key(&to) {
             return;
-        }
-        if self.last_snapshot.is_none() {
-            // Restored leaders can own a compacted log without holding the
-            // snapshot in memory yet; re-serialize at the applied index.
-            self.take_snapshot(now);
         }
         let Some(snap) = self.last_snapshot.clone() else {
             return;
@@ -1746,8 +1719,12 @@ impl<S: Service> HcNode<S> {
         // horizon. Peer contact, not leader contact: the sender may be a
         // follower healing us (§5), and a leader receiving a chunk must not
         // depose itself.
-        let mut actions = self.raft.note_peer_contact(term, now);
-        self.drain(&mut actions, now, out, arena);
+        self.with_raft(
+            |r, a| r.note_peer_contact_into(term, now, a),
+            now,
+            out,
+            arena,
+        );
         let me = self.id();
         if snap_index < self.next_apply {
             // Already at or past this horizon (e.g. a duplicate of the
@@ -1869,8 +1846,12 @@ impl<S: Service> HcNode<S> {
                 to: from,
                 index: snap_index,
             });
-            let mut actions = self.raft.on_snapshot_installed(from, snap_index, now);
-            self.drain(&mut actions, now, out, arena);
+            self.with_raft(
+                |r, a| r.on_snapshot_installed_into(from, snap_index, now, a),
+                now,
+                out,
+                arena,
+            );
             self.try_announce(now);
         } else {
             // Cumulative: a lower-than-acked offset legitimately rewinds
@@ -1912,7 +1893,11 @@ impl<S: Service> HcNode<S> {
         let (service_blob, covered) = decode_snapshot_blob(&data);
         dropped += self.pool.seed_tombstones(&covered, now);
         self.service.restore(&service_blob);
-        let mut actions = self.raft.install_snapshot(snap_index, snap_term);
+        // The install's actions are drained last, once the cursors below
+        // have moved past the horizon.
+        let mut acts = std::mem::take(&mut self.acts);
+        self.raft
+            .install_snapshot_into(snap_index, snap_term, &mut acts);
         self.applied = snap_index;
         self.next_apply = self.next_apply.max(snap_index + 1);
         // Any unpublished capture predates the install horizon (installs
@@ -1944,7 +1929,8 @@ impl<S: Service> HcNode<S> {
                 dropped: dropped as u64,
             });
         }
-        self.drain(&mut actions, now, out, arena);
+        self.drain(&mut acts, now, out, arena);
+        self.acts = acts;
         self.try_apply(now, out, arena);
     }
 }

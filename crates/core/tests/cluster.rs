@@ -820,128 +820,3 @@ fn restore_from_stale_epoch_is_rejected() {
     let durable2 = restored.durable_state();
     assert_eq!(durable2.epoch, 1, "durable state carries the new epoch");
 }
-
-/// Pins the edges of the drained-only [`HcNode::take_snapshot`] fallback
-/// (the path `ensure_transfer` takes when a restored node owns a
-/// compacted log without a snapshot blob in memory): an empty log and an
-/// applied cursor at 0 must never produce a snapshot at index 0 (0 is the
-/// "no snapshot" sentinel everywhere — in `DurableState.snap_index`, the
-/// log boundary, and the transfer protocol); an undrained app pipeline
-/// must refuse rather than capture service state that is ahead of the
-/// claimed index; and back-to-back horizons (re-snapshot at the same
-/// index, then again one entry later) must be a no-op and a fresh
-/// boundary respectively.
-#[test]
-fn drained_only_take_snapshot_fallback_edges() {
-    // A single-member group: it elects itself (quorum of one) and commits
-    // locally, so the test can hold the app pipeline open by simply not
-    // completing Execute outputs.
-    let members: Vec<RaftId> = vec![0];
-    let mut rc = raft::Config::new(0, members);
-    rc.seed = 11;
-    let cfg = HcConfig::new(rc, Mode::Hovercraft);
-    let mut node = HcNode::new(cfg, EchoService::default(), 0);
-    let mut arena = bytes::ByteArena::new();
-
-    // Edge: empty log, nothing applied. No snapshot, no boundary change.
-    node.take_snapshot(0);
-    assert_eq!(node.snapshot_index(), 0, "no snapshot at index 0");
-    assert_eq!(node.stats().snapshots, 0);
-
-    // Elect (single node: first election timeout wins instantly).
-    let mut now = 0u64;
-    let mut execs: Vec<u64> = Vec::new();
-    // Sends go nowhere (no peers, no client on the wire); Execute outputs
-    // are parked so the test controls the drain point.
-    fn park(outs: Vec<Output>, execs: &mut Vec<u64>) {
-        for o in outs {
-            if let Output::Execute { index, .. } = o {
-                execs.push(index);
-            }
-        }
-    }
-    while !node.is_leader() {
-        now += 1_000_000;
-        let mut outs = Vec::new();
-        node.step(now, Input::Tick, false, &mut outs, &mut arena);
-        park(outs, &mut execs);
-        assert!(now < 10_000_000_000, "single node must elect itself");
-    }
-
-    // Order one request but leave it executing on the app thread.
-    let mut alloc = ReqIdAlloc::new(CLIENT, 500);
-    let request = |id: ReqId, body: &'static [u8]| Input::Message {
-        src: CLIENT,
-        msg: WireMsg::Request {
-            id,
-            kind: OpKind::ReadWrite,
-            body: Bytes::from_static(body),
-        },
-    };
-    let mut outs = Vec::new();
-    // Shipping, at the end of the batch, is what commits on a group of one.
-    let input = request(alloc.allocate(), b"snap-edge");
-    node.step(now, input, true, &mut outs, &mut arena);
-    park(outs, &mut execs);
-    assert_eq!(execs, vec![1], "the request is issued to the app thread");
-    assert_eq!(node.applied_index(), 0, "execution has not completed");
-
-    // Edge: undrained pipeline — the service already holds entry 1's
-    // effects, so a snapshot stamped `applied == 0` would be ahead of its
-    // index. Refused.
-    node.take_snapshot(now);
-    assert_eq!(node.snapshot_index(), 0, "undrained snapshot refused");
-    assert_eq!(node.stats().snapshots, 0);
-
-    // Drain, then the fallback works at the applied index.
-    let mut outs = Vec::new();
-    node.step(now, Input::ExecDone(1), false, &mut outs, &mut arena);
-    park(outs, &mut execs);
-    assert_eq!(node.applied_index(), 1);
-    node.take_snapshot(now);
-    assert_eq!(node.snapshot_index(), 1);
-    assert_eq!(node.stats().snapshots, 1);
-
-    // Edge: back-to-back horizons at the same index — a no-op, not a
-    // duplicate snapshot (the boundary guard, `index <= snapshot_index`).
-    node.take_snapshot(now);
-    assert_eq!(node.snapshot_index(), 1);
-    assert_eq!(
-        node.stats().snapshots,
-        1,
-        "same-horizon re-snapshot is a no-op"
-    );
-
-    // One more entry, drain, snapshot again: a fresh boundary one entry
-    // past the old one (horizons may be arbitrarily close).
-    let mut outs = Vec::new();
-    let input = request(alloc.allocate(), b"snap-edge-2");
-    node.step(now, input, true, &mut outs, &mut arena);
-    park(outs, &mut execs);
-    let mut outs = Vec::new();
-    node.step(now, Input::ExecDone(2), false, &mut outs, &mut arena);
-    park(outs, &mut execs);
-    node.take_snapshot(now);
-    assert_eq!(node.snapshot_index(), 2, "back-to-back horizon advances");
-    assert_eq!(node.stats().snapshots, 2);
-    assert_eq!(
-        node.raft().log().first_index(),
-        3,
-        "the log compacted to the new boundary"
-    );
-
-    // The durable state round-trips the fallback snapshot: a successor
-    // incarnation restores from it with the boundary intact.
-    let durable = node.durable_state();
-    assert_eq!(durable.snap_index, 2);
-    let restored = HcNode::restore(
-        node.config().clone(),
-        EchoService::default(),
-        now,
-        durable,
-        1,
-    )
-    .expect("restore from fallback snapshot");
-    assert_eq!(restored.applied_index(), 2);
-    assert_eq!(restored.snapshot_index(), 2);
-}

@@ -1,95 +1,29 @@
 //! The command set and its binary codec.
 //!
-//! Commands are encoded as `[opcode u8][arg]*` where each argument is a
-//! `u32`-length-prefixed byte string — binary-safe and cheap to parse, the
-//! moral equivalent of RESP for a kernel-bypass deployment. The YCSB-E
-//! module operations (`INSERT`, `SCAN`) mirror the paper's user-defined
-//! Redis module (§7.5): each executes as one atomic, isolated command.
+//! Commands are encoded as `[opcode u8][arg]*` where each byte-string
+//! argument is `u32`-length-prefixed — binary-safe and cheap to parse, the
+//! moral equivalent of RESP for a kernel-bypass deployment. The two
+//! commands are the paper's user-defined Redis module (§7.5): each executes
+//! as one atomic, isolated command.
 
 use bytes::{BufMut, Bytes, BytesMut};
 
 /// A parsed command.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Command {
-    // -- strings ------------------------------------------------------------
-    /// Set `key` to `value`.
-    Set(Bytes, Bytes),
-    /// Get the value of `key`.
-    Get(Bytes),
-    /// Delete `key`; yields the number of keys removed (0 or 1).
-    Del(Bytes),
-    /// Whether `key` exists (any type).
-    Exists(Bytes),
-    /// Increment the integer at `key` by 1 (initializing to 0).
-    Incr(Bytes),
-    /// Append `value` to the string at `key`; yields the new length.
-    Append(Bytes, Bytes),
-    // -- lists --------------------------------------------------------------
-    /// Push `value` at the head of the list at `key`.
-    LPush(Bytes, Bytes),
-    /// Push `value` at the tail of the list at `key`.
-    RPush(Bytes, Bytes),
-    /// Pop from the head.
-    LPop(Bytes),
-    /// List length.
-    LLen(Bytes),
-    /// Elements `[start, stop]` (inclusive, saturating).
-    LRange(Bytes, u32, u32),
-    // -- hashes ---------------------------------------------------------------
-    /// Set hash `key`'s `field` to `value`.
-    HSet(Bytes, Bytes, Bytes),
-    /// Get hash `key`'s `field`.
-    HGet(Bytes, Bytes),
-    /// Delete hash `key`'s `field`.
-    HDel(Bytes, Bytes),
-    /// Number of fields in the hash.
-    HLen(Bytes),
-    /// All field/value pairs, deterministically ordered.
-    HGetAll(Bytes),
-    // -- sets ---------------------------------------------------------------
-    /// Add `member` to the set at `key`.
-    SAdd(Bytes, Bytes),
-    /// Remove `member`.
-    SRem(Bytes, Bytes),
-    /// Membership test.
-    SIsMember(Bytes, Bytes),
-    /// Set cardinality.
-    SCard(Bytes),
-    // -- YCSB-E module ops (§7.5) --------------------------------------------
     /// Insert a record: `table`, `key`, and the serialized field map —
     /// atomically, as a single state-machine operation.
     Insert(Bytes, Bytes, Bytes),
     /// Scan up to `count` records of `table` starting at `key` (inclusive),
     /// returning key/record pairs — the threaded-conversation read.
     Scan(Bytes, Bytes, u32),
-    // -- admin ---------------------------------------------------------------
-    /// Number of keys in the keyspace.
-    DbSize,
-    /// Drop everything.
-    FlushAll,
-    /// Liveness probe.
-    Ping,
 }
 
 impl Command {
     /// True if the command cannot mutate state — safe to tag
     /// `REPLICATED_REQ_R` and load-balance (§3.5).
     pub fn is_read_only(&self) -> bool {
-        matches!(
-            self,
-            Command::Get(_)
-                | Command::Exists(_)
-                | Command::LLen(_)
-                | Command::LRange(..)
-                | Command::HGet(..)
-                | Command::HLen(_)
-                | Command::HGetAll(_)
-                | Command::SIsMember(..)
-                | Command::SCard(_)
-                | Command::Scan(..)
-                | Command::DbSize
-                | Command::Ping
-        )
+        matches!(self, Command::Scan(..))
     }
 }
 
@@ -115,59 +49,40 @@ impl std::fmt::Display for CodecError {
 }
 impl std::error::Error for CodecError {}
 
-mod op {
-    pub const SET: u8 = 0x01;
-    pub const GET: u8 = 0x02;
-    pub const DEL: u8 = 0x03;
-    pub const EXISTS: u8 = 0x04;
-    pub const INCR: u8 = 0x05;
-    pub const APPEND: u8 = 0x06;
-    pub const LPUSH: u8 = 0x10;
-    pub const RPUSH: u8 = 0x11;
-    pub const LPOP: u8 = 0x12;
-    pub const LLEN: u8 = 0x13;
-    pub const LRANGE: u8 = 0x14;
-    pub const HSET: u8 = 0x20;
-    pub const HGET: u8 = 0x21;
-    pub const HDEL: u8 = 0x22;
-    pub const HLEN: u8 = 0x23;
-    pub const HGETALL: u8 = 0x24;
-    pub const SADD: u8 = 0x30;
-    pub const SREM: u8 = 0x31;
-    pub const SISMEMBER: u8 = 0x32;
-    pub const SCARD: u8 = 0x33;
-    pub const INSERT: u8 = 0x40;
-    pub const SCAN: u8 = 0x41;
-    pub const DBSIZE: u8 = 0x50;
-    pub const FLUSHALL: u8 = 0x51;
-    pub const PING: u8 = 0x52;
+const OP_INSERT: u8 = 0x40;
+const OP_SCAN: u8 = 0x41;
+
+// Big-endian primitives shared with the reply and snapshot codecs: each
+// `take_*` consumes from the front of `cur` and returns `None` on underrun.
+
+pub(crate) fn put_bytes(out: &mut impl BufMut, b: &[u8]) {
+    out.put_u32(b.len() as u32);
+    out.put_slice(b);
 }
 
-fn put_arg(buf: &mut BytesMut, a: &[u8]) {
-    buf.put_u32(a.len() as u32);
-    buf.put_slice(a);
+pub(crate) fn take_u8(cur: &mut &[u8]) -> Option<u8> {
+    let (&b, rest) = cur.split_first()?;
+    *cur = rest;
+    Some(b)
 }
 
-fn take_arg(buf: &mut &[u8]) -> Result<Bytes, CodecError> {
-    if buf.len() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if buf.len() < 4 + len {
-        return Err(CodecError::Truncated);
-    }
-    let arg = Bytes::copy_from_slice(&buf[4..4 + len]);
-    *buf = &buf[4 + len..];
-    Ok(arg)
+pub(crate) fn take_u32(cur: &mut &[u8]) -> Option<u32> {
+    let (head, rest) = cur.split_at_checked(4)?;
+    *cur = rest;
+    Some(u32::from_be_bytes(head.try_into().expect("4 bytes")))
 }
 
-fn take_u32(buf: &mut &[u8]) -> Result<u32, CodecError> {
-    if buf.len() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    let v = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]);
-    *buf = &buf[4..];
-    Ok(v)
+pub(crate) fn take_u64(cur: &mut &[u8]) -> Option<u64> {
+    let (head, rest) = cur.split_at_checked(8)?;
+    *cur = rest;
+    Some(u64::from_be_bytes(head.try_into().expect("8 bytes")))
+}
+
+pub(crate) fn take_bytes(cur: &mut &[u8]) -> Option<Bytes> {
+    let len = take_u32(cur)? as usize;
+    let (head, rest) = cur.split_at_checked(len)?;
+    *cur = rest;
+    Some(Bytes::copy_from_slice(head))
 }
 
 impl Command {
@@ -175,114 +90,18 @@ impl Command {
     pub fn encode(&self) -> Bytes {
         let mut b = BytesMut::with_capacity(32);
         match self {
-            Command::Set(k, v) => {
-                b.put_u8(op::SET);
-                put_arg(&mut b, k);
-                put_arg(&mut b, v);
-            }
-            Command::Get(k) => {
-                b.put_u8(op::GET);
-                put_arg(&mut b, k);
-            }
-            Command::Del(k) => {
-                b.put_u8(op::DEL);
-                put_arg(&mut b, k);
-            }
-            Command::Exists(k) => {
-                b.put_u8(op::EXISTS);
-                put_arg(&mut b, k);
-            }
-            Command::Incr(k) => {
-                b.put_u8(op::INCR);
-                put_arg(&mut b, k);
-            }
-            Command::Append(k, v) => {
-                b.put_u8(op::APPEND);
-                put_arg(&mut b, k);
-                put_arg(&mut b, v);
-            }
-            Command::LPush(k, v) => {
-                b.put_u8(op::LPUSH);
-                put_arg(&mut b, k);
-                put_arg(&mut b, v);
-            }
-            Command::RPush(k, v) => {
-                b.put_u8(op::RPUSH);
-                put_arg(&mut b, k);
-                put_arg(&mut b, v);
-            }
-            Command::LPop(k) => {
-                b.put_u8(op::LPOP);
-                put_arg(&mut b, k);
-            }
-            Command::LLen(k) => {
-                b.put_u8(op::LLEN);
-                put_arg(&mut b, k);
-            }
-            Command::LRange(k, lo, hi) => {
-                b.put_u8(op::LRANGE);
-                put_arg(&mut b, k);
-                b.put_u32(*lo);
-                b.put_u32(*hi);
-            }
-            Command::HSet(k, f, v) => {
-                b.put_u8(op::HSET);
-                put_arg(&mut b, k);
-                put_arg(&mut b, f);
-                put_arg(&mut b, v);
-            }
-            Command::HGet(k, f) => {
-                b.put_u8(op::HGET);
-                put_arg(&mut b, k);
-                put_arg(&mut b, f);
-            }
-            Command::HDel(k, f) => {
-                b.put_u8(op::HDEL);
-                put_arg(&mut b, k);
-                put_arg(&mut b, f);
-            }
-            Command::HLen(k) => {
-                b.put_u8(op::HLEN);
-                put_arg(&mut b, k);
-            }
-            Command::HGetAll(k) => {
-                b.put_u8(op::HGETALL);
-                put_arg(&mut b, k);
-            }
-            Command::SAdd(k, m) => {
-                b.put_u8(op::SADD);
-                put_arg(&mut b, k);
-                put_arg(&mut b, m);
-            }
-            Command::SRem(k, m) => {
-                b.put_u8(op::SREM);
-                put_arg(&mut b, k);
-                put_arg(&mut b, m);
-            }
-            Command::SIsMember(k, m) => {
-                b.put_u8(op::SISMEMBER);
-                put_arg(&mut b, k);
-                put_arg(&mut b, m);
-            }
-            Command::SCard(k) => {
-                b.put_u8(op::SCARD);
-                put_arg(&mut b, k);
-            }
             Command::Insert(t, k, rec) => {
-                b.put_u8(op::INSERT);
-                put_arg(&mut b, t);
-                put_arg(&mut b, k);
-                put_arg(&mut b, rec);
+                b.put_u8(OP_INSERT);
+                put_bytes(&mut b, t);
+                put_bytes(&mut b, k);
+                put_bytes(&mut b, rec);
             }
             Command::Scan(t, k, n) => {
-                b.put_u8(op::SCAN);
-                put_arg(&mut b, t);
-                put_arg(&mut b, k);
+                b.put_u8(OP_SCAN);
+                put_bytes(&mut b, t);
+                put_bytes(&mut b, k);
                 b.put_u32(*n);
             }
-            Command::DbSize => b.put_u8(op::DBSIZE),
-            Command::FlushAll => b.put_u8(op::FLUSHALL),
-            Command::Ping => b.put_u8(op::PING),
         }
         b.freeze()
     }
@@ -293,32 +112,10 @@ impl Command {
             return Err(CodecError::Truncated);
         };
         let r = &mut rest;
+        let arg = |r: &mut &[u8]| take_bytes(r).ok_or(CodecError::Truncated);
         let cmd = match opcode {
-            op::SET => Command::Set(take_arg(r)?, take_arg(r)?),
-            op::GET => Command::Get(take_arg(r)?),
-            op::DEL => Command::Del(take_arg(r)?),
-            op::EXISTS => Command::Exists(take_arg(r)?),
-            op::INCR => Command::Incr(take_arg(r)?),
-            op::APPEND => Command::Append(take_arg(r)?, take_arg(r)?),
-            op::LPUSH => Command::LPush(take_arg(r)?, take_arg(r)?),
-            op::RPUSH => Command::RPush(take_arg(r)?, take_arg(r)?),
-            op::LPOP => Command::LPop(take_arg(r)?),
-            op::LLEN => Command::LLen(take_arg(r)?),
-            op::LRANGE => Command::LRange(take_arg(r)?, take_u32(r)?, take_u32(r)?),
-            op::HSET => Command::HSet(take_arg(r)?, take_arg(r)?, take_arg(r)?),
-            op::HGET => Command::HGet(take_arg(r)?, take_arg(r)?),
-            op::HDEL => Command::HDel(take_arg(r)?, take_arg(r)?),
-            op::HLEN => Command::HLen(take_arg(r)?),
-            op::HGETALL => Command::HGetAll(take_arg(r)?),
-            op::SADD => Command::SAdd(take_arg(r)?, take_arg(r)?),
-            op::SREM => Command::SRem(take_arg(r)?, take_arg(r)?),
-            op::SISMEMBER => Command::SIsMember(take_arg(r)?, take_arg(r)?),
-            op::SCARD => Command::SCard(take_arg(r)?),
-            op::INSERT => Command::Insert(take_arg(r)?, take_arg(r)?, take_arg(r)?),
-            op::SCAN => Command::Scan(take_arg(r)?, take_arg(r)?, take_u32(r)?),
-            op::DBSIZE => Command::DbSize,
-            op::FLUSHALL => Command::FlushAll,
-            op::PING => Command::Ping,
+            OP_INSERT => Command::Insert(arg(r)?, arg(r)?, arg(r)?),
+            OP_SCAN => Command::Scan(arg(r)?, arg(r)?, take_u32(r).ok_or(CodecError::Truncated)?),
             other => return Err(CodecError::BadOpcode(other)),
         };
         if !r.is_empty() {
@@ -339,31 +136,8 @@ mod tests {
     #[test]
     fn roundtrip_every_variant() {
         let cmds = vec![
-            Command::Set(b("k"), b("v")),
-            Command::Get(b("k")),
-            Command::Del(b("k")),
-            Command::Exists(b("k")),
-            Command::Incr(b("ctr")),
-            Command::Append(b("k"), b("more")),
-            Command::LPush(b("l"), b("a")),
-            Command::RPush(b("l"), b("z")),
-            Command::LPop(b("l")),
-            Command::LLen(b("l")),
-            Command::LRange(b("l"), 0, 9),
-            Command::HSet(b("h"), b("f"), b("v")),
-            Command::HGet(b("h"), b("f")),
-            Command::HDel(b("h"), b("f")),
-            Command::HLen(b("h")),
-            Command::HGetAll(b("h")),
-            Command::SAdd(b("s"), b("m")),
-            Command::SRem(b("s"), b("m")),
-            Command::SIsMember(b("s"), b("m")),
-            Command::SCard(b("s")),
             Command::Insert(b("usertable"), b("user42"), b("record-bytes")),
             Command::Scan(b("usertable"), b("user42"), 10),
-            Command::DbSize,
-            Command::FlushAll,
-            Command::Ping,
         ];
         for c in cmds {
             let enc = c.encode();
@@ -371,10 +145,27 @@ mod tests {
         }
     }
 
+    /// Request sizes set virtual time, so the wire bytes, written out by
+    /// hand, are the oracle.
+    #[test]
+    fn insert_and_scan_encodings_are_pinned() {
+        let insert = Command::Insert(b("t"), b("k1"), b("rec"));
+        assert_eq!(
+            &insert.encode()[..],
+            b"\x40\0\0\0\x01t\0\0\0\x02k1\0\0\0\x03rec"
+        );
+        let scan = Command::Scan(b("t"), b("k1"), 258);
+        assert_eq!(
+            &scan.encode()[..],
+            b"\x41\0\0\0\x01t\0\0\0\x02k1\0\0\x01\x02"
+        );
+    }
+
     #[test]
     fn binary_safe_arguments() {
-        let c = Command::Set(
-            Bytes::from(vec![0u8, 255, 10, 13]),
+        let c = Command::Insert(
+            Bytes::from(vec![0u8, 255]),
+            Bytes::from(vec![10u8, 13]),
             Bytes::from(vec![0u8; 100]),
         );
         assert_eq!(Command::decode(&c.encode()).unwrap(), c);
@@ -383,25 +174,25 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         assert_eq!(Command::decode(&[]), Err(CodecError::Truncated));
-        assert_eq!(Command::decode(&[0xff]), Err(CodecError::BadOpcode(0xff)));
         assert_eq!(
-            Command::decode(&[op::GET, 0, 0, 0, 10, b'x']),
+            Command::decode(&[OP_SCAN, 0, 0, 0, 10, b'x']),
+            Err(CodecError::Truncated)
+        );
+        // A SCAN missing its count.
+        let enc = Command::Scan(b("t"), b("k"), 1).encode();
+        assert_eq!(
+            Command::decode(&enc[..enc.len() - 1]),
             Err(CodecError::Truncated)
         );
         // Trailing junk is rejected.
-        let mut enc = Command::Ping.encode().to_vec();
+        let mut enc = enc.to_vec();
         enc.push(0);
         assert_eq!(Command::decode(&enc), Err(CodecError::BadArity));
     }
 
     #[test]
     fn read_only_classification() {
-        assert!(Command::Get(b("k")).is_read_only());
         assert!(Command::Scan(b("t"), b("k"), 10).is_read_only());
-        assert!(Command::HGetAll(b("h")).is_read_only());
-        assert!(!Command::Set(b("k"), b("v")).is_read_only());
         assert!(!Command::Insert(b("t"), b("k"), b("r")).is_read_only());
-        assert!(!Command::Incr(b("k")).is_read_only());
-        assert!(!Command::FlushAll.is_read_only());
     }
 }

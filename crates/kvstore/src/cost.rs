@@ -56,20 +56,19 @@ impl CostModel {
 mod tests {
     use super::*;
 
+    fn work(bytes_read: usize, bytes_written: usize, records: usize) -> ExecMetrics {
+        ExecMetrics {
+            bytes_read,
+            bytes_written,
+            records,
+        }
+    }
+
     #[test]
     fn insert_outweighs_mean_scan_per_amdahl_calibration() {
         // §7.5: the 4x speedup bound at N=7 pins INSERT ≈ 2.3x a mean SCAN.
         let c = CostModel::default();
-        let mean_scan = ExecMetrics {
-            bytes_read: 5_500,
-            bytes_written: 0,
-            records: 6,
-        };
-        let insert = ExecMetrics {
-            bytes_read: 0,
-            bytes_written: 1_000,
-            records: 1,
-        };
+        let (mean_scan, insert) = (work(5_500, 0, 6), work(0, 1_000, 1));
         let ratio = c.cost_ns(&insert) as f64 / c.cost_ns(&mean_scan) as f64;
         assert!((1.8..2.8).contains(&ratio), "insert/scan = {ratio:.2}");
     }
@@ -78,16 +77,7 @@ mod tests {
     fn ycsbe_mix_lands_in_tens_of_micros() {
         let c = CostModel::default();
         // Mean scan touches ~5.5 records of 1kB.
-        let scan = ExecMetrics {
-            bytes_read: 5_500,
-            bytes_written: 0,
-            records: 6,
-        };
-        let insert = ExecMetrics {
-            bytes_read: 0,
-            bytes_written: 1_000,
-            records: 1,
-        };
+        let (scan, insert) = (work(5_500, 0, 6), work(0, 1_000, 1));
         let mean = 0.95 * c.cost_ns(&scan) as f64 + 0.05 * c.cost_ns(&insert) as f64;
         let rps = 1e9 / mean;
         assert!(
@@ -99,17 +89,7 @@ mod tests {
     #[test]
     fn cost_is_monotone_in_work() {
         let c = CostModel::default();
-        let small = ExecMetrics {
-            bytes_read: 10,
-            bytes_written: 0,
-            records: 1,
-        };
-        let big = ExecMetrics {
-            bytes_read: 10_000,
-            bytes_written: 0,
-            records: 10,
-        };
-        assert!(c.cost_ns(&big) > c.cost_ns(&small));
+        assert!(c.cost_ns(&work(10_000, 0, 10)) > c.cost_ns(&work(10, 0, 1)));
         assert!(c.cost_ns(&ExecMetrics::default()) >= c.base_ns);
     }
 }

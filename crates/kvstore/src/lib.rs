@@ -1,19 +1,18 @@
-//! # minikv — a deterministic, Redis-like in-memory data store
+//! # minikv — a deterministic in-memory record store
 //!
 //! The application substrate for the HovercRaft reproduction's §7.5
 //! experiment: the paper runs Redis with a user-defined module implementing
-//! the YCSB-E `INSERT`/`SCAN` operations as single atomic commands. This
-//! crate provides the equivalent, built for state-machine replication from
-//! the start:
+//! the YCSB-E `INSERT`/`SCAN` operations as single atomic commands. The
+//! command set here is exactly that module — [`Command::Insert`] and
+//! [`Command::Scan`] — which is all any workload issues (YCSB A–D read
+//! with a one-record SCAN and update with INSERT). Built for
+//! state-machine replication from the start:
 //!
-//! * **deterministic**: all iteration orders come from B-tree structures,
-//!   so identical command sequences produce identical replies and state on
-//!   every replica;
+//! * **deterministic**: records live in one B-tree under composite
+//!   `table/key` keys, so identical command sequences produce identical
+//!   replies, state and snapshots on every replica;
 //! * **binary-safe codec**: commands ([`Command`]) and replies ([`Reply`])
 //!   have compact binary wire forms — the analogue of RESP;
-//! * **module ops**: [`Command::Insert`] and [`Command::Scan`] execute as
-//!   isolated transactions over composite `table/key` records, modelling
-//!   the paper's Redis module (§7.5);
 //! * **cost model**: [`CostModel`] converts per-command execution metrics
 //!   into application-thread CPU time for the simulator, calibrated to the
 //!   tens-of-µs YCSB-E regime;
@@ -29,11 +28,9 @@ mod cost;
 mod reply;
 mod service;
 mod store;
-mod value;
 
 pub use command::{CodecError, Command};
 pub use cost::CostModel;
 pub use reply::Reply;
 pub use service::KvService;
 pub use store::{ExecMetrics, Store};
-pub use value::Value;

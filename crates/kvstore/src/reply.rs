@@ -2,20 +2,18 @@
 
 use bytes::{ByteArena, Bytes};
 
+use crate::command::{take_bytes, take_u32, take_u8};
+
 /// A command's result.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Reply {
-    /// Generic success.
+    /// Success (INSERT).
     Ok,
-    /// Key/field/element absent.
-    Nil,
-    /// An integer result (counts, lengths, INCR).
-    Int(i64),
     /// A single binary string.
     Bulk(Bytes),
-    /// An ordered collection of results (LRANGE, HGETALL, SCAN).
+    /// An ordered collection of results (SCAN's key/record pairs).
     Array(Vec<Reply>),
-    /// An error, e.g. WRONGTYPE.
+    /// An error (a request that did not decode).
     Err(String),
 }
 
@@ -28,8 +26,7 @@ impl Reply {
     /// Exact wire size of [`Reply::encode_in`]'s output.
     pub fn encoded_len(&self) -> usize {
         match self {
-            Reply::Ok | Reply::Nil => 1,
-            Reply::Int(_) => 1 + 8,
+            Reply::Ok => 1,
             Reply::Bulk(body) => 1 + 4 + body.len(),
             Reply::Array(items) => 1 + 4 + items.iter().map(Reply::encoded_len).sum::<usize>(),
             Reply::Err(msg) => 1 + 4 + msg.len(),
@@ -54,18 +51,14 @@ impl Reply {
             head.copy_from_slice(src);
             *out = tail;
         }
+        fn put_prefixed(out: &mut &mut [u8], tag: &[u8], body: &[u8]) {
+            put(out, tag);
+            put(out, &(body.len() as u32).to_be_bytes());
+            put(out, body);
+        }
         match self {
             Reply::Ok => put(out, b"+"),
-            Reply::Nil => put(out, b"_"),
-            Reply::Int(i) => {
-                put(out, b":");
-                put(out, &i.to_be_bytes());
-            }
-            Reply::Bulk(body) => {
-                put(out, b"$");
-                put(out, &(body.len() as u32).to_be_bytes());
-                put(out, body);
-            }
+            Reply::Bulk(body) => put_prefixed(out, b"$", body),
             Reply::Array(items) => {
                 put(out, b"*");
                 put(out, &(items.len() as u32).to_be_bytes());
@@ -73,55 +66,32 @@ impl Reply {
                     it.encode_into_slice(out);
                 }
             }
-            Reply::Err(msg) => {
-                put(out, b"-");
-                put(out, &(msg.len() as u32).to_be_bytes());
-                put(out, msg.as_bytes());
-            }
+            Reply::Err(msg) => put_prefixed(out, b"-", msg.as_bytes()),
         }
     }
 
     /// Decodes wire bytes produced by [`Reply::encode_in`].
     pub fn decode(buf: &[u8]) -> Option<Reply> {
-        let (r, rest) = Self::decode_one(buf)?;
-        rest.is_empty().then_some(r)
+        let mut cur = buf;
+        let r = Self::decode_one(&mut cur)?;
+        cur.is_empty().then_some(r)
     }
 
-    fn decode_one(buf: &[u8]) -> Option<(Reply, &[u8])> {
-        let (&tag, rest) = buf.split_first()?;
-        match tag {
-            b'+' => Some((Reply::Ok, rest)),
-            b'_' => Some((Reply::Nil, rest)),
-            b':' => {
-                let v = i64::from_be_bytes(rest.get(..8)?.try_into().ok()?);
-                Some((Reply::Int(v), &rest[8..]))
-            }
-            b'$' => {
-                let len = u32::from_be_bytes(rest.get(..4)?.try_into().ok()?) as usize;
-                let body = rest.get(4..4 + len)?;
-                Some((Reply::Bulk(Bytes::copy_from_slice(body)), &rest[4 + len..]))
-            }
+    fn decode_one(cur: &mut &[u8]) -> Option<Reply> {
+        Some(match take_u8(cur)? {
+            b'+' => Reply::Ok,
+            b'$' => Reply::Bulk(take_bytes(cur)?),
             b'*' => {
-                let n = u32::from_be_bytes(rest.get(..4)?.try_into().ok()?) as usize;
-                let mut cur = &rest[4..];
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let (it, nxt) = Self::decode_one(cur)?;
-                    items.push(it);
-                    cur = nxt;
-                }
-                Some((Reply::Array(items), cur))
+                let n = take_u32(cur)?;
+                Reply::Array(
+                    (0..n)
+                        .map(|_| Self::decode_one(cur))
+                        .collect::<Option<_>>()?,
+                )
             }
-            b'-' => {
-                let len = u32::from_be_bytes(rest.get(..4)?.try_into().ok()?) as usize;
-                let msg = rest.get(4..4 + len)?;
-                Some((
-                    Reply::Err(String::from_utf8_lossy(msg).into_owned()),
-                    &rest[4 + len..],
-                ))
-            }
-            _ => None,
-        }
+            b'-' => Reply::Err(String::from_utf8_lossy(&take_bytes(cur)?).into_owned()),
+            _ => return None,
+        })
     }
 }
 
@@ -133,14 +103,12 @@ mod tests {
     fn roundtrip_all_shapes() {
         let replies = vec![
             Reply::Ok,
-            Reply::Nil,
-            Reply::Int(-42),
             Reply::Bulk(Bytes::from_static(b"hello\0world")),
-            Reply::Err("WRONGTYPE expected list, found string".to_string()),
+            Reply::Err("ERR unknown opcode 0x01".to_string()),
             Reply::Array(vec![
                 Reply::Bulk(Bytes::from_static(b"k")),
-                Reply::Int(7),
-                Reply::Array(vec![Reply::Nil]),
+                Reply::Ok,
+                Reply::Array(vec![]),
             ]),
         ];
         let mut arena = ByteArena::new();
@@ -156,8 +124,6 @@ mod tests {
         let mut arena = ByteArena::new();
         let replies: Vec<(Reply, Vec<u8>)> = vec![
             (Reply::Ok, b"+".to_vec()),
-            (Reply::Nil, b"_".to_vec()),
-            (Reply::Int(i64::MIN), b":\x80\0\0\0\0\0\0\0".to_vec()),
             (
                 Reply::Bulk(Bytes::from_static(b"payload")),
                 b"$\0\0\0\x07payload".to_vec(),
@@ -169,9 +135,9 @@ mod tests {
             (
                 Reply::Array(vec![
                     Reply::Bulk(Bytes::from_static(b"nested")),
-                    Reply::Array(vec![Reply::Int(1), Reply::Ok]),
+                    Reply::Array(vec![Reply::Bulk(Bytes::from_static(b"1")), Reply::Ok]),
                 ]),
-                b"*\0\0\0\x02$\0\0\0\x06nested*\0\0\0\x02:\0\0\0\0\0\0\0\x01+".to_vec(),
+                b"*\0\0\0\x02$\0\0\0\x06nested*\0\0\0\x02$\0\0\0\x011+".to_vec(),
             ),
         ];
         for (r, wire) in &replies {

@@ -81,65 +81,90 @@ impl Service for KvService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::command::CodecError;
     use bytes::Bytes;
 
     fn b(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
-    #[test]
-    fn executes_encoded_commands() {
+    /// Runs `cmd` through the service's byte interface.
+    fn run(svc: &mut KvService, cmd: Command) -> Executed {
         let mut arena = bytes::ByteArena::new();
-        let mut svc = KvService::default();
-        let set = Command::Set(b("k"), b("v")).encode();
-        let r = svc.execute(&set, false, &mut arena);
-        assert_eq!(Reply::decode(&r.reply), Some(Reply::Ok));
-        assert!(r.cost_ns > 0);
-        let get = Command::Get(b("k")).encode();
-        let r = svc.execute(&get, true, &mut arena);
-        assert_eq!(Reply::decode(&r.reply), Some(Reply::Bulk(b("v"))));
+        svc.execute(&cmd.encode(), cmd.is_read_only(), &mut arena)
     }
 
+    fn pair(key: &str, rec: &str) -> Option<Reply> {
+        Some(Reply::Array(vec![Reply::Bulk(b(key)), Reply::Bulk(b(rec))]))
+    }
+
+    #[test]
+    fn executes_encoded_commands() {
+        let mut svc = KvService::default();
+        let r = run(&mut svc, Command::Insert(b("t"), b("k"), b("v")));
+        assert_eq!(Reply::decode(&r.reply), Some(Reply::Ok));
+        assert!(r.cost_ns > 0);
+        let r = run(&mut svc, Command::Scan(b("t"), b("k"), 1));
+        assert_eq!(Reply::decode(&r.reply), pair("t/k", "v"));
+    }
+
+    /// Reply sizes set virtual time, so the wire bytes, written out by
+    /// hand, are the oracle.
+    #[test]
+    fn reply_bytes_are_pinned() {
+        let mut svc = KvService::default();
+        let r = run(&mut svc, Command::Insert(b("t"), b("k"), b("v")));
+        assert_eq!(&r.reply[..], b"+");
+        let r = run(&mut svc, Command::Scan(b("t"), b("k"), 10));
+        assert_eq!(&r.reply[..], b"*\0\0\0\x02$\0\0\0\x03t/k$\0\0\0\x01v");
+        let r = svc.execute(&[0x01], false, &mut bytes::ByteArena::new());
+        assert_eq!(&r.reply[..], b"-\0\0\0\x17ERR unknown opcode 0x01");
+    }
+
+    /// INSERT (0x40) and SCAN (0x41) are the whole command set: every other
+    /// opcode, and any malformed body, costs 500 ns and gets `ERR`.
     #[test]
     fn decode_errors_are_reported_not_fatal() {
         let mut arena = bytes::ByteArena::new();
         let mut svc = KvService::default();
-        let r = svc.execute(&[0xff, 0x00], false, &mut arena);
+        let others = (0..=u8::MAX).filter(|op| !(0x40..=0x41).contains(op));
+        for op in others {
+            assert_eq!(Command::decode(&[op]), Err(CodecError::BadOpcode(op)));
+            let r = svc.execute(&[op], false, &mut arena);
+            assert!(Reply::decode(&r.reply).unwrap().is_err(), "{op:#04x}");
+            assert_eq!(r.cost_ns, 500);
+        }
+        let r = svc.execute(&[0x41, 0x00], true, &mut arena);
         assert!(Reply::decode(&r.reply).unwrap().is_err());
-        assert_eq!(svc.decode_errors, 1);
+        assert_eq!(svc.decode_errors, 255);
+        assert!(svc.store().is_empty());
     }
 
     #[test]
     fn service_snapshot_round_trips_through_trait() {
-        use hovercraft::Service as _;
-        let mut arena = bytes::ByteArena::new();
         let mut a = KvService::default();
-        a.execute(&Command::Set(b("k"), b("v")).encode(), false, &mut arena);
-        a.execute(&Command::SAdd(b("s"), b("m")).encode(), false, &mut arena);
+        run(&mut a, Command::Insert(b("t"), b("k"), b("v")));
+        run(&mut a, Command::Insert(b("u"), b("m"), b("w")));
         let snap = a.snapshot();
         let mut restored = KvService::default();
         restored.restore(&snap);
-        let r = restored.execute(&Command::Get(b("k")).encode(), true, &mut arena);
-        assert_eq!(Reply::decode(&r.reply), Some(Reply::Bulk(b("v"))));
+        let r = run(&mut restored, Command::Scan(b("t"), b("k"), 1));
+        assert_eq!(Reply::decode(&r.reply), pair("t/k", "v"));
         assert_eq!(restored.snapshot(), snap, "deterministic re-encode");
     }
 
     #[test]
     fn scan_cost_exceeds_point_read_cost() {
-        let mut arena = bytes::ByteArena::new();
         let mut svc = KvService::default();
         for i in 0..20 {
-            let key = format!("user{i:04}");
-            let rec = vec![0u8; 1000];
-            let cmd = Command::Insert(b("t"), b(&key), Bytes::from(rec)).encode();
-            svc.execute(&cmd, false, &mut arena);
+            let rec = Bytes::from(vec![0u8; 1000]);
+            run(
+                &mut svc,
+                Command::Insert(b("t"), b(&format!("user{i:04}")), rec),
+            );
         }
-        let scan = svc.execute(
-            &Command::Scan(b("t"), b("user0000"), 10).encode(),
-            true,
-            &mut arena,
-        );
-        let get = svc.execute(&Command::Exists(b("t/user0000")).encode(), true, &mut arena);
-        assert!(scan.cost_ns > 3 * get.cost_ns);
+        // YCSB's point read is a one-record SCAN.
+        let mut scan = |n| run(&mut svc, Command::Scan(b("t"), b("user0000"), n)).cost_ns;
+        assert!(scan(10) > 3 * scan(1));
     }
 }

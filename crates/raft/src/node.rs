@@ -67,7 +67,7 @@ pub enum Action<C> {
     /// Leader-only: peer `to` is behind the log's compaction horizon, so no
     /// AppendEntries can be built for it. The driver must stream the current
     /// snapshot to `to` (chunked InstallSnapshot) and report completion via
-    /// [`RaftNode::on_snapshot_installed`]. Emitted at most once per
+    /// [`RaftNode::on_snapshot_installed_into`]. Emitted at most once per
     /// transfer (deduped by `Progress::pending_snapshot`).
     NeedsSnapshot {
         /// The follower that needs a snapshot.
@@ -363,10 +363,9 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
     /// the guard is on applied, not commit, because a follower can hold
     /// committed-but-unapplied entries whose bodies were compacted away
     /// everywhere; the snapshot is exactly what unsticks it.
-    pub fn install_snapshot(&mut self, index: LogIndex, term: Term) -> Vec<Action<C>> {
-        let mut out = Vec::new();
+    pub fn install_snapshot_into(&mut self, index: LogIndex, term: Term, out: &mut Vec<Action<C>>) {
         if index <= self.applied || index <= self.log.snapshot_index() {
-            return out;
+            return;
         }
         if self.log.term_at(index) == Some(term) {
             self.log.compact_to(index);
@@ -381,33 +380,31 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
             self.commit = index;
             out.push(Action::Commit { upto: index });
         }
-        out
     }
 
     /// Leader side of InstallSnapshot completion: follower `peer` reported
     /// a fully installed snapshot at `index`. Progress jumps to `index`,
     /// the pending-snapshot park is lifted, and replication resumes
     /// immediately from `index + 1`.
-    pub fn on_snapshot_installed(
+    pub fn on_snapshot_installed_into(
         &mut self,
         peer: RaftId,
         index: LogIndex,
         now: u64,
-    ) -> Vec<Action<C>> {
-        let mut out = Vec::new();
+        out: &mut Vec<Action<C>>,
+    ) {
         if !self.is_leader() {
-            return out;
+            return;
         }
         let Some(p) = self.progress.get_mut(&peer) else {
-            return out;
+            return;
         };
         p.pending_snapshot = false;
         p.last_heard = now;
         p.on_success(index, index);
-        self.maybe_commit(&mut out);
+        self.maybe_commit(out);
         let target = self.log.last_index().min(self.ceiling);
-        self.send_append(peer, target, true, &mut out);
-        out
+        self.send_append(peer, target, true, out);
     }
 
     /// Driver hook: a snapshot chunk arrived from *some* peer serving a
@@ -418,19 +415,17 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
     /// mid-catch-up gets no AppendEntries (nothing can be built for it below
     /// the serving peer's horizon) and must not depose a healthy leader
     /// while the stream runs.
-    pub fn note_peer_contact(&mut self, term: Term, now: u64) -> Vec<Action<C>> {
-        let mut out = Vec::new();
+    pub fn note_peer_contact_into(&mut self, term: Term, now: u64, out: &mut Vec<Action<C>>) {
         if term < self.term {
-            return out;
+            return;
         }
         if term > self.term {
-            self.become_follower(term, None, now, &mut out);
+            self.become_follower(term, None, now, out);
         }
         if self.role == Role::Follower {
             self.last_leader_contact = now;
             self.reset_election_deadline(now);
         }
-        out
     }
 
     /// Driver hook: the leader heard a current-term control message (e.g. a
@@ -867,7 +862,7 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
             // Peer is behind the compaction horizon: no AppendEntries can
             // be built, so ask the driver to stream the snapshot. Emitted
             // once per transfer; replication to this peer parks until
-            // `on_snapshot_installed` lifts the flag.
+            // `on_snapshot_installed_into` lifts the flag.
             if let Some(p) = self.progress.get_mut(&peer) {
                 if !p.pending_snapshot {
                     p.pending_snapshot = true;

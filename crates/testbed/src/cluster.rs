@@ -593,12 +593,19 @@ mod tests {
         };
         // The stores of two instances, as `instance` clones them.
         let (mut a, mut b) = (kv.store().clone(), kv.store().clone());
-        let get = Command::Get(Bytes::from(format!("usertable/{}", workload::key_of(7))));
-        match (a.execute(&get).0, b.execute(&get).0) {
-            (Reply::Bulk(ra), Reply::Bulk(rb)) => {
-                assert_eq!(ra.as_ptr(), rb.as_ptr(), "one allocation per record");
-            }
-            other => panic!("preloaded record missing: {other:?}"),
+        let read = Command::Scan(
+            Bytes::from_static(b"usertable"),
+            Bytes::from(workload::key_of(7)),
+            1,
+        );
+        match (a.execute(&read).0, b.execute(&read).0) {
+            (Reply::Array(ra), Reply::Array(rb)) => match (&ra[..], &rb[..]) {
+                ([_, Reply::Bulk(ra)], [_, Reply::Bulk(rb)]) => {
+                    assert_eq!(ra.as_ptr(), rb.as_ptr(), "one allocation per record");
+                }
+                other => panic!("preloaded record missing: {other:?}"),
+            },
+            other => panic!("unexpected reply: {other:?}"),
         }
 
         // An INSERT that overwrites a preloaded key stays on its instance.

@@ -202,11 +202,6 @@ impl UnrepAgent {
             served: 0,
         }
     }
-
-    /// The wrapped service.
-    pub fn service_mut(&mut self) -> &mut Box<dyn Service> {
-        &mut self.service
-    }
 }
 
 impl Agent<WireMsg> for UnrepAgent {

@@ -248,7 +248,6 @@ mod tests {
                     assert!(!op.read_only);
                     inserts += 1;
                 }
-                other => panic!("unexpected {other:?}"),
             }
         }
         assert!((9_300..9_700).contains(&scans), "{scans} scans");
