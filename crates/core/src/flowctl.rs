@@ -73,11 +73,11 @@ pub struct FcStats {
     pub spurious_feedback: u64,
 }
 
-/// Default slot-reclaim timeout: far above any healthy request's admission →
+/// Slot-reclaim timeout: far above any healthy request's admission →
 /// feedback round trip (µs–ms under load), far below experiment durations,
 /// and comfortably longer than a leader election, so slots orphaned by a
 /// crash come back without masking real in-flight work.
-pub const DEFAULT_RECLAIM_NS: u64 = 10_000_000;
+pub const RECLAIM_NS: u64 = 10_000_000;
 
 /// The flow-control middlebox program.
 pub struct FlowControl {
@@ -88,31 +88,21 @@ pub struct FlowControl {
     /// and reclaim both retire the oldest slot — the middlebox does not
     /// match feedback to a specific request, it only counts population.
     admitted_at: VecDeque<u64>,
-    /// Slots older than this are reclaimed; `None` disables reclamation
-    /// (restoring leak-forever semantics, for tests that measure the leak).
-    reclaim_after_ns: Option<u64>,
     stats: FcStats,
 }
 
 impl FlowControl {
     /// Creates a middlebox admitting at most `cap` in-flight requests and
-    /// rewriting admitted requests to multicast address `group`, with the
-    /// default reclaim timeout.
+    /// rewriting admitted requests to multicast address `group`; slots
+    /// older than [`RECLAIM_NS`] are reclaimed.
     pub fn new(group: u32, cap: u32) -> FlowControl {
         FlowControl {
             group,
             cap,
             in_flight: 0,
             admitted_at: VecDeque::new(),
-            reclaim_after_ns: Some(DEFAULT_RECLAIM_NS),
             stats: FcStats::default(),
         }
-    }
-
-    /// Overrides the reclaim timeout; `None` disables reclamation.
-    pub fn with_reclaim_after(mut self, ns: Option<u64>) -> FlowControl {
-        self.reclaim_after_ns = ns;
-        self
     }
 
     /// Requests currently admitted but not yet fed back or reclaimed.
@@ -135,11 +125,8 @@ impl FlowControl {
 
     /// Retires slots whose admission is older than the reclaim timeout.
     fn reclaim(&mut self, now: u64) {
-        let Some(after) = self.reclaim_after_ns else {
-            return;
-        };
         while let Some(&t) = self.admitted_at.front() {
-            if now.saturating_sub(t) < after {
+            if now.saturating_sub(t) < RECLAIM_NS {
                 break;
             }
             self.admitted_at.pop_front();
@@ -258,7 +245,7 @@ mod tests {
     fn dead_replier_slot_is_reclaimed_and_admission_resumes() {
         // Fill the window, never feed back (the replier "died"), and check
         // that admission wedges until the reclaim timeout passes.
-        let mut fc = FlowControl::new(0x8000_0000, 2).with_reclaim_after(Some(1_000));
+        let mut fc = FlowControl::new(0x8000_0000, 2);
         assert!(matches!(fc.on_packet(&req(1), 0), FcDecision::Admit { .. }));
         assert!(matches!(
             fc.on_packet(&req(2), 10),
@@ -268,14 +255,15 @@ mod tests {
             fc.on_packet(&req(3), 500),
             FcDecision::Nack { .. }
         ));
-        // First slot (t=0) ages out at t=1000; second (t=10) at t=1010.
+        // First slot (t=0) ages out at t=RECLAIM_NS; second (t=10) ten
+        // nanoseconds later.
         assert!(matches!(
-            fc.on_packet(&req(4), 1_005),
+            fc.on_packet(&req(4), RECLAIM_NS + 5),
             FcDecision::Admit { .. }
         ));
         assert_eq!(fc.stats().reclaimed, 1);
         assert!(matches!(
-            fc.on_packet(&req(5), 1_010),
+            fc.on_packet(&req(5), RECLAIM_NS + 10),
             FcDecision::Admit { .. }
         ));
         assert_eq!(fc.stats().reclaimed, 2);
@@ -284,28 +272,17 @@ mod tests {
     }
 
     #[test]
-    fn reclamation_disabled_leaks_forever() {
-        let mut fc = FlowControl::new(0, 1).with_reclaim_after(None);
-        assert!(matches!(fc.on_packet(&req(1), 0), FcDecision::Admit { .. }));
-        assert!(matches!(
-            fc.on_packet(&req(2), u64::MAX),
-            FcDecision::Nack { .. }
-        ));
-        assert_eq!(fc.stats().reclaimed, 0);
-    }
-
-    #[test]
     fn late_feedback_after_reclaim_keeps_counts_conserved() {
-        let mut fc = FlowControl::new(0, 4).with_reclaim_after(Some(100));
+        let mut fc = FlowControl::new(0, 4);
         fc.on_packet(&req(1), 0);
         // The slot ages out...
         assert!(matches!(
-            fc.on_packet(&req(2), 200),
+            fc.on_packet(&req(2), RECLAIM_NS + 100),
             FcDecision::Admit { .. }
         ));
         assert_eq!(fc.stats().reclaimed, 1);
-        // ...then its feedback limps in; the young slot (t=200) must survive.
-        fc.on_packet(&WireMsg::Feedback, 210);
+        // ...then its feedback limps in; the young slot must survive.
+        fc.on_packet(&WireMsg::Feedback, RECLAIM_NS + 110);
         assert_eq!(fc.in_flight(), 0);
         // Population counting: the late feedback retired the young slot in
         // its place, which is fine — counts stay conserved.

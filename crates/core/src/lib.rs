@@ -44,7 +44,7 @@ mod trace;
 pub use aggregator::{AggStats, Aggregator};
 pub use cmd::{Cmd, EntryDesc, OpKind};
 pub use config::{HcConfig, Mode};
-pub use flowctl::{FcDecision, FcStats, FlowControl, DEFAULT_RECLAIM_NS};
+pub use flowctl::{FcDecision, FcStats, FlowControl, RECLAIM_NS};
 pub use msg::{AggStatus, WireMsg};
 pub use node::{DurableState, HcNode, HcStats, Input, Output, RestoreRejected};
 pub use policy::{PolicyKind, ReplierLedger};

@@ -208,35 +208,26 @@ fn encode_snapshot_blob(service: Bytes, ids: &[ReqId]) -> Bytes {
     Bytes::from(buf)
 }
 
-/// Inverse of [`encode_snapshot_blob`]. An unframed or truncated blob (the
-/// empty default of a node that never snapshotted) degrades to the whole
-/// input as service state with no carried ids.
-fn decode_snapshot_blob(data: &Bytes) -> (Bytes, Vec<ReqId>) {
+/// Inverse of [`encode_snapshot_blob`]; `None` when `data` does not
+/// frame (truncated, trailing bytes, or not a snapshot blob at all).
+fn decode_snapshot_blob(data: &Bytes) -> Option<(Bytes, Vec<ReqId>)> {
     let read_u64 = |off: usize| -> Option<u64> {
         off.checked_add(8)
             .and_then(|end| data.get(off..end))
             .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte slice")))
     };
-    let fallback = || (data.clone(), Vec::new());
-    let Some(service_len) = read_u64(0) else {
-        return fallback();
-    };
-    let service_len = service_len as usize;
-    let Some(n_ids) = read_u64(8usize.saturating_add(service_len)) else {
-        return fallback();
-    };
-    let Some(tail) = data.get(16usize.saturating_add(service_len)..) else {
-        return fallback();
-    };
+    let service_len = read_u64(0)? as usize;
+    let n_ids = read_u64(8usize.saturating_add(service_len))?;
+    let tail = data.get(16usize.saturating_add(service_len)..)?;
     if tail.len() != (n_ids as usize).saturating_mul(8) {
-        return fallback();
+        return None;
     }
     let service = data.slice(8..8 + service_len);
     let ids = tail
         .chunks_exact(8)
         .map(|c| ReqId::from_u64(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
         .collect();
-    (service, ids)
+    Some((service, ids))
 }
 
 /// Leader side of one in-flight snapshot transfer (stop-and-wait).
@@ -520,7 +511,8 @@ impl<S: Service> HcNode<S> {
             durable.entries,
         );
         if durable.snap_index > 0 {
-            let (service_blob, covered) = decode_snapshot_blob(&durable.snapshot);
+            let (service_blob, covered) = decode_snapshot_blob(&durable.snapshot)
+                .expect("a node's own snapshot blob is framed");
             node.service.restore(&service_blob);
             // Re-seed the snapshot's dedupe tombstones into the fresh pool:
             // late duplicates of covered requests may still be in flight
@@ -1775,7 +1767,7 @@ impl<S: Service> HcNode<S> {
                 last_progress: now,
             });
         }
-        let (next, complete) = {
+        let (mut next, complete) = {
             let x = self.incoming.as_mut().expect("ensured above");
             if offset == x.buf.len() as u64 && offset < x.total {
                 let want = ((x.total - offset) as usize).min(data.len());
@@ -1785,20 +1777,23 @@ impl<S: Service> HcNode<S> {
             let next = (x.buf.len() as u64).min(x.total);
             (next, next >= x.total)
         };
+        let mut install = None;
+        if complete {
+            let x = self.incoming.take().expect("present");
+            let blob = Bytes::from(x.buf);
+            // A blob that does not frame (corrupted or hostile stream) is
+            // dropped, and the ack rewinds the sender to offset 0.
+            match decode_snapshot_blob(&blob) {
+                Some(decoded) => install = Some((x.snap_term, blob, decoded)),
+                None => next = 0,
+            }
+        }
         self.events.push(ProtoEvent::ChunkAcked {
             index: snap_index,
             next,
         });
-        if complete {
-            let x = self.incoming.take().expect("present");
-            self.finish_install(
-                x.snap_index,
-                x.snap_term,
-                Bytes::from(x.buf),
-                now,
-                out,
-                arena,
-            );
+        if let Some((snap_term, blob, decoded)) = install {
+            self.finish_install(snap_index, snap_term, blob, decoded, now, out, arena);
         }
         out.push(Output::Send {
             dst: from,
@@ -1864,11 +1859,13 @@ impl<S: Service> HcNode<S> {
     /// Fully received a snapshot: restore the state machine, jump the Raft
     /// log/commit/applied cursors past the horizon, and drop bookkeeping
     /// for everything the snapshot covers.
+    #[allow(clippy::too_many_arguments)]
     fn finish_install(
         &mut self,
         snap_index: LogIndex,
         snap_term: u64,
         data: Bytes,
+        (service_blob, covered): (Bytes, Vec<ReqId>),
         now: u64,
         out: &mut Vec<Output>,
         arena: &mut ByteArena,
@@ -1890,7 +1887,6 @@ impl<S: Service> HcNode<S> {
         // cannot enumerate. Seeding them as tombstones purges parked
         // unordered copies so a later leader election cannot re-propose
         // (and re-execute) a request the snapshot already ordered.
-        let (service_blob, covered) = decode_snapshot_blob(&data);
         dropped += self.pool.seed_tombstones(&covered, now);
         self.service.restore(&service_blob);
         // The install's actions are drained last, once the cursors below
@@ -1945,7 +1941,7 @@ mod snapshot_blob_tests {
         let service = Bytes::from_static(b"state-machine-bytes");
         let ids = [ReqId::new(1, 2, 3), ReqId::new(5, 1000, 994)];
         let blob = encode_snapshot_blob(service.clone(), &ids);
-        let (svc, got) = decode_snapshot_blob(&blob);
+        let (svc, got) = decode_snapshot_blob(&blob).expect("framed");
         assert_eq!(svc, service);
         assert_eq!(got, ids);
     }
@@ -1953,22 +1949,53 @@ mod snapshot_blob_tests {
     #[test]
     fn empty_service_and_empty_ids_round_trip() {
         let blob = encode_snapshot_blob(Bytes::new(), &[]);
-        let (svc, ids) = decode_snapshot_blob(&blob);
+        let (svc, ids) = decode_snapshot_blob(&blob).expect("framed");
         assert!(svc.is_empty());
         assert!(ids.is_empty());
     }
 
     #[test]
-    fn unframed_blob_degrades_to_plain_service_state() {
-        // The empty default of a node that never snapshotted, and any
-        // short unframed blob, decode as service state with no ids.
-        let (svc, ids) = decode_snapshot_blob(&Bytes::new());
-        assert!(svc.is_empty());
-        assert!(ids.is_empty());
-        let raw = Bytes::from_static(b"abc");
-        let (svc, ids) = decode_snapshot_blob(&raw);
-        assert_eq!(svc, raw);
-        assert!(ids.is_empty());
+    fn unframed_snapshot_from_the_wire_is_not_installed() {
+        // A follower receives `abc` as a complete snapshot at index 5. The
+        // blob does not frame, so the follower must not install it (an
+        // empty store with `applied` at 5 would silently diverge) and must
+        // ask the sender to start over from offset 0.
+        let cfg = HcConfig::new(raft::Config::new(1, vec![0, 1, 2]), Mode::Hovercraft);
+        let mut node = HcNode::new(cfg, EchoService::default(), 0);
+        let mut arena = ByteArena::new();
+        let mut out = Vec::new();
+        let msg = WireMsg::SnapChunk {
+            term: 1,
+            from: 0,
+            snap_index: 5,
+            snap_term: 1,
+            offset: 0,
+            total: 3,
+            data: Bytes::from_static(b"abc"),
+        };
+        node.step(
+            1_000,
+            Input::Message { src: 0, msg },
+            true,
+            &mut out,
+            &mut arena,
+        );
+        assert_eq!(node.applied_index(), 0);
+        assert_eq!(node.snapshot_index(), 0);
+        let acks: Vec<u64> = out
+            .iter()
+            .filter_map(|o| match o {
+                Output::Send {
+                    msg: WireMsg::SnapAck { next_offset, .. },
+                    ..
+                } => Some(*next_offset),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(acks, [0]);
+        assert!(node
+            .drain_events()
+            .all(|e| !matches!(e, ProtoEvent::SnapshotInstalled { .. })));
     }
 
     /// Steps `node` and completes every execution it issues at once and in
@@ -2016,7 +2043,7 @@ mod snapshot_blob_tests {
         assert_eq!(stats.snapshot_ids_sorted, 1_000);
         assert_eq!(node.pool().tombstones().len(), 1_000);
         // The last blob still carries every covered id, sorted.
-        let (_, ids) = decode_snapshot_blob(&node.durable_state().snapshot);
+        let (_, ids) = decode_snapshot_blob(&node.durable_state().snapshot).expect("framed");
         let expected: Vec<ReqId> = (0..REQUESTS).map(|rid| ReqId::new(100, 1, rid)).collect();
         assert_eq!(ids, expected);
     }

@@ -157,7 +157,7 @@ impl Counterexample {
             let r = state.apply(scope, a);
             out.push_str(&format!("  {i:>3}. {what:<40} {}\n", state.describe()));
             if let Err(v) = r {
-                out.push_str(&format!("  send-time violation: {}\n", v.0));
+                out.push_str(&format!("  send-time violation: {v}\n"));
             }
         }
         out.push_str(&format!("  corpus: {}\n", self.corpus_line()));
@@ -253,14 +253,13 @@ pub fn explore(scope: &Scope, mutation: Mutation, limits: Limits) -> Report {
             report.transitions += 1;
             let mut next = state.clone();
             let send_verdict = next.apply(scope, action);
-            let verdict =
-                send_verdict.and_then(|()| next.check_invariants(&state, scope, mutation));
+            let verdict = send_verdict.and_then(|()| next.check_invariants(&state, mutation));
             if let Err(v) = verdict {
                 report.violation = Some(Counterexample {
                     scope_name: scope.name,
                     mutation,
                     trace: trace_to(&visited, fp, action),
-                    violation: v.0,
+                    violation: v.to_string(),
                 });
                 return report;
             }
@@ -307,8 +306,8 @@ pub fn replay(
         let pre = state.clone();
         state
             .apply(scope, a)
-            .and_then(|()| state.check_invariants(&pre, scope, mutation))
-            .map_err(|v| (i, v.0))?;
+            .and_then(|()| state.check_invariants(&pre, mutation))
+            .map_err(|v| (i, v.to_string()))?;
     }
     Ok(())
 }

@@ -4,22 +4,20 @@
 //! HovercRaft cluster — the *real* sans-io [`hovercraft::HcNode`] /
 //! `raft` / [`hovercraft::Aggregator`] state machines, not an abstract
 //! respecification — under bounded message reordering, duplication,
-//! loss, and crash–restart, checking the same invariant predicates the
-//! runtime [`testbed::InvariantChecker`] enforces over chaos runs
-//! ([`testbed::invariants::predicates`]).
+//! loss, and crash–restart, checking every transition with the sampler
+//! that checks the chaos runs, [`testbed::InvariantChecker`].
 //!
 //! Where the chaos suite samples deep executions of a big random space,
 //! the checker *proves* the absence of invariant violations over the
 //! complete small-scope space: every interleaving of every enabled
-//! action. The two share their invariant definitions and their corpus
+//! action. The two share their invariant checker and their corpus
 //! file, so a counterexample found here becomes a deterministic `mc:`
 //! regression seed next to the chaos seeds (see [`corpus`]).
 //!
 //! Layout:
 //!
 //! * [`scope`] — the finite parameterizations (budgets, mode, timing);
-//! * [`model`] — system state, actions, transition semantics, invariant
-//!   evaluation;
+//! * [`model`] — system state, actions, transition semantics;
 //! * [`explore`] — BFS with 128-bit canonical fingerprints, optional
 //!   node-id symmetry reduction, and parent-pointer counterexample
 //!   traces;

@@ -562,8 +562,11 @@ fn paused_node_defers_delivery_until_resume() {
         64,
         SimDur::micros(50),
     )));
-    s.pause_at(srv, SimTime::ZERO);
-    s.resume_at(srv, SimTime::ZERO + SimDur::millis(1));
+    s.schedule_fault(SimTime::ZERO, FaultCmd::Pause { node: srv });
+    s.schedule_fault(
+        SimTime::ZERO + SimDur::millis(1),
+        FaultCmd::Resume { node: srv },
+    );
     s.run_for(SimDur::millis(2));
     let replies = &s.agent::<Pinger>(cli).replies;
     assert_eq!(replies.len(), 10, "a stall loses nothing that fit the ring");
@@ -584,8 +587,13 @@ fn partitioned_groups_cannot_exchange_packets_until_heal() {
         64,
         SimDur::micros(100),
     )));
-    s.partition_at(vec![vec![srv], vec![cli]], SimTime::ZERO);
-    s.heal_at(SimTime::ZERO + SimDur::micros(950));
+    s.schedule_fault(
+        SimTime::ZERO,
+        FaultCmd::Partition {
+            groups: vec![vec![srv], vec![cli]],
+        },
+    );
+    s.schedule_fault(SimTime::ZERO + SimDur::micros(950), FaultCmd::Heal);
     s.run_for(SimDur::millis(4));
     let replies = &s.agent::<Pinger>(cli).replies;
     // Pings 0..=9 fall inside the partition window and are dropped (no
@@ -978,8 +986,11 @@ fn stalled_deliveries_count_down_on_resume() {
     let mut s = sim();
     let srv = s.add_node(Box::new(BacklogProbe::new(false)));
     s.add_node(Box::new(Pinger::new(Addr::node(srv), 5, 64, SimDur::ZERO)));
-    s.pause_at(srv, SimTime::ZERO);
-    s.resume_at(srv, SimTime::ZERO + SimDur::micros(500));
+    s.schedule_fault(SimTime::ZERO, FaultCmd::Pause { node: srv });
+    s.schedule_fault(
+        SimTime::ZERO + SimDur::micros(500),
+        FaultCmd::Resume { node: srv },
+    );
     s.run_for(SimDur::millis(1));
     assert_eq!(backlogs(&s, srv, "packet"), vec![4, 3, 2, 1, 0]);
 }

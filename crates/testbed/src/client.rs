@@ -135,7 +135,7 @@ pub struct ClientAgent {
     /// Requests already answered once (duplicate detection under retries).
     completed: FxHashSet<ReqId>,
     recorder: LatencyRecorder,
-    /// Completion time series (1 ms windows) — Figure 12's instrument.
+    /// Completion time series (1 s windows) — Figure 12's instrument.
     pub series: WindowedSeries,
     /// NACK time series.
     pub nack_series: WindowedSeries,

@@ -6,7 +6,10 @@ use std::path::{Path, PathBuf};
 
 use hovercraft::{HcConfig, HcNode, Mode, Service, WireMsg};
 use minikv::{CostModel, KvService};
-use simnet::{Addr, FabricParams, NicParams, NodeId, Sim, SimDur, SimTime, SwitchProgram, Tracer};
+use simnet::{
+    Addr, FabricParams, NicParams, NodeId, Sim, SimDur, SimTime, SwitchProgram, Tracer,
+    DEFAULT_TRACE_CAP,
+};
 use workload::{RecordSpec, SynthService, SynthSpec, YcsbGen, YcsbWorkload};
 
 use crate::client::{ClientAgent, ClientResults, ClientWorkload, RetryPolicy};
@@ -460,12 +463,23 @@ impl Cluster {
 
     /// Runs until `t`, stopping every [`CHECK_STEP`] to evaluate the
     /// cross-node invariants (panicking with a replay bundle on the first
-    /// violation).
+    /// violation). A burst that records half a trace ring of events before
+    /// the step ends gets an extra check, so the checker's trace scan sees
+    /// every event before the ring evicts it.
     pub fn run_until_checked(&mut self, t: SimTime) {
         while self.sim.now() < t {
             let next = (self.sim.now() + CHECK_STEP).min(t);
-            self.sim.run_until(next);
-            self.assert_invariants();
+            loop {
+                let tracer = &self.tracer;
+                let limit = tracer.total_recorded() + DEFAULT_TRACE_CAP as u64 / 2;
+                let done = self
+                    .sim
+                    .run_until_or(next, || tracer.total_recorded() >= limit);
+                self.assert_invariants();
+                if done {
+                    break;
+                }
+            }
         }
     }
 

@@ -1,18 +1,22 @@
 //! Cross-node protocol invariant checking.
 //!
-//! [`InvariantChecker`] inspects a whole [`Cluster`](crate::Cluster)
-//! between simulation steps and flags states that no correct HovercRaft
-//! execution can reach. Integration tests drive the cluster through
-//! [`Cluster::run_checked`](crate::Cluster::run_checked), which calls
-//! [`InvariantChecker::check`] after every step and turns the first
-//! [`Violation`] into a panic plus a replayable trace bundle.
+//! [`InvariantChecker`] is the one sampler of HovercRaft's cross-node
+//! invariants, with two drivers:
 //!
-//! The checker is a *sampler*: it reduces the cluster to plain
-//! observations (watermarks, log entries, queue depths, trace events) and
-//! delegates every verdict to the pure predicates in [`predicates`] — the
-//! same functions the `mc` explicit-state model checker evaluates on
-//! every reachable state at small scope. One definition, two enforcement
-//! densities.
+//! * [`InvariantChecker::check`] inspects a whole [`Cluster`] between
+//!   simulation steps. Integration tests drive it through
+//!   [`Cluster::run_checked`](crate::Cluster::run_checked), which calls it
+//!   every simulated millisecond and turns the first [`Violation`] into a
+//!   panic plus a replayable trace bundle.
+//! * The `mc` model checker calls [`InvariantChecker::check_nodes`] on
+//!   every transition of its exhaustive small-scope search: a fresh
+//!   checker primed with the pre-state, then the post-state.
+//!
+//! [`InvariantChecker::check_nodes`] reads only the live
+//! [`HcNode`]s, so both drivers evaluate the same rules over the same
+//! observations. The trace invariants (6, 9) and flow conservation (7)
+//! need the simulator and run only in [`InvariantChecker::check`]; `mc`
+//! feeds its replies to the same [`ReplyLedger`] at send time.
 //!
 //! Invariants (all scoped to *live* nodes; killed nodes keep arbitrary
 //! stale state):
@@ -20,46 +24,52 @@
 //! 1. **Apply bound** — `applied ≤ commit` on every node: execution never
 //!    outruns durability.
 //! 2. **Monotonicity** — per-node `commit` and `applied` never regress
-//!    within one incarnation (a crash–restart wipes volatile state, so the
-//!    watermarks reset when a node's restart count advances).
-//! 3. **Log matching / committed-prefix agreement** — every index committed
-//!    everywhere holds the *same* entry (term and full descriptor,
-//!    replier included) on every live node; above the common commit point,
-//!    any two live logs that agree on an index's term agree on its entry
-//!    (Raft's Log Matching property).
+//!    within one incarnation ([`HcNode::epoch`]; a crash–restart wipes
+//!    volatile state, so the watermarks reset when the epoch advances).
+//! 3. **Log matching / committed-prefix agreement** — for every pair of
+//!    live nodes, an index both have committed holds the *same* entry
+//!    (term and full descriptor, replier included), and an index on which
+//!    they agree on the term holds the same entry (Raft's Log Matching
+//!    property). Compared over the replier window below plus every index
+//!    committed everywhere since the previous check, so each committed
+//!    index is compared at least once.
 //! 4. **Replier immutability** (§3.3) — once an entry carries a replier,
 //!    that field never changes for the lifetime of that `(term, index)`
 //!    entry. Checked over a sliding window above the cluster-wide applied
 //!    floor (minus a safety margin), so the scan cost tracks the in-flight
 //!    window, not total log length.
-//! 5. **Bounded replier queues** (§3.4) — on the leader, no member's
-//!    outstanding-assignment depth exceeds the bound `B`. A freshly
-//!    elected leader may inherit more than `B` immutable assignments from
-//!    previous terms (§5), so the limit for a term is
+//! 5. **Bounded replier queues** (§3.4) — on every live node that believes
+//!    it leads, no member's outstanding-assignment depth exceeds the bound
+//!    `B`. A freshly elected leader may inherit more than `B` immutable
+//!    assignments from previous terms (§5), so the limit for a term is
 //!    `max(B, depth first observed in that term)` — inherited debt may
 //!    only drain, never grow.
-//! 6. **Exactly-one reply** — scanning the protocol trace, no request id
-//!    is answered twice (by any node, across elections and recoveries),
-//!    with one carve-out: the same node may re-answer at a strictly higher
-//!    incarnation (a restarted replier re-executing its log).
+//! 6. **Exactly-one reply** — no request id is answered twice (by any
+//!    node, across elections and recoveries), with one carve-out: the same
+//!    node may re-answer at a strictly higher incarnation (a restarted
+//!    replier re-executing its log).
 //! 7. **Flow-control conservation** — at the middlebox,
 //!    `admitted − (feedback − spurious) − reclaimed == in_flight`.
-//! 8. **Snapshot bounds** — `snapshot_index ≤ applied ≤ commit` on every
-//!    node: compaction never outruns execution (no entry is discarded
-//!    before it has been applied, so nothing is ever applied *below* the
-//!    snapshot), and the snapshot watermark itself never regresses within
-//!    one incarnation.
+//! 8. **Snapshot bounds** — both the log's snapshot boundary and the held
+//!    snapshot stay at or below `applied` on every node: compaction never
+//!    outruns execution (with invariant 1, `snapshot ≤ applied ≤ commit`),
+//!    and the boundary itself never regresses within one incarnation.
 //! 9. **Transfer-resume monotonicity** — scanning the protocol trace, a
 //!    node's cumulative snapshot-chunk acknowledgement (`chunk_acked`
 //!    `next` offset) never regresses for a given `(node, snapshot index)`
 //!    within one incarnation, with one carve-out: a rewind to exactly 0
 //!    *before* the snapshot installs is a legitimate from-scratch restart
-//!    of the stream (peer-served failover drops the reassembly buffer). A
-//!    partial rewind, a rewind after `snapshot_installed`, or a rewind in
-//!    a fresh incarnation claiming old progress is a protocol bug.
+//!    of the stream (peer-served failover drops the reassembly buffer, and
+//!    a blob that does not frame is dropped). A partial rewind, a rewind
+//!    after `snapshot_installed`, or a rewind in a fresh incarnation
+//!    claiming old progress is a protocol bug.
+//!
+//! The trace scan is incremental: events evicted from the bounded ring
+//! before the checker saw them are reported as a `trace_gap` violation,
+//! since invariants 6 and 9 would otherwise skip them silently.
 //!
 //! The checker is stateful (watermarks, first-seen replier stamps, reply
-//! set, trace cursor); create one per cluster and feed it every step.
+//! ledger, trace cursor); create one per cluster and feed it every step.
 
 pub mod predicates;
 
@@ -67,6 +77,7 @@ use std::fmt;
 
 use fxhash::{FxHashMap, FxHashSet};
 
+use hovercraft::{HcNode, Service};
 use raft::LogIndex;
 use simnet::NodeId;
 
@@ -78,8 +89,9 @@ use crate::setup::Setup;
 use predicates::{Mutation, ReplierStep};
 
 /// How far below the cluster-wide applied floor the replier-immutability
-/// window reaches. Mutations of entries older than this (already applied
-/// everywhere) can no longer affect protocol behaviour and are not scanned.
+/// and log-agreement window reaches. Entries older than this (applied
+/// everywhere) can no longer affect protocol behaviour and are not
+/// rescanned.
 const REPLIER_WINDOW_SLACK: u64 = 64;
 
 /// A detected invariant violation.
@@ -114,27 +126,70 @@ fn violation(
     })
 }
 
+/// Invariant 6 bookkeeping: the latest legal answer to every request —
+/// the answering node and its incarnation. A second reply is legal only
+/// from the *same* node at a *strictly higher* incarnation (a restarted
+/// replier re-executing its log).
+#[derive(Clone, Default)]
+pub struct ReplyLedger {
+    answered: FxHashMap<u64, (NodeId, u64)>,
+}
+
+impl ReplyLedger {
+    /// Records that `node`, in incarnation `inc`, answered request `id`.
+    pub fn record(&mut self, id: u64, node: NodeId, inc: u64) -> Result<(), Violation> {
+        match self.answered.get_mut(&id) {
+            None => {
+                self.answered.insert(id, (node, inc));
+                Ok(())
+            }
+            Some(first) if predicates::duplicate_reply_ok(first.0, first.1, node, inc) => {
+                *first = (node, inc);
+                Ok(())
+            }
+            Some(&mut (node0, inc0)) => violation(
+                "exactly_one_reply",
+                node,
+                format!(
+                    "request {id:#x} answered twice: first by n{node0} incarnation \
+                     {inc0}, again by n{node} incarnation {inc}"
+                ),
+            ),
+        }
+    }
+
+    /// Every `(request id, node, incarnation)` record, in no fixed order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, NodeId, u64)> + '_ {
+        self.answered
+            .iter()
+            .map(|(&id, &(node, inc))| (id, node, inc))
+    }
+}
+
+/// One node's watermarks within one incarnation (invariants 2 and 8).
+#[derive(Clone, Copy, Default)]
+struct Marks {
+    epoch: u64,
+    commit: LogIndex,
+    applied: LogIndex,
+    snap: LogIndex,
+}
+
 /// Stateful cross-node invariant checker (see module docs for the list).
 #[derive(Default)]
 pub struct InvariantChecker {
-    /// Per-node high-water marks for monotonicity checks.
-    last_commit: FxHashMap<NodeId, LogIndex>,
-    last_applied: FxHashMap<NodeId, LogIndex>,
-    /// Committed-prefix agreement has been verified up to here.
+    /// Per-node high-water marks, reset when the node's epoch advances.
+    marks: FxHashMap<NodeId, Marks>,
+    /// Every index up to here was committed on all live nodes at some
+    /// check, and compared then.
     matched_upto: LogIndex,
     /// First-seen `(term, replier)` per live `(node, index)` in the window.
     repliers: FxHashMap<(NodeId, LogIndex), (u64, Option<u32>)>,
     /// Per `(term, member)`: assignment depth at first observation, to
     /// absorb inherited over-`B` debt after elections.
     depth_baseline: FxHashMap<(u64, NodeId), usize>,
-    /// Request keys already answered (invariant 6), with the answering
-    /// node and its incarnation at the time of the reply. A second reply
-    /// is legal only from the *same* node at a *strictly higher*
-    /// incarnation — a restarted replier re-executing its log.
-    replied: FxHashMap<u64, (NodeId, u64)>,
-    /// Per-node snapshot-index high-water mark (invariant 8); reset on
-    /// restart like the other watermarks.
-    last_snap: FxHashMap<NodeId, LogIndex>,
+    /// Requests already answered (invariant 6).
+    replies: ReplyLedger,
     /// Highest cumulative chunk-ack offset per
     /// `(node, snapshot index, incarnation)` (invariant 9).
     ack_progress: FxHashMap<(NodeId, u64, u64), u64>,
@@ -142,12 +197,9 @@ pub struct InvariantChecker {
     /// installed, any further chunk ack for that snapshot must report it
     /// complete — a rewind past an install means `applied` regressed.
     installed: FxHashSet<(NodeId, u64, u64)>,
-    /// Per-node restart count as last seen via [`simnet::Sim::restarts`];
-    /// a change resets that node's monotonicity watermarks (a restarted
-    /// node legitimately regresses to commit = applied = 0).
-    incarnations: FxHashMap<NodeId, u64>,
-    /// Next trace sequence number to consume.
-    trace_cursor: u64,
+    /// Next trace sequence number to consume; `None` before the first
+    /// scan, which may start past events evicted before checking began.
+    trace_cursor: Option<u64>,
 }
 
 impl InvariantChecker {
@@ -164,202 +216,120 @@ impl InvariantChecker {
         if cl.opts().setup == Setup::Unrep {
             return Ok(());
         }
-        let alive: Vec<NodeId> = cl
+        let live: Vec<_> = cl
             .servers
             .iter()
             .copied()
             .filter(|&s| cl.sim.is_alive(s))
+            .map(|s| (s, cl.sim.agent::<ServerAgent>(s).node()))
             .collect();
-
-        // Crash–restart resets volatile state: forget the watermarks of any
-        // node whose incarnation advanced since the last check.
-        for &s in &cl.servers {
-            let inc = cl.sim.restarts(s);
-            let seen = self.incarnations.entry(s).or_insert(inc);
-            if *seen != inc {
-                *seen = inc;
-                self.last_commit.remove(&s);
-                self.last_applied.remove(&s);
-                self.last_snap.remove(&s);
-            }
-        }
-
-        self.check_apply_and_monotone(cl, &alive)?;
-        self.check_log_matching(cl, &alive)?;
-        self.check_replier_immutability(cl, &alive)?;
-        self.check_bounded_queues(cl)?;
-        self.check_snapshot_bounds(cl, &alive)?;
+        self.check_nodes(&live, Mutation::None)?;
         self.check_trace_invariants(cl)?;
-        self.check_flow_conservation(cl)?;
-        Ok(())
+        self.check_flow_conservation(cl)
     }
 
-    fn check_apply_and_monotone(
+    /// Checks the node-state invariants 1–5 and 8 over the `live` nodes,
+    /// returning the first violation found. `mutation` is threaded into
+    /// invariant 4 for harness self-tests; production callers pass
+    /// [`Mutation::None`].
+    pub fn check_nodes<S: Service>(
         &mut self,
-        cl: &Cluster,
-        alive: &[NodeId],
+        live: &[(NodeId, &HcNode<S>)],
+        mutation: Mutation,
     ) -> Result<(), Violation> {
-        for &s in alive {
-            let node = cl.sim.agent::<ServerAgent>(s).node();
-            let commit = node.raft().commit_index();
-            let applied = node.applied_index();
-            if !predicates::apply_bound_ok(applied, commit) {
-                return violation(
-                    "applied_le_commit",
-                    s,
-                    format!("applied={applied} > commit={commit}"),
-                );
-            }
-            let lc = self.last_commit.entry(s).or_insert(0);
-            if !predicates::monotone_ok(*lc, commit) {
-                return violation(
-                    "commit_monotone",
-                    s,
-                    format!("commit regressed {} -> {commit}", *lc),
-                );
-            }
-            *lc = commit;
-            let la = self.last_applied.entry(s).or_insert(0);
-            if !predicates::monotone_ok(*la, applied) {
-                return violation(
-                    "applied_monotone",
-                    s,
-                    format!("applied regressed {} -> {applied}", *la),
-                );
-            }
-            *la = applied;
-        }
-        Ok(())
-    }
-
-    /// Invariant 3: committed-prefix agreement (incremental) plus Log
-    /// Matching over the uncommitted tails of live-node pairs.
-    fn check_log_matching(&mut self, cl: &Cluster, alive: &[NodeId]) -> Result<(), Violation> {
-        if alive.len() < 2 {
-            return Ok(());
-        }
-        let commit_of = |s: NodeId| cl.sim.agent::<ServerAgent>(s).node().raft().commit_index();
-        let min_commit = alive.iter().map(|&s| commit_of(s)).min().unwrap_or(0);
-
-        // Committed prefix: identical entries everywhere. Checked once per
-        // index (the committed prefix is immutable), resuming where the
-        // previous call stopped.
-        let reference = alive[0];
-        for idx in (self.matched_upto + 1)..=min_commit {
-            let ref_log = cl.sim.agent::<ServerAgent>(reference).node().raft().log();
-            let Some(want) = ref_log.get(idx) else {
-                continue; // compacted on the reference; nothing to compare
-            };
-            let want = want.clone();
-            for &s in &alive[1..] {
-                let log = cl.sim.agent::<ServerAgent>(s).node().raft().log();
-                let Some(got) = log.get(idx) else {
-                    continue; // compacted here
-                };
-                if !predicates::committed_prefix_ok(got, &want) {
-                    return violation(
-                        "committed_prefix_agreement",
-                        s,
-                        format!(
-                            "index {idx}: n{s} has (term {}, {:?}), n{reference} has \
-                             (term {}, {:?})",
-                            got.term, got.cmd.desc, want.term, want.cmd.desc
-                        ),
-                    );
-                }
+        for &(id, hc) in live {
+            self.check_watermarks(id, hc)?;
+            if hc.is_leader() {
+                self.check_bounded_queues(id, hc)?;
             }
         }
-        self.matched_upto = min_commit;
-
-        // Log Matching above the common commit point: same index + same
-        // term ⇒ same entry. The tail is bounded by the in-flight window.
-        for (i, &a) in alive.iter().enumerate() {
-            for &b in &alive[i + 1..] {
-                let log_a = cl.sim.agent::<ServerAgent>(a).node().raft().log();
-                let log_b = cl.sim.agent::<ServerAgent>(b).node().raft().log();
-                let hi = log_a.last_index().min(log_b.last_index());
-                let lo = (min_commit + 1)
-                    .max(log_a.first_index())
-                    .max(log_b.first_index());
-                for idx in lo..=hi {
-                    let (Some(ea), Some(eb)) = (log_a.get(idx), log_b.get(idx)) else {
-                        continue;
-                    };
-                    if !predicates::log_matching_ok(ea, eb) {
-                        return violation(
-                            "log_matching",
-                            a,
-                            format!(
-                                "index {idx} term {}: n{a} has {:?}, n{b} has {:?}",
-                                ea.term, ea.cmd.desc, eb.cmd.desc
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Invariant 4: a stamped replier never changes for a `(term, index)`.
-    fn check_replier_immutability(
-        &mut self,
-        cl: &Cluster,
-        alive: &[NodeId],
-    ) -> Result<(), Violation> {
-        let applied_floor = alive
+        let applied_floor = live
             .iter()
-            .map(|&s| cl.sim.agent::<ServerAgent>(s).node().applied_index())
+            .map(|(_, hc)| hc.applied_index())
             .min()
             .unwrap_or(0);
         let window_lo = applied_floor.saturating_sub(REPLIER_WINDOW_SLACK).max(1);
+        self.check_replier_immutability(live, window_lo, mutation)?;
+        self.check_log_agreement(live, window_lo)
+    }
 
-        for &s in alive {
-            let log = cl.sim.agent::<ServerAgent>(s).node().raft().log();
-            let lo = window_lo.max(log.first_index());
-            for idx in lo..=log.last_index() {
-                let Some(e) = log.get(idx) else { continue };
-                let cur = (e.term, e.cmd.desc.replier);
-                let seen = self.repliers.get(&(s, idx)).copied();
-                match predicates::replier_step(seen, cur, Mutation::None) {
-                    ReplierStep::Track => {
-                        self.repliers.insert((s, idx), cur);
-                    }
-                    ReplierStep::Keep => {}
-                    ReplierStep::Violation => {
-                        let (term, old) = seen.expect("violations need a prior stamp");
-                        return violation(
-                            "replier_immutable",
-                            s,
-                            format!(
-                                "index {idx} term {term}: replier changed \
-                                 {old:?} -> {:?}",
-                                cur.1
-                            ),
-                        );
-                    }
-                }
+    /// Invariants 1, 2 and 8: `snapshot ≤ applied ≤ commit`, and the
+    /// watermarks never regress within one incarnation.
+    fn check_watermarks<S: Service>(
+        &mut self,
+        id: NodeId,
+        hc: &HcNode<S>,
+    ) -> Result<(), Violation> {
+        let commit = hc.raft().commit_index();
+        let applied = hc.applied_index();
+        let snap = hc.raft().log().snapshot_index();
+        if applied > commit {
+            return violation(
+                "applied_le_commit",
+                id,
+                format!("applied={applied} > commit={commit}"),
+            );
+        }
+        if snap > applied {
+            return violation(
+                "snapshot_le_applied",
+                id,
+                format!("log snapshot boundary {snap} > applied={applied}"),
+            );
+        }
+        // The held snapshot (the blob it would serve to a lagging peer)
+        // must also describe a prefix the node has actually executed.
+        let held = hc.snapshot_index();
+        if held > applied {
+            return violation(
+                "snapshot_le_applied",
+                id,
+                format!("held snapshot at {held} > applied={applied}"),
+            );
+        }
+        let epoch = hc.epoch();
+        let marks = self.marks.entry(id).or_default();
+        if marks.epoch != epoch {
+            *marks = Marks {
+                epoch,
+                ..Marks::default()
+            };
+        }
+        for (invariant, what, was, is) in [
+            ("commit_monotone", "commit", marks.commit, commit),
+            ("applied_monotone", "applied", marks.applied, applied),
+            ("snapshot_monotone", "snapshot boundary", marks.snap, snap),
+        ] {
+            if is < was {
+                return violation(
+                    invariant,
+                    id,
+                    format!("{what} regressed {was} -> {is} (epoch {epoch})"),
+                );
             }
         }
-        // Entries everyone applied long ago can't affect behaviour; drop
-        // them so the map tracks the window, not the whole history.
-        self.repliers.retain(|&(_, idx), _| idx >= window_lo);
+        *marks = Marks {
+            epoch,
+            commit,
+            applied,
+            snap,
+        };
         Ok(())
     }
 
-    /// Invariant 5: leader-side replier queues stay within the bound,
+    /// Invariant 5: a leader's replier queues stay within the bound,
     /// modulo inherited (immutable) pre-election debt that may only drain.
-    fn check_bounded_queues(&mut self, cl: &Cluster) -> Result<(), Violation> {
-        let Some(leader) = cl.leader() else {
-            return Ok(());
-        };
-        let bound = cl.opts().bound;
-        let node = cl.sim.agent::<ServerAgent>(leader).node();
-        let term = node.raft().term();
-        for &m in &cl.servers {
-            let depth = node.queue_depth(m);
+    fn check_bounded_queues<S: Service>(
+        &mut self,
+        leader: NodeId,
+        hc: &HcNode<S>,
+    ) -> Result<(), Violation> {
+        let bound = hc.config().bound;
+        let term = hc.raft().term();
+        for &m in &hc.config().raft.members {
+            let depth = hc.queue_depth(m);
             let baseline = *self.depth_baseline.entry((term, m)).or_insert(depth);
-            if !predicates::queue_depth_ok(depth, bound, baseline) {
+            if depth > bound.max(baseline) {
                 return violation(
                     "bounded_queue",
                     leader,
@@ -373,56 +343,103 @@ impl InvariantChecker {
         Ok(())
     }
 
-    /// Invariant 8: compaction never outruns execution. The log's
-    /// snapshot boundary stays at or below `applied` (applied ≤ commit is
-    /// invariant 1, so the full chain `snapshot ≤ applied ≤ commit`
-    /// holds), and the snapshot watermark is monotone per incarnation.
-    fn check_snapshot_bounds(&mut self, cl: &Cluster, alive: &[NodeId]) -> Result<(), Violation> {
-        for &s in alive {
-            let node = cl.sim.agent::<ServerAgent>(s).node();
-            let applied = node.applied_index();
-            let log_snap = node.raft().log().snapshot_index();
-            if !predicates::snapshot_bound_ok(log_snap, applied) {
-                return violation(
-                    "snapshot_le_applied",
-                    s,
-                    format!("log snapshot boundary {log_snap} > applied={applied}"),
-                );
+    /// Invariant 4: a stamped replier never changes for a `(term, index)`.
+    fn check_replier_immutability<S: Service>(
+        &mut self,
+        live: &[(NodeId, &HcNode<S>)],
+        window_lo: LogIndex,
+        mutation: Mutation,
+    ) -> Result<(), Violation> {
+        for &(id, hc) in live {
+            let log = hc.raft().log();
+            for idx in window_lo.max(log.first_index())..=log.last_index() {
+                let Some(e) = log.get(idx) else { continue };
+                let cur = (e.term, e.cmd.desc.replier);
+                let seen = self.repliers.get(&(id, idx)).copied();
+                match predicates::replier_step(seen, cur, mutation) {
+                    ReplierStep::Track => {
+                        self.repliers.insert((id, idx), cur);
+                    }
+                    ReplierStep::Keep => {}
+                    ReplierStep::Violation => {
+                        return violation(
+                            "replier_immutable",
+                            id,
+                            format!(
+                                "index {idx} term {}: replier changed {:?} -> {:?}",
+                                cur.0,
+                                seen.and_then(|s| s.1),
+                                cur.1
+                            ),
+                        );
+                    }
+                }
             }
-            // The node-level snapshot (the blob it would serve to a lagging
-            // peer) must also describe a prefix it has actually executed.
-            let hc_snap = node.snapshot_index();
-            if !predicates::snapshot_bound_ok(hc_snap, applied) {
-                return violation(
-                    "snapshot_le_applied",
-                    s,
-                    format!("held snapshot at {hc_snap} > applied={applied}"),
-                );
-            }
-            let ls = self.last_snap.entry(s).or_insert(0);
-            if !predicates::monotone_ok(*ls, log_snap) {
-                return violation(
-                    "snapshot_monotone",
-                    s,
-                    format!("snapshot boundary regressed {} -> {log_snap}", *ls),
-                );
-            }
-            *ls = log_snap;
         }
+        // Entries everyone applied long ago can't affect behaviour; drop
+        // them so the map tracks the window, not the whole history.
+        self.repliers.retain(|&(_, idx), _| idx >= window_lo);
+        Ok(())
+    }
+
+    /// Invariant 3, over every pair of live nodes: an index both have
+    /// committed holds identical entries; an index whose terms agree holds
+    /// identical entries. Compared from the window's edge, or from the
+    /// first index not yet committed everywhere at the previous check if
+    /// that is lower.
+    fn check_log_agreement<S: Service>(
+        &mut self,
+        live: &[(NodeId, &HcNode<S>)],
+        window_lo: LogIndex,
+    ) -> Result<(), Violation> {
+        let lo = (self.matched_upto + 1).min(window_lo);
+        for (i, &(a, ha)) in live.iter().enumerate() {
+            for &(b, hb) in &live[i + 1..] {
+                let (la, lb) = (ha.raft().log(), hb.raft().log());
+                let committed = ha.raft().commit_index().min(hb.raft().commit_index());
+                let from = lo.max(la.first_index()).max(lb.first_index());
+                for idx in from..=la.last_index().min(lb.last_index()) {
+                    let (Some(ea), Some(eb)) = (la.get(idx), lb.get(idx)) else {
+                        continue;
+                    };
+                    let invariant = if idx <= committed {
+                        if ea.term == eb.term && ea.cmd == eb.cmd {
+                            continue;
+                        }
+                        "committed_prefix_agreement"
+                    } else {
+                        if ea.term != eb.term || ea.cmd == eb.cmd {
+                            continue;
+                        }
+                        "log_matching"
+                    };
+                    return violation(
+                        invariant,
+                        b,
+                        format!(
+                            "index {idx}: n{b} has (term {}, {:?}), n{a} has (term {}, {:?})",
+                            eb.term, eb.cmd.desc, ea.term, ea.cmd.desc
+                        ),
+                    );
+                }
+            }
+        }
+        self.matched_upto = live
+            .iter()
+            .map(|(_, hc)| hc.raft().commit_index())
+            .min()
+            .unwrap_or(0);
         Ok(())
     }
 
     /// Invariants 6 and 9, one incremental pass over the protocol trace
     /// (they share the cursor, so both must be checked in the same scan).
     ///
-    /// **6 — exactly-one reply**: no request id is replied to twice —
-    /// except by the same node at a strictly higher incarnation (a
-    /// restarted replier re-executes its log and may legitimately
-    /// re-answer; any *other* duplicate still fires). A reply is
-    /// attributed to the incarnation live at its timestamp via
-    /// [`simnet::Sim::restart_times`] — exact even when a restart's own
-    /// trace marker has been evicted from the bounded ring by a
-    /// re-execution burst in the same check window.
+    /// **6 — exactly-one reply**: every `reply` event goes through the
+    /// [`ReplyLedger`]. A reply is attributed to the incarnation live at
+    /// its timestamp via [`simnet::Sim::restart_times`] — exact even when a
+    /// restart's own trace marker has been evicted from the bounded ring
+    /// by a re-execution burst in the same check window.
     ///
     /// **9 — transfer-resume monotonicity**: a node's cumulative
     /// `chunk_acked` offset for one snapshot never regresses within an
@@ -434,13 +451,26 @@ impl InvariantChecker {
         // Borrow-only incremental scan: the checker runs every simulated
         // millisecond, so it visits only events newer than its cursor,
         // in place in the ring — no per-tick clone of the event window.
-        let replied = &mut self.replied;
+        let replies = &mut self.replies;
         let acks = &mut self.ack_progress;
         let installed = &mut self.installed;
-        let mut cursor = self.trace_cursor;
+        let mut expect = self.trace_cursor;
+        let mut cursor = expect.unwrap_or(0);
         let mut found: Option<Violation> = None;
         cl.tracer().for_each_since(cursor, |e| {
             cursor = e.seq + 1;
+            if let Some(want) = expect.take().filter(|&want| e.seq > want) {
+                found = Some(Violation {
+                    invariant: "trace_gap",
+                    node: None,
+                    detail: format!(
+                        "{} events (seq {want}..{}) were evicted from the trace ring \
+                         before the checker saw them",
+                        e.seq - want,
+                        e.seq
+                    ),
+                });
+            }
             if found.is_some()
                 || (e.kind != "reply" && e.kind != "chunk_acked" && e.kind != "snapshot_installed")
             {
@@ -483,29 +513,9 @@ impl InvariantChecker {
                 *high = next;
                 return;
             }
-            match replied.get(&e.key) {
-                None => {
-                    replied.insert(e.key, (e.node, inc));
-                }
-                Some(&(node0, inc0))
-                    if predicates::duplicate_reply_ok(node0, inc0, e.node, inc) =>
-                {
-                    replied.insert(e.key, (e.node, inc));
-                }
-                Some(&(node0, inc0)) => {
-                    found = Some(Violation {
-                        invariant: "exactly_one_reply",
-                        node: Some(e.node),
-                        detail: format!(
-                            "request {} answered twice ({}); first by n{node0} \
-                             incarnation {inc0}, again by n{} incarnation {inc}",
-                            e.key, e.detail, e.node
-                        ),
-                    });
-                }
-            }
+            found = replies.record(e.key, e.node, inc).err();
         });
-        self.trace_cursor = cursor;
+        self.trace_cursor = Some(cursor);
         match found {
             Some(v) => Err(v),
             None => Ok(()),

@@ -1,34 +1,26 @@
-//! Pure invariant predicates — the single source of truth shared by the
-//! runtime [`InvariantChecker`](super::InvariantChecker) (which samples a
-//! simulated cluster every millisecond of virtual time) and the `mc`
-//! explicit-state model checker (which evaluates every reachable state of
-//! the sans-io core exhaustively at small scope).
+//! Pure invariant predicates: the verdicts the
+//! [`InvariantChecker`](super::InvariantChecker) needs beyond a single
+//! comparison, plus the chaos suite's end-of-run asserts.
 //!
-//! Each function answers "is this observation legal?" for exactly one
-//! invariant, with no dependence on *where* the observation came from —
-//! no `Cluster`, no `simnet`, no trace types. Both checkers reduce their
-//! view of the world to the same plain integers/entries and call the same
-//! predicate, so the two enforcement paths cannot drift apart: tightening
-//! or loosening an invariant is a one-line change that both inherit.
+//! There is one sampler and two drivers. The checker reduces nodes to
+//! plain observations and asks these functions whether they are legal;
+//! the simulated cluster drives it every millisecond of virtual time, and
+//! the `mc` model checker drives it on every transition of its
+//! exhaustive small-scope search. Neither driver samples on its own, so
+//! a rule changed here or in the checker changes for both.
 //!
-//! Numbering follows the module docs of [`super`]: 1 apply bound,
-//! 2 monotonicity, 3 log matching / committed-prefix agreement,
-//! 4 replier immutability (§3.3), 5 bounded replier queues (§3.4),
-//! 6 exactly-one reply, 7 flow conservation, 8 snapshot bounds,
-//! 9 transfer-resume monotonicity. Convergence / state-identity predicates
-//! back the chaos suite's end-of-run asserts.
-
-use hovercraft::Cmd;
-use raft::Entry;
+//! Numbering follows the module docs of [`super`]: 4 replier
+//! immutability (§3.3), 6 exactly-one reply, 7 flow conservation,
+//! 9 transfer-resume monotonicity. [`Mutation`] lets harness self-tests
+//! break invariant 4 on purpose.
 
 /// Deliberate single-predicate faults for harness self-tests.
 ///
-/// The mutation smoke tests (`tests/mc.rs`, and the bundle meta-test in
-/// `tests/chaos.rs`) need to prove the surrounding checker can actually
-/// *fail* — an exhaustive run that can never report a violation proves
-/// nothing. Threading a `Mutation` value into one predicate flips a legal
-/// observation into a reported violation without touching the protocol
-/// under test. Production call sites pass [`Mutation::None`]; the knob is
+/// The mutation smoke test (`tests/mc.rs`) needs to prove the
+/// surrounding checker can actually *fail* — an exhaustive run that can
+/// never report a violation proves nothing. Threading a `Mutation` value
+/// into one predicate flips a legal observation into a reported violation
+/// without touching the protocol under test. Production call sites pass [`Mutation::None`]; the knob is
 /// a parameter (not a global) so parallel test binaries cannot interfere.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Mutation {
@@ -40,44 +32,6 @@ pub enum Mutation {
     /// explicitly permits — as a violation. Any execution that announces
     /// a single replicated request then exhibits a "counterexample".
     BreakReplierImmutability,
-}
-
-/// Invariant 1 — apply bound: execution never outruns durability
-/// (`applied ≤ commit`).
-#[inline]
-pub fn apply_bound_ok(applied: u64, commit: u64) -> bool {
-    applied <= commit
-}
-
-/// Invariant 8 — snapshot bound: compaction never outruns execution
-/// (`snapshot ≤ applied`; chained with invariant 1 this gives
-/// `snapshot ≤ applied ≤ commit`).
-#[inline]
-pub fn snapshot_bound_ok(snapshot_index: u64, applied: u64) -> bool {
-    snapshot_index <= applied
-}
-
-/// Invariants 2 and 8 — per-node watermarks (`commit`, `applied`,
-/// snapshot boundary) never regress within one incarnation.
-#[inline]
-pub fn monotone_ok(prev: u64, cur: u64) -> bool {
-    cur >= prev
-}
-
-/// Invariant 3a — committed-prefix agreement: an index committed
-/// everywhere holds the *same* entry (term and full descriptor, replier
-/// included) on every live node.
-#[inline]
-pub fn committed_prefix_ok(a: &Entry<Cmd>, b: &Entry<Cmd>) -> bool {
-    a.term == b.term && a.cmd == b.cmd
-}
-
-/// Invariant 3b — Log Matching above the common commit point: if two
-/// logs agree on an index's term they agree on its entry. (Disagreeing
-/// terms are fine — an uncommitted suffix awaiting truncation.)
-#[inline]
-pub fn log_matching_ok(a: &Entry<Cmd>, b: &Entry<Cmd>) -> bool {
-    a.term != b.term || a.cmd == b.cmd
 }
 
 /// Outcome of one replier-immutability tracking step (invariant 4): what
@@ -136,16 +90,6 @@ pub fn replier_step(
         },
         _ => ReplierStep::Keep,
     }
-}
-
-/// Invariant 5 — bounded replier queues (§3.4): on the leader, a
-/// member's outstanding-assignment depth stays within `B`, modulo debt
-/// inherited (immutably, §5) from previous terms: the allowance for a
-/// term is `max(B, depth first observed in that term)`, so inherited
-/// over-`B` debt may drain but never grow.
-#[inline]
-pub fn queue_depth_ok(depth: usize, bound: usize, baseline: usize) -> bool {
-    depth <= bound.max(baseline)
 }
 
 /// Invariant 6 — exactly-one reply: is a *second* reply for an

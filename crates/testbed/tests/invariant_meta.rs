@@ -1,12 +1,12 @@
 //! Meta-tests for the invariant checker itself: prove that injected
-//! protocol corruption is detected within one checked step, that a forced
-//! failure produces a replayable bundle, and that replaying the same
-//! (config, seed) reproduces the identical trace.
+//! protocol corruption and lost trace events are detected within one
+//! checked step, that a forced failure produces a replayable bundle, and
+//! that replaying the same (config, seed) reproduces the identical trace.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hovercraft::PolicyKind;
-use simnet::{SimDur, SimTime};
+use simnet::{SimDur, SimTime, DEFAULT_TRACE_CAP};
 use testbed::{Cluster, ClusterOpts, ServerAgent, Setup};
 
 fn build(seed: u64, bound: usize) -> Cluster {
@@ -123,4 +123,60 @@ fn replay_bundle_is_reproduced_bit_for_bit() {
     let b = run();
     assert!(!a.contains("trace tail (0 of 0"), "trace must be nonempty");
     assert_eq!(a, b, "replay must reproduce the identical bundle");
+}
+
+#[test]
+fn checker_detects_rewritten_committed_entry_within_one_step() {
+    let mut cluster = build(9004, 128);
+
+    // Rewrite the request hash of an entry one follower has applied and
+    // committed. Its replier is unchanged, so only the comparison of
+    // committed entries across nodes can notice.
+    let leader = cluster.leader().unwrap();
+    let follower = cluster
+        .servers
+        .iter()
+        .copied()
+        .find(|&s| s != leader)
+        .unwrap();
+    let agent = cluster.sim.agent_mut::<ServerAgent>(follower);
+    let idx = agent.node().applied_index();
+    assert!(idx > 0, "load must have produced applied entries");
+    assert!(idx <= agent.node().raft().commit_index());
+    agent
+        .node_mut()
+        .raft_mut()
+        .log_mut()
+        .get_mut(idx)
+        .expect("applied entry still in the log")
+        .cmd
+        .desc
+        .hash ^= 1;
+
+    let msg = panic_message(&mut cluster);
+    assert!(
+        msg.contains("committed_prefix_agreement"),
+        "wrong invariant: {msg}"
+    );
+}
+
+#[test]
+fn checker_reports_trace_events_lost_to_eviction() {
+    let mut cluster = build(9005, 128);
+    cluster.run_checked(SimDur::millis(1));
+
+    // More events than the ring holds land between two checks: the
+    // oldest of them are evicted unseen, and the checker must say so.
+    fn render(f: &mut std::fmt::Formatter<'_>, _: u64, _: u64, _: u64) -> std::fmt::Result {
+        f.write_str("filler")
+    }
+    let now = cluster.sim.now();
+    for i in 0..=DEFAULT_TRACE_CAP as u64 {
+        cluster
+            .tracer()
+            .record_lazy(now, 0, "filler", i, render, 0, 0, 0);
+    }
+
+    let msg = panic_message(&mut cluster);
+    assert!(msg.contains("trace_gap"), "wrong invariant: {msg}");
 }

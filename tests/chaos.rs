@@ -12,7 +12,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hovercraft::PolicyKind;
-use simnet::{FaultPlan, FaultPlanConfig, SimDur, SimTime, TraceEvent};
+use simnet::{FaultCmd, FaultPlan, FaultPlanConfig, SimDur, SimTime, TraceEvent};
 use testbed::invariants::predicates;
 use testbed::{chaos_digest_opts as chaos_opts, Cluster, ClusterOpts, ServerAgent, Setup};
 
@@ -115,8 +115,13 @@ fn majority_partition_keeps_committing_and_pre_vote_freezes_terms() {
         .copied()
         .filter(|&s| !minority.contains(&s))
         .collect();
-    cluster.sim.partition_at(vec![majority, minority], ms(250));
-    cluster.sim.heal_at(ms(400));
+    cluster.sim.schedule_fault(
+        ms(250),
+        FaultCmd::Partition {
+            groups: vec![majority, minority],
+        },
+    );
+    cluster.sim.schedule_fault(ms(400), FaultCmd::Heal);
 
     cluster.run_until_checked(ms(280));
     let c1 = commit_of(&cluster, leader);
@@ -159,8 +164,12 @@ fn paused_replier_is_detected_and_routed_around() {
         .expect("a follower");
     let paused_at = ms(250);
     let resumed_at = ms(420);
-    cluster.sim.pause_at(victim, paused_at);
-    cluster.sim.resume_at(victim, resumed_at);
+    cluster
+        .sim
+        .schedule_fault(paused_at, FaultCmd::Pause { node: victim });
+    cluster
+        .sim
+        .schedule_fault(resumed_at, FaultCmd::Resume { node: victim });
 
     // Harvest the trace incrementally (the ring is bounded) while running
     // the full load under invariant checking.

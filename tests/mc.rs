@@ -105,7 +105,7 @@ fn mutation_smoke_produces_replayable_counterexample() {
     // The human-readable rendering names the violated invariant and the
     // corpus line.
     let rendered = cex.render(&scope);
-    assert!(rendered.contains("replier immutability"), "{rendered}");
+    assert!(rendered.contains("replier_immutable"), "{rendered}");
     assert!(rendered.contains("mc:tiny+mut-replier:q"), "{rendered}");
 }
 
@@ -158,7 +158,7 @@ fn greedy_schedule_reaches_quiescence() {
         let pre = state.clone();
         state.apply(&scope, act).expect("no violation");
         state
-            .check_invariants(&pre, &scope, Mutation::None)
+            .check_invariants(&pre, Mutation::None)
             .expect("no violation");
         trace.push(act);
     }
