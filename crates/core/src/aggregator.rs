@@ -103,11 +103,10 @@ impl Aggregator {
     }
 
     /// Feeds the aggregator's soft state into `h` for model-checker state
-    /// fingerprints: node ids pass through `rename`, register maps are
-    /// hashed as vectors sorted by the renamed id. `stats` is excluded
-    /// (observability only).
-    pub fn hash_state(&self, h: &mut dyn std::hash::Hasher, rename: &dyn Fn(RaftId) -> RaftId) {
-        let mut members: Vec<RaftId> = self.members.iter().map(|&n| rename(n)).collect();
+    /// fingerprints: register maps are hashed as vectors sorted by node
+    /// id. `stats` is excluded (observability only).
+    pub fn hash_state(&self, h: &mut dyn std::hash::Hasher) {
+        let mut members: Vec<RaftId> = self.members.clone();
         members.sort_unstable();
         h.write_usize(members.len());
         for n in members {
@@ -118,13 +117,12 @@ impl Aggregator {
         match self.leader {
             Some(l) => {
                 h.write_u8(1);
-                h.write_u32(rename(l));
+                h.write_u32(l);
             }
             None => h.write_u8(0),
         }
         for regs in [&self.match_idx, &self.completed] {
-            let mut rows: Vec<(RaftId, LogIndex)> =
-                regs.iter().map(|(&n, &i)| (rename(n), i)).collect();
+            let mut rows: Vec<(RaftId, LogIndex)> = regs.iter().map(|(&n, &i)| (n, i)).collect();
             rows.sort_unstable();
             h.write_usize(rows.len());
             for (n, i) in rows {

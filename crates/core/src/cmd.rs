@@ -33,7 +33,7 @@ impl OpKind {
 
 /// Fixed-size log-entry metadata (Figure 4): request identity, body hash,
 /// kind, and the designated replier.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct EntryDesc {
     /// The R2P2 3-tuple naming the request.
     pub id: ReqId,
@@ -66,34 +66,12 @@ impl EntryDesc {
 
 /// A replicated command: descriptor always, payload only in VanillaRaft
 /// mode. HovercRaft resolves the payload through the unordered pool.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Cmd {
     /// Fixed-size metadata; always replicated.
     pub desc: EntryDesc,
     /// The request payload, inlined only by VanillaRaft mode.
     pub body: Option<Bytes>,
-}
-
-impl raft::HashState for Cmd {
-    fn hash_state(&self, h: &mut dyn std::hash::Hasher, rename: &dyn Fn(RaftId) -> RaftId) {
-        h.write_u64(self.desc.id.as_u64());
-        h.write_u64(self.desc.hash);
-        h.write_u8(self.desc.kind as u8);
-        match self.desc.replier {
-            Some(r) => {
-                h.write_u8(1);
-                h.write_u32(rename(r));
-            }
-            None => h.write_u8(0),
-        }
-        match &self.body {
-            Some(b) => {
-                h.write_u8(1);
-                h.write(b);
-            }
-            None => h.write_u8(0),
-        }
-    }
 }
 
 impl Cmd {

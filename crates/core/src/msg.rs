@@ -14,7 +14,7 @@ use crate::cmd::{Cmd, OpKind};
 
 /// Per-follower status snapshot carried in an [`WireMsg::AggCommit`]: the
 /// aggregator's `match_idx` and `completed` registers for one node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct AggStatus {
     /// The follower.
     pub node: RaftId,
@@ -25,7 +25,7 @@ pub struct AggStatus {
 }
 
 /// A message on the simulated wire.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum WireMsg {
     /// Client → service (unicast to the leader, the flow-control VIP, or
     /// the group multicast address depending on the deployment).
@@ -131,104 +131,6 @@ pub enum WireMsg {
         /// Echoed term.
         term: Term,
     },
-}
-
-impl raft::HashState for WireMsg {
-    fn hash_state(&self, h: &mut dyn std::hash::Hasher, rename: &dyn Fn(RaftId) -> RaftId) {
-        match self {
-            WireMsg::Request { id, kind, body } => {
-                h.write_u8(0);
-                h.write_u64(id.as_u64());
-                h.write_u8(*kind as u8);
-                h.write(body);
-            }
-            WireMsg::Response { id, body } => {
-                h.write_u8(1);
-                h.write_u64(id.as_u64());
-                h.write(body);
-            }
-            WireMsg::Nack { id } => {
-                h.write_u8(2);
-                h.write_u64(id.as_u64());
-            }
-            WireMsg::Feedback => h.write_u8(3),
-            WireMsg::Raft(m) => {
-                h.write_u8(4);
-                m.hash_state(h, rename);
-            }
-            WireMsg::RecoveryReq { id } => {
-                h.write_u8(5);
-                h.write_u64(id.as_u64());
-            }
-            WireMsg::RecoveryRep { id, kind, body } => {
-                h.write_u8(6);
-                h.write_u64(id.as_u64());
-                h.write_u8(*kind as u8);
-                h.write(body);
-            }
-            WireMsg::AggCommit {
-                term,
-                commit,
-                status,
-            } => {
-                h.write_u8(7);
-                h.write_u64(*term);
-                h.write_u64(*commit);
-                let mut st: Vec<AggStatus> = status
-                    .iter()
-                    .map(|s| AggStatus {
-                        node: rename(s.node),
-                        ..*s
-                    })
-                    .collect();
-                st.sort_unstable_by_key(|s| s.node);
-                h.write_usize(st.len());
-                for s in st {
-                    h.write_u32(s.node);
-                    h.write_u64(s.match_index);
-                    h.write_u64(s.applied_index);
-                }
-            }
-            WireMsg::SnapChunk {
-                term,
-                from,
-                snap_index,
-                snap_term,
-                offset,
-                total,
-                data,
-            } => {
-                h.write_u8(8);
-                h.write_u64(*term);
-                h.write_u32(rename(*from));
-                h.write_u64(*snap_index);
-                h.write_u64(*snap_term);
-                h.write_u64(*offset);
-                h.write_u64(*total);
-                h.write(data);
-            }
-            WireMsg::SnapAck {
-                term,
-                snap_index,
-                next_offset,
-                from,
-            } => {
-                h.write_u8(9);
-                h.write_u64(*term);
-                h.write_u64(*snap_index);
-                h.write_u64(*next_offset);
-                h.write_u32(rename(*from));
-            }
-            WireMsg::VoteProbe { term } => {
-                h.write_u8(10);
-                h.write_u64(*term);
-            }
-            WireMsg::VoteProbeRep { term } => {
-                h.write_u8(11);
-                h.write_u64(*term);
-            }
-        }
-    }
 }
 
 /// Fixed per-message field overhead beyond the R2P2 header for Raft RPCs

@@ -378,23 +378,16 @@ impl<S: Service> HcNode<S> {
     }
 
     /// Feeds the node's full protocol state into `h` for model-checker
-    /// state fingerprints. Conventions: node ids pass through `rename`
-    /// (identity for plain hashing, a permutation for symmetry reduction),
-    /// id-keyed maps are hashed as vectors sorted by the renamed key,
-    /// timestamps are hashed relative to `now`, and the rng's raw state
-    /// words are included (the seeded stream is part of the deterministic
-    /// system definition). Excluded as trace/observability-only: `stats`,
+    /// state fingerprints. Conventions: id-keyed maps are hashed as
+    /// vectors sorted by the key, timestamps are hashed relative to `now`,
+    /// and the rng's raw state words are included (the seeded stream is
+    /// part of the deterministic system definition). Excluded as trace/observability-only: `stats`,
     /// `events`, `last_election_term`, `last_prevote_term`,
     /// `stalled_members`; `cfg` is static per model scope.
-    pub fn hash_state(
-        &self,
-        now: u64,
-        h: &mut dyn std::hash::Hasher,
-        rename: &dyn Fn(RaftId) -> RaftId,
-    ) {
-        self.raft.hash_state(now, h, rename);
+    pub fn hash_state(&self, now: u64, h: &mut dyn std::hash::Hasher) {
+        self.raft.hash_state(now, h);
         self.pool.hash_state(now, h);
-        self.ledger.hash_state(now, h, rename);
+        self.ledger.hash_state(now, h);
         let snap = self.service.snapshot();
         h.write_usize(snap.len());
         h.write(&snap);
@@ -430,7 +423,7 @@ impl<S: Service> HcNode<S> {
             h.write_u64(id);
             h.write_u64(age);
         }
-        let mut rec: Vec<RaftId> = self.recovering.iter().map(|&n| rename(n)).collect();
+        let mut rec: Vec<RaftId> = self.recovering.iter().copied().collect();
         rec.sort_unstable();
         h.write_usize(rec.len());
         for n in rec {
@@ -449,8 +442,7 @@ impl<S: Service> HcNode<S> {
         };
         hash_snap(h, &self.last_snapshot);
         hash_snap(h, &self.pending_snap);
-        let mut xf: Vec<(RaftId, &OutXfer)> =
-            self.xfers.iter().map(|(&n, x)| (rename(n), x)).collect();
+        let mut xf: Vec<(RaftId, &OutXfer)> = self.xfers.iter().map(|(&n, x)| (n, x)).collect();
         xf.sort_unstable_by_key(|&(n, _)| n);
         h.write_usize(xf.len());
         for (n, x) in xf {

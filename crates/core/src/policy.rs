@@ -92,16 +92,11 @@ impl ReplierLedger {
     }
 
     /// Feeds the ledger into `h` for model-checker state fingerprints:
-    /// queues and last-heard marks as vectors sorted by the *renamed* node
-    /// id, times as ages relative to `now`.
-    pub fn hash_state(
-        &self,
-        now: u64,
-        h: &mut dyn std::hash::Hasher,
-        rename: &dyn Fn(RaftId) -> RaftId,
-    ) {
+    /// queues and last-heard marks as vectors sorted by node id, times as
+    /// ages relative to `now`.
+    pub fn hash_state(&self, now: u64, h: &mut dyn std::hash::Hasher) {
         let mut qs: Vec<(RaftId, &VecDeque<LogIndex>)> =
-            self.queues.iter().map(|(&n, q)| (rename(n), q)).collect();
+            self.queues.iter().map(|(&n, q)| (n, q)).collect();
         qs.sort_unstable_by_key(|&(n, _)| n);
         h.write_usize(qs.len());
         for (n, q) in qs {
@@ -114,7 +109,7 @@ impl ReplierLedger {
         let mut heard: Vec<(RaftId, u64)> = self
             .last_heard
             .iter()
-            .map(|(&n, &t)| (rename(n), now.saturating_sub(t)))
+            .map(|(&n, &t)| (n, now.saturating_sub(t)))
             .collect();
         heard.sort_unstable();
         h.write_usize(heard.len());

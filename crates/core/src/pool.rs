@@ -190,8 +190,14 @@ impl UnorderedPool {
         }
     }
 
-    /// Inserts a body recovered from a peer directly into the archive.
+    /// Inserts a body recovered from a peer directly into the archive. A
+    /// late reply for an id compacted meanwhile is ignored: nothing would
+    /// ever drop the body again, and a later recovery request for the id
+    /// must be answered with the snapshot.
     pub fn insert_recovered(&mut self, id: ReqId, kind: OpKind, body: Bytes, now: u64) {
+        if self.compacted.contains_key(&id) {
+            return;
+        }
         self.unordered.remove(&id);
         self.archive.entry(id).or_insert(PooledReq {
             kind,
@@ -354,9 +360,10 @@ impl UnorderedPool {
         let before = self.archive.len();
         let mut fresh = Vec::with_capacity(ids.len());
         for id in ids {
-            // An id archived again after its tombstone (a late recovery
-            // reply) is re-stamped; only new tombstones join the mirror.
-            if self.archive.remove(id).is_some() && self.compacted.insert(*id, now).is_none() {
+            // An archived id is never tombstoned, so every drop is a new
+            // tombstone.
+            if self.archive.remove(id).is_some() {
+                self.compacted.insert(*id, now);
                 fresh.push(*id);
             }
         }
@@ -573,5 +580,15 @@ mod tests {
         assert_eq!(p.unordered_len(), 0);
         assert_eq!(p.archived_len(), 1);
         assert!(p.mark_ordered(id(3)));
+    }
+
+    #[test]
+    fn late_recovery_does_not_resurrect_a_compacted_body() {
+        let mut p = UnorderedPool::new();
+        p.seed_tombstones(&[id(4)], 5);
+        p.insert_recovered(id(4), OpKind::ReadWrite, body(), 6);
+        assert_eq!(p.archived_len(), 0);
+        assert!(p.get(id(4)).is_none());
+        assert_eq!(p.tombstones(), &[id(4)]);
     }
 }

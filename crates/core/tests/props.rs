@@ -97,6 +97,9 @@ impl RefPool {
     }
 
     fn insert_recovered(&mut self, id: ReqId, kind: OpKind, body: Bytes, now: u64) {
+        if self.compacted.contains_key(&id) {
+            return;
+        }
         self.unordered.remove(&id);
         self.archive.entry(id).or_insert(PooledReq {
             kind,
@@ -511,9 +514,9 @@ proptest! {
     /// step. Time moves in the steps GC is sensitive to — nothing, one
     /// nanosecond, to an age of exactly `timeout` or `timeout + 1` of some
     /// live stamp, past several timeouts — and the tombstone corner cases
-    /// (re-stamping through `insert_recovered` + `compact_archive`, seeding
-    /// over an existing tombstone, an id both archived and tombstoned) are
-    /// steps of their own rather than left to chance.
+    /// (a late `insert_recovered` of a tombstoned id, seeding over an
+    /// existing tombstone) are steps of their own rather than left to
+    /// chance.
     #[test]
     fn pool_matches_reference_model(
         timeout in prop_oneof![Just(0u64), Just(1u64), 2u64..300],
@@ -587,13 +590,16 @@ proptest! {
                     );
                 }
                 _ => {
-                    // Resurrect a tombstoned id's body (archived *and*
-                    // tombstoned), then compact it again a little later:
-                    // the tombstone is re-stamped and expires on the newer
-                    // stamp.
+                    // A late recovery reply for a tombstoned id brings no
+                    // body back: the id stays tombstoned and unarchived,
+                    // and compacting it again a little later drops nothing.
                     let id = live_tomb.unwrap_or(id);
                     model.insert_recovered(id, kind, body.clone(), now);
                     pool.insert_recovered(id, kind, body, now);
+                    if live_tomb.is_some() {
+                        prop_assert!(pool.tombstones().contains(&id), "tombstone kept");
+                        prop_assert!(pool.get(id).is_none(), "compacted body resurrected");
+                    }
                     prop_assert_eq!(pool.is_archived(id), model.is_archived(id));
                     prop_assert_eq!(seen(pool.get(id)), seen(model.get(id)));
                     now += val % 5;

@@ -1,7 +1,7 @@
 //! CI driver for the `mc` explicit-state model checker.
 //!
 //! ```text
-//! mc_explore [--scope NAME|all] [--symmetry] [--max-states N]
+//! mc_explore [--scope NAME|all] [--max-states N]
 //!            [--mutation replier] [--dump-dir DIR] [--digest PATH]
 //!            [--reqs N] [--ticks N] [--dup N] [--drop N] [--crash N] [--window N]
 //! ```
@@ -66,7 +66,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(3);
                 }
             }
-            "--symmetry" => limits.symmetry = true,
             "--max-states" => {
                 i += 1;
                 match args.get(i).and_then(|v| v.parse().ok()) {
@@ -138,10 +137,9 @@ fn main() -> ExitCode {
             (None, false) => "INCOMPLETE (state cap)",
         };
         println!(
-            "scope={:<8} sym={} states={:>9} transitions={:>10} depth={:>3} \
+            "scope={:<8} states={:>9} transitions={:>10} depth={:>3} \
              peak_frontier={:>8} wall={secs:>7.2}s  {verdict}",
             report.scope_name,
-            if limits.symmetry { "on " } else { "off" },
             report.explored,
             report.transitions,
             report.max_depth,
@@ -161,12 +159,8 @@ fn main() -> ExitCode {
             // Timing-free, machine-stable: what CI diffs against
             // tests/mc_digest.txt.
             digest.push_str(&format!(
-                "scope={} sym={} states={} transitions={} depth={}\n",
-                report.scope_name,
-                if limits.symmetry { "on" } else { "off" },
-                report.explored,
-                report.transitions,
-                report.max_depth,
+                "scope={} states={} transitions={} depth={}\n",
+                report.scope_name, report.explored, report.transitions, report.max_depth,
             ));
         }
     }

@@ -5,18 +5,10 @@
 //! FxHash streams — a single 64-bit hash at ~10⁶ states leaves a small
 //! but real chance of a collision silently pruning a reachable state);
 //! the frontier holds full states so successors are generated from real
-//! objects, never reconstructed.
-//!
-//! **Symmetry reduction** (optional): node ids are interchangeable in
-//! every scope (same config, same seed), so the canonical fingerprint
-//! can be taken as the minimum over all `3! = 6` id permutations. This
-//! is an accelerator, *not* part of the soundness claim: the JBSQ
-//! replier tie-break draws an rng value to index an id-*sorted*
-//! candidate list, and positional indexing does not commute with id
-//! renaming — two symmetric states can in principle diverge in which
-//! physical node a tie lands on. The exhaustive-verification claim in CI
-//! therefore rests on the plain (no-symmetry) run; the symmetric count
-//! is pinned alongside it as a drift tripwire. See DESIGN.md §15.
+//! objects, never reconstructed. The fingerprint is canonical only where
+//! the state is: the reordering window hashes as a set and node timers
+//! relative to the node's clock (DESIGN.md §15.3); node ids are hashed as
+//! they are, so mirror-image states are distinct.
 //!
 //! Counterexamples are reconstructed from parent pointers: each first
 //! discovery records `(parent fingerprint, action)`, so a violating
@@ -64,49 +56,11 @@ impl Hasher for Fp2 {
     }
 }
 
-/// All `3! = 6` permutations of the node ids.
-const PERMS: [[u32; 3]; 6] = [
-    [0, 1, 2],
-    [0, 2, 1],
-    [1, 0, 2],
-    [1, 2, 0],
-    [2, 0, 1],
-    [2, 1, 0],
-];
-
-/// Fingerprints `state` under `scope`'s reordering window,
-/// canonicalizing over id permutations when `symmetry` is set. Only
-/// permutations preserving the candidate / non-candidate partition are
-/// considered — nodes with different election-timer configs are not
-/// interchangeable.
-pub fn fingerprint(state: &ModelState, scope: &Scope, symmetry: bool) -> Fp {
-    let window = scope.reorder_window;
-    if !symmetry {
-        let mut h = Fp2::new();
-        state.hash_state(&mut h, &|id| id, window);
-        return h.finish();
-    }
-    let c = scope.candidates as u32;
-    PERMS
-        .iter()
-        .filter(|p| (0..N_NODES).all(|i| (i < c) == (p[i as usize] < c)))
-        .map(|p| {
-            let mut h = Fp2::new();
-            state.hash_state(
-                &mut h,
-                &|id| {
-                    if id < N_NODES {
-                        p[id as usize]
-                    } else {
-                        id
-                    }
-                },
-                window,
-            );
-            h.finish()
-        })
-        .min()
-        .expect("identity permutation always qualifies")
+/// Fingerprints `state` under `scope`'s reordering window.
+pub fn fingerprint(state: &ModelState, scope: &Scope) -> Fp {
+    let mut h = Fp2::new();
+    state.hash_state(&mut h, scope.reorder_window);
+    h.finish()
 }
 
 /// A counterexample: the exact action trace from the initial state to a
@@ -170,15 +124,12 @@ impl Counterexample {
 pub struct Limits {
     /// Stop (incomplete) after this many explored states.
     pub max_states: usize,
-    /// Canonicalize fingerprints over node-id permutations.
-    pub symmetry: bool,
 }
 
 impl Default for Limits {
     fn default() -> Limits {
         Limits {
             max_states: 20_000_000,
-            symmetry: false,
         }
     }
 }
@@ -205,7 +156,7 @@ pub struct Report {
 /// Exhaustively explores `scope` from its initial state.
 pub fn explore(scope: &Scope, mutation: Mutation, limits: Limits) -> Report {
     let init = ModelState::init(scope);
-    let init_fp = fingerprint(&init, scope, limits.symmetry);
+    let init_fp = fingerprint(&init, scope);
     // fp -> (parent fp, action that reached it). The root maps to itself.
     let mut visited: FxHashMap<Fp, (Fp, McAction)> = FxHashMap::default();
     visited.insert(init_fp, (init_fp, McAction::ClientReq));
@@ -263,7 +214,7 @@ pub fn explore(scope: &Scope, mutation: Mutation, limits: Limits) -> Report {
                 });
                 return report;
             }
-            let nfp = fingerprint(&next, scope, limits.symmetry);
+            let nfp = fingerprint(&next, scope);
             if let std::collections::hash_map::Entry::Vacant(e) = visited.entry(nfp) {
                 e.insert((fp, action));
                 frontier.push_back((next, nfp, depth + 1));

@@ -18,9 +18,8 @@
 //!
 //! * [`scope`] — the finite parameterizations (budgets, mode, timing);
 //! * [`model`] — system state, actions, transition semantics;
-//! * [`explore`] — BFS with 128-bit canonical fingerprints, optional
-//!   node-id symmetry reduction, and parent-pointer counterexample
-//!   traces;
+//! * [`explore`] — BFS with 128-bit state fingerprints and
+//!   parent-pointer counterexample traces;
 //! * [`corpus`] — `mc:<scope>:<trace>` seed encode/parse/replay.
 //!
 //! The `mc_explore` binary drives exploration from CI (see the `mc` job)

@@ -21,8 +21,14 @@
 //! The model samples nothing itself: [`ModelState::check_invariants`]
 //! hands the live nodes to [`InvariantChecker::check_nodes`], the sampler
 //! that checks the chaos runs.
+//!
+//! [`ModelState::hash_state`] is what the explorer fingerprints: every
+//! node's own `hash_state` in id order, the aggregator, the wire with its
+//! reordering window hashed as a set, the budgets and the reply ledger.
+//! Node ids are hashed as they are, so mirror-image states stay distinct.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use bytes::{ByteArena, Bytes};
 use hovercraft::{
@@ -426,28 +432,17 @@ impl ModelState {
             .collect()
     }
 
-    /// Feeds the whole system state into `h` under an id renaming.
+    /// Feeds the whole system state into `h`.
     /// Per-node clocks are *not* hashed: nodes never compare clocks, and
     /// each node's own timers are hashed relative to its clock. `window`
     /// must be the scope's `reorder_window` — it decides how much of the
     /// in-flight queue's order is semantically irrelevant.
-    pub fn hash_state(
-        &self,
-        h: &mut dyn std::hash::Hasher,
-        rename: &dyn Fn(u32) -> u32,
-        window: usize,
-    ) {
-        // Present nodes in *renamed* order: the hash of the permuted
-        // state must equal the hash a physically-permuted state would
-        // produce, so slot `k` of the stream must carry the node whose
-        // renamed id is `k`.
-        let mut order: Vec<usize> = (0..N_NODES as usize).collect();
-        order.sort_by_key(|&n| rename(n as u32));
-        for n in order {
+    pub fn hash_state(&self, h: &mut dyn std::hash::Hasher, window: usize) {
+        for n in 0..N_NODES as usize {
             match (&self.nodes[n], &self.durable[n]) {
                 (Some(node), _) => {
                     h.write_u8(1);
-                    node.hash_state(self.clock[n], h, rename);
+                    node.hash_state(self.clock[n], h);
                 }
                 (None, Some(d)) => {
                     h.write_u8(2);
@@ -455,7 +450,7 @@ impl ModelState {
                     match d.voted_for {
                         Some(v) => {
                             h.write_u8(1);
-                            h.write_u32(rename(v));
+                            h.write_u32(v);
                         }
                         None => h.write_u8(0),
                     }
@@ -464,8 +459,8 @@ impl ModelState {
                     h.write(&d.snapshot);
                     h.write_usize(d.entries.len());
                     for e in &d.entries {
-                        use raft::HashState;
-                        e.hash_state(h, &|id| rename(id));
+                        // `Hash::hash` wants a sized hasher, which `&mut dyn Hasher` is.
+                        e.hash(&mut &mut *h);
                     }
                     h.write_u64(d.epoch);
                 }
@@ -474,7 +469,7 @@ impl ModelState {
         }
         if let Some(agg) = &self.agg {
             h.write_u8(1);
-            agg.hash_state(h, &|id| rename(id));
+            agg.hash_state(h);
         } else {
             h.write_u8(0);
         }
@@ -488,12 +483,10 @@ impl ModelState {
             .net
             .iter()
             .map(|e| {
-                use std::hash::Hasher;
                 let mut eh = fxhash::FxHasher::default();
-                eh.write_u32(rename_addr(e.src, rename));
-                eh.write_u32(rename_addr(e.dst, rename));
-                use raft::HashState;
-                e.msg.hash_state(&mut eh, &|id| rename(id));
+                eh.write_u32(e.src);
+                eh.write_u32(e.dst);
+                e.msg.hash(&mut eh);
                 eh.finish()
             })
             .collect();
@@ -507,19 +500,10 @@ impl ModelState {
         h.write_u8(self.dup_used);
         h.write_u8(self.drop_used);
         h.write_u8(self.crash_used);
-        // Tick budgets are per physical node and follow the renaming.
-        let mut ticks: Vec<(u32, u8)> = (0..N_NODES)
-            .map(|n| (rename(n), self.ticks_used[n as usize]))
-            .collect();
-        ticks.sort_unstable();
-        for (_, t) in ticks {
+        for &t in &self.ticks_used {
             h.write_u8(t);
         }
-        let mut reps: Vec<(u64, u32, u64)> = self
-            .replies
-            .iter()
-            .map(|(id, node, epoch)| (id, rename(node), epoch))
-            .collect();
+        let mut reps: Vec<(u64, u32, u64)> = self.replies.iter().collect();
         reps.sort_unstable();
         h.write_usize(reps.len());
         for (id, node, epoch) in reps {
@@ -554,16 +538,6 @@ impl ModelState {
     }
 }
 
-/// Renames member addresses, passing non-member addresses (client,
-/// aggregator) through unchanged.
-fn rename_addr(addr: u32, rename: &dyn Fn(u32) -> u32) -> u32 {
-    if addr < N_NODES {
-        rename(addr)
-    } else {
-        addr
-    }
-}
-
 /// Short human-readable tag for a wire message.
 pub fn wire_kind(msg: &WireMsg) -> &'static str {
     use raft::Message;
@@ -585,5 +559,38 @@ pub fn wire_kind(msg: &WireMsg) -> &'static str {
         WireMsg::SnapAck { .. } => "SnapAck",
         WireMsg::VoteProbe { .. } => "VoteProbe",
         WireMsg::VoteProbeRep { .. } => "VoteProbeRep",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::explore::fingerprint;
+
+    /// The reordering window hashes as a set and the tail in arrival
+    /// order: permuting inside the window keeps the fingerprint, moving
+    /// an envelope across the window's edge changes it.
+    #[test]
+    fn reorder_window_is_hashed_as_a_set() {
+        let scope = Scope::default_scope();
+        assert_eq!(scope.reorder_window, 2);
+        let mut st = ModelState::init(&scope);
+        st.apply(&scope, McAction::ClientReq).unwrap();
+        st.apply(&scope, McAction::Duplicate(0)).unwrap();
+        // Both AppendEntries, then node 1's reply to the duplicate copy.
+        let kinds: Vec<&str> = st.net.iter().map(|e| wire_kind(&e.msg)).collect();
+        assert_eq!(
+            kinds,
+            ["AppendEntries", "AppendEntries", "AppendEntriesReply"]
+        );
+        let fp = fingerprint(&st, &scope);
+
+        let mut in_window = st.clone();
+        in_window.net.swap(0, 1);
+        assert_eq!(fingerprint(&in_window, &scope), fp);
+
+        let mut across_edge = st.clone();
+        across_edge.net.swap(1, 2);
+        assert_ne!(fingerprint(&across_edge, &scope), fp);
     }
 }

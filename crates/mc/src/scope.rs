@@ -253,7 +253,7 @@ impl Scope {
             rc.election_timeout_max = NEVER + 1;
         }
         rc.heartbeat_interval = HEARTBEAT_INTERVAL;
-        rc.seed = 0x6d63; // identical on every node (symmetry)
+        rc.seed = 0x6d63; // identical on every node: the pinned mc counts depend on it
         let mut cfg = HcConfig::new(rc, self.mode);
         cfg.bound = self.bound;
         cfg.policy = PolicyKind::Jbsq;

@@ -48,7 +48,6 @@
 #![forbid(unsafe_code)]
 
 mod config;
-mod fingerprint;
 mod log;
 mod message;
 mod node;
@@ -56,7 +55,6 @@ mod progress;
 mod types;
 
 pub use config::Config;
-pub use fingerprint::HashState;
 pub use log::{Entry, RaftLog};
 pub use message::Message;
 pub use node::{quorum_index, Action, NotLeader, RaftNode};

@@ -10,7 +10,7 @@
 use crate::types::{LogIndex, Term};
 
 /// One log entry: a term-stamped command.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Entry<C> {
     /// Term in which the entry was created by a leader.
     pub term: Term,

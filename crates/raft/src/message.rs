@@ -10,7 +10,7 @@ use crate::log::Entry;
 use crate::types::{LogIndex, RaftId, Term};
 
 /// A Raft protocol message, generic over the log command type `C`.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum Message<C> {
     /// Candidate solicits a vote.
     RequestVote {

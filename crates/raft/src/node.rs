@@ -251,33 +251,26 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
     }
 
     /// Feeds the node's full behavioural state into `h` for model-checker
-    /// fingerprinting (see [`crate::HashState`]). `now` is the owning
-    /// driver's logical clock: deadlines hash as time-to-fire and contact
-    /// marks as age, so states that differ only by a uniform clock shift
-    /// coincide. The generator words are included — the seeded stream
-    /// decides tie-breaks, so it is part of the behavioural state.
-    pub fn hash_state(
-        &self,
-        now: u64,
-        h: &mut dyn std::hash::Hasher,
-        rename: &dyn Fn(RaftId) -> RaftId,
-    ) where
-        C: crate::HashState,
+    /// fingerprinting. `now` is the owning driver's logical clock:
+    /// deadlines hash as time-to-fire and contact marks as age, so states
+    /// that differ only by a uniform clock shift coincide. Id-keyed
+    /// collections hash as id-sorted vectors. The generator words are
+    /// included — the seeded stream decides tie-breaks, so it is part of
+    /// the behavioural state.
+    pub fn hash_state(&self, now: u64, h: &mut dyn std::hash::Hasher)
+    where
+        C: std::hash::Hash,
     {
-        fn opt_id(
-            h: &mut dyn std::hash::Hasher,
-            rename: &dyn Fn(RaftId) -> RaftId,
-            v: Option<RaftId>,
-        ) {
+        fn opt_id(h: &mut dyn std::hash::Hasher, v: Option<RaftId>) {
             match v {
                 Some(id) => {
                     h.write_u8(1);
-                    h.write_u32(rename(id));
+                    h.write_u32(id);
                 }
                 None => h.write_u8(0),
             }
         }
-        h.write_u32(rename(self.cfg.id));
+        h.write_u32(self.cfg.id);
         h.write_u8(match self.role {
             Role::Follower => 0,
             Role::PreCandidate => 1,
@@ -285,8 +278,8 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
             Role::Leader => 3,
         });
         h.write_u64(self.term);
-        opt_id(h, rename, self.voted_for);
-        opt_id(h, rename, self.leader_id);
+        opt_id(h, self.voted_for);
+        opt_id(h, self.leader_id);
         h.write_u64(self.commit);
         h.write_u64(self.applied);
         h.write_u64(self.ceiling);
@@ -298,14 +291,11 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
             .log
             .range(self.log.first_index(), self.log.last_index())
         {
-            use crate::HashState as _;
-            e.hash_state(h, rename);
+            // `Hash::hash` wants a sized hasher, which `&mut dyn Hasher` is.
+            std::hash::Hash::hash(e, &mut &mut *h);
         }
-        let mut prog: Vec<(RaftId, Progress)> = self
-            .progress
-            .iter()
-            .map(|(&id, p)| (rename(id), *p))
-            .collect();
+        let mut prog: Vec<(RaftId, Progress)> =
+            self.progress.iter().map(|(&id, p)| (id, *p)).collect();
         prog.sort_by_key(|&(id, _)| id);
         h.write_usize(prog.len());
         for (id, p) in prog {
@@ -318,7 +308,7 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
             h.write_u8(p.pending_snapshot as u8);
         }
         h.write_usize(self.votes);
-        let mut voters: Vec<RaftId> = self.voters.iter().map(|&v| rename(v)).collect();
+        let mut voters = self.voters.clone();
         voters.sort_unstable();
         for v in voters {
             h.write_u32(v);

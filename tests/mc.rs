@@ -15,8 +15,8 @@
 //! * every `mc:` seed committed to `tests/chaos_corpus.txt` replays
 //!   with its recorded expectation (green, or violating at the final
 //!   action for `+mut-` seeds);
-//! * the node-id symmetry canonicalization actually identifies mirror
-//!   states (and keeps truly distinct states apart).
+//! * fingerprints keep mirror-image states apart: node ids are hashed
+//!   as they are, with no renaming.
 
 use mc::{explore, fingerprint, replay, CorpusSeed, Limits, McAction, ModelState, Scope};
 use testbed::invariants::predicates::Mutation;
@@ -24,7 +24,6 @@ use testbed::invariants::predicates::Mutation;
 fn no_limits() -> Limits {
     Limits {
         max_states: 1_000_000,
-        symmetry: false,
     }
 }
 
@@ -48,24 +47,6 @@ fn tiny_scope_exhausts_with_pinned_state_count() {
     assert_eq!(
         report.explored, TINY_STATES,
         "explored-state count drifted; see the pinning comment"
-    );
-    // Symmetry canonicalization may merge mirror states but must never
-    // invent new ones, and on an exhausted space it must also find no
-    // violation.
-    let sym = explore(
-        &scope,
-        Mutation::None,
-        Limits {
-            symmetry: true,
-            ..no_limits()
-        },
-    );
-    assert!(sym.complete && sym.violation.is_none());
-    assert!(
-        sym.explored <= report.explored,
-        "symmetry must only merge states ({} > {})",
-        sym.explored,
-        report.explored
     );
 }
 
@@ -168,34 +149,24 @@ fn greedy_schedule_reaches_quiescence() {
     replay(&scope, Mutation::None, &trace).expect("greedy trace replays green");
 }
 
-/// The symmetry canonicalization identifies true mirror states: in the
-/// `elect` scope both candidates are configured identically, so "node 0
-/// ticked first" and "node 1 ticked first" are the same state up to the
-/// id renaming. Plain fingerprints must differ; symmetric ones must
-/// coincide.
+/// Fingerprints hash node ids as they are: in the `elect` scope both
+/// candidates are configured identically, yet "node 0 ticked first" and
+/// "node 1 ticked first" are distinct states, and one tick is distinct
+/// from none.
 #[test]
-fn symmetric_fingerprints_identify_mirror_states() {
+fn mirror_states_have_distinct_fingerprints() {
     let scope = Scope::elect_scope();
-    let mut a = ModelState::init(&scope);
-    let mut b = ModelState::init(&scope);
+    let init = ModelState::init(&scope);
+    let mut a = init.clone();
+    let mut b = init.clone();
     a.apply(&scope, McAction::Tick(0)).unwrap();
     b.apply(&scope, McAction::Tick(1)).unwrap();
     assert_ne!(
-        fingerprint(&a, &scope, false),
-        fingerprint(&b, &scope, false),
+        fingerprint(&a, &scope),
+        fingerprint(&b, &scope),
         "mirror states are physically distinct"
     );
-    assert_eq!(
-        fingerprint(&a, &scope, true),
-        fingerprint(&b, &scope, true),
-        "mirror states share a canonical fingerprint"
-    );
-    // Sanity: canonicalization must not collapse genuinely different
-    // states — one tick versus none.
-    assert_ne!(
-        fingerprint(&ModelState::init(&scope), &scope, true),
-        fingerprint(&a, &scope, true)
-    );
+    assert_ne!(fingerprint(&init, &scope), fingerprint(&a, &scope));
 }
 
 /// Corpus-format hygiene: action tokens round-trip and malformed lines
