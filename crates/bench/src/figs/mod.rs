@@ -5,7 +5,7 @@
 //! Each renderer flattens its experiment grid into one job list up front
 //! (sequential phases only where a later grid genuinely depends on an
 //! earlier measurement, e.g. the YCSB ladders), maps it under the
-//! [`Sweep`] context, and formats afterwards.
+//! [`Sweep`](crate::sweep::Sweep) context, and formats afterwards.
 
 pub mod ablation_bound;
 pub mod ablation_loss;

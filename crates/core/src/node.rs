@@ -1991,7 +1991,7 @@ mod snapshot_blob_tests {
     }
 
     /// Steps `node` and completes every execution it issues at once and in
-    /// order, as the core test bus does.
+    /// order, as the `mc` model does.
     fn drive(node: &mut HcNode<EchoService>, now: u64, input: Input, arena: &mut ByteArena) {
         let mut out = Vec::new();
         node.step(now, input, true, &mut out, arena);
@@ -2038,5 +2038,48 @@ mod snapshot_blob_tests {
         let (_, ids) = decode_snapshot_blob(&node.durable_state().snapshot).expect("framed");
         let expected: Vec<ReqId> = (0..REQUESTS).map(|rid| ReqId::new(100, 1, rid)).collect();
         assert_eq!(ids, expected);
+    }
+
+    /// Pinned regression: restoring a node from a stale incarnation epoch must
+    /// be rejected with a traceable `restore_rejected` event, not silently
+    /// accepted (which once produced a node whose dedup/reply state belonged
+    /// to a *previous* life, double-answering after back-to-back restarts).
+    #[test]
+    fn restore_from_stale_epoch_is_rejected() {
+        let cfg = HcConfig::new(raft::Config::new(0, vec![0, 1, 2]), Mode::Hovercraft);
+        let node = HcNode::new(cfg.clone(), EchoService::default(), 0);
+        assert_eq!(node.epoch(), 0, "a fresh node is incarnation 0");
+        let durable = node.durable_state();
+
+        // Same epoch as the durable state: a re-restore of the *current*
+        // incarnation, rejected.
+        let err = HcNode::restore(cfg.clone(), EchoService::default(), 0, durable.clone(), 0)
+            .err()
+            .expect("same-epoch restore must be rejected");
+        assert_eq!(
+            err,
+            RestoreRejected {
+                from_epoch: 0,
+                new_epoch: 0
+            }
+        );
+        assert_eq!(
+            err.event().kind(),
+            "restore_rejected",
+            "rejection carries a traceable protocol event"
+        );
+
+        // Skipping an incarnation (epoch + 2) is just as stale a handoff.
+        let err = HcNode::restore(cfg.clone(), EchoService::default(), 0, durable.clone(), 2)
+            .err()
+            .expect("epoch-skipping restore must be rejected");
+        assert_eq!(err.new_epoch, 2);
+
+        // The one legal successor: exactly epoch + 1.
+        let restored = HcNode::restore(cfg, EchoService::default(), 0, durable, 1)
+            .expect("successor-epoch restore succeeds");
+        assert_eq!(restored.epoch(), 1);
+        let durable2 = restored.durable_state();
+        assert_eq!(durable2.epoch, 1, "durable state carries the new epoch");
     }
 }

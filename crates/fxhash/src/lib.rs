@@ -81,7 +81,7 @@ pub fn fold_bytes(state: u64, bytes: &[u8]) -> u64 {
     h.hash
 }
 
-/// Content hash of one byte string: [`fold_bytes`] from [`FOLD_BASIS`].
+/// Content hash of one byte string: [`fold_bytes`] from `FOLD_BASIS`.
 #[inline]
 pub fn hash_bytes(bytes: &[u8]) -> u64 {
     fold_bytes(FOLD_BASIS, bytes)

@@ -8,7 +8,10 @@
 //!
 //! The budget flags override the selected scope's presets — they exist
 //! for sizing experiments (the EXPERIMENTS.md state-count tables); CI
-//! and the corpus always run the unmodified presets.
+//! and the corpus always run the unmodified presets. A run with any
+//! override refuses `--digest` (exit 3), and its counterexample bundle
+//! lists the overrides instead of an `mc:` line, since that line would
+//! replay under the unmodified preset.
 //!
 //! Explores each requested scope to exhaustion and prints one line per
 //! run: explored-state count, transitions, depth, wall time, verdict.
@@ -114,6 +117,12 @@ fn main() -> ExitCode {
         i += 1;
     }
 
+    if !overrides.is_empty() && digest_path.is_some() {
+        eprintln!("--digest pins the unmodified presets; it takes no budget overrides");
+        return ExitCode::from(3);
+    }
+    let overridden: Vec<String> = overrides.iter().map(|(f, n)| format!("{f} {n}")).collect();
+
     let mut worst = ExitCode::SUCCESS;
     let mut digest = String::new();
     for mut scope in scopes {
@@ -148,7 +157,18 @@ fn main() -> ExitCode {
         if let Some(cex) = &report.violation {
             let rendered = cex.render(&scope);
             eprintln!("{rendered}");
-            if let Err(e) = dump_bundle(&dump_dir, &scope, &rendered, &cex.corpus_line()) {
+            let replay = if overridden.is_empty() {
+                format!(
+                    "replay: add this line to tests/chaos_corpus.txt\n{}",
+                    cex.corpus_line()
+                )
+            } else {
+                format!(
+                    "overrides: {} (no corpus line for a modified preset)",
+                    overridden.join(" ")
+                )
+            };
+            if let Err(e) = dump_bundle(&dump_dir, &scope, &rendered, &replay) {
                 eprintln!("failed to write counterexample bundle: {e}");
             }
             worst = ExitCode::from(1);
@@ -173,20 +193,14 @@ fn main() -> ExitCode {
     worst
 }
 
-/// Writes `<dump_dir>/mc-<scope>.txt` with the rendered trace and the
-/// replayable corpus line (the artifact CI uploads on failure).
-fn dump_bundle(
-    dump_dir: &str,
-    scope: &Scope,
-    rendered: &str,
-    corpus_line: &str,
-) -> std::io::Result<()> {
+/// Writes `<dump_dir>/mc-<scope>.txt` with the rendered trace and how to
+/// replay it (the artifact CI uploads on failure).
+fn dump_bundle(dump_dir: &str, scope: &Scope, rendered: &str, replay: &str) -> std::io::Result<()> {
     std::fs::create_dir_all(dump_dir)?;
     let path = format!("{dump_dir}/mc-{}.txt", scope.name);
     let mut f = std::fs::File::create(&path)?;
     writeln!(f, "{rendered}")?;
-    writeln!(f, "replay: add this line to tests/chaos_corpus.txt")?;
-    writeln!(f, "{corpus_line}")?;
+    writeln!(f, "{replay}")?;
     eprintln!("counterexample bundle written to {path}");
     Ok(())
 }

@@ -22,7 +22,7 @@ use fxhash::{FxHashMap, FxHasher};
 use testbed::invariants::predicates::Mutation;
 
 use crate::model::{McAction, ModelState};
-use crate::scope::{Scope, N_NODES};
+use crate::scope::Scope;
 
 /// A 128-bit state fingerprint.
 pub type Fp = u128;
@@ -90,7 +90,8 @@ impl Counterexample {
     }
 
     /// A human-readable rendering: each action annotated with the state
-    /// it produces, obtained by replaying the trace.
+    /// it produces, obtained by replaying the trace, then the corpus line
+    /// when `scope` is an unmodified preset.
     pub fn render(&self, scope: &Scope) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -114,7 +115,11 @@ impl Counterexample {
                 out.push_str(&format!("  send-time violation: {v}\n"));
             }
         }
-        out.push_str(&format!("  corpus: {}\n", self.corpus_line()));
+        // An `mc:` line replays under the named preset, so it stands for
+        // this trace only when `scope` is that preset unmodified.
+        if Scope::by_name(self.scope_name) == Some(*scope) {
+            out.push_str(&format!("  corpus: {}\n", self.corpus_line()));
+        }
         out
     }
 }
@@ -193,7 +198,7 @@ pub fn explore(scope: &Scope, mutation: Mutation, limits: Limits) -> Report {
                 report.explored,
                 depth,
                 frontier.len(),
-                state.net_len(),
+                state.net().len(),
                 state.describe()
             );
         }
@@ -242,10 +247,10 @@ pub fn replay(
         // longer exists; report that as a replay error, don't panic.
         let applicable = match a {
             McAction::Deliver(e) | McAction::Duplicate(e) | McAction::Drop(e) => {
-                e < state.net_len()
+                e < state.net().len()
             }
-            McAction::Crash(n) | McAction::Tick(n) => state.is_alive(n),
-            McAction::Restart(n) => !state.is_alive(n) && n < N_NODES,
+            McAction::Crash(n) | McAction::Tick(n) => state.node(n).is_some(),
+            McAction::Restart(n) => state.node(n).is_none() && n < scope.n_nodes,
             McAction::ClientReq => true,
         };
         if !applicable {

@@ -18,7 +18,7 @@
 //!
 //! * [`scope`] — the finite parameterizations (budgets, mode, timing);
 //! * [`model`] — system state, actions, transition semantics;
-//! * [`explore`] — BFS with 128-bit state fingerprints and
+//! * [`explore`](mod@explore) — BFS with 128-bit state fingerprints and
 //!   parent-pointer counterexample traces;
 //! * [`corpus`] — `mc:<scope>:<trace>` seed encode/parse/replay.
 //!

@@ -18,6 +18,11 @@
 //!   [`ReplyLedger`]) instead of entering the in-flight set — a client is
 //!   a sink, not a state machine.
 //!
+//! Scripted scenarios drive the same model along one chosen schedule:
+//! [`ModelState::request`] for client requests, [`ModelState::settle`] for
+//! first-in-first-out delivery, and [`ModelState::apply`] for ticks and
+//! crashes.
+//!
 //! The model samples nothing itself: [`ModelState::check_invariants`]
 //! hands the live nodes to [`InvariantChecker::check_nodes`], the sampler
 //! that checks the chaos runs.
@@ -38,7 +43,7 @@ use r2p2::ReqId;
 use testbed::invariants::predicates::Mutation;
 use testbed::invariants::{InvariantChecker, ReplyLedger, Violation};
 
-use crate::scope::{Scope, AGG_ADDR, CLIENT_ADDR, N_NODES, TICK_QUANTUM};
+use crate::scope::{Scope, AGG_ADDR, CLIENT_ADDR, TICK_QUANTUM};
 
 // Node entry points want the world's buffer arena; the checker has no world,
 // and `ModelState` must stay a cheap Clone (the explorer stores millions).
@@ -103,15 +108,17 @@ impl McAction {
         if s == "q" {
             return Some(McAction::ClientReq);
         }
-        let (op, num) = s.split_at(1);
-        let v: usize = num.parse().ok()?;
+        let mut chars = s.chars();
+        let op = chars.next()?;
+        let v: usize = chars.as_str().parse().ok()?;
+        let node = || u32::try_from(v).ok();
         Some(match op {
-            "d" => McAction::Deliver(v),
-            "u" => McAction::Duplicate(v),
-            "x" => McAction::Drop(v),
-            "t" => McAction::Tick(v as u32),
-            "c" => McAction::Crash(v as u32),
-            "r" => McAction::Restart(v as u32),
+            'd' => McAction::Deliver(v),
+            'u' => McAction::Duplicate(v),
+            'x' => McAction::Drop(v),
+            't' => McAction::Tick(node()?),
+            'c' => McAction::Crash(node()?),
+            'r' => McAction::Restart(node()?),
             _ => return None,
         })
     }
@@ -151,62 +158,71 @@ pub struct ModelState {
 }
 
 impl ModelState {
-    /// The initial state of a scope: three fresh followers, empty wires.
-    /// When the scope sets `pre_elect`, a deterministic prologue (tick
-    /// node 0 until its election fires, then deliver FIFO until
-    /// quiescent) runs here, outside the explored space: election
-    /// interleavings are the `elect` scope's job, and starting the other
-    /// scopes from a stable leader keeps the two spaces from
-    /// multiplying. The prologue spends no scope budgets.
+    /// The initial state of a scope: `n_nodes` fresh followers, empty
+    /// wires. When the scope sets `pre_elect`, a deterministic prologue
+    /// (tick node 0 and [settle](ModelState::settle) until it leads) runs
+    /// here, outside the explored space: election interleavings are the
+    /// `elect` scope's job, and starting the other scopes from a stable
+    /// leader keeps the two spaces from multiplying. The prologue spends
+    /// no scope budgets.
     pub fn init(scope: &Scope) -> ModelState {
-        let nodes = (0..N_NODES)
-            .map(|n| Some(HcNode::new(scope.cfg(n), EchoService::default(), 0)))
+        let n = scope.n_nodes as usize;
+        let nodes = (0..scope.n_nodes)
+            .map(|id| Some(HcNode::new(scope.cfg(id), EchoService::default(), 0)))
             .collect();
         let mut st = ModelState {
             nodes,
-            durable: vec![None; N_NODES as usize],
+            durable: vec![None; n],
             agg: (scope.mode == Mode::HovercraftPp)
-                .then(|| Aggregator::new((0..N_NODES).collect())),
-            clock: vec![0; N_NODES as usize],
+                .then(|| Aggregator::new((0..scope.n_nodes).collect())),
+            clock: vec![0; n],
             net: Vec::new(),
             next_client: 0,
             dup_used: 0,
             drop_used: 0,
             crash_used: 0,
-            ticks_used: vec![0; N_NODES as usize],
+            ticks_used: vec![0; n],
             replies: ReplyLedger::default(),
         };
         if scope.pre_elect {
-            let mut steps = 0;
-            while !(st.nodes[0].as_ref().is_some_and(|n| n.is_leader()) && st.net.is_empty()) {
-                let act = if st.net.is_empty() {
-                    McAction::Tick(0)
-                } else {
-                    McAction::Deliver(0)
-                };
-                st.apply(scope, act)
+            let mut ticks = 0;
+            while !st.nodes[0].as_ref().is_some_and(|n| n.is_leader()) {
+                st.apply(scope, McAction::Tick(0))
+                    .and_then(|()| st.settle(scope))
                     .expect("election prologue cannot violate invariants");
-                steps += 1;
-                assert!(steps < 200, "election prologue failed to converge");
+                ticks += 1;
+                assert!(ticks < 100, "election prologue failed to converge");
             }
-            st.ticks_used = vec![0; N_NODES as usize];
+            st.ticks_used = vec![0; n];
         }
         st
     }
 
-    /// In-flight packet count (used by tests and the explorer).
-    pub fn net_len(&self) -> usize {
-        self.net.len()
+    /// Node `n`, unless it is crashed.
+    pub fn node(&self, n: u32) -> Option<&HcNode<EchoService>> {
+        self.nodes.get(n as usize)?.as_ref()
+    }
+
+    /// Node `n` and its clock, to step it by hand. Outputs of a hand step
+    /// bypass the model: nothing routes them.
+    pub fn node_mut(&mut self, n: u32) -> Option<(&mut HcNode<EchoService>, u64)> {
+        let clock = *self.clock.get(n as usize)?;
+        Some((self.nodes[n as usize].as_mut()?, clock))
+    }
+
+    /// The switch aggregator (`HovercraftPp` scopes only).
+    pub fn agg(&self) -> Option<&Aggregator> {
+        self.agg.as_ref()
+    }
+
+    /// The in-flight packets, in arrival order.
+    pub fn net(&self) -> &[Env] {
+        &self.net
     }
 
     /// Number of distinct client requests that have received a reply.
     pub fn reply_count(&self) -> usize {
         self.replies.iter().count()
-    }
-
-    /// True when node `n` exists and is not crashed.
-    pub fn is_alive(&self, n: u32) -> bool {
-        (n as usize) < self.nodes.len() && self.nodes[n as usize].is_some()
     }
 
     /// Enumerates every action enabled in this state, in the canonical
@@ -262,18 +278,15 @@ impl ModelState {
                 acts.push(McAction::Tick(n));
             }
         }
-        if self.crash_used < scope.crash_budget {
-            for n in 0..N_NODES {
-                if self.nodes[n as usize].is_some() {
-                    acts.push(McAction::Crash(n));
-                }
-            }
-        }
-        for n in 0..N_NODES {
-            if self.nodes[n as usize].is_none() {
-                acts.push(McAction::Restart(n));
-            }
-        }
+        let ids = 0..self.nodes.len() as u32;
+        let crashable = self.crash_used < scope.crash_budget;
+        let live = |n: &u32| self.node(*n).is_some();
+        acts.extend(
+            ids.clone()
+                .filter(|n| crashable && live(n))
+                .map(McAction::Crash),
+        );
+        acts.extend(ids.filter(|n| !live(n)).map(McAction::Restart));
         acts
     }
 
@@ -291,17 +304,8 @@ impl ModelState {
                 } else {
                     OpKind::ReadWrite
                 };
-                let body = Bytes::from(vec![b'k', k]);
-                for n in 0..N_NODES as usize {
-                    if let Some(node) = self.nodes[n].as_mut() {
-                        let now = self.clock[n];
-                        let (src, body) = (CLIENT_ADDR, body.clone());
-                        let msg = WireMsg::Request { id, kind, body };
-                        let outs = step_node(node, now, Input::Message { src, msg });
-                        self.run_outputs(n as u32, outs)?;
-                    }
-                }
-                Ok(())
+                let all: Vec<u32> = (0..self.nodes.len() as u32).collect();
+                self.request(id, kind, Bytes::from(vec![b'k', k]), &all)
             }
             McAction::Deliver(i) => {
                 let env = self.net.remove(i);
@@ -319,7 +323,8 @@ impl ModelState {
             }
             McAction::Tick(n) => {
                 let n = n as usize;
-                self.ticks_used[n] += 1;
+                // Saturating: scripted runs tick far past any scope's budget.
+                self.ticks_used[n] = self.ticks_used[n].saturating_add(1);
                 self.clock[n] += TICK_QUANTUM;
                 let now = self.clock[n];
                 if let Some(node) = self.nodes[n].as_mut() {
@@ -351,6 +356,41 @@ impl ModelState {
                 Ok(())
             }
         }
+    }
+
+    /// Client request `id` arrives at each live node of `dsts`, in order,
+    /// from the client `id` names. Replies to [`CLIENT_ADDR`] are absorbed
+    /// into the reply ledger; replies to any other address stay on the
+    /// wire until delivered, which drops them.
+    pub fn request(
+        &mut self,
+        id: ReqId,
+        kind: OpKind,
+        body: Bytes,
+        dsts: &[u32],
+    ) -> Result<(), Violation> {
+        for &n in dsts {
+            let now = self.clock[n as usize];
+            if let Some(node) = self.nodes[n as usize].as_mut() {
+                let (src, body) = (id.src_ip, body.clone());
+                let msg = WireMsg::Request { id, kind, body };
+                let outs = step_node(node, now, Input::Message { src, msg });
+                self.run_outputs(n, outs)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Delivers in-flight packets first in, first out until the wire is
+    /// empty.
+    pub fn settle(&mut self, scope: &Scope) -> Result<(), Violation> {
+        for _ in 0..1_000_000 {
+            if self.net.is_empty() {
+                return Ok(());
+            }
+            self.apply(scope, McAction::Deliver(0))?;
+        }
+        panic!("the wire did not go quiet");
     }
 
     /// Routes one envelope to its destination and runs the effects.
@@ -425,8 +465,8 @@ impl ModelState {
     }
 
     /// The live nodes with their ids, in id order.
-    fn live(&self) -> Vec<(u32, &HcNode<EchoService>)> {
-        (0..N_NODES)
+    pub fn live(&self) -> Vec<(u32, &HcNode<EchoService>)> {
+        (0..)
             .zip(&self.nodes)
             .filter_map(|(n, node)| Some((n, node.as_ref()?)))
             .collect()
@@ -438,7 +478,7 @@ impl ModelState {
     /// must be the scope's `reorder_window` — it decides how much of the
     /// in-flight queue's order is semantically irrelevant.
     pub fn hash_state(&self, h: &mut dyn std::hash::Hasher, window: usize) {
-        for n in 0..N_NODES as usize {
+        for n in 0..self.nodes.len() {
             match (&self.nodes[n], &self.durable[n]) {
                 (Some(node), _) => {
                     h.write_u8(1);
@@ -516,7 +556,7 @@ impl ModelState {
     /// Summarizes the state for human-readable traces.
     pub fn describe(&self) -> String {
         let mut parts = Vec::new();
-        for n in 0..N_NODES as usize {
+        for n in 0..self.nodes.len() {
             match &self.nodes[n] {
                 Some(node) => parts.push(format!(
                     "n{n}[{:?} t{} c{} a{}]",

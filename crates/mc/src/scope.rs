@@ -2,12 +2,13 @@
 //! HovercRaft cluster the checker exhausts.
 //!
 //! A scope fixes everything that bounds the reachable state space: the
-//! protocol mode, how many client commands enter the system, and the
-//! budgets on ticks, duplications, drops, and crash–restarts. The model
-//! timing constants are deliberately tiny logical numbers (an election
-//! timeout of 10 "ns", a tick quantum of 5) — the sans-io core never
-//! compares clocks across nodes, so only the *ratios* matter, and small
-//! numbers keep relative-time fingerprints dense.
+//! cluster size and protocol mode, how many client commands enter the
+//! system, and the budgets on ticks, duplications, drops, and
+//! crash–restarts. The model timing constants are deliberately tiny
+//! logical numbers (an election timeout and a tick quantum of 20 "ns", a
+//! heartbeat interval of 10) — the sans-io core never compares clocks
+//! across nodes, so only the *ratios* matter, and small numbers keep
+//! relative-time fingerprints dense.
 //!
 //! The election jitter window is width-1 (`min = T`, `max = T + 1`), which
 //! the raft layer special-cases to skip the rng draw entirely: model
@@ -17,9 +18,6 @@
 
 use hovercraft::{HcConfig, Mode, PolicyKind};
 
-/// Number of nodes in every scope (the smallest cluster with a
-/// non-trivial quorum).
-pub const N_NODES: u32 = 3;
 /// Network address of the HC++ aggregator in `hcpp` scopes.
 pub const AGG_ADDR: u32 = 10;
 /// Source address all model client requests carry.
@@ -48,6 +46,9 @@ pub struct Scope {
     pub name: &'static str,
     /// Protocol variant under test.
     pub mode: Mode,
+    /// Cluster size. Every preset uses 3, the smallest cluster with a
+    /// non-trivial quorum.
+    pub n_nodes: u32,
     /// Client commands injected (each one multicast to the whole group).
     pub client_reqs: u8,
     /// Nodes `0..candidates` have live election timers; the rest never
@@ -92,11 +93,13 @@ pub struct Scope {
 
 impl Scope {
     /// The scope explored by default in CI: plain HovercRaft, two client
-    /// commands, one duplication, one drop, no crashes.
+    /// commands, one duplication, one drop, no crashes. The other presets
+    /// are written as changes to it.
     pub fn default_scope() -> Scope {
         Scope {
             name: "default",
             mode: Mode::Hovercraft,
+            n_nodes: 3,
             client_reqs: 2,
             candidates: 1,
             ro_second: true,
@@ -118,19 +121,13 @@ impl Scope {
     pub fn elect_scope() -> Scope {
         Scope {
             name: "elect",
-            mode: Mode::Hovercraft,
             client_reqs: 1,
             candidates: 2,
             ro_second: false,
             pre_elect: false,
-            reorder_window: 2,
-            tick_budget: 1,
             dup_budget: 0,
             drop_budget: 0,
-            crash_budget: 0,
-            snapshot_interval: 0,
-            snap_chunk_bytes: 16 * 1024,
-            bound: 2,
+            ..Scope::default_scope()
         }
     }
 
@@ -138,19 +135,11 @@ impl Scope {
     pub fn crash_scope() -> Scope {
         Scope {
             name: "crash",
-            mode: Mode::Hovercraft,
-            client_reqs: 2,
-            candidates: 1,
             ro_second: false,
-            pre_elect: true,
-            reorder_window: 2,
-            tick_budget: 1,
             dup_budget: 0,
             drop_budget: 0,
             crash_budget: 1,
-            snapshot_interval: 0,
-            snap_chunk_bytes: 16 * 1024,
-            bound: 2,
+            ..Scope::default_scope()
         }
     }
 
@@ -160,19 +149,11 @@ impl Scope {
     pub fn snap_scope() -> Scope {
         Scope {
             name: "snap",
-            mode: Mode::Hovercraft,
             client_reqs: 1,
-            candidates: 1,
-            ro_second: false,
-            pre_elect: true,
-            reorder_window: 2,
-            tick_budget: 2,
-            dup_budget: 0,
-            drop_budget: 0,
-            crash_budget: 1,
             snapshot_interval: 1,
             snap_chunk_bytes: 16,
-            bound: 2,
+            tick_budget: 2,
+            ..Scope::crash_scope()
         }
     }
 
@@ -182,17 +163,9 @@ impl Scope {
             name: "hcpp",
             mode: Mode::HovercraftPp,
             client_reqs: 1,
-            candidates: 1,
             ro_second: false,
-            pre_elect: true,
-            reorder_window: 2,
-            tick_budget: 1,
-            dup_budget: 1,
             drop_budget: 0,
-            crash_budget: 0,
-            snapshot_interval: 0,
-            snap_chunk_bytes: 16 * 1024,
-            bound: 2,
+            ..Scope::default_scope()
         }
     }
 
@@ -204,19 +177,11 @@ impl Scope {
     pub fn tiny_scope() -> Scope {
         Scope {
             name: "tiny",
-            mode: Mode::Hovercraft,
             client_reqs: 1,
-            candidates: 1,
             ro_second: false,
-            pre_elect: true,
             reorder_window: 1,
-            tick_budget: 1,
-            dup_budget: 1,
             drop_budget: 0,
-            crash_budget: 0,
-            snapshot_interval: 0,
-            snap_chunk_bytes: 16 * 1024,
-            bound: 2,
+            ..Scope::default_scope()
         }
     }
 
@@ -238,10 +203,9 @@ impl Scope {
     }
 
     /// The node configuration for member `id` under this scope. Every
-    /// node shares the same rng seed, which keeps the initial state
-    /// symmetric under id renaming.
+    /// node shares the same rng seed.
     pub fn cfg(&self, id: u32) -> HcConfig {
-        let members: Vec<u32> = (0..N_NODES).collect();
+        let members: Vec<u32> = (0..self.n_nodes).collect();
         let mut rc = raft::Config::new(id, members);
         if id < self.candidates as u32 {
             rc.election_timeout_min = ELECTION_TIMEOUT;

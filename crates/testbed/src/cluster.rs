@@ -461,7 +461,7 @@ impl Cluster {
         }
     }
 
-    /// Runs until `t`, stopping every [`CHECK_STEP`] to evaluate the
+    /// Runs until `t`, stopping every `CHECK_STEP` (1 ms) to evaluate the
     /// cross-node invariants (panicking with a replay bundle on the first
     /// violation). A burst that records half a trace ring of events before
     /// the step ends gets an extra check, so the checker's trace scan sees

@@ -248,3 +248,27 @@ fn leader_death_does_not_wedge_flow_control() {
         r.nacks
     );
 }
+
+#[test]
+fn flow_control_nacks_beyond_cap() {
+    // Only 4 requests may be in flight: a load past what 4 slots carry is
+    // shed at the middlebox.
+    let mut o = opts(Setup::Hovercraft(PolicyKind::Jbsq), 3, 200_000.0, 32, 7);
+    o.measure = SimDur::millis(50);
+    o.flow_cap = Some(4);
+    let mut cluster = Cluster::build(o);
+    cluster.run_to_completion_checked();
+    assert!(
+        summarize(&mut cluster).nacks > 0,
+        "some requests were NACKed"
+    );
+    // The summary counts only completions inside the measured window; the
+    // clients' outstanding sets cover every request sent.
+    for c in cluster.clients.clone() {
+        let outstanding = cluster.sim.agent::<ClientAgent>(c).outstanding();
+        assert_eq!(outstanding, 0, "every request either answered or NACKed");
+    }
+    let idx = cluster.fc_prog_index().expect("flow control deployed");
+    let fc = &cluster.sim.switch_program_mut::<FcProgram>(idx).fc;
+    assert_eq!(fc.in_flight(), 0, "feedback drained the counter");
+}

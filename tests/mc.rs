@@ -1,7 +1,7 @@
 //! Model-checker harness tests: the debug-tractable slice of the `mc`
 //! crate's guarantees.
 //!
-//! The full exhaustive runs (five presets, ~2.8M states total) live in
+//! The full exhaustive runs (six presets, 2 744 622 states in total) live in
 //! the CI `mc` job, which runs the release `mc_explore` binary and
 //! compares the explored-state digest against `tests/mc_digest.txt`.
 //! This file pins what must also hold under plain `cargo test`:
@@ -143,7 +143,7 @@ fn greedy_schedule_reaches_quiescence() {
             .expect("no violation");
         trace.push(act);
     }
-    assert_eq!(state.net_len(), 0, "wires must drain");
+    assert_eq!(state.net().len(), 0, "wires must drain");
     assert_eq!(state.reply_count(), 1, "exactly one reply");
     // The recorded schedule is itself a valid green trace.
     replay(&scope, Mutation::None, &trace).expect("greedy trace replays green");
@@ -201,6 +201,8 @@ fn corpus_format_round_trips_and_rejects_garbage() {
         "mc:default:zz",          // bad token
         "mc:default:",            // empty trace
         "mc:default",             // missing separator
+        "mc:default:é1",          // multi-byte op
+        "mc:default:t4294967296", // node id past u32
     ] {
         assert!(
             CorpusSeed::parse(bad).expect("mc line").is_err(),
