@@ -29,8 +29,6 @@ pub mod test_runner {
     pub struct ProptestConfig {
         /// Number of random cases to run.
         pub cases: u32,
-        /// Accepted-but-ignored knob kept for struct-update compatibility.
-        pub max_shrink_iters: u32,
         /// Run case bodies on the workspace `pool` workers (`HC_JOBS`
         /// threads). Inputs are still generated serially from the single
         /// deterministic RNG stream, so the generated cases — and which case
@@ -42,7 +40,6 @@ pub mod test_runner {
         fn default() -> ProptestConfig {
             ProptestConfig {
                 cases: 256,
-                max_shrink_iters: 0,
                 parallel: false,
             }
         }
@@ -659,7 +656,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 64, parallel: true, ..ProptestConfig::default() })]
+        #![proptest_config(ProptestConfig { cases: 64, parallel: true })]
         #[test]
         fn parallel_cases_pass(x in 0u64..1000, v in prop::collection::vec(any::<u8>(), 1..8)) {
             prop_assert!(x < 1000);
@@ -670,7 +667,7 @@ mod tests {
     // Declared without `#[test]` so the test below can invoke it directly
     // and inspect the panic it raises.
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 32, parallel: true, ..ProptestConfig::default() })]
+        #![proptest_config(ProptestConfig { cases: 32, parallel: true })]
         fn parallel_failing_run(x in 0u64..100) {
             prop_assert!(x < 40, "x too large: {x}");
         }
@@ -710,7 +707,7 @@ mod tests {
     // Same shape as above but panicking (not prop_assert-failing): the parallel
     // path must re-raise the original payload via resume_unwind.
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 16, parallel: true, ..ProptestConfig::default() })]
+        #![proptest_config(ProptestConfig { cases: 16, parallel: true })]
         fn parallel_panicking_run(x in 0u64..100) {
             if x >= 40 {
                 panic!("boom at {x}");

@@ -53,9 +53,6 @@ pub(crate) enum Effect<M> {
         kind: u64,
         id: TimerId,
     },
-    CancelTimer {
-        id: TimerId,
-    },
     AppWork {
         cost: SimDur,
         token: u64,
@@ -167,12 +164,6 @@ impl<'a, M> Ctx<'a, M> {
         *self.next_timer += 1;
         self.effects.push(Effect::Timer { delay, kind, id });
         id
-    }
-
-    /// Cancels a previously armed timer. Cancelling an already-fired or
-    /// unknown timer is a no-op.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.effects.push(Effect::CancelTimer { id });
     }
 
     /// Schedules `cost` of work on the node's application thread. Work items

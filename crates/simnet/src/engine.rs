@@ -29,7 +29,7 @@ use std::collections::VecDeque;
 use std::fmt::Debug;
 
 use bytes::ByteArena;
-use fxhash::{FxHashMap, FxHashSet};
+use fxhash::FxHashMap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -52,6 +52,11 @@ pub type DropFilter<M> = Box<dyn FnMut(&Packet<M>, NodeId, SimTime) -> bool>;
 /// the rebooted agent with all volatile state wiped.
 pub type RestartHook<M> = Box<dyn FnMut(NodeId, SimTime, Box<dyn Agent<M>>) -> Box<dyn Agent<M>>>;
 
+/// A scheduled event. The node-scoped ones (`Start`, `PktDeliver`,
+/// `Timer`, `AppDone`) carry the incarnation `epoch` of the node that
+/// scheduled them, and dispatch drops every one whose epoch is not the
+/// node's current one: nothing a crashed incarnation set in motion runs in
+/// the restarted one. There is no other way to retract an event.
 enum Ev<M> {
     PktAtSwitch(Packet<M>),
     PktArrive {
@@ -61,53 +66,52 @@ enum Ev<M> {
     PktDeliver {
         node: NodeId,
         pkt: Packet<M>,
-        /// Incarnation that scheduled this delivery; stale after a restart.
         epoch: u64,
     },
     Timer {
         node: NodeId,
         id: TimerId,
         kind: u64,
+        epoch: u64,
     },
     AppDone {
         node: NodeId,
         token: u64,
-        /// Incarnation that queued this work item; stale after a restart.
         epoch: u64,
     },
     Start {
         node: NodeId,
+        epoch: u64,
     },
     Fault(FaultCmd),
 }
 
+impl<M> Ev<M> {
+    /// The node and incarnation a node-scoped event was scheduled for.
+    fn incarnation(&self) -> Option<(NodeId, u64)> {
+        match *self {
+            Ev::Start { node, epoch }
+            | Ev::PktDeliver { node, epoch, .. }
+            | Ev::Timer { node, epoch, .. }
+            | Ev::AppDone { node, epoch, .. } => Some((node, epoch)),
+            Ev::PktAtSwitch(_) | Ev::PktArrive { .. } | Ev::Fault(_) => None,
+        }
+    }
+}
+
 /// Slab storage for scheduled events: stable `u32` slots handed to the
-/// scheduler, with freed slots recycled LIFO. At a steady state the event
-/// loop allocates nothing per event; after a burst subsides, capacity is
-/// reclaimed (see [`EventSlab::maybe_shrink`]) instead of being
-/// high-watermarked for the rest of the run.
+/// wheel, with freed slots recycled LIFO, so at a steady state the event
+/// loop allocates nothing per event.
 struct EventSlab<M> {
     slots: Vec<Option<Ev<M>>>,
     free: Vec<u32>,
-    /// Free-list length at which the next shrink attempt triggers; bumped
-    /// past the current length after every attempt so attempts stay at
-    /// least [`SLAB_SHRINK_MIN`] removals apart. A failed attempt (live
-    /// slot pinning the tail) costs O(1): the tail scan starts from the
-    /// end and stops at the first live slot.
-    next_shrink: usize,
 }
-
-/// Free-list length below which shrinking is never attempted.
-const SLAB_SHRINK_MIN: usize = 8192;
-/// Slot count a shrunken slab keeps, mirroring the initial capacity.
-const SLAB_FLOOR: usize = 256;
 
 impl<M> EventSlab<M> {
     fn new() -> Self {
         EventSlab {
-            slots: Vec::with_capacity(SLAB_FLOOR),
-            free: Vec::with_capacity(SLAB_FLOOR),
-            next_shrink: SLAB_SHRINK_MIN,
+            slots: Vec::with_capacity(256),
+            free: Vec::with_capacity(256),
         }
     }
 
@@ -131,39 +135,7 @@ impl<M> EventSlab<M> {
     fn remove(&mut self, slot: u32) -> Ev<M> {
         let ev = self.slots[slot as usize].take().expect("live slab slot");
         self.free.push(slot);
-        // Two triggers: mostly-free (≥ 7/8) past the rate-limit threshold,
-        // or a large slab going *completely* idle — the moment a
-        // same-instant storm has fully drained, which threshold crossings
-        // can miss when the storm's tail slots are the last ones freed.
-        let free = self.free.len();
-        if (free >= self.next_shrink && free * 8 >= self.slots.len() * 7)
-            || (free == self.slots.len() && free >= SLAB_SHRINK_MIN)
-        {
-            self.maybe_shrink();
-        }
         ev
-    }
-
-    /// Releases capacity after a same-instant storm: once ≥ 7/8 of a
-    /// large slab is free, truncate the all-free tail, drop the stale free
-    /// entries, and return the backing memory. Slots below the last live
-    /// one cannot move (the scheduler holds their indices), so a pinned
-    /// tail makes this a no-op — the doubled `next_shrink` then backs off
-    /// exponentially.
-    fn maybe_shrink(&mut self) {
-        let tail = self
-            .slots
-            .iter()
-            .rposition(|s| s.is_some())
-            .map_or(0, |i| i + 1);
-        let new_len = tail.max(SLAB_FLOOR);
-        if new_len * 2 <= self.slots.len() {
-            self.slots.truncate(new_len);
-            self.slots.shrink_to_fit();
-            self.free.retain(|&s| (s as usize) < new_len);
-            self.free.shrink_to_fit();
-        }
-        self.next_shrink = self.free.len() + SLAB_SHRINK_MIN;
     }
 }
 
@@ -180,7 +152,7 @@ struct NodeSlot<M> {
     /// filling (and overflowing) with arrivals.
     paused: bool,
     /// Incarnation number; bumped on every crash–restart so events scheduled
-    /// for a previous incarnation are discarded.
+    /// by a previous incarnation are discarded (see [`Ev`]).
     epoch: u64,
     /// When each crash–restart happened; `restarted_at.len() == epoch`.
     /// Lets observers attribute a timestamped event to the incarnation
@@ -197,7 +169,6 @@ struct NodeSlot<M> {
     counters: Counters,
     rng: SmallRng,
     next_timer: u64,
-    active_timers: FxHashSet<TimerId>,
     effects: Vec<Effect<M>>,
 }
 
@@ -212,13 +183,8 @@ pub struct Sim<M> {
     groups: GroupTable,
     programs: Vec<Box<dyn SwitchProgram<M>>>,
     queue: TimerWheel,
-    /// Event payloads, indexed by the wheel/bucket slot.
+    /// Event payloads, indexed by the wheel's token.
     slab: EventSlab<M>,
-    /// Events scheduled for exactly the current instant, kept out of the
-    /// wheel: `(seq, slot)` in FIFO order. The bulk of a busy instant's
-    /// follow-on events (zero-delay sends, immediate deliveries) land here
-    /// and skip a wheel insert and pop each.
-    now_bucket: VecDeque<(u64, u32)>,
     /// Scratch reused across `at_switch` calls (program emissions).
     emit_scratch: Vec<Packet<M>>,
     /// Scratch reused across group fan-outs (resolved member list).
@@ -252,7 +218,6 @@ impl<M: Clone + Debug + 'static> Sim<M> {
             programs: Vec::new(),
             queue: TimerWheel::new(),
             slab: EventSlab::new(),
-            now_bucket: VecDeque::with_capacity(64),
             emit_scratch: Vec::new(),
             members_scratch: Vec::new(),
             switch_rng: SmallRng::seed_from_u64(seed ^ 0x5151_5151_dead_beef),
@@ -292,10 +257,9 @@ impl<M: Clone + Debug + 'static> Sim<M> {
             counters: Counters::default(),
             rng,
             next_timer: 0,
-            active_timers: FxHashSet::default(),
             effects: Vec::new(),
         });
-        self.push(self.now, Ev::Start { node: id });
+        self.push(self.now, Ev::Start { node: id, epoch: 0 });
         id
     }
 
@@ -506,94 +470,40 @@ impl<M: Clone + Debug + 'static> Sim<M> {
         let seq = self.seq;
         self.seq += 1;
         let slot = self.slab.insert(ev);
-        if at == self.now {
-            // Same-instant follow-on event: FIFO bucket, no scheduler
-            // traffic. Seqs are assigned monotonically, so bucket order
-            // *is* (at, seq) order for this instant.
-            self.now_bucket.push_back((seq, slot));
-        } else {
-            self.queue.insert(at.as_nanos(), seq, slot);
-        }
+        self.queue.insert(at.as_nanos(), seq, slot);
     }
 
-    /// Pops the globally earliest `(at, seq)` event at or before `limit`,
-    /// merging the scheduler with the exact-now bucket. The bucket drains
-    /// fully before time can advance (its entries sort before any strictly
-    /// later scheduler entry), preserving the single-queue dispatch order
-    /// exactly.
+    /// Pops the earliest `(at, seq)` event at or before `limit`.
     fn pop_next(&mut self, limit: SimTime) -> Option<(SimTime, u32)> {
-        // Mid-instant wheel entries precede everything: they share the
-        // current instant with any bucket entries but carry strictly
-        // smaller seqs (they were scheduled before time reached this
-        // instant; bucket entries are scheduled *at* it). Otherwise the
-        // bucket wins — once time has advanced to `now`, the wheel holds
-        // nothing at or before `now` (the drain that advanced time took
-        // the whole instant).
-        if self.queue.mid_instant() {
-            let (at, _seq, slot) = self.queue.pop_next(limit.as_nanos()).expect("mid-instant");
-            crate::profile::note_sched_op();
-            debug_assert_eq!(at, self.now.as_nanos());
-            return Some((self.now, slot));
-        }
-        if let Some((_, slot)) = self.now_bucket.pop_front() {
-            crate::profile::note_sched_op();
-            Self::maybe_shrink_bucket(&mut self.now_bucket);
-            return Some((self.now, slot));
-        }
         let (at, _seq, slot) = self.queue.pop_next(limit.as_nanos())?;
         crate::profile::note_sched_op();
         Some((SimTime::from_nanos(at), slot))
     }
 
-    /// Releases `now_bucket` capacity once a same-instant storm has fully
-    /// drained (cheap: one capacity compare per empty transition).
-    #[inline]
-    fn maybe_shrink_bucket(bucket: &mut VecDeque<(u64, u32)>) {
-        if bucket.is_empty() && bucket.capacity() > 4096 {
-            bucket.shrink_to(64);
-        }
-    }
-
-    /// Capacity diagnostics of the event storage: `(slab_slots, slab_free,
-    /// now_bucket_capacity)`. Exposed so capacity-reclamation regression
-    /// tests can observe that burst storage is returned, not
-    /// high-watermarked.
-    pub fn sched_footprint(&self) -> (usize, usize, usize) {
-        (
-            self.slab.slots.capacity(),
-            self.slab.free.len(),
-            self.now_bucket.capacity(),
-        )
-    }
-
     fn dispatch(&mut self, ev: Ev<M>) {
         self.processed += 1;
-        // A paused node is alive but not scheduled: its compute events are
-        // deferred until resume. (Arrivals still land in the RX ring via
-        // `arrive`, so the ring fills and eventually overflows.)
-        match &ev {
-            Ev::PktDeliver { node, .. } | Ev::Timer { node, .. } | Ev::AppDone { node, .. } => {
-                let slot = &mut self.nodes[*node as usize];
-                if slot.paused {
-                    slot.stalled.push(ev);
-                    return;
-                }
+        if let Some((node, epoch)) = ev.incarnation() {
+            let slot = &mut self.nodes[node as usize];
+            // A paused node is alive but not scheduled: its compute events
+            // are deferred until resume. (Arrivals still land in the RX ring
+            // via `arrive`, so the ring fills and eventually overflows.)
+            if slot.paused && !matches!(ev, Ev::Start { .. }) {
+                slot.stalled.push(ev);
+                return;
             }
-            _ => {}
+            if epoch != slot.epoch {
+                return;
+            }
         }
         match ev {
-            Ev::Start { node } => {
+            Ev::Start { node, .. } => {
                 self.invoke(node, ThreadClass::Net, |a, ctx| a.on_start(ctx));
             }
             Ev::Fault(cmd) => self.apply_fault(cmd),
             Ev::PktAtSwitch(pkt) => self.at_switch(pkt),
             Ev::PktArrive { node, pkt } => self.arrive(node, pkt),
-            Ev::PktDeliver { node, pkt, epoch } => {
+            Ev::PktDeliver { node, pkt, .. } => {
                 let slot = &mut self.nodes[node as usize];
-                if epoch != slot.epoch {
-                    // Scheduled before a restart; the backlog was reset.
-                    return;
-                }
                 slot.net_backlog = slot.net_backlog.saturating_sub(1);
                 if !slot.alive {
                     slot.counters.dropped_dead += 1;
@@ -603,18 +513,13 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                 slot.counters.rx_bytes += pkt.size as u64;
                 self.invoke(node, ThreadClass::Net, move |a, ctx| a.on_packet(pkt, ctx));
             }
-            Ev::Timer { node, id, kind } => {
-                let slot = &mut self.nodes[node as usize];
-                if !slot.alive || !slot.active_timers.remove(&id) {
-                    return;
-                }
+            Ev::Timer { node, id, kind, .. } => {
                 self.invoke(node, ThreadClass::Net, move |a, ctx| {
                     a.on_timer(id, kind, ctx)
                 });
             }
             Ev::AppDone { node, token, epoch } => {
-                let slot = &self.nodes[node as usize];
-                if epoch != slot.epoch || !slot.alive {
+                if !self.nodes[node as usize].alive {
                     return;
                 }
                 let extra = self.invoke(node, ThreadClass::App, move |a, ctx| {
@@ -653,7 +558,6 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                 slot.net_backlog = 0;
                 slot.app.queue.clear();
                 slot.app.busy = false;
-                slot.active_timers.clear();
                 slot.effects.clear();
                 slot.net_busy = now;
                 slot.tx_wire_busy = now;
@@ -663,8 +567,10 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                     .as_mut()
                     .expect("FaultCmd::Restart requires Sim::set_restart_hook");
                 let fresh = hook(n, now, old);
-                self.nodes[n as usize].agent = Some(fresh);
-                self.push(now, Ev::Start { node: n });
+                let slot = &mut self.nodes[n as usize];
+                slot.agent = Some(fresh);
+                let epoch = slot.epoch;
+                self.push(now, Ev::Start { node: n, epoch });
             }
             FaultCmd::Pause { node } => {
                 let slot = &mut self.nodes[*node as usize];
@@ -805,11 +711,16 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                     self.push(at, Ev::PktAtSwitch(pkt));
                 }
                 Effect::Timer { delay, kind, id } => {
-                    self.nodes[node as usize].active_timers.insert(id);
-                    self.push(now + delay, Ev::Timer { node, id, kind });
-                }
-                Effect::CancelTimer { id } => {
-                    self.nodes[node as usize].active_timers.remove(&id);
+                    let epoch = self.nodes[node as usize].epoch;
+                    self.push(
+                        now + delay,
+                        Ev::Timer {
+                            node,
+                            id,
+                            kind,
+                            epoch,
+                        },
+                    );
                 }
                 Effect::AppWork { cost, token } => {
                     let slot = &mut self.nodes[node as usize];

@@ -101,9 +101,19 @@ pub(crate) fn note_wheel_cascades(n: u64) {
 /// delegates to [`System`]. Install it in a binary to light up the
 /// `alloc_*` fields of [`ProfileSnapshot`]:
 ///
-/// ```ignore
+/// ```
+/// use simnet::ProfileSnapshot;
+///
 /// #[global_allocator]
 /// static ALLOC: simnet::CountingAlloc = simnet::CountingAlloc;
+///
+/// fn main() {
+///     let before = ProfileSnapshot::now();
+///     let v: Vec<u8> = std::hint::black_box(Vec::with_capacity(64));
+///     let d = ProfileSnapshot::now().delta_since(&before);
+///     assert!(d.alloc_calls >= 1 && d.alloc_bytes >= 64);
+///     drop(v);
+/// }
 /// ```
 ///
 /// The counters are const-initialized thread-locals with no destructor, so

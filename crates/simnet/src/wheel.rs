@@ -1,4 +1,4 @@
-//! Hierarchical timer wheel: the engine's default event scheduler.
+//! Hierarchical timer wheel: the engine's event scheduler.
 //!
 //! A discrete-event simulator spends a large share of its wall-clock budget
 //! ordering future events. The classic `BinaryHeap` costs O(log n) per
@@ -56,11 +56,13 @@
 //! # Safety of lazy advancement
 //!
 //! `base` only advances inside [`TimerWheel::pop_next`], and only up to
-//! `limit` (the engine's `run_until` bound). The engine guarantees every
-//! future insert is strictly later than its clock, and its clock never
-//! falls behind `limit` once a pop returns — so `at >= base` holds for all
-//! inserts and the wheel never needs the "timer in the past" slot-clamping
-//! of wall-clock wheels.
+//! `limit` (the engine's `run_until` bound). The engine never schedules
+//! before its clock (an insert may land *at* it), and its clock never
+//! falls behind `base` — so `at >= base` holds for all inserts and the
+//! wheel never needs the "timer in the past" slot-clamping of wall-clock
+//! wheels. An insert at the instant being drained lands in the level-0
+//! slot that instant just vacated; it pops once `current` is empty, after
+//! every entry of the instant scheduled before it.
 
 use std::collections::VecDeque;
 
@@ -91,7 +93,7 @@ struct Entry {
 ///
 /// `pop_next(limit)` never returns entries later than `limit` and never
 /// advances the wheel's origin past `limit`, so interleaving pops with
-/// inserts of strictly-later deadlines is always safe.
+/// inserts at or after the last popped instant is always safe.
 pub struct TimerWheel {
     /// Origin timestamp; invariant: every stored entry has `at >= base`.
     base: u64,
@@ -147,14 +149,6 @@ impl TimerWheel {
         self.len == 0
     }
 
-    /// Whether a drained instant is still being consumed. While true, the
-    /// front of the wheel is at the engine's *current* instant and
-    /// [`TimerWheel::pop_next`] is guaranteed to return it regardless of
-    /// `limit`.
-    pub fn mid_instant(&self) -> bool {
-        !self.current.is_empty()
-    }
-
     /// Level and slot index (within the level) for `at` relative to `base`.
     #[inline]
     fn place(base: u64, at: u64) -> (usize, usize) {
@@ -179,7 +173,7 @@ impl TimerWheel {
     }
 
     /// Inserts an entry. `at` must be `>= ` the wheel's origin, which the
-    /// engine guarantees by never scheduling into the past.
+    /// engine guarantees by never scheduling before its clock.
     #[inline]
     pub fn insert(&mut self, at: u64, seq: u64, token: u32) {
         debug_assert!(
@@ -293,7 +287,6 @@ impl std::fmt::Debug for TimerWheel {
         f.debug_struct("TimerWheel")
             .field("base", &self.base)
             .field("len", &self.len)
-            .field("mid_instant", &self.mid_instant())
             .finish_non_exhaustive()
     }
 }
@@ -374,18 +367,6 @@ mod tests {
         assert_eq!(w.pop_next(u64::MAX), Some((100_000, 1, 3)));
     }
 
-    #[test]
-    fn mid_instant_is_visible_while_draining() {
-        let mut w = TimerWheel::new();
-        w.insert(7, 0, 1);
-        w.insert(7, 1, 2);
-        assert!(!w.mid_instant());
-        assert_eq!(w.pop_next(u64::MAX), Some((7, 0, 1)));
-        assert!(w.mid_instant(), "second entry of the instant still queued");
-        assert_eq!(w.pop_next(0), Some((7, 1, 2)), "limit ignored mid-instant");
-        assert!(!w.mid_instant());
-    }
-
     /// The structural equivalence claim, checked directly: any interleaving
     /// of inserts and bounded pops yields exactly the heap's pop sequence.
     fn equivalence_round(seed: u64, ops: usize) {
@@ -394,13 +375,15 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut wheel = TimerWheel::new();
         let mut heap = RefHeap::default();
-        let mut clock = 0u64; // engine's "now": inserts land strictly after
+        let mut clock = 0u64; // engine's "now": inserts land at or after it
         let mut seq = 0u64;
         for i in 0..ops {
             if rng.gen_bool(0.6) {
-                // Mixed horizons: mostly near, some far, a few extreme.
+                // Mixed horizons: some at the clock itself (possibly
+                // mid-instant), mostly near, some far, a few extreme.
                 let delta = match rng.gen_range(0u32..10) {
-                    0..=5 => rng.gen_range(1..4_000),
+                    0 => 0,
+                    1..=5 => rng.gen_range(1..4_000),
                     6..=8 => rng.gen_range(1..5_000_000),
                     _ => rng.gen_range(1..(u64::MAX - clock).max(2)),
                 };

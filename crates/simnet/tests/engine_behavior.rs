@@ -372,35 +372,6 @@ fn app_thread_serializes_work_and_replies_from_app() {
 }
 
 #[test]
-fn cancelled_timer_does_not_fire() {
-    struct T {
-        fired: u32,
-    }
-    impl Agent<Msg> for T {
-        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-            let id = ctx.set_timer(SimDur::micros(10), 1);
-            ctx.set_timer(SimDur::micros(20), 2);
-            ctx.cancel_timer(id);
-        }
-        fn on_timer(&mut self, _id: TimerId, kind: u64, _ctx: &mut Ctx<'_, Msg>) {
-            assert_eq!(kind, 2, "cancelled timer fired");
-            self.fired += 1;
-        }
-        fn on_packet(&mut self, _p: Packet<Msg>, _c: &mut Ctx<'_, Msg>) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
-    let mut s = sim();
-    let n = s.add_node(Box::new(T { fired: 0 }));
-    s.run_for(SimDur::millis(1));
-    assert_eq!(s.agent::<T>(n).fired, 1);
-}
-
-#[test]
 fn switch_program_can_rewrite_and_consume() {
     /// Redirects pings addressed to a virtual address onto a group, and
     /// swallows pongs entirely.
@@ -624,6 +595,72 @@ fn restart_bumps_the_epoch_and_the_rebuilt_agent_serves_on() {
     assert!(replies >= 19, "served {replies}/20 across a restart");
 }
 
+/// Counts `on_start` calls and arms one timer, `delay` out, per start.
+struct Starter {
+    delay: SimDur,
+    starts: u32,
+    fired: Vec<SimTime>,
+}
+impl Starter {
+    fn new(delay: SimDur) -> Self {
+        Starter {
+            delay,
+            starts: 0,
+            fired: Vec::new(),
+        }
+    }
+}
+impl Agent<Msg> for Starter {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        self.starts += 1;
+        ctx.set_timer(self.delay, 0);
+    }
+    fn on_timer(&mut self, _id: TimerId, _kind: u64, ctx: &mut Ctx<'_, Msg>) {
+        self.fired.push(ctx.now());
+    }
+    fn on_packet(&mut self, _p: Packet<Msg>, _c: &mut Ctx<'_, Msg>) {}
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+#[test]
+fn two_restarts_at_one_instant_start_the_survivor_once() {
+    let mut s = sim();
+    let n = s.add_node(Box::new(Starter::new(SimDur::millis(5))));
+    // Every incarnation is a fresh agent, so the count is per incarnation.
+    s.set_restart_hook(Box::new(|_node, _now, _old| {
+        Box::new(Starter::new(SimDur::millis(5)))
+    }));
+    let at = SimTime::ZERO + SimDur::millis(1);
+    s.restart_at(n, at);
+    s.restart_at(n, at);
+    s.run_for(SimDur::millis(2));
+    assert_eq!(s.restarts(n), 2);
+    let starts = s.agent::<Starter>(n).starts;
+    assert_eq!(
+        starts, 1,
+        "on_start ran {starts} times on the live incarnation"
+    );
+}
+
+#[test]
+fn timer_armed_before_a_restart_never_fires_after_it() {
+    let mut s = sim();
+    // The first incarnation's timer is due at 2 ms, after the 1 ms restart;
+    // the second incarnation arms its own for 1 + 2 = 3 ms.
+    let n = s.add_node(Box::new(Starter::new(SimDur::millis(2))));
+    s.set_restart_hook(Box::new(|_node, _now, old| old));
+    s.restart_at(n, SimTime::ZERO + SimDur::millis(1));
+    s.run_for(SimDur::millis(4));
+    let agent = s.agent::<Starter>(n);
+    assert_eq!(agent.starts, 2);
+    assert_eq!(agent.fired, vec![SimTime::ZERO + SimDur::millis(3)]);
+}
+
 #[test]
 fn duplicate_link_fault_delivers_matching_copies_twice() {
     let mut s = sim();
@@ -684,64 +721,6 @@ fn delay_link_fault_slows_matching_copies() {
     );
 }
 
-/// Arms a huge batch of timers all expiring at the same instant, then goes
-/// quiet — the same-instant storm shape that used to high-watermark the
-/// event slab's free list forever.
-struct TimerStorm {
-    timers: u64,
-    fired: u64,
-}
-impl Agent<Msg> for TimerStorm {
-    fn on_packet(&mut self, _pkt: Packet<Msg>, _ctx: &mut Ctx<'_, Msg>) {}
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        for _ in 0..self.timers {
-            ctx.set_timer(SimDur::millis(1), 0);
-        }
-    }
-    fn on_timer(&mut self, _id: TimerId, _kind: u64, _ctx: &mut Ctx<'_, Msg>) {
-        self.fired += 1;
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-#[test]
-fn slab_capacity_is_reclaimed_after_a_same_instant_burst() {
-    const STORM: u64 = 1_000_000;
-    let mut sim = Sim::new(FabricParams::default(), 11);
-    let n = sim.add_node(Box::new(TimerStorm {
-        timers: STORM,
-        fired: 0,
-    }));
-    sim.run_for(SimDur::millis(2));
-    assert_eq!(sim.agent::<TimerStorm>(n).fired, STORM);
-    let (slab_cap, free, bucket_cap) = sim.sched_footprint();
-    assert!(
-        slab_cap < STORM as usize / 64,
-        "slab capacity {slab_cap} still holds the 10^6-event burst"
-    );
-    assert!(free <= slab_cap, "free list {free} exceeds slab {slab_cap}");
-    assert!(
-        bucket_cap <= 4096,
-        "now-bucket capacity {bucket_cap} not reclaimed"
-    );
-    // The engine must stay fully usable after the shrink: run a normal
-    // request/reply exchange through the compacted structures.
-    let server = sim.add_node(Box::new(Echo));
-    let c = sim.add_node(Box::new(Pinger::new(
-        Addr::node(server),
-        16,
-        64,
-        SimDur::micros(5),
-    )));
-    sim.run_for(SimDur::millis(2));
-    assert_eq!(sim.agent::<Pinger>(c).replies.len(), 16);
-}
-
 // ---- timer-wheel scheduler behavior (engine level) -------------------------
 
 /// The wheel engine reproduces the binary-heap engine it replaced, event
@@ -784,60 +763,9 @@ fn wheel_and_heap_engines_replay_identically() {
     );
 }
 
-/// Cancelling a timer must stick even after the wheel has internally
-/// cascaded the entry between levels: the deadline sits several overflow
-/// levels up at arm time, and the cancel happens after enough virtual time
-/// has passed that the entry has been redistributed at least once.
-#[test]
-fn cancelled_timer_cancels_even_after_cascading() {
-    struct T {
-        victim: Option<TimerId>,
-        fired_kinds: Vec<u64>,
-    }
-    impl Agent<Msg> for T {
-        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-            // 500 µs from origin: far above the wheel's near level, so the
-            // entry starts high and cascades as the origin advances.
-            self.victim = Some(ctx.set_timer(SimDur::micros(500), 1));
-            // Intermediate timers march the wheel origin across cascade
-            // boundaries while the victim is still pending.
-            for i in 0..8 {
-                ctx.set_timer(SimDur::micros(50 * (i + 1)), 10 + i);
-            }
-        }
-        fn on_timer(&mut self, _id: TimerId, kind: u64, ctx: &mut Ctx<'_, Msg>) {
-            assert_ne!(kind, 1, "cancelled timer fired");
-            self.fired_kinds.push(kind);
-            // Cancel at the second-to-last intermediate (400 µs), long
-            // after the victim's entry has been moved between levels.
-            if kind == 17 {
-                ctx.cancel_timer(self.victim.take().expect("armed once"));
-            }
-        }
-        fn on_packet(&mut self, _p: Packet<Msg>, _c: &mut Ctx<'_, Msg>) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
-    let mut s = sim();
-    let n = s.add_node(Box::new(T {
-        victim: None,
-        fired_kinds: Vec::new(),
-    }));
-    s.run_for(SimDur::millis(2));
-    assert_eq!(
-        s.agent::<T>(n).fired_kinds,
-        (10..18).collect::<Vec<u64>>(),
-        "every intermediate fired in deadline order, the victim never did"
-    );
-}
-
 /// Timers armed for the same instant fire in arming order — the engine's
-/// (time, seq) total order reaches through the wheel's same-instant drain
-/// and the now-bucket alike.
+/// (time, seq) total order reaches through the wheel's same-instant drain,
+/// including timers armed at the instant being drained.
 #[test]
 fn same_instant_timers_fire_in_arming_order() {
     struct T {
@@ -851,9 +779,9 @@ fn same_instant_timers_fire_in_arming_order() {
         }
         fn on_timer(&mut self, _id: TimerId, kind: u64, ctx: &mut Ctx<'_, Msg>) {
             self.fired_kinds.push(kind);
-            // First firing re-arms two more for the *same* instant: they
-            // route through the engine's now-bucket rather than the wheel
-            // and must still come out in arming order, after the batch.
+            // First firing re-arms two more for the *same* instant, while
+            // the wheel is still draining it: they must come out in arming
+            // order, after the batch.
             if kind == 0 {
                 ctx.set_timer(SimDur::ZERO, 100);
                 ctx.set_timer(SimDur::ZERO, 101);

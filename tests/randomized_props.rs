@@ -32,7 +32,6 @@ proptest! {
     #![proptest_config(ProptestConfig {
         cases: 12, // each case is a full cluster simulation
         parallel: true, // bodies run on the HC_JOBS pool; reporting is serial-identical
-        .. ProptestConfig::default()
     })]
 
     /// Accounting sanity and replica agreement for arbitrary healthy
@@ -120,7 +119,6 @@ proptest! {
     #![proptest_config(ProptestConfig {
         cases: 6, // each case is a full chaos simulation
         parallel: true, // bodies run on the HC_JOBS pool; reporting is serial-identical
-        .. ProptestConfig::default()
     })]
 
     /// Arbitrary (snapshot horizon, run length, fault plan) triples: log
