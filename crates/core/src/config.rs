@@ -41,7 +41,9 @@ pub struct HcConfig {
     /// Execute read-only operations only on the designated replier (§3.5).
     /// When false, read-only operations run on every node like writes.
     pub lb_reads: bool,
-    /// Network address of the in-network aggregator (HovercRaft++ only).
+    /// Network address of the in-network aggregator: set exactly when
+    /// `mode` is HovercRaft++ (`HcNode::new` asserts it; [`HcConfig::new`]
+    /// leaves it unset, so the caller supplies it).
     pub agg_addr: Option<u32>,
     /// Network address of the flow-control middlebox, if deployed; repliers
     /// send it a FEEDBACK per completed request (§6.3).

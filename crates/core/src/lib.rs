@@ -50,4 +50,4 @@ pub use node::{DurableState, HcNode, HcStats, Input, Output, RestoreRejected};
 pub use policy::{PolicyKind, ReplierLedger};
 pub use pool::{PooledReq, UnorderedPool};
 pub use service::{EchoService, Executed, Service};
-pub use trace::{req_key, ProtoEvent};
+pub use trace::ProtoEvent;

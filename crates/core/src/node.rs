@@ -326,7 +326,18 @@ pub struct HcNode<S> {
 impl<S: Service> HcNode<S> {
     /// Creates a node. `now` seeds the election timer of the underlying
     /// Raft instance.
+    ///
+    /// # Panics
+    ///
+    /// When `cfg.agg_addr` is set for any mode but HovercRaft++, or unset
+    /// for HovercRaft++ (which would otherwise run as plain HovercRaft).
     pub fn new(cfg: HcConfig, service: S, now: u64) -> Self {
+        assert_eq!(
+            cfg.mode == Mode::HovercraftPp,
+            cfg.agg_addr.is_some(),
+            "an aggregator address is set exactly for HovercRaft++ ({:?})",
+            cfg.mode
+        );
         let raft = RaftNode::new(cfg.raft.clone(), now);
         let rng = SmallRng::seed_from_u64(cfg.raft.seed ^ 0x486f_7665_7263_5261);
         HcNode {
@@ -1123,7 +1134,6 @@ impl<S: Service> HcNode<S> {
     fn use_aggregator(&self, to: RaftId) -> bool {
         self.cfg.mode == Mode::HovercraftPp
             && self.agg_confirmed
-            && self.cfg.agg_addr.is_some()
             && !self.recovering.contains(&to)
             && self.commit_settled_in_term()
     }
@@ -1143,10 +1153,7 @@ impl<S: Service> HcNode<S> {
     /// fanned the request out; failures always go straight to the leader so
     /// it can repair us point-to-point (§5).
     fn reply_via_aggregator(&self, success: bool) -> bool {
-        self.cfg.mode == Mode::HovercraftPp
-            && success
-            && self.last_ae_via_agg
-            && self.cfg.agg_addr.is_some()
+        self.cfg.mode == Mode::HovercraftPp && success && self.last_ae_via_agg
     }
 
     /// Sends collected AppendEntries: one aggregator copy when every healthy
@@ -1233,15 +1240,13 @@ impl<S: Service> HcNode<S> {
                 }
             }
         }
-        if self.cfg.mode == Mode::HovercraftPp {
-            if let Some(agg) = self.cfg.agg_addr {
-                out.push(Output::Send {
-                    dst: agg,
-                    msg: WireMsg::VoteProbe {
-                        term: self.raft.term(),
-                    },
-                });
-            }
+        if let Some(agg) = self.cfg.agg_addr {
+            out.push(Output::Send {
+                dst: agg,
+                msg: WireMsg::VoteProbe {
+                    term: self.raft.term(),
+                },
+            });
         }
         self.try_announce(now);
     }
@@ -1947,6 +1952,13 @@ mod snapshot_blob_tests {
     }
 
     #[test]
+    #[should_panic(expected = "aggregator address is set exactly for HovercRaft++")]
+    fn hovercraft_pp_without_an_aggregator_is_rejected() {
+        let cfg = HcConfig::new(raft::Config::new(0, vec![0, 1, 2]), Mode::HovercraftPp);
+        HcNode::new(cfg, EchoService::default(), 0);
+    }
+
+    #[test]
     fn unframed_snapshot_from_the_wire_is_not_installed() {
         // A follower receives `abc` as a complete snapshot at index 5. The
         // blob does not frame, so the follower must not install it (an
@@ -2064,7 +2076,7 @@ mod snapshot_blob_tests {
             }
         );
         assert_eq!(
-            err.event().kind(),
+            err.event().parts().0,
             "restore_rejected",
             "rejection carries a traceable protocol event"
         );

@@ -9,7 +9,8 @@
 //! discards what a driver that does not trace leaves behind. The testbed
 //! forwards the drained events into a `simnet::Tracer`, stamping them with
 //! virtual time; the invariant checker consumes the same stream (e.g. the
-//! exactly-one-reply-per-request check keys on [`ProtoEvent::key`]).
+//! exactly-one-reply-per-request check keys on the record's key).
+//! [`ProtoEvent::parts`] is each event's one encoding as a record.
 //!
 //! Events are plain data — no strings are allocated at record time; the
 //! human-readable rendering happens only when a trace is displayed or
@@ -20,27 +21,21 @@ use std::fmt;
 use r2p2::ReqId;
 use raft::{LogIndex, RaftId};
 
-/// Packs a request id into one `u64` trace key: `src_ip:src_port:rid`.
-pub fn req_key(id: ReqId) -> u64 {
-    ((id.src_ip as u64) << 32) | ((id.src_port as u64) << 16) | id.rid as u64
-}
-
 /// Renders a lazily recorded detail payload from up to three raw words.
 ///
 /// Structurally identical to `simnet::DetailFn` — declared here with std
 /// types only, so the protocol crate stays independent of the simulator
-/// while drivers can pass [`ProtoEvent::detail_parts`] straight into
+/// while drivers can pass [`ProtoEvent::parts`] straight into
 /// `Tracer::record_lazy`.
 pub type DetailRender = fn(&mut fmt::Formatter<'_>, u64, u64, u64) -> fmt::Result;
 
-/// Writes a packed [`req_key`] back out as `src_ip:src_port:rid`.
+/// Writes a packed [`ReqId::as_u64`] back out as `src_ip:src_port:rid`.
 fn w_req(f: &mut fmt::Formatter<'_>, key: u64) -> fmt::Result {
     write!(f, "{}:{}:{}", key >> 32, (key >> 16) & 0xffff, key & 0xffff)
 }
 
-// Lazy renderers, one per payload shape. Each must produce exactly the
-// text the eager `detail()` historically produced — `detail()` is now
-// implemented *through* these, so they cannot drift apart.
+// Lazy renderers, one per payload shape. Each reproduces the text of the
+// historical eager formatter byte for byte (pinned by the golden test).
 fn d_term(f: &mut fmt::Formatter<'_>, a: u64, _b: u64, _c: u64) -> fmt::Result {
     write!(f, "term={a}")
 }
@@ -317,148 +312,132 @@ pub enum ProtoEvent {
 }
 
 impl ProtoEvent {
-    /// Static tag naming the event type (stable across runs; checkers and
-    /// trace filters match on it).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ProtoEvent::ElectionStarted { .. } => "election_started",
-            ProtoEvent::PreVoteStarted { .. } => "prevote_started",
-            ProtoEvent::BecameLeader { .. } => "became_leader",
-            ProtoEvent::BecameFollower { .. } => "became_follower",
-            ProtoEvent::AppendSent { .. } => "append_sent",
-            ProtoEvent::AppendAcked { .. } => "append_acked",
-            ProtoEvent::CommitAdvanced { .. } => "commit_advance",
-            ProtoEvent::Proposed { .. } => "proposed",
-            ProtoEvent::ReplierAssigned { .. } => "replier_assigned",
-            ProtoEvent::Announced { .. } => "announced",
-            ProtoEvent::RecoveryRequested { .. } => "recovery_req",
-            ProtoEvent::RecoveryServed { .. } => "recovery_served",
-            ProtoEvent::RecoveryCompleted { .. } => "recovery_done",
-            ProtoEvent::ApplyStalled { .. } => "apply_stalled",
-            ProtoEvent::Executed { .. } => "executed",
-            ProtoEvent::RoSkipped { .. } => "ro_skipped",
-            ProtoEvent::ReplySent { .. } => "reply",
-            ProtoEvent::FeedbackSent { .. } => "feedback",
-            ProtoEvent::NackSent { .. } => "nack",
-            ProtoEvent::ReplierStalled { .. } => "replier_stalled",
-            ProtoEvent::ReplierRecovered { .. } => "replier_recovered",
-            ProtoEvent::SnapshotTaken { .. } => "snapshot_taken",
-            ProtoEvent::BodiesCompacted { .. } => "bodies_compacted",
-            ProtoEvent::TransferStarted { .. } => "transfer_started",
-            ProtoEvent::ChunkSent { .. } => "chunk_sent",
-            ProtoEvent::ChunkAcked { .. } => "chunk_acked",
-            ProtoEvent::SnapshotInstalled { .. } => "snapshot_installed",
-            ProtoEvent::TransferDone { .. } => "transfer_done",
-            ProtoEvent::RestoreRejected { .. } => "restore_rejected",
-        }
-    }
-
-    /// Primary numeric identifier: the packed request id for request-scoped
-    /// events, the log index or term otherwise.
-    pub fn key(&self) -> u64 {
+    /// The event's one encoding as a trace record: its static kind tag
+    /// (stable across runs; checkers and trace filters match on it), its
+    /// key (the packed request id for request-scoped events, the log index
+    /// or term otherwise), and a renderer over three raw words. Checkers
+    /// read the words in the renderer's argument order, so the words are
+    /// as much a part of the format as the rendered text.
+    pub fn parts(&self) -> (&'static str, u64, DetailRender, [u64; 3]) {
+        use ProtoEvent as E;
         match *self {
-            ProtoEvent::ElectionStarted { term }
-            | ProtoEvent::PreVoteStarted { term }
-            | ProtoEvent::BecameLeader { term }
-            | ProtoEvent::BecameFollower { term } => term,
-            ProtoEvent::ReplierStalled { node } | ProtoEvent::ReplierRecovered { node } => {
-                node as u64
-            }
-            ProtoEvent::AppendSent { commit, .. } => commit,
-            ProtoEvent::AppendAcked { match_index, .. } => match_index,
-            ProtoEvent::CommitAdvanced { to } => to,
-            ProtoEvent::ReplierAssigned { index, .. }
-            | ProtoEvent::Announced { upto: index }
-            | ProtoEvent::FeedbackSent { index } => index,
-            ProtoEvent::Proposed { id, .. }
-            | ProtoEvent::RecoveryRequested { id, .. }
-            | ProtoEvent::RecoveryServed { id, .. }
-            | ProtoEvent::RecoveryCompleted { id }
-            | ProtoEvent::ApplyStalled { id, .. }
-            | ProtoEvent::Executed { id, .. }
-            | ProtoEvent::RoSkipped { id, .. }
-            | ProtoEvent::ReplySent { id, .. }
-            | ProtoEvent::NackSent { id } => req_key(id),
-            ProtoEvent::SnapshotTaken { index, .. }
-            | ProtoEvent::TransferStarted { index, .. }
-            | ProtoEvent::ChunkSent { index, .. }
-            | ProtoEvent::ChunkAcked { index, .. }
-            | ProtoEvent::SnapshotInstalled { index, .. }
-            | ProtoEvent::TransferDone { index, .. } => index,
-            ProtoEvent::BodiesCompacted { upto, .. } => upto,
-            ProtoEvent::RestoreRejected { new_epoch, .. } => new_epoch,
-        }
-    }
-
-    /// The event's detail payload in deferred form: a renderer plus up to
-    /// three raw words. Recording this instead of [`ProtoEvent::detail`]
-    /// keeps the hot path allocation- and formatting-free; the renderer
-    /// produces the identical text when (if ever) the event is displayed.
-    pub fn detail_parts(&self) -> (DetailRender, u64, u64, u64) {
-        match *self {
-            ProtoEvent::ElectionStarted { term }
-            | ProtoEvent::PreVoteStarted { term }
-            | ProtoEvent::BecameLeader { term }
-            | ProtoEvent::BecameFollower { term } => (d_term, term, 0, 0),
-            ProtoEvent::AppendSent {
+            E::ElectionStarted { term } => ("election_started", term, d_term, [term, 0, 0]),
+            E::PreVoteStarted { term } => ("prevote_started", term, d_term, [term, 0, 0]),
+            E::BecameLeader { term } => ("became_leader", term, d_term, [term, 0, 0]),
+            E::BecameFollower { term } => ("became_follower", term, d_term, [term, 0, 0]),
+            E::AppendSent {
                 dst,
                 entries,
                 commit,
-            } => (d_append_sent, dst as u64, entries, commit),
-            ProtoEvent::AppendAcked {
+            } => (
+                "append_sent",
+                commit,
+                d_append_sent,
+                [dst.into(), entries, commit],
+            ),
+            E::AppendAcked {
                 from,
                 success,
-                match_index,
-            } => (d_append_acked, from as u64, success as u64, match_index),
-            ProtoEvent::CommitAdvanced { to } => (d_to, to, 0, 0),
-            ProtoEvent::Proposed { index, id } => (d_index_id, index, req_key(id), 0),
-            ProtoEvent::ReplierAssigned { index, replier } => {
-                (d_replier_assigned, index, replier as u64, 0)
+                match_index: m,
+            } => (
+                "append_acked",
+                m,
+                d_append_acked,
+                [from.into(), success.into(), m],
+            ),
+            E::CommitAdvanced { to } => ("commit_advance", to, d_to, [to, 0, 0]),
+            E::Proposed { index, id } => {
+                ("proposed", id.as_u64(), d_index_id, [index, id.as_u64(), 0])
             }
-            ProtoEvent::Announced { upto } => (d_upto, upto, 0, 0),
-            ProtoEvent::RecoveryRequested { id, to } | ProtoEvent::RecoveryServed { id, to } => {
-                (d_id_to, req_key(id), to as u64, 0)
+            E::ReplierAssigned { index, replier } => (
+                "replier_assigned",
+                index,
+                d_replier_assigned,
+                [index, replier.into(), 0],
+            ),
+            E::Announced { upto } => ("announced", upto, d_upto, [upto, 0, 0]),
+            E::RecoveryRequested { id, to } => (
+                "recovery_req",
+                id.as_u64(),
+                d_id_to,
+                [id.as_u64(), to.into(), 0],
+            ),
+            E::RecoveryServed { id, to } => (
+                "recovery_served",
+                id.as_u64(),
+                d_id_to,
+                [id.as_u64(), to.into(), 0],
+            ),
+            E::RecoveryCompleted { id } => {
+                ("recovery_done", id.as_u64(), d_id, [id.as_u64(), 0, 0])
             }
-            ProtoEvent::RecoveryCompleted { id } => (d_id, req_key(id), 0, 0),
-            ProtoEvent::ApplyStalled { index, id }
-            | ProtoEvent::Executed { index, id }
-            | ProtoEvent::RoSkipped { index, id } => (d_index_id, index, req_key(id), 0),
-            ProtoEvent::ReplySent { index, id, to } => (d_reply, index, req_key(id), to as u64),
-            ProtoEvent::FeedbackSent { index } => (d_index, index, 0, 0),
-            ProtoEvent::NackSent { id } => (d_id, req_key(id), 0, 0),
-            ProtoEvent::ReplierStalled { node } | ProtoEvent::ReplierRecovered { node } => {
-                (d_node, node as u64, 0, 0)
+            E::ApplyStalled { index, id } => (
+                "apply_stalled",
+                id.as_u64(),
+                d_index_id,
+                [index, id.as_u64(), 0],
+            ),
+            E::Executed { index, id } => {
+                ("executed", id.as_u64(), d_index_id, [index, id.as_u64(), 0])
             }
-            ProtoEvent::SnapshotTaken { index, bytes } => (d_index_bytes, index, bytes, 0),
-            ProtoEvent::BodiesCompacted { upto, dropped } => (d_upto_dropped, upto, dropped, 0),
-            ProtoEvent::TransferStarted { to, index, bytes } => {
-                (d_to_index_bytes, to as u64, index, bytes)
+            E::RoSkipped { index, id } => (
+                "ro_skipped",
+                id.as_u64(),
+                d_index_id,
+                [index, id.as_u64(), 0],
+            ),
+            E::ReplySent { index, id, to } => (
+                "reply",
+                id.as_u64(),
+                d_reply,
+                [index, id.as_u64(), to.into()],
+            ),
+            E::FeedbackSent { index } => ("feedback", index, d_index, [index, 0, 0]),
+            E::NackSent { id } => ("nack", id.as_u64(), d_id, [id.as_u64(), 0, 0]),
+            E::ReplierStalled { node } => {
+                ("replier_stalled", node.into(), d_node, [node.into(), 0, 0])
             }
-            ProtoEvent::ChunkSent { to, index, offset } => {
-                (d_to_index_off, to as u64, index, offset)
+            E::ReplierRecovered { node } => (
+                "replier_recovered",
+                node.into(),
+                d_node,
+                [node.into(), 0, 0],
+            ),
+            E::SnapshotTaken { index, bytes } => {
+                ("snapshot_taken", index, d_index_bytes, [index, bytes, 0])
             }
-            ProtoEvent::ChunkAcked { index, next } => (d_index_next, index, next, 0),
-            ProtoEvent::SnapshotInstalled { index, term } => (d_index_term, index, term, 0),
-            ProtoEvent::TransferDone { to, index } => (d_to_index, to as u64, index, 0),
-            ProtoEvent::RestoreRejected {
+            E::BodiesCompacted { upto, dropped } => {
+                ("bodies_compacted", upto, d_upto_dropped, [upto, dropped, 0])
+            }
+            E::TransferStarted { to, index, bytes } => (
+                "transfer_started",
+                index,
+                d_to_index_bytes,
+                [to.into(), index, bytes],
+            ),
+            E::ChunkSent { to, index, offset } => (
+                "chunk_sent",
+                index,
+                d_to_index_off,
+                [to.into(), index, offset],
+            ),
+            E::ChunkAcked { index, next } => ("chunk_acked", index, d_index_next, [index, next, 0]),
+            E::SnapshotInstalled { index, term } => {
+                ("snapshot_installed", index, d_index_term, [index, term, 0])
+            }
+            E::TransferDone { to, index } => {
+                ("transfer_done", index, d_to_index, [to.into(), index, 0])
+            }
+            E::RestoreRejected {
                 from_epoch,
                 new_epoch,
-            } => (d_epochs, from_epoch, new_epoch, 0),
+            } => (
+                "restore_rejected",
+                new_epoch,
+                d_epochs,
+                [from_epoch, new_epoch, 0],
+            ),
         }
-    }
-
-    /// Human-readable rendering of the event payload. Implemented through
-    /// [`ProtoEvent::detail_parts`], so the eager and lazy forms can never
-    /// diverge.
-    pub fn detail(&self) -> String {
-        struct D((DetailRender, u64, u64, u64));
-        impl fmt::Display for D {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                let (render, a, b, c) = self.0;
-                render(f, a, b, c)
-            }
-        }
-        D(self.detail_parts()).to_string()
     }
 }
 
@@ -466,29 +445,33 @@ impl ProtoEvent {
 mod tests {
     use super::*;
 
-    #[test]
-    fn req_key_is_injective_over_fields() {
-        let a = req_key(ReqId::new(5, 9000, 17));
-        let b = req_key(ReqId::new(5, 9000, 18));
-        let c = req_key(ReqId::new(5, 9001, 17));
-        let d = req_key(ReqId::new(6, 9000, 17));
-        assert_eq!(a, (5u64 << 32) | (9000u64 << 16) | 17);
-        assert!(a != b && a != c && a != d && b != c);
+    /// Renders an event's detail through its one encoding.
+    fn detail(ev: &ProtoEvent) -> String {
+        struct D(DetailRender, [u64; 3]);
+        impl fmt::Display for D {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let [a, b, c] = self.1;
+                (self.0)(f, a, b, c)
+            }
+        }
+        let (_, _, render, args) = ev.parts();
+        D(render, args).to_string()
     }
 
     #[test]
     fn kinds_are_distinct_for_reply_and_execute() {
         let id = ReqId::new(1, 2, 3);
-        let r = ProtoEvent::ReplySent {
+        let (rk, rkey, _, _) = ProtoEvent::ReplySent {
             index: 4,
             id,
             to: 1,
-        };
-        let e = ProtoEvent::Executed { index: 4, id };
-        assert_eq!(r.kind(), "reply");
-        assert_eq!(e.kind(), "executed");
-        assert_eq!(r.key(), e.key());
-        assert!(r.detail().contains("index=4"));
+        }
+        .parts();
+        let (ek, ekey, _, _) = ProtoEvent::Executed { index: 4, id }.parts();
+        assert_eq!(rk, "reply");
+        assert_eq!(ek, "executed");
+        assert_eq!(rkey, ekey);
+        assert_eq!(rkey, id.as_u64());
     }
 
     #[test]
@@ -608,7 +591,7 @@ mod tests {
             ),
         ];
         for (ev, want) in cases {
-            assert_eq!(ev.detail(), *want, "renderer drift for {:?}", ev.kind());
+            assert_eq!(detail(ev), *want, "renderer drift for {ev:?}");
         }
     }
 }

@@ -606,18 +606,8 @@ impl<M: Clone + Debug + 'static> Sim<M> {
             }
         }
         if let Some(tr) = &self.tracer {
-            let (node, detail) = match &cmd {
-                FaultCmd::Kill { node }
-                | FaultCmd::Restart { node }
-                | FaultCmd::Pause { node }
-                | FaultCmd::Resume { node } => (*node, String::new()),
-                FaultCmd::Partition { groups } => (0, format!("{groups:?}")),
-                FaultCmd::Heal => (0, String::new()),
-                FaultCmd::Link { fault } => {
-                    (fault.dst.or(fault.src).unwrap_or(0), format!("{fault:?}"))
-                }
-            };
-            tr.record(now, node, cmd.kind(), 0, detail);
+            let (kind, node, render, [a, b, c]) = cmd.trace_parts();
+            tr.record_lazy(now, node, kind, 0, render, a, b, c);
         }
     }
 

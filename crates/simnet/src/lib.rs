@@ -81,5 +81,5 @@ pub use params::{FabricParams, NicParams};
 pub use profile::{CountingAlloc, ProfileSnapshot};
 pub use switch::{GroupTable, SwitchEmit, SwitchProgram, Verdict};
 pub use time::{SimDur, SimTime};
-pub use trace::{Detail, DetailFn, TraceEvent, Tracer, DEFAULT_TRACE_CAP};
+pub use trace::{DetailFn, TraceEvent, Tracer, DEFAULT_TRACE_CAP};
 pub use wheel::TimerWheel;

@@ -8,14 +8,16 @@
 //! the simulation is deterministic, re-running the same configuration and
 //! seed reproduces the identical stream.
 //!
-//! Events are intentionally flat: a static `kind` tag, one numeric `key`
+//! A record has one shape: a static `kind` tag, one numeric `key`
 //! (request id, log index, term — whatever identifies the event), and a
-//! [`Detail`] payload. Keeping the key numeric lets checkers (e.g.
-//! exactly-one-reply-per-request) scan without parsing strings — and the
-//! detail is *lazy*: hot paths record a render function plus up to three
-//! raw words, and the human-readable text is produced only when a trace is
-//! actually displayed (a violation bundle, a test failure dump). At full
-//! load the simulator records millions of events and renders none of them.
+//! lazy detail, a render function plus three raw words (`args`). It is
+//! written one way, [`Tracer::record_lazy`], and read one way,
+//! [`Tracer::for_each_since`] (plus [`Tracer::render_tail`] for dumps).
+//! Checkers (e.g. exactly-one-reply-per-request) read `key` and `args`
+//! without parsing strings; the human-readable text is produced only when
+//! a trace is actually displayed (a violation bundle, a test failure
+//! dump). At full load the simulator records millions of events and
+//! renders none of them.
 
 use crate::packet::{Addr, NodeId};
 use crate::profile;
@@ -25,80 +27,14 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
-/// Renders a lazily recorded detail payload from its three raw words.
+/// Renders a record's detail from its three raw words.
 ///
 /// Plain-std function-pointer type so protocol crates can expose renderers
 /// without depending on `simnet`.
 pub type DetailFn = fn(&mut fmt::Formatter<'_>, u64, u64, u64) -> fmt::Result;
 
-/// The human-readable context of a [`TraceEvent`], rendered on demand.
-#[derive(Clone, Debug)]
-pub enum Detail {
-    /// No payload beyond `kind` and `key`.
-    None,
-    /// Eagerly rendered text — for cold paths (fault transitions, test
-    /// scaffolding) where a `format!` per event is fine.
-    Text(String),
-    /// Deferred rendering: a function pointer plus its arguments. Recording
-    /// one of these is a few word moves — no allocation, no formatting.
-    Lazy {
-        /// Renders `args` into display form.
-        render: DetailFn,
-        /// Raw words interpreted by `render`.
-        args: (u64, u64, u64),
-    },
-}
-
-impl fmt::Display for Detail {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Detail::None => Ok(()),
-            Detail::Text(s) => f.write_str(s),
-            Detail::Lazy {
-                render,
-                args: (a, b, c),
-            } => render(f, *a, *b, *c),
-        }
-    }
-}
-
-impl Detail {
-    /// Renders to an owned string (test and checker convenience; the hot
-    /// path never calls this).
-    pub fn to_text(&self) -> String {
-        self.to_string()
-    }
-}
-
-// Semantic equality: two details are equal when they render identically.
-// (Comparing the `Lazy` function pointers would be both meaningless — the
-// compiler may merge or duplicate them — and wrong: equality of a trace
-// event is about what an observer would read.)
-impl PartialEq for Detail {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Detail::None, Detail::None) => true,
-            (Detail::Text(a), Detail::Text(b)) => a == b,
-            _ => self.to_text() == other.to_text(),
-        }
-    }
-}
-impl Eq for Detail {}
-
-impl From<String> for Detail {
-    fn from(s: String) -> Detail {
-        Detail::Text(s)
-    }
-}
-
-impl From<&str> for Detail {
-    fn from(s: &str) -> Detail {
-        Detail::Text(s.to_string())
-    }
-}
-
 /// One protocol event, stamped with virtual time and the emitting node.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct TraceEvent {
     /// Monotone sequence number (never reused, survives ring eviction).
     pub seq: u64,
@@ -112,8 +48,12 @@ pub struct TraceEvent {
     /// Primary numeric identifier (request id, log index, term, ...);
     /// `0` when the event has no natural key.
     pub key: u64,
-    /// Human-readable context, rendered on demand.
-    pub detail: Detail,
+    /// Renders `args` into the human-readable detail, on demand only.
+    pub render: DetailFn,
+    /// Raw words interpreted by `render`. Their layout is the recorder's:
+    /// for protocol events, `ProtoEvent::parts` defines it, and checkers
+    /// read the words, never the rendered text.
+    pub args: [u64; 3],
 }
 
 impl fmt::Display for TraceEvent {
@@ -122,21 +62,13 @@ impl fmt::Display for TraceEvent {
         // Switch programs record their group address as the "node"; render
         // those as swN to distinguish them from servers.
         if self.node & Addr::GROUP_BASE != 0 {
-            write!(
-                f,
-                "[{:>12}ns] sw{:<3} {:<16} {}",
-                ns,
-                self.node & !Addr::GROUP_BASE,
-                self.kind,
-                self.detail
-            )
+            let sw = self.node & !Addr::GROUP_BASE;
+            write!(f, "[{ns:>12}ns] sw{sw:<3} {:<16} ", self.kind)?;
         } else {
-            write!(
-                f,
-                "[{:>12}ns] n{:<4} {:<16} {}",
-                ns, self.node, self.kind, self.detail
-            )
+            write!(f, "[{ns:>12}ns] n{:<4} {:<16} ", self.node, self.kind)?;
         }
+        let [a, b, c] = self.args;
+        (self.render)(f, a, b, c)
     }
 }
 
@@ -191,20 +123,27 @@ impl Tracer {
 
     /// Borrows the ring to read it, counting the borrow into the calling
     /// thread's profiling counters. Every reading method goes through here;
-    /// [`Tracer::record`], the one writer, counts its own.
+    /// [`Tracer::record_lazy`], the one writer, counts its own.
     fn ring(&self) -> Ref<'_, Inner> {
         profile::note_tracer_lock();
         self.inner.borrow()
     }
 
-    /// Appends one event, evicting the oldest if the ring is full.
-    pub fn record(
+    /// Appends one event, evicting the oldest if the ring is full. The
+    /// detail is lazy: `render` is invoked on `(a, b, c)` only if the event
+    /// is ever displayed, so recording is a handful of word moves, with no
+    /// allocation and no formatting. The only writer.
+    #[allow(clippy::too_many_arguments)]
+    pub fn record_lazy(
         &self,
         at: SimTime,
         node: NodeId,
         kind: &'static str,
         key: u64,
-        detail: impl Into<Detail>,
+        render: DetailFn,
+        a: u64,
+        b: u64,
+        c: u64,
     ) {
         profile::note_tracer_lock();
         let mut g = self.inner.borrow_mut();
@@ -219,41 +158,9 @@ impl Tracer {
             node,
             kind,
             key,
-            detail: detail.into(),
+            render,
+            args: [a, b, c],
         });
-    }
-
-    /// Appends one event with no detail payload — the zero-allocation fast
-    /// path for events whose `kind` and `key` say everything.
-    pub fn record_kv(&self, at: SimTime, node: NodeId, kind: &'static str, key: u64) {
-        self.record(at, node, kind, key, Detail::None);
-    }
-
-    /// Appends one event with a lazily rendered detail: `render` is invoked
-    /// on `(a, b, c)` only if the event is ever displayed. The hot-path
-    /// record primitive — a handful of word moves, no allocation.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_lazy(
-        &self,
-        at: SimTime,
-        node: NodeId,
-        kind: &'static str,
-        key: u64,
-        render: DetailFn,
-        a: u64,
-        b: u64,
-        c: u64,
-    ) {
-        self.record(
-            at,
-            node,
-            kind,
-            key,
-            Detail::Lazy {
-                render,
-                args: (a, b, c),
-            },
-        );
     }
 
     /// Total events ever recorded (including evicted ones).
@@ -277,7 +184,8 @@ impl Tracer {
     /// invariant checker, trace digests) pay only for *new* events per
     /// call. If eviction outpaced the consumer the visit starts later than
     /// requested — compare the first visited `seq` against `since` to
-    /// detect the gap.
+    /// detect the gap. The only way to read events besides
+    /// [`Tracer::render_tail`].
     pub fn for_each_since(&self, since: u64, mut f: impl FnMut(&TraceEvent)) {
         let g = self.ring();
         let Some(first) = g.buf.front().map(|e| e.seq) else {
@@ -297,24 +205,6 @@ impl Tracer {
                 f(e);
             }
         }
-    }
-
-    /// Snapshot of everything currently in the ring, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.ring().buf.iter().cloned().collect()
-    }
-
-    /// Events with `seq >= since`, oldest first. Use for incremental scans:
-    /// call with the last seen `seq + 1`. If eviction outpaced the consumer
-    /// the returned slice starts later than requested — compare the first
-    /// returned `seq` against `since` to detect the gap.
-    pub fn events_since(&self, since: u64) -> Vec<TraceEvent> {
-        self.ring()
-            .buf
-            .iter()
-            .filter(|e| e.seq >= since)
-            .cloned()
-            .collect()
     }
 
     /// Renders the last `n` events as one line each, streamed into a single
@@ -349,50 +239,63 @@ impl fmt::Debug for Tracer {
 mod tests {
     use super::*;
 
+    fn text(f: &mut fmt::Formatter<'_>, a: u64, _: u64, _: u64) -> fmt::Result {
+        write!(f, "#{a}")
+    }
+
+    fn record(t: &Tracer, node: NodeId, kind: &'static str, key: u64) {
+        t.record_lazy(SimTime::ZERO, node, kind, key, text, key, 0, 0);
+    }
+
+    fn seqs_since(t: &Tracer, since: u64) -> Vec<(u64, &'static str, u64)> {
+        let mut out = Vec::new();
+        t.for_each_since(since, |e| out.push((e.seq, e.kind, e.key)));
+        out
+    }
+
     #[test]
     fn ring_evicts_oldest_and_keeps_seq() {
         let t = Tracer::new(3);
         for i in 0..5u64 {
-            t.record(SimTime::ZERO, 0, "ev", i, format!("#{i}"));
+            record(&t, 0, "ev", i);
         }
-        let evs = t.events();
+        let evs = seqs_since(&t, 0);
         assert_eq!(evs.len(), 3);
-        assert_eq!(evs[0].seq, 2);
-        assert_eq!(evs[2].seq, 4);
+        assert_eq!(evs[0].0, 2);
+        assert_eq!(evs[2].0, 4);
         assert_eq!(t.total_recorded(), 5);
     }
 
     #[test]
     fn incremental_scan_sees_only_new_events() {
         let t = Tracer::new(16);
-        t.record(SimTime::ZERO, 1, "a", 0, String::new());
-        t.record(SimTime::ZERO, 1, "b", 0, String::new());
-        let first = t.events_since(0);
+        record(&t, 1, "a", 0);
+        record(&t, 1, "b", 0);
+        let first = seqs_since(&t, 0);
         assert_eq!(first.len(), 2);
-        let cursor = first.last().unwrap().seq + 1;
-        t.record(SimTime::ZERO, 2, "c", 7, String::new());
-        let fresh = t.events_since(cursor);
-        assert_eq!(fresh.len(), 1);
-        assert_eq!(fresh[0].kind, "c");
-        assert_eq!(fresh[0].key, 7);
+        let cursor = first.last().unwrap().0 + 1;
+        record(&t, 2, "c", 7);
+        assert_eq!(seqs_since(&t, cursor), [(2, "c", 7)]);
     }
 
     #[test]
     fn clones_share_the_buffer() {
         let t = Tracer::new(8);
         let t2 = t.clone();
-        t2.record(SimTime::ZERO, 0, "x", 0, String::new());
-        assert_eq!(t.events().len(), 1);
+        record(&t2, 0, "x", 0);
+        assert_eq!(t.len(), 1);
     }
 
     #[test]
     fn tail_renders_one_line_per_event() {
         let t = Tracer::new(8);
-        t.record(SimTime::ZERO, 0, "x", 1, "one");
-        t.record(SimTime::ZERO, 0, "y", 2, "two");
+        record(&t, 0, "x", 1);
+        record(&t, Addr::GROUP_BASE | 2, "y", 2);
         let s = t.render_tail(10);
-        assert_eq!(s.lines().count(), 2);
-        assert!(s.contains("one") && s.contains("two"));
+        let lines: Vec<&str> = s.lines().collect();
+        assert_eq!(lines.len(), 2);
+        assert_eq!(lines[0], format!("[{:>12}ns] n0    {:<16} #1", 0, "x"));
+        assert_eq!(lines[1], format!("[{:>12}ns] sw2   {:<16} #2", 0, "y"));
     }
 
     #[test]
@@ -401,7 +304,6 @@ mod tests {
         // thread (it is an `Rc`); what it hands out may leave the world.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<TraceEvent>();
-        assert_send_sync::<Detail>();
     }
 
     #[test]
@@ -412,7 +314,7 @@ mod tests {
         // the checker's own message. This is what lets a violation bundle
         // be rendered *after* the invariant checker has already panicked.
         let t = Tracer::new(8);
-        t.record(SimTime::ZERO, 0, "before", 1, "pre-panic");
+        record(&t, 0, "before", 1);
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             t.for_each_since(0, |_| panic!("checker violation: original message"));
         }));
@@ -428,25 +330,10 @@ mod tests {
         );
         // Every clone holder keeps working after the unwind.
         let t2 = t.clone();
-        t2.record(SimTime::ZERO, 0, "after", 2, "post-panic");
+        record(&t2, 0, "after", 2);
         assert_eq!(t.len(), 2);
         assert_eq!(t.total_recorded(), 2);
         let dump = t.render_tail(10);
-        assert!(dump.contains("pre-panic") && dump.contains("post-panic"));
-    }
-
-    #[test]
-    fn lazy_detail_renders_identically_to_eager_text() {
-        fn r(f: &mut fmt::Formatter<'_>, a: u64, b: u64, _c: u64) -> fmt::Result {
-            write!(f, "index={a} id={b}")
-        }
-        let t = Tracer::new(8);
-        t.record_lazy(SimTime::ZERO, 3, "reply", 9, r, 4, 9, 0);
-        t.record(SimTime::ZERO, 3, "reply", 9, "index=4 id=9");
-        let s = t.render_tail(2);
-        let mut lines = s.lines();
-        let (lazy, eager) = (lines.next().unwrap(), lines.next().unwrap());
-        assert_eq!(lazy, eager);
-        assert!(lazy.ends_with("index=4 id=9"));
+        assert!(dump.contains("before") && dump.contains("after"));
     }
 }

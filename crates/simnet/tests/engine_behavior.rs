@@ -6,7 +6,7 @@ use std::any::Any;
 
 use simnet::{
     Addr, Agent, Ctx, FabricParams, FaultCmd, LinkFault, NicParams, Packet, Sim, SimDur, SimTime,
-    SwitchEmit, SwitchProgram, ThreadClass, TimerId, Verdict,
+    SwitchEmit, SwitchProgram, ThreadClass, TimerId, Tracer, Verdict,
 };
 
 #[derive(Clone, Debug, PartialEq)]
@@ -565,12 +565,22 @@ fn partitioned_groups_cannot_exchange_packets_until_heal() {
         },
     );
     s.schedule_fault(SimTime::ZERO + SimDur::micros(950), FaultCmd::Heal);
+    let tracer = Tracer::new(8);
+    s.set_tracer(tracer.clone());
     s.run_for(SimDur::millis(4));
     let replies = &s.agent::<Pinger>(cli).replies;
     // Pings 0..=9 fall inside the partition window and are dropped (no
     // retransmission at this layer); 10..=19 complete after the heal.
     let answered: Vec<u64> = replies.iter().map(|r| r.0).collect();
     assert_eq!(answered, (10..20).collect::<Vec<u64>>());
+    // The partition is traced as one node bitmask per group, rendered back
+    // as the groups.
+    let tail = tracer.render_tail(2);
+    let line = tail.lines().next().unwrap();
+    assert_eq!(
+        line,
+        format!("[{:>12}ns] n0    {:<16} [[0], [1]]", 0, "fault_partition")
+    );
 }
 
 #[test]

@@ -15,7 +15,7 @@ use workload::{RecordSpec, SynthService, SynthSpec, YcsbGen, YcsbWorkload};
 use crate::client::{ClientAgent, ClientResults, ClientWorkload, RetryPolicy};
 use crate::invariants::{InvariantChecker, Violation};
 use crate::programs::{AggProgram, FcProgram};
-use crate::server::{ServerAgent, UnrepAgent};
+use crate::server::{record_proto, ServerAgent, UnrepAgent};
 use crate::setup::{addrs, Setup};
 
 /// How often checked runs stop the simulation to evaluate the cross-node
@@ -289,9 +289,7 @@ impl Cluster {
                     new_epoch,
                 )
                 .unwrap_or_else(|rej| {
-                    let ev = rej.event();
-                    let (render, a, b, c) = ev.detail_parts();
-                    hook_tracer.record_lazy(now, node, ev.kind(), ev.key(), render, a, b, c);
+                    record_proto(&hook_tracer, now, node, &rej.event());
                     panic!("n{node}: {rej}");
                 });
                 let mut agent = ServerAgent::from_node(restored);

@@ -159,13 +159,21 @@ pub fn digest_chaos_run(seed: u64) -> DigestReport {
 mod tests {
     use super::*;
 
+    fn none(_: &mut std::fmt::Formatter<'_>, _: u64, _: u64, _: u64) -> std::fmt::Result {
+        Ok(())
+    }
+
+    fn record(t: &Tracer, node: u32, kind: &'static str, key: u64) {
+        t.record_lazy(SimTime::ZERO, node, kind, key, none, 0, 0, 0);
+    }
+
     #[test]
     fn digest_tracks_events_and_order() {
         let t = Tracer::new(64);
         let mut d = TraceDigest::new();
         d.absorb(&t);
         let empty = d.value();
-        t.record_kv(SimTime::ZERO, 1, "a", 7);
+        record(&t, 1, "a", 7);
         d.absorb(&t);
         assert_ne!(d.value(), empty);
         assert_eq!(d.count(), 1);
@@ -174,7 +182,7 @@ mod tests {
         let run = |kinds: [&'static str; 2]| {
             let t = Tracer::new(64);
             for k in kinds {
-                t.record_kv(SimTime::ZERO, 1, k, 0);
+                record(&t, 1, k, 0);
             }
             let mut d = TraceDigest::new();
             d.absorb(&t);
@@ -189,7 +197,7 @@ mod tests {
         let t = Tracer::new(64);
         let mut inc = TraceDigest::new();
         for i in 0..10u64 {
-            t.record_kv(SimTime::ZERO, 2, "ev", i);
+            record(&t, 2, "ev", i);
             if i % 3 == 0 {
                 inc.absorb(&t);
             }

@@ -490,13 +490,8 @@ impl InvariantChecker {
                 return;
             }
             if e.kind == "chunk_acked" {
-                // Lazily recorded as (index, next, _); `key` is the index.
-                let simnet::Detail::Lazy {
-                    args: (_, next, _), ..
-                } = e.detail
-                else {
-                    return;
-                };
+                // Recorded as [index, next, _]; `key` is the index.
+                let next = e.args[1];
                 let high = acks.entry((e.node, e.key, inc)).or_insert(next);
                 let sealed = installed.contains(&(e.node, e.key, inc));
                 if !predicates::transfer_resume_ok(*high, next, sealed) {

@@ -1,6 +1,6 @@
 //! Pure invariant predicates: the verdicts the
 //! [`InvariantChecker`](super::InvariantChecker) needs beyond a single
-//! comparison, plus the chaos suite's end-of-run asserts.
+//! comparison.
 //!
 //! There is one sampler and two drivers. The checker reduces nodes to
 //! plain observations and asks these functions whether they are legal;
@@ -124,20 +124,6 @@ pub fn flow_conservation_ok(
 ) -> bool {
     admitted as i128 - (feedback as i128 - spurious as i128) - reclaimed as i128
         == in_flight as i128
-}
-
-/// End-of-run convergence: all live replicas applied the same prefix.
-#[inline]
-pub fn converged_ok(applied: &[u64]) -> bool {
-    applied.windows(2).all(|w| w[0] == w[1])
-}
-
-/// End-of-run state identity: every live replica's serialized
-/// state-machine content is bit-identical (a restored/transferred node
-/// equals a replaying reference).
-#[inline]
-pub fn states_identical_ok(states: &[Vec<u8>]) -> bool {
-    states.windows(2).all(|w| w[0] == w[1])
 }
 
 #[cfg(test)]

@@ -98,7 +98,7 @@ impl SwitchProgram<WireMsg> for FcProgram {
                     self.trace(
                         now,
                         "fc_admit",
-                        hovercraft::req_key(*id),
+                        id.as_u64(),
                         d_in_flight,
                         self.fc.in_flight() as u64,
                         0,
@@ -108,14 +108,7 @@ impl SwitchProgram<WireMsg> for FcProgram {
                 Verdict::Forward(pkt)
             }
             FcDecision::Nack { client, id } => {
-                self.trace(
-                    now,
-                    "fc_nack",
-                    hovercraft::req_key(id),
-                    d_client,
-                    client as u64,
-                    0,
-                );
+                self.trace(now, "fc_nack", id.as_u64(), d_client, client as u64, 0);
                 let msg = WireMsg::Nack { id };
                 let size = msg.wire_size();
                 out.emit(addrs::VIP, Addr::node(client), size, msg);

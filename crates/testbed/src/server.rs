@@ -3,8 +3,8 @@
 
 use std::any::Any;
 
-use hovercraft::{HcConfig, HcNode, Input, Output, Service, WireMsg};
-use simnet::{Addr, Agent, Ctx, Packet, SimDur, TimerId, Tracer};
+use hovercraft::{HcConfig, HcNode, Input, Output, ProtoEvent, Service, WireMsg};
+use simnet::{Addr, Agent, Ctx, NodeId, Packet, SimDur, SimTime, TimerId, Tracer};
 
 /// Timer kind for the periodic protocol tick.
 const TICK: u64 = 1;
@@ -20,6 +20,15 @@ const TICK_INTERVAL: SimDur = SimDur::micros(250);
 /// messages); HovercRaft ships fixed-size metadata and pays nothing —
 /// the request-size sensitivity of Figure 8 (§3.2).
 const AE_COPY_PER_BYTE_DECINS: u64 = 14; // 1.4 ns/byte
+
+/// Records one protocol event of `node` at `now`: the one way a
+/// [`ProtoEvent`] enters the trace. The detail is deferred (a renderer
+/// pointer plus raw words), so tracing a full-load run costs word moves,
+/// not a `format!` per event.
+pub(crate) fn record_proto(tracer: &Tracer, now: SimTime, node: NodeId, ev: &ProtoEvent) {
+    let (kind, key, render, [a, b, c]) = ev.parts();
+    tracer.record_lazy(now, node, kind, key, render, a, b, c);
+}
 
 /// A replicated server: a [`HcNode`] driven by the simulated network
 /// thread, with state-machine execution charged to the application thread.
@@ -59,15 +68,11 @@ impl ServerAgent {
     }
 
     /// Drains buffered protocol events into the tracer (no-op untraced).
-    /// Events are recorded with *deferred* details — a renderer pointer
-    /// plus raw words — so tracing a full-load run costs word moves, not a
-    /// `format!` per event.
     fn flush_events(&mut self, ctx: &Ctx<'_, WireMsg>) {
         if let Some(t) = &self.tracer {
             let me = self.node.id();
             for ev in self.node.drain_events() {
-                let (render, a, b, c) = ev.detail_parts();
-                t.record_lazy(ctx.now(), me, ev.kind(), ev.key(), render, a, b, c);
+                record_proto(t, ctx.now(), me, &ev);
             }
         }
     }

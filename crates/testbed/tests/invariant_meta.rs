@@ -1,11 +1,13 @@
 //! Meta-tests for the invariant checker itself: prove that injected
-//! protocol corruption and lost trace events are detected within one
-//! checked step, that a forced failure produces a replayable bundle, and
-//! that replaying the same (config, seed) reproduces the identical trace.
+//! protocol corruption, forged trace events and lost trace events are
+//! detected within one checked step, that a forced failure produces a
+//! replayable bundle, and that replaying the same (config, seed)
+//! reproduces the identical trace.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use hovercraft::PolicyKind;
+use hovercraft::{PolicyKind, ProtoEvent};
+use r2p2::ReqId;
 use simnet::{SimDur, SimTime, DEFAULT_TRACE_CAP};
 use testbed::{Cluster, ClusterOpts, ServerAgent, Setup};
 
@@ -179,4 +181,47 @@ fn checker_reports_trace_events_lost_to_eviction() {
 
     let msg = panic_message(&mut cluster);
     assert!(msg.contains("trace_gap"), "wrong invariant: {msg}");
+}
+
+/// Records `ev` as `node`'s event through its one encoding, the way a
+/// server does, so these tests pin the word layout the checker decodes.
+fn record(cluster: &Cluster, node: u32, ev: ProtoEvent) {
+    let (kind, key, render, [a, b, c]) = ev.parts();
+    let now = cluster.sim.now();
+    cluster
+        .tracer()
+        .record_lazy(now, node, kind, key, render, a, b, c);
+}
+
+#[test]
+fn checker_detects_a_second_replier_in_the_trace() {
+    let mut cluster = build(9006, 128);
+    // An id no client issues, answered by two different nodes.
+    let id = ReqId::new(0xdead, 1, 2);
+    for node in [0, 1] {
+        record(
+            &cluster,
+            node,
+            ProtoEvent::ReplySent {
+                index: 1,
+                id,
+                to: 3,
+            },
+        );
+    }
+    let msg = panic_message(&mut cluster);
+    assert!(msg.contains("exactly_one_reply"), "wrong invariant: {msg}");
+}
+
+#[test]
+fn checker_detects_a_regressed_transfer_ack_in_the_trace() {
+    let mut cluster = build(9007, 128);
+    for next in [1024, 512] {
+        record(&cluster, 1, ProtoEvent::ChunkAcked { index: 640, next });
+    }
+    let msg = panic_message(&mut cluster);
+    assert!(
+        msg.contains("transfer_resume_monotone"),
+        "wrong invariant: {msg}"
+    );
 }

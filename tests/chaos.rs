@@ -13,7 +13,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hovercraft::PolicyKind;
 use simnet::{FaultCmd, FaultPlan, FaultPlanConfig, SimDur, SimTime, TraceEvent};
-use testbed::invariants::predicates;
 use testbed::{chaos_digest_opts as chaos_opts, Cluster, ClusterOpts, ServerAgent, Setup};
 
 fn ms(x: u64) -> SimTime {
@@ -63,7 +62,7 @@ fn assert_converged(cluster: &Cluster) {
         .map(|s| cluster.sim.agent::<ServerAgent>(s).node().applied_index())
         .collect();
     assert!(
-        predicates::converged_ok(&applied),
+        applied.windows(2).all(|w| w[0] == w[1]),
         "live replicas diverged after drain: {applied:?}"
     );
 }
@@ -83,15 +82,41 @@ fn assert_state_identical(cluster: &Cluster) {
             (s, n.service().snapshot().to_vec())
         })
         .collect();
-    let blobs: Vec<Vec<u8>> = states.iter().map(|(_, b)| b.clone()).collect();
-    if !predicates::states_identical_ok(&blobs) {
-        let (ref_node, ref_state) = &states[0];
-        let (s, _) = states[1..]
-            .iter()
-            .find(|(_, b)| b != ref_state)
-            .expect("a diverging replica");
+    let (ref_node, ref_state) = &states[0];
+    if let Some((s, _)) = states[1..].iter().find(|(_, b)| b != ref_state) {
         panic!("n{s} state diverges from replaying reference n{ref_node}");
     }
+}
+
+/// Visits every trace event from `cursor` on, oldest first, and advances
+/// `cursor` past them. Panics if the ring evicted any of them unseen: a
+/// harvest that skipped events would let an absence assertion pass over
+/// them.
+fn harvest(cluster: &Cluster, cursor: &mut u64, mut f: impl FnMut(&TraceEvent)) {
+    cluster.tracer().for_each_since(*cursor, |e| {
+        assert_eq!(
+            e.seq, *cursor,
+            "trace events {}..{} were evicted before the harvest saw them",
+            *cursor, e.seq
+        );
+        *cursor += 1;
+        f(e);
+    });
+}
+
+/// Runs the rest of the load window and a `drain` under invariant
+/// checking, harvesting the trace every 5 ms (the ring is bounded).
+fn run_and_harvest(cluster: &mut Cluster, cursor: &mut u64, drain: SimDur) -> Vec<TraceEvent> {
+    let mut harvested = Vec::new();
+    let end = cluster.opts().load_end() + SimDur::millis(20);
+    while cluster.sim.now() < end {
+        let next = (cluster.sim.now() + SimDur::millis(5)).min(end);
+        cluster.run_until_checked(next);
+        harvest(cluster, cursor, |e| harvested.push(e.clone()));
+    }
+    cluster.run_checked(drain);
+    harvest(cluster, cursor, |e| harvested.push(e.clone()));
+    harvested
 }
 
 #[test]
@@ -171,35 +196,21 @@ fn paused_replier_is_detected_and_routed_around() {
         .sim
         .schedule_fault(resumed_at, FaultCmd::Resume { node: victim });
 
-    // Harvest the trace incrementally (the ring is bounded) while running
-    // the full load under invariant checking.
-    let mut cursor = 0u64;
-    let mut harvested: Vec<TraceEvent> = Vec::new();
-    let end = cluster.opts().load_end() + SimDur::millis(20);
-    while cluster.sim.now() < end {
-        let next = (cluster.sim.now() + SimDur::millis(5)).min(end);
-        cluster.run_until_checked(next);
-        let events = cluster.tracer().events_since(cursor);
-        if let Some(last) = events.last() {
-            cursor = last.seq + 1;
-        }
-        harvested.extend(events);
-    }
-    cluster.run_checked(SimDur::millis(150));
-    harvested.extend(cluster.tracer().events_since(cursor));
+    // Harvest the trace from the first event on while running the full
+    // load under invariant checking.
+    let harvested = run_and_harvest(&mut cluster, &mut 0, SimDur::millis(150));
 
     // Within the stall-detection timeout (5 ms, plus announcement slack)
     // the leader must stop assigning replies to the silent node, and not
     // resume until the node is back.
     let grace = paused_at + SimDur::millis(15);
-    let marker = format!("replier=n{victim}");
     let bad: Vec<&TraceEvent> = harvested
         .iter()
         .filter(|e| {
             e.kind == "replier_assigned"
                 && e.at >= grace
                 && e.at < resumed_at
-                && e.detail.to_text().ends_with(&marker)
+                && e.args[1] == u64::from(victim)
         })
         .collect();
     assert!(
@@ -288,39 +299,27 @@ fn state_transfer_resumes_after_midstream_crash() {
 
     // Step at 10 µs granularity until the transfer is streaming (the
     // victim cumulatively acks chunks), then crash it again mid-stream.
-    let mut cursor = 0u64;
+    let mut cursor = cluster.tracer().total_recorded();
     let mut crash_at: Option<SimTime> = None;
     let deadline = ms(360);
-    'hunt: while cluster.sim.now() < deadline {
+    while crash_at.is_none() && cluster.sim.now() < deadline {
         cluster.sim.run_for(SimDur::micros(10));
-        for e in cluster.tracer().events_since(cursor) {
-            cursor = e.seq + 1;
-            if e.kind == "chunk_acked" && e.node == victim {
-                let t = cluster.sim.now() + SimDur::micros(10);
-                cluster.sim.restart_at(victim, t);
-                crash_at = Some(t);
-                break 'hunt;
-            }
+        let mut acked = false;
+        harvest(&cluster, &mut cursor, |e| {
+            acked |= e.kind == "chunk_acked" && e.node == victim;
+        });
+        if acked {
+            let t = cluster.sim.now() + SimDur::micros(10);
+            cluster.sim.restart_at(victim, t);
+            crash_at = Some(t);
+        } else {
+            cluster.assert_invariants();
         }
-        cluster.assert_invariants();
     }
     let crash_at = crash_at.expect("state transfer never started streaming after rejoin");
 
-    // Harvest the rest of the run incrementally (the trace ring is
-    // bounded) under invariant checking.
-    let mut harvested: Vec<TraceEvent> = Vec::new();
-    let end = cluster.opts().load_end() + SimDur::millis(20);
-    while cluster.sim.now() < end {
-        let next = (cluster.sim.now() + SimDur::millis(5)).min(end);
-        cluster.run_until_checked(next);
-        let events = cluster.tracer().events_since(cursor);
-        if let Some(last) = events.last() {
-            cursor = last.seq + 1;
-        }
-        harvested.extend(events);
-    }
-    cluster.run_checked(SimDur::millis(200));
-    harvested.extend(cluster.tracer().events_since(cursor));
+    // Harvest the rest of the run under invariant checking.
+    let harvested = run_and_harvest(&mut cluster, &mut cursor, SimDur::millis(200));
 
     assert_eq!(
         cluster.sim.restarts(victim),

@@ -148,16 +148,22 @@ fn pool_execution_is_digest_invariant() {
 fn trace_sequences_are_stable_and_dense() {
     use simnet::{SimTime, Tracer};
 
+    fn record(t: &Tracer, node: u32, kind: &'static str, key: u64) {
+        fn none(_: &mut std::fmt::Formatter<'_>, _: u64, _: u64, _: u64) -> std::fmt::Result {
+            Ok(())
+        }
+        t.record_lazy(SimTime::ZERO, node, kind, key, none, 0, 0, 0);
+    }
+
     // Same recording pattern on different threads -> identical streams.
     let record_world = || {
         let t = Tracer::new(64);
         for i in 0..200u64 {
-            t.record_kv(SimTime::ZERO, (i % 5) as u32, "ev", i);
+            record(&t, (i % 5) as u32, "ev", i);
         }
-        t.events()
-            .iter()
-            .map(|e| (e.seq, e.kind, e.key))
-            .collect::<Vec<_>>()
+        let mut stream = Vec::new();
+        t.for_each_since(0, |e| stream.push((e.seq, e.kind, e.key)));
+        stream
     };
     let on_main = record_world();
     let on_worker = std::thread::spawn(record_world).join().unwrap();
@@ -181,9 +187,9 @@ fn trace_sequences_are_stable_and_dense() {
     let t2 = t.clone();
     for i in 0..50u64 {
         if i % 2 == 0 {
-            t.record_kv(SimTime::ZERO, 0, "a", i);
+            record(&t, 0, "a", i);
         } else {
-            t2.record_kv(SimTime::ZERO, 1, "b", i);
+            record(&t2, 1, "b", i);
         }
     }
     assert_eq!(t.total_recorded(), 50);
