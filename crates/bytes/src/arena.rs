@@ -128,10 +128,8 @@ impl ByteArena {
         }
         let Some(class) = Self::class_of(len) else {
             // Oversized: plain allocation, exact length.
-            let mut v = vec![0u8; len];
-            fill(&mut v);
             self.misses += 1;
-            return Bytes::from(v);
+            return Bytes::shared(fresh(len, len, fill), len);
         };
         let pool = &mut self.pools[class];
         let n = pool.bufs.len();
@@ -146,24 +144,30 @@ impl ByteArena {
                 fill(&mut buf[..len]);
                 pool.cursor = (idx + 1) % n;
                 self.hits += 1;
-                return Bytes::pooled(pool.bufs[idx].clone(), len);
+                return Bytes::shared(pool.bufs[idx].clone(), len);
             }
         }
         // Every probed chunk is still referenced (or the pool is young):
         // allocate a fresh class-sized chunk and register it for future
         // recycling if there is room.
         self.misses += 1;
-        let size = 1usize << (class as u32 + MIN_CLASS);
-        let mut v = vec![0u8; size];
-        fill(&mut v[..len]);
-        let chunk: Arc<[u8]> = Arc::from(v);
-        let out = Bytes::pooled(chunk.clone(), len);
+        let chunk = fresh(1usize << (class as u32 + MIN_CLASS), len, fill);
+        let out = Bytes::shared(chunk.clone(), len);
         if pool.bufs.len() < CLASS_CAP {
             pool.bufs.push(chunk);
             pool.cursor = 0;
         }
         out
     }
+}
+
+/// A zeroed `size`-byte chunk with `fill` run over its first `len` bytes.
+/// One allocation: a `TrustedLen` iterator collects straight into the
+/// `Arc`, where `Arc::from(vec)` would allocate twice and copy.
+fn fresh(size: usize, len: usize, fill: impl FnOnce(&mut [u8])) -> Arc<[u8]> {
+    let mut chunk: Arc<[u8]> = std::iter::repeat_n(0, size).collect();
+    fill(&mut Arc::get_mut(&mut chunk).expect("a fresh chunk is unique")[..len]);
+    chunk
 }
 
 impl std::fmt::Debug for ByteArena {

@@ -6,6 +6,14 @@
 //! ([`BytesMut`]), and the big-endian `put_*` writers of [`BufMut`].
 //! Semantics follow the real crate (network byte order, `freeze`, static
 //! slices) so swapping the real dependency back in is a one-line change.
+//!
+//! A [`Bytes`] is 24 bytes: either a static slice or one `(start, end)`
+//! range of one shared `Arc<[u8]>`. Whole buffers, zero-copy slices and
+//! pooled [`ByteArena`] chunks are all that one shared form, with `u32`
+//! bounds, so a single `Bytes` holds at most `u32::MAX` bytes (4 GiB);
+//! constructors panic on anything larger. Every retained request carries
+//! at least one handle (log entry, archive, wire message), so its size is
+//! paid per request.
 
 #![forbid(unsafe_code)]
 
@@ -26,10 +34,9 @@ pub struct Bytes(Repr);
 enum Repr {
     /// Borrowed from static storage (zero-copy `from_static`).
     Static(&'static [u8]),
-    /// Shared heap allocation; clones bump a refcount.
-    Shared(Arc<[u8]>),
-    /// A sub-range of a shared allocation (zero-copy `slice`).
-    Sliced(Arc<[u8]>, usize, usize),
+    /// The range `start..end` of a shared heap allocation; clones and
+    /// slices bump the refcount.
+    Shared(Arc<[u8]>, u32, u32),
 }
 
 impl Bytes {
@@ -44,14 +51,21 @@ impl Bytes {
     }
 
     /// Copies the given slice into a new shared allocation.
+    ///
+    /// # Panics
+    /// Panics if `data` is longer than `u32::MAX` bytes.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes(Repr::Shared(Arc::from(data)))
+        Bytes::shared(Arc::from(data), data.len())
     }
 
-    /// Wraps the first `len` bytes of a pooled chunk ([`ByteArena`])
-    /// without copying; the `Bytes` keeps the chunk alive.
-    pub(crate) fn pooled(chunk: Arc<[u8]>, len: usize) -> Bytes {
-        Bytes(Repr::Sliced(chunk, 0, len))
+    /// Wraps the first `len` bytes of `buf` (a whole buffer or a pooled
+    /// [`ByteArena`] chunk) without copying; the `Bytes` keeps it alive.
+    ///
+    /// # Panics
+    /// Panics if `len` is over `u32::MAX`.
+    pub(crate) fn shared(buf: Arc<[u8]>, len: usize) -> Bytes {
+        let len = u32::try_from(len).expect("Bytes holds at most u32::MAX bytes");
+        Bytes(Repr::Shared(buf, 0, len))
     }
 
     /// Length in bytes.
@@ -85,16 +99,17 @@ impl Bytes {
         assert!(start <= end && end <= len, "slice out of bounds");
         match &self.0 {
             Repr::Static(s) => Bytes(Repr::Static(&s[start..end])),
-            Repr::Shared(s) => Bytes(Repr::Sliced(s.clone(), start, end)),
-            Repr::Sliced(s, lo, _) => Bytes(Repr::Sliced(s.clone(), lo + start, lo + end)),
+            // In bounds of a range that fits in `u32`, so these cannot wrap.
+            Repr::Shared(s, lo, _) => {
+                Bytes(Repr::Shared(s.clone(), lo + start as u32, lo + end as u32))
+            }
         }
     }
 
     fn as_slice(&self) -> &[u8] {
         match &self.0 {
             Repr::Static(s) => s,
-            Repr::Shared(s) => s,
-            Repr::Sliced(s, lo, hi) => &s[*lo..*hi],
+            Repr::Shared(s, lo, hi) => &s[*lo as usize..*hi as usize],
         }
     }
 }
@@ -126,7 +141,8 @@ impl Borrow<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        Bytes(Repr::Shared(Arc::from(v)))
+        let len = v.len();
+        Bytes::shared(Arc::from(v), len)
     }
 }
 
@@ -150,7 +166,8 @@ impl From<&'static str> for Bytes {
 
 impl From<Box<[u8]>> for Bytes {
     fn from(b: Box<[u8]>) -> Bytes {
-        Bytes(Repr::Shared(Arc::from(b)))
+        let len = b.len();
+        Bytes::shared(Arc::from(b), len)
     }
 }
 

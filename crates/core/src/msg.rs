@@ -200,6 +200,21 @@ mod tests {
         ReqId::new(1, 2, 3)
     }
 
+    /// Every ordered request is retained as a log entry, an archived body
+    /// and (in flight) wire messages, so these sizes are paid per request
+    /// per node: a field added to any of them is a deliberate re-pin.
+    #[test]
+    fn retained_request_layouts_are_pinned() {
+        use crate::PooledReq;
+        use std::mem::size_of;
+        assert_eq!(size_of::<Bytes>(), 24);
+        assert_eq!(size_of::<Option<Bytes>>(), 32);
+        assert_eq!(size_of::<PooledReq>(), 40);
+        assert_eq!(size_of::<(ReqId, PooledReq)>(), 48, "archive bucket");
+        assert_eq!(size_of::<Entry<Cmd>>(), 80);
+        assert_eq!(size_of::<WireMsg>(), 72);
+    }
+
     #[test]
     fn request_size_tracks_body() {
         let small = WireMsg::Request {

@@ -383,7 +383,7 @@ impl<S: Service> HcNode<S> {
                 .as_ref()
                 .map(|s| s.data.clone())
                 .unwrap_or_default(),
-            entries: log.range(log.first_index(), log.last_index()).to_vec(),
+            entries: log.to_vec(log.first_index(), log.last_index()),
             epoch: self.epoch,
         }
     }

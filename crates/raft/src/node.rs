@@ -862,7 +862,7 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
             return;
         };
         let entries: Vec<Entry<C>> = if has_new {
-            self.log.range(next, hi).to_vec()
+            self.log.to_vec(next, hi)
         } else {
             Vec::new()
         };

@@ -96,7 +96,6 @@ impl Chaos {
                     let new: Vec<(LogIndex, u64)> = self.nodes[id]
                         .log()
                         .range(from, upto)
-                        .iter()
                         .map(|e| (e.index, e.cmd))
                         .collect();
                     self.applied[id].extend(new);
