@@ -129,7 +129,7 @@ impl ByteArena {
         let Some(class) = Self::class_of(len) else {
             // Oversized: plain allocation, exact length.
             self.misses += 1;
-            return Bytes::shared(fresh(len, len, fill), len);
+            return Bytes::build(len, fill);
         };
         let pool = &mut self.pools[class];
         let n = pool.bufs.len();
@@ -164,7 +164,7 @@ impl ByteArena {
 /// A zeroed `size`-byte chunk with `fill` run over its first `len` bytes.
 /// One allocation: a `TrustedLen` iterator collects straight into the
 /// `Arc`, where `Arc::from(vec)` would allocate twice and copy.
-fn fresh(size: usize, len: usize, fill: impl FnOnce(&mut [u8])) -> Arc<[u8]> {
+pub(crate) fn fresh(size: usize, len: usize, fill: impl FnOnce(&mut [u8])) -> Arc<[u8]> {
     let mut chunk: Arc<[u8]> = std::iter::repeat_n(0, size).collect();
     fill(&mut Arc::get_mut(&mut chunk).expect("a fresh chunk is unique")[..len]);
     chunk

@@ -3,7 +3,8 @@
 //! The build environment has no network access to a crates registry, so the
 //! workspace vendors the tiny subset of `bytes` it actually uses: a
 //! cheaply-clonable immutable byte container ([`Bytes`]), a growable builder
-//! ([`BytesMut`]), and the big-endian `put_*` writers of [`BufMut`].
+//! ([`BytesMut`]), and the big-endian `put_*` writers of [`BufMut`] (over a
+//! `Vec` or, advancing, over a `&mut [u8]`).
 //! Semantics follow the real crate (network byte order, `freeze`, static
 //! slices) so swapping the real dependency back in is a one-line change.
 //!
@@ -56,6 +57,16 @@ impl Bytes {
     /// Panics if `data` is longer than `u32::MAX` bytes.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
         Bytes::shared(Arc::from(data), data.len())
+    }
+
+    /// Allocates exactly `len` bytes, zeroed, and lets `fill` write them
+    /// in place: one allocation and no copy, where building a `Vec` and
+    /// converting it copies the whole buffer into a fresh `Arc`.
+    ///
+    /// # Panics
+    /// Panics if `len` is over `u32::MAX`.
+    pub fn build(len: usize, fill: impl FnOnce(&mut [u8])) -> Bytes {
+        Bytes::shared(arena::fresh(len, len, fill), len)
     }
 
     /// Wraps the first `len` bytes of `buf` (a whole buffer or a pooled
@@ -292,6 +303,16 @@ impl BufMut for Vec<u8> {
     }
 }
 
+/// Writes at the front of the slice and advances past what it wrote, like
+/// the real crate; panics when `src` does not fit.
+impl BufMut for &mut [u8] {
+    fn put_slice(&mut self, src: &[u8]) {
+        let (head, rest) = std::mem::take(self).split_at_mut(src.len());
+        head.copy_from_slice(src);
+        *self = rest;
+    }
+}
+
 impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
@@ -341,6 +362,24 @@ mod tests {
         let mut s = HashSet::new();
         s.insert(a);
         assert!(s.contains(&b));
+    }
+
+    #[test]
+    fn build_fills_one_exact_buffer_in_place() {
+        let b = Bytes::build(6, |mut out| {
+            out.put_u16(0x0102);
+            out.put_slice(b"abc");
+            assert_eq!(out.len(), 1, "the writer advances past what it wrote");
+        });
+        assert_eq!(&b[..], b"\x01\x02abc\0");
+        assert_eq!(Bytes::build(0, |_| {}).len(), 0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn slice_writer_refuses_to_overrun() {
+        let mut buf = [0u8; 3];
+        (&mut buf[..]).put_u32(1);
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! which is exactly what makes its AppendEntries cost scale with request
 //! size (Figure 8).
 
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
+
 use bytes::Bytes;
 use r2p2::ReqId;
 use raft::RaftId;
@@ -64,33 +68,69 @@ impl EntryDesc {
     pub const WIRE_SIZE: u32 = 40;
 }
 
-/// A replicated command: descriptor always, payload only in VanillaRaft
-/// mode. HovercRaft resolves the payload through the unordered pool.
-#[derive(Clone, Debug, PartialEq, Hash)]
-pub struct Cmd {
+/// What a [`Cmd`] holds: the descriptor always, the payload only in
+/// VanillaRaft mode. HovercRaft resolves the payload through the unordered
+/// pool.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct CmdRecord {
     /// Fixed-size metadata; always replicated.
     pub desc: EntryDesc,
     /// The request payload, inlined only by VanillaRaft mode.
     pub body: Option<Bytes>,
 }
 
+/// A replicated command: a handle to one immutable, reference-counted
+/// [`CmdRecord`], allocated once at propose time. The leader's log, every
+/// AppendEntries copy, every follower's log and every model-checker state
+/// clone share it, so a retained request pays for its record once per
+/// world, not once per node.
+///
+/// Reads go through `Deref` (`cmd.desc`, `cmd.body`). The one write path
+/// is [`Cmd::make_mut`], which copies a shared record first, so a write
+/// to one node's entry never reaches another's (§3.3 replier immutability
+/// holds by construction). Equality, hashing and `Debug` are by content.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Cmd(Arc<CmdRecord>);
+
 impl Cmd {
     /// A metadata-only command (HovercRaft mode).
     pub fn meta(desc: EntryDesc) -> Cmd {
-        Cmd { desc, body: None }
+        Cmd(Arc::new(CmdRecord { desc, body: None }))
     }
 
     /// A command carrying its payload inline (VanillaRaft mode).
     pub fn full(desc: EntryDesc, body: Bytes) -> Cmd {
-        Cmd {
+        Cmd(Arc::new(CmdRecord {
             desc,
             body: Some(body),
-        }
+        }))
+    }
+
+    /// Copy-on-write access: mutates this handle's record in place when no
+    /// other handle shares it, and a private copy of it otherwise.
+    pub fn make_mut(&mut self) -> &mut CmdRecord {
+        Arc::make_mut(&mut self.0)
     }
 
     /// Bytes this command occupies inside an AppendEntries message.
     pub fn wire_size(&self) -> u32 {
         EntryDesc::WIRE_SIZE + self.body.as_ref().map(|b| b.len() as u32).unwrap_or(0)
+    }
+}
+
+impl Deref for Cmd {
+    type Target = CmdRecord;
+    fn deref(&self) -> &CmdRecord {
+        &self.0
+    }
+}
+
+impl fmt::Debug for Cmd {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Cmd")
+            .field("desc", &self.desc)
+            .field("body", &self.body)
+            .finish()
     }
 }
 
@@ -115,6 +155,20 @@ mod tests {
             Bytes::from(vec![0u8; 512]),
         );
         assert_eq!(c.wire_size(), EntryDesc::WIRE_SIZE + 512);
+    }
+
+    #[test]
+    fn make_mut_never_writes_through_a_shared_record() {
+        let leader = Cmd::meta(EntryDesc::new(id(), 1, OpKind::ReadWrite));
+        let mut follower = leader.clone();
+        assert!(std::ptr::eq(&*leader, &*follower), "clones share");
+        follower.make_mut().desc.replier = Some(2);
+        assert_eq!(leader.desc.replier, None, "the leader's copy is untouched");
+        assert_eq!(follower.desc.replier, Some(2));
+        let before: *const CmdRecord = &*follower;
+        follower.make_mut().desc.hash ^= 1;
+        assert!(std::ptr::eq(before, &*follower), "written in place");
+        assert!(format!("{leader:?}").starts_with("Cmd { desc: EntryDesc {"));
     }
 
     #[test]

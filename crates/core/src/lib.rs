@@ -42,7 +42,7 @@ mod service;
 mod trace;
 
 pub use aggregator::{AggStats, Aggregator};
-pub use cmd::{Cmd, EntryDesc, OpKind};
+pub use cmd::{Cmd, CmdRecord, EntryDesc, OpKind};
 pub use config::{HcConfig, Mode};
 pub use flowctl::{FcDecision, FcStats, FlowControl, RECLAIM_NS};
 pub use msg::{AggStatus, WireMsg};

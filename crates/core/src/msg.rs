@@ -211,7 +211,9 @@ mod tests {
         assert_eq!(size_of::<Option<Bytes>>(), 32);
         assert_eq!(size_of::<PooledReq>(), 40);
         assert_eq!(size_of::<(ReqId, PooledReq)>(), 48, "archive bucket");
-        assert_eq!(size_of::<Entry<Cmd>>(), 80);
+        assert_eq!(size_of::<Entry<Cmd>>(), 24);
+        assert_eq!(size_of::<Cmd>(), 8);
+        assert_eq!(size_of::<crate::CmdRecord>(), 64, "shared record");
         assert_eq!(size_of::<WireMsg>(), 72);
     }
 
@@ -234,20 +236,18 @@ mod tests {
     fn metadata_append_entries_is_fixed_cost() {
         // The HovercRaft claim of §3.2: AE size is independent of the
         // request size because entries are metadata-only.
-        let entry = |body: Option<Bytes>| Entry {
+        let desc = EntryDesc::new(id(), 7, OpKind::ReadWrite);
+        let entry = |cmd| Entry {
             term: 1,
             index: 1,
-            cmd: Cmd {
-                desc: EntryDesc::new(id(), 7, OpKind::ReadWrite),
-                body,
-            },
+            cmd,
         };
         let meta = WireMsg::Raft(Message::AppendEntries {
             term: 1,
             leader: 0,
             prev_log_index: 0,
             prev_log_term: 0,
-            entries: vec![entry(None)],
+            entries: vec![entry(Cmd::meta(desc))],
             leader_commit: 0,
         });
         let full = WireMsg::Raft(Message::AppendEntries {
@@ -255,7 +255,7 @@ mod tests {
             leader: 0,
             prev_log_index: 0,
             prev_log_term: 0,
-            entries: vec![entry(Some(Bytes::from(vec![0u8; 512])))],
+            entries: vec![entry(Cmd::full(desc, Bytes::from(vec![0u8; 512])))],
             leader_commit: 0,
         });
         assert!(meta.wire_size() < 120);

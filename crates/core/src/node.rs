@@ -27,7 +27,7 @@ use std::fmt;
 
 use fxhash::{FxHashMap, FxHashSet};
 
-use bytes::{ByteArena, Bytes};
+use bytes::{BufMut, ByteArena, Bytes};
 use r2p2::{body_hash, ReqId};
 use raft::{Action, LogIndex, Message, RaftId, RaftNode, Role};
 use rand::rngs::SmallRng;
@@ -198,14 +198,14 @@ struct Snapshot {
 /// must be sorted and duplicate-free.
 fn encode_snapshot_blob(service: Bytes, ids: &[ReqId]) -> Bytes {
     debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids sorted, unique");
-    let mut buf = Vec::with_capacity(16 + service.len() + 8 * ids.len());
-    buf.extend_from_slice(&(service.len() as u64).to_le_bytes());
-    buf.extend_from_slice(&service);
-    buf.extend_from_slice(&(ids.len() as u64).to_le_bytes());
-    for id in ids {
-        buf.extend_from_slice(&id.as_u64().to_le_bytes());
-    }
-    Bytes::from(buf)
+    Bytes::build(16 + service.len() + 8 * ids.len(), |mut buf| {
+        buf.put_slice(&(service.len() as u64).to_le_bytes());
+        buf.put_slice(&service);
+        buf.put_slice(&(ids.len() as u64).to_le_bytes());
+        for id in ids {
+            buf.put_slice(&id.as_u64().to_le_bytes());
+        }
+    })
 }
 
 /// Inverse of [`encode_snapshot_blob`]; `None` when `data` does not
@@ -1304,7 +1304,7 @@ impl<S: Service> HcNode<S> {
                     break; // no eligible node: wait (§3.4 — liveness preserved)
                 };
                 if let Some(e) = self.raft.log_mut().get_mut(idx) {
-                    e.cmd.desc.replier = Some(r);
+                    e.cmd.make_mut().desc.replier = Some(r);
                 }
                 self.ledger.assign(r, idx);
                 self.events.push(ProtoEvent::ReplierAssigned {
@@ -1938,6 +1938,12 @@ mod snapshot_blob_tests {
         let service = Bytes::from_static(b"state-machine-bytes");
         let ids = [ReqId::new(1, 2, 3), ReqId::new(5, 1000, 994)];
         let blob = encode_snapshot_blob(service.clone(), &ids);
+        let mut framed = 19u64.to_le_bytes().to_vec();
+        framed.extend_from_slice(b"state-machine-bytes");
+        framed.extend_from_slice(&2u64.to_le_bytes());
+        framed.extend_from_slice(&ids[0].as_u64().to_le_bytes());
+        framed.extend_from_slice(&ids[1].as_u64().to_le_bytes());
+        assert_eq!(&blob[..], &framed[..], "frame layout is pinned");
         let (svc, got) = decode_snapshot_blob(&blob).expect("framed");
         assert_eq!(svc, service);
         assert_eq!(got, ids);

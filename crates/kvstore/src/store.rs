@@ -64,22 +64,30 @@ impl Store {
     /// record `[u32 klen][key][u8 0][u32 vlen][record]`, in key order, so
     /// replicas that applied the same mutation prefix produce
     /// byte-identical blobs — the determinism requirement of
-    /// snapshot-based state transfer.
+    /// snapshot-based state transfer. The blob is sized first and written
+    /// into one exact buffer, so a snapshot costs its own size once.
     pub fn snapshot(&self) -> Bytes {
-        let mut out: Vec<u8> = Vec::new();
-        out.put_u64(self.map.len() as u64);
-        for (k, rec) in &self.map {
-            put_bytes(&mut out, k);
-            out.put_u8(TAG_RECORD);
-            put_bytes(&mut out, rec);
-        }
-        Bytes::from(out)
+        let len = 8 + self
+            .map
+            .iter()
+            .map(|(k, rec)| 4 + k.len() + 1 + 4 + rec.len())
+            .sum::<usize>();
+        Bytes::build(len, |mut out| {
+            out.put_u64(self.map.len() as u64);
+            for (k, rec) in &self.map {
+                put_bytes(&mut out, k);
+                out.put_u8(TAG_RECORD);
+                put_bytes(&mut out, rec);
+            }
+            debug_assert!(out.is_empty(), "snapshot sized exactly");
+        })
     }
 
     /// Replaces the records with the contents of a [`Store::snapshot`]
     /// blob. Returns `false` (leaving the store empty) if the blob is
-    /// malformed — which only a corrupted transfer can produce, since the
-    /// encoder is the only writer.
+    /// malformed — truncated, or with bytes after its last record — which
+    /// only a corrupted transfer can produce, since the encoder is the only
+    /// writer.
     pub fn restore(&mut self, snap: &[u8]) -> bool {
         fn take_record(cur: &mut &[u8]) -> Option<(Bytes, Bytes)> {
             let key = take_bytes(cur)?;
@@ -93,14 +101,14 @@ impl Store {
         let Some(n) = take_u64(&mut cur) else {
             return snap.is_empty();
         };
-        for _ in 0..n {
-            let Some((key, rec)) = take_record(&mut cur) else {
-                self.map.clear();
-                return false;
-            };
-            self.map.insert(key, rec);
+        let framed = (0..n).all(|_| {
+            let record = take_record(&mut cur);
+            record.map(|(key, rec)| self.map.insert(key, rec)).is_some()
+        }) && cur.is_empty();
+        if !framed {
+            self.map.clear();
         }
-        true
+        framed
     }
 
     /// Executes one command, returning the reply and execution metrics.
@@ -243,6 +251,13 @@ mod tests {
         let mut r = Store::new();
         assert!(!r.restore(&snap[..snap.len() - 1]), "truncated blob");
         assert!(r.is_empty(), "failed restore leaves the store empty");
+        let mut appended = snap.to_vec();
+        appended.push(0);
+        assert!(!r.restore(&appended), "trailing byte after the last record");
+        assert!(
+            r.is_empty(),
+            "a blob with trailing bytes leaves the store empty"
+        );
         assert!(r.restore(&[]) || r.is_empty());
         assert!(Store::new().restore(&Store::new().snapshot()), "empty ok");
     }

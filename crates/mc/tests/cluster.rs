@@ -7,7 +7,9 @@
 //! the model's exactly-one-reply ledger.
 
 use bytes::{ByteArena, Bytes};
-use hovercraft::{EchoService, HcNode, Input, Mode, OpKind, Output, ProtoEvent, WireMsg};
+use hovercraft::{
+    Cmd, CmdRecord, EchoService, HcNode, Input, Mode, OpKind, Output, ProtoEvent, WireMsg,
+};
 use mc::model::Env;
 use mc::scope::{AGG_ADDR, CLIENT_ADDR};
 use mc::{McAction, ModelState, Scope};
@@ -579,4 +581,60 @@ fn duplicate_client_request_is_ordered_once() {
     }
     s.run(3);
     assert_eq!(s.writes(), [1; 3], "executed exactly once per node");
+}
+
+/// Node `n`'s log entry at `idx`.
+fn entry_cmd(s: &Script, n: u32, idx: u64) -> &Cmd {
+    &s.node(n).raft().log().get(idx).expect("entry in log").cmd
+}
+
+#[test]
+fn a_replicated_entry_is_the_leaders_record_on_every_node() {
+    for mode in [Mode::Hovercraft, Mode::HovercraftPp, Mode::Vanilla] {
+        let mut s = Script::new(mode, 3);
+        s.load(OpKind::ReadWrite, [b"one write"], 1, 3);
+        assert_eq!(s.writes(), [1; 3], "{mode:?}: replicated everywhere");
+        let leader = s.leader().unwrap();
+        let idx = s.node(leader).raft().log().last_index();
+        let record: *const CmdRecord = &**entry_cmd(&s, leader, idx);
+        for n in 0..3 {
+            let cmd = entry_cmd(&s, n, idx);
+            assert!(
+                cmd.desc.replier.is_some(),
+                "{mode:?}: stamped before shipping"
+            );
+            assert!(
+                std::ptr::eq(&**cmd, record),
+                "{mode:?}: node {n} shares the record"
+            );
+        }
+    }
+}
+
+#[test]
+fn forging_one_followers_entry_leaves_every_other_copy_unchanged() {
+    let mut s = Script::new(Mode::Hovercraft, 3);
+    s.load(OpKind::ReadWrite, [b"one write"], 1, 3);
+    let leader = s.leader().unwrap();
+    let idx = s.node(leader).raft().log().last_index();
+    let original = entry_cmd(&s, leader, idx).clone();
+    let mut followers = (0..3u32).filter(|&n| n != leader);
+    let (forged, other) = (followers.next().unwrap(), followers.next().unwrap());
+    let (node, _) = s.st.node_mut(forged).unwrap();
+    let cmd = &mut node.raft_mut().log_mut().get_mut(idx).unwrap().cmd;
+    let replier = cmd.desc.replier.unwrap();
+    cmd.make_mut().desc.replier = Some((replier + 1) % 3);
+    assert_ne!(*entry_cmd(&s, forged, idx), original, "the forge took");
+    for n in [leader, other] {
+        let cmd = entry_cmd(&s, n, idx);
+        assert_eq!(
+            cmd.desc.replier,
+            Some(replier),
+            "node {n} keeps its replier"
+        );
+        assert!(
+            std::ptr::eq(&**cmd, &*original),
+            "node {n} keeps the shared record"
+        );
+    }
 }
