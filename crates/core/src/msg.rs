@@ -60,12 +60,11 @@ pub enum WireMsg {
         /// The missing request.
         id: ReqId,
     },
-    /// Reply carrying a recovered request body.
+    /// Reply carrying a recovered request body. Its kind is not carried:
+    /// the requester reads it from the log entry that ordered the request.
     RecoveryRep {
         /// The recovered request.
         id: ReqId,
-        /// Its kind.
-        kind: OpKind,
         /// Its payload.
         body: Bytes,
     },
@@ -205,14 +204,15 @@ mod tests {
     /// per node: a field added to any of them is a deliberate re-pin.
     #[test]
     fn retained_request_layouts_are_pinned() {
-        use crate::PooledReq;
+        use crate::{Archived, PooledReq};
         use std::mem::size_of;
         assert_eq!(size_of::<Bytes>(), 24);
         assert_eq!(size_of::<Option<Bytes>>(), 32);
-        assert_eq!(size_of::<PooledReq>(), 40);
-        assert_eq!(size_of::<(ReqId, PooledReq)>(), 48, "archive bucket");
-        assert_eq!(size_of::<Entry<Cmd>>(), 24);
-        assert_eq!(size_of::<Cmd>(), 8);
+        assert_eq!(size_of::<PooledReq>(), 40, "parked request");
+        assert_eq!(size_of::<(ReqId, Archived)>(), 40, "archive bucket");
+        // A log slot holds only the command: index and term are implied.
+        assert_eq!(size_of::<Cmd>(), 8, "log slot");
+        assert_eq!(size_of::<Entry<Cmd>>(), 24, "wire entry");
         assert_eq!(size_of::<crate::CmdRecord>(), 64, "shared record");
         assert_eq!(size_of::<WireMsg>(), 72);
     }

@@ -677,12 +677,12 @@ impl<S: Service> HcNode<S> {
             }
             WireMsg::Raft(m) => self.on_raft(src, m, now, out, arena),
             WireMsg::RecoveryReq { id } => {
-                if let Some((kind, body)) = self.pool.get(id).map(|r| (r.kind, r.body.clone())) {
+                if let Some(body) = self.pool.get(id).cloned() {
                     self.stats.recoveries_served += 1;
                     self.events.push(ProtoEvent::RecoveryServed { id, to: src });
                     out.push(Output::Send {
                         dst: src,
-                        msg: WireMsg::RecoveryRep { id, kind, body },
+                        msg: WireMsg::RecoveryRep { id, body },
                     });
                 } else if self.last_snapshot.is_some()
                     && src != self.id()
@@ -704,11 +704,11 @@ impl<S: Service> HcNode<S> {
                     self.ensure_transfer(src, now, out);
                 }
             }
-            WireMsg::RecoveryRep { id, kind, body } => {
+            WireMsg::RecoveryRep { id, body } => {
                 if self.missing.remove(&id).is_some() {
                     self.events.push(ProtoEvent::RecoveryCompleted { id });
                 }
-                self.pool.insert_recovered(id, kind, body, now);
+                self.pool.insert_recovered(id, body, now);
                 self.try_apply(now, out, arena);
             }
             WireMsg::AggCommit {
@@ -1230,7 +1230,7 @@ impl<S: Service> HcNode<S> {
             // directly). Order them now, deterministically.
             for id in self.pool.unordered_ids() {
                 let (kind, hash) = {
-                    let r = self.pool.get(id).expect("listed id present");
+                    let r = self.pool.parked(id).expect("listed id present");
                     (r.kind, body_hash(&r.body))
                 };
                 let desc = EntryDesc::new(id, hash, kind);
@@ -1303,8 +1303,8 @@ impl<S: Service> HcNode<S> {
                 ) else {
                     break; // no eligible node: wait (§3.4 — liveness preserved)
                 };
-                if let Some(e) = self.raft.log_mut().get_mut(idx) {
-                    e.cmd.make_mut().desc.replier = Some(r);
+                if let Some(cmd) = self.raft.log_mut().get_mut(idx) {
+                    cmd.make_mut().desc.replier = Some(r);
                 }
                 self.ledger.assign(r, idx);
                 self.events.push(ProtoEvent::ReplierAssigned {
@@ -1351,7 +1351,7 @@ impl<S: Service> HcNode<S> {
             let body = match inline_body {
                 Some(b) => b,
                 None => match self.pool.get(desc.id) {
-                    Some(r) => r.body.clone(),
+                    Some(b) => b.clone(),
                     None => {
                         // Committed but body still in flight: recovery is
                         // already running (or starts now); apply stalls.

@@ -8,8 +8,8 @@ use std::hash::Hasher;
 
 use bytes::{ByteArena, Bytes};
 use hovercraft::{
-    Aggregator, Cmd, EchoService, EntryDesc, HcConfig, HcNode, Input, Mode, OpKind, Output,
-    PolicyKind, PooledReq, ReplierLedger, UnorderedPool, WireMsg,
+    Aggregator, Archived, Cmd, EchoService, EntryDesc, HcConfig, HcNode, Input, Mode, OpKind,
+    Output, PolicyKind, PooledReq, ReplierLedger, UnorderedPool, WireMsg,
 };
 use proptest::prelude::*;
 use r2p2::ReqId;
@@ -55,7 +55,7 @@ fn reply(term: u64, m: LogIndex, from: RaftId) -> WireMsg {
 #[derive(Default)]
 struct RefPool {
     unordered: HashMap<ReqId, PooledReq>,
-    archive: HashMap<ReqId, PooledReq>,
+    archive: HashMap<ReqId, Archived>,
     compacted: HashMap<ReqId, u64>,
 }
 
@@ -79,8 +79,11 @@ impl RefPool {
         self.archive.contains_key(&id) || self.compacted.contains_key(&id)
     }
 
-    fn get(&self, id: ReqId) -> Option<&PooledReq> {
-        self.unordered.get(&id).or_else(|| self.archive.get(&id))
+    fn get(&self, id: ReqId) -> Option<&Bytes> {
+        self.unordered
+            .get(&id)
+            .map(|r| &r.body)
+            .or_else(|| self.archive.get(&id).map(|a| &a.body))
     }
 
     fn mark_ordered(&mut self, id: ReqId) -> bool {
@@ -88,24 +91,21 @@ impl RefPool {
             return true;
         }
         match self.unordered.remove(&id) {
-            Some(r) => {
-                self.archive.insert(id, r);
+            Some(PooledReq { body, arrived, .. }) => {
+                self.archive.insert(id, Archived { body, arrived });
                 true
             }
             None => false,
         }
     }
 
-    fn insert_recovered(&mut self, id: ReqId, kind: OpKind, body: Bytes, now: u64) {
+    fn insert_recovered(&mut self, id: ReqId, body: Bytes, now: u64) {
         if self.compacted.contains_key(&id) {
             return;
         }
         self.unordered.remove(&id);
-        self.archive.entry(id).or_insert(PooledReq {
-            kind,
-            body,
-            arrived: now,
-        });
+        let arrived = now;
+        self.archive.entry(id).or_insert(Archived { body, arrived });
     }
 
     fn gc(&mut self, now: u64, timeout: u64) -> usize {
@@ -154,20 +154,24 @@ impl RefPool {
     }
 
     fn hash_state(&self, now: u64, h: &mut dyn Hasher) {
-        fn side(map: &HashMap<ReqId, PooledReq>, now: u64, h: &mut dyn Hasher) {
-            let mut reqs: Vec<(u64, &PooledReq)> =
-                map.iter().map(|(id, r)| (id.as_u64(), r)).collect();
-            reqs.sort_unstable_by_key(|&(id, _)| id);
-            h.write_usize(reqs.len());
-            for (id, r) in reqs {
-                h.write_u64(id);
-                h.write_u8(r.kind as u8);
-                h.write(&r.body);
-                h.write_u64(now.saturating_sub(r.arrived));
-            }
+        let mut parked: Vec<(&ReqId, &PooledReq)> = self.unordered.iter().collect();
+        parked.sort_unstable_by_key(|&(id, _)| id.as_u64());
+        h.write_usize(parked.len());
+        for (id, r) in parked {
+            h.write_u64(id.as_u64());
+            h.write_u8(r.kind as u8);
+            h.write(&r.body);
+            h.write_u64(now.saturating_sub(r.arrived));
         }
-        side(&self.unordered, now, h);
-        side(&self.archive, now, h);
+        // An archived body carries no kind: its log entry holds it.
+        let mut archived: Vec<(&ReqId, &Archived)> = self.archive.iter().collect();
+        archived.sort_unstable_by_key(|&(id, _)| id.as_u64());
+        h.write_usize(archived.len());
+        for (id, a) in archived {
+            h.write_u64(id.as_u64());
+            h.write(&a.body);
+            h.write_u64(now.saturating_sub(a.arrived));
+        }
         let mut tombs: Vec<(u64, u64)> = self
             .compacted
             .iter()
@@ -216,9 +220,14 @@ fn pool_id(n: u64) -> ReqId {
     ReqId::new(5, 5, (n % POOL_IDS as u64) as u16)
 }
 
-/// What `get` returns, in comparable form.
+/// What `insert` and `parked` return, in comparable form.
 fn seen(r: Option<&PooledReq>) -> Option<(OpKind, Vec<u8>, u64)> {
     r.map(|r| (r.kind, r.body.to_vec(), r.arrived))
+}
+
+/// What `get` returns, in comparable form.
+fn body_of(b: Option<&Bytes>) -> Option<Vec<u8>> {
+    b.map(|b| b.to_vec())
 }
 
 /// When [`hand_elected_leader`] wins its election; far enough out that the
@@ -419,7 +428,7 @@ proptest! {
                     pool.gc(now, 100);
                 }
                 _ => {
-                    pool.insert_recovered(id, OpKind::ReadOnly, Bytes::from_static(b"y"), now);
+                    pool.insert_recovered(id, Bytes::from_static(b"y"), now);
                     archived.insert(id);
                 }
             }
@@ -556,13 +565,13 @@ proptest! {
                     let parked = seen(pool.insert(id, kind, body, now));
                     prop_assert_eq!(parked.is_none(), ordered);
                     if !ordered {
-                        prop_assert_eq!(parked, seen(model.get(id)), "first copy is the one kept");
+                        prop_assert_eq!(parked, seen(model.unordered.get(&id)), "first copy is the one kept");
                     }
                 }
                 2 => prop_assert_eq!(pool.mark_ordered(id), model.mark_ordered(id)),
                 3 => {
-                    model.insert_recovered(id, kind, body.clone(), now);
-                    pool.insert_recovered(id, kind, body, now);
+                    model.insert_recovered(id, body.clone(), now);
+                    pool.insert_recovered(id, body, now);
                 }
                 4 => prop_assert_eq!(
                     pool.compact_archive(&ids, now),
@@ -594,14 +603,14 @@ proptest! {
                     // body back: the id stays tombstoned and unarchived,
                     // and compacting it again a little later drops nothing.
                     let id = live_tomb.unwrap_or(id);
-                    model.insert_recovered(id, kind, body.clone(), now);
-                    pool.insert_recovered(id, kind, body, now);
+                    model.insert_recovered(id, body.clone(), now);
+                    pool.insert_recovered(id, body, now);
                     if live_tomb.is_some() {
                         prop_assert!(pool.tombstones().contains(&id), "tombstone kept");
                         prop_assert!(pool.get(id).is_none(), "compacted body resurrected");
                     }
                     prop_assert_eq!(pool.is_archived(id), model.is_archived(id));
-                    prop_assert_eq!(seen(pool.get(id)), seen(model.get(id)));
+                    prop_assert_eq!(body_of(pool.get(id)), body_of(model.get(id)));
                     now += val % 5;
                     prop_assert_eq!(
                         pool.compact_archive(&[id], now),
@@ -613,7 +622,8 @@ proptest! {
                 let id = pool_id(n);
                 prop_assert_eq!(pool.contains(id), model.contains(id), "contains {:?}", id);
                 prop_assert_eq!(pool.is_archived(id), model.is_archived(id), "is_archived {:?}", id);
-                prop_assert_eq!(seen(pool.get(id)), seen(model.get(id)), "get {:?}", id);
+                prop_assert_eq!(body_of(pool.get(id)), body_of(model.get(id)), "get {:?}", id);
+                prop_assert_eq!(seen(pool.parked(id)), seen(model.unordered.get(&id)), "parked {:?}", id);
             }
             prop_assert_eq!(pool.unordered_ids(), model.unordered_ids());
             prop_assert_eq!(pool.tombstones(), &model.tombstone_ids()[..], "sorted tombstone mirror");

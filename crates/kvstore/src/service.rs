@@ -73,8 +73,16 @@ impl Service for KvService {
         self.store.snapshot()
     }
 
+    /// Installs a snapshot blob. A blob the store refuses would leave an
+    /// empty store and a replica silently diverged from its group, so it
+    /// stops the replica instead (fail-stop, like `HcNode::restore` on a
+    /// blob that does not frame).
     fn restore(&mut self, snap: &[u8]) {
-        self.store.restore(snap);
+        assert!(
+            self.store.restore(snap),
+            "malformed store snapshot ({} B): truncated or trailing bytes",
+            snap.len()
+        );
     }
 }
 
@@ -151,6 +159,28 @@ mod tests {
         let r = run(&mut restored, Command::Scan(b("t"), b("k"), 1));
         assert_eq!(Reply::decode(&r.reply), pair("t/k", "v"));
         assert_eq!(restored.snapshot(), snap, "deterministic re-encode");
+    }
+
+    /// A blob of one record, `t/k` → `v`, through the trait.
+    fn one_record_blob() -> Bytes {
+        let mut a = KvService::default();
+        run(&mut a, Command::Insert(b("t"), b("k"), b("v")));
+        a.snapshot()
+    }
+
+    #[test]
+    #[should_panic(expected = "malformed store snapshot (20 B)")]
+    fn truncated_blob_stops_the_replica() {
+        let snap = one_record_blob();
+        Service::restore(&mut KvService::default(), &snap[..snap.len() - 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "malformed store snapshot (22 B)")]
+    fn blob_with_a_trailing_byte_stops_the_replica() {
+        let mut blob = one_record_blob().to_vec();
+        blob.push(0);
+        Service::restore(&mut KvService::default(), &blob);
     }
 
     #[test]

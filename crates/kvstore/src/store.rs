@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 
 use bytes::{BufMut, Bytes};
 
-use crate::command::{put_bytes, take_bytes, take_u64, take_u8, Command};
+use crate::command::{put_bytes, take_u32, take_u64, take_u8, Command};
 use crate::reply::Reply;
 
 /// The snapshot's per-record tag byte. It is the only tag there is; it
@@ -88,21 +88,35 @@ impl Store {
     /// malformed — truncated, or with bytes after its last record — which
     /// only a corrupted transfer can produce, since the encoder is the only
     /// writer.
+    ///
+    /// The blob is copied once, into one buffer, and every key and record
+    /// is a slice of it: one allocation per restore instead of two per
+    /// record. The trade-off is that the buffer lives until its last
+    /// restored key or record is dropped, so a store whose restored records
+    /// were all overwritten but one still holds the whole blob.
     pub fn restore(&mut self, snap: &[u8]) -> bool {
-        fn take_record(cur: &mut &[u8]) -> Option<(Bytes, Bytes)> {
-            let key = take_bytes(cur)?;
+        /// The next length-prefixed field of `blob`, which `cur` ends.
+        fn take_slice(blob: &Bytes, cur: &mut &[u8]) -> Option<Bytes> {
+            let len = take_u32(cur)? as usize;
+            let at = blob.len() - cur.len();
+            *cur = cur.get(len..)?;
+            Some(blob.slice(at..at + len))
+        }
+        fn take_record(blob: &Bytes, cur: &mut &[u8]) -> Option<(Bytes, Bytes)> {
+            let key = take_slice(blob, cur)?;
             if take_u8(cur)? != TAG_RECORD {
                 return None;
             }
-            Some((key, take_bytes(cur)?))
+            Some((key, take_slice(blob, cur)?))
         }
         self.map.clear();
-        let mut cur = snap;
+        let blob = Bytes::copy_from_slice(snap);
+        let mut cur = &blob[..];
         let Some(n) = take_u64(&mut cur) else {
             return snap.is_empty();
         };
         let framed = (0..n).all(|_| {
-            let record = take_record(&mut cur);
+            let record = take_record(&blob, &mut cur);
             record.map(|(key, rec)| self.map.insert(key, rec)).is_some()
         }) && cur.is_empty();
         if !framed {
@@ -223,6 +237,31 @@ mod tests {
             r.snapshot(),
             snap,
             "restored store re-encodes byte-identically"
+        );
+    }
+
+    /// Restore copies the blob once: every key and record is a slice of
+    /// that one copy, at its offset in the blob.
+    #[test]
+    fn restored_records_point_into_one_buffer() {
+        let mut s = Store::new();
+        s.execute(&Command::Insert(b("t"), b("b"), b("yz")));
+        s.execute(&Command::Insert(b("t"), b("a"), b("x")));
+        let snap = s.snapshot();
+        let mut r = Store::new();
+        assert!(r.restore(&snap));
+        let fields: Vec<&Bytes> = r.map.iter().flat_map(|(k, v)| [k, v]).collect();
+        let base = fields[0].as_ptr() as usize - 12;
+        let offsets: Vec<usize> = fields.iter().map(|f| f.as_ptr() as usize - base).collect();
+        assert_eq!(
+            offsets,
+            [12, 20, 25, 33],
+            "t/a, x, t/b, yz where the blob has them"
+        );
+        assert_ne!(
+            fields[0].as_ptr(),
+            snap[12..].as_ptr(),
+            "a copy, not the caller's blob"
         );
     }
 

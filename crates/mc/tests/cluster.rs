@@ -475,7 +475,7 @@ fn committed_hashes_match_local_bodies(s: &Script) -> u64 {
             let body = match &e.cmd.body {
                 Some(inline) => inline,
                 None => match node.pool().get(id) {
-                    Some(held) => &held.body,
+                    Some(held) => held,
                     None => panic!("node {n} holds no body for {id:?}"),
                 },
             };
@@ -585,7 +585,7 @@ fn duplicate_client_request_is_ordered_once() {
 
 /// Node `n`'s log entry at `idx`.
 fn entry_cmd(s: &Script, n: u32, idx: u64) -> &Cmd {
-    &s.node(n).raft().log().get(idx).expect("entry in log").cmd
+    s.node(n).raft().log().get(idx).expect("entry in log").cmd
 }
 
 #[test]
@@ -621,7 +621,7 @@ fn forging_one_followers_entry_leaves_every_other_copy_unchanged() {
     let mut followers = (0..3u32).filter(|&n| n != leader);
     let (forged, other) = (followers.next().unwrap(), followers.next().unwrap());
     let (node, _) = s.st.node_mut(forged).unwrap();
-    let cmd = &mut node.raft_mut().log_mut().get_mut(idx).unwrap().cmd;
+    let cmd = node.raft_mut().log_mut().get_mut(idx).unwrap();
     let replier = cmd.desc.replier.unwrap();
     cmd.make_mut().desc.replier = Some((replier + 1) % 3);
     assert_ne!(*entry_cmd(&s, forged, idx), original, "the forge took");

@@ -7,9 +7,16 @@
 //! entry overwrites them, and committed entries are never truncated (the
 //! node layer guarantees commit ≤ match before truncation can reach them).
 //!
-//! Entries live in fixed-size chunks of [`CHUNK`] slots. Every chunk but
+//! A slot holds only the command. An entry's index is its slot's position,
+//! and its term comes from a short list of term runs: terms never decrease
+//! along a Raft log, so each term's entries are one contiguous run, and
+//! the list holds one `(first index, term)` pair per term present. Readers
+//! get [`Entry`]s borrowing the command ([`RaftLog::get`],
+//! [`RaftLog::range`]); [`RaftLog::to_vec`] builds owned ones for the wire.
+//!
+//! Commands live in fixed-size chunks of [`CHUNK`] slots. Every chunk but
 //! the last is full, and a full chunk never reallocates, so a retained
-//! entry outside the last chunk never moves and a long log leaves no heap
+//! command outside the last chunk never moves and a long log leaves no heap
 //! holes behind. Compaction pops whole chunks, so it costs O(dropped) and
 //! never shifts the retained suffix; the compacted slots of a partly
 //! compacted front chunk are freed when the chunk is popped.
@@ -18,7 +25,7 @@ use std::collections::{vec_deque, VecDeque};
 
 use crate::types::{LogIndex, Term};
 
-/// Entries per chunk. The last chunk grows by `Vec` doubling up to this,
+/// Slots per chunk. The last chunk grows by `Vec` doubling up to this,
 /// so a short log (as in `mc`'s states) costs only what it holds.
 const CHUNK: usize = 4096;
 
@@ -37,8 +44,13 @@ pub struct Entry<C> {
 /// In-memory replicated log with optional compacted prefix.
 #[derive(Clone, Debug)]
 pub struct RaftLog<C> {
-    /// Entry slots, [`CHUNK`] per chunk; all but the last chunk are full.
-    chunks: VecDeque<Vec<Entry<C>>>,
+    /// Command slots, [`CHUNK`] per chunk; all but the last chunk are full.
+    chunks: VecDeque<Vec<C>>,
+    /// Term runs `(first index, term)`, both strictly increasing: run `k`
+    /// covers the retained entries from its index up to the next run's.
+    /// Empty exactly when the log is; the front run may start before
+    /// `first` (its head was compacted), no run starts after the last entry.
+    runs: Vec<(LogIndex, Term)>,
     /// Slots of the front chunk already compacted away: slot `skip` of
     /// chunk 0 holds `first`.
     skip: usize,
@@ -52,6 +64,7 @@ impl<C> Default for RaftLog<C> {
     fn default() -> Self {
         RaftLog {
             chunks: VecDeque::new(),
+            runs: Vec::new(),
             skip: 0,
             first: 1,
             prev_term: 0,
@@ -77,9 +90,7 @@ impl<C> RaftLog<C> {
 
     /// Term of the last entry (or of the compaction boundary).
     pub fn last_term(&self) -> Term {
-        self.get(self.last_index())
-            .map(|e| e.term)
-            .unwrap_or(self.prev_term)
+        self.runs.last().map_or(self.prev_term, |&(_, t)| t)
     }
 
     /// Number of retained entries.
@@ -104,6 +115,11 @@ impl<C> RaftLog<C> {
         Some((s / CHUNK, s % CHUNK))
     }
 
+    /// Position in `runs` of the run holding retained index `idx`.
+    fn run_of(&self, idx: LogIndex) -> usize {
+        self.runs.partition_point(|&(start, _)| start <= idx) - 1
+    }
+
     /// Term of the entry at `idx`; `Some(0)` for index 0, `None` if the
     /// index is out of range or compacted away.
     pub fn term_at(&self, idx: LogIndex) -> Option<Term> {
@@ -113,19 +129,24 @@ impl<C> RaftLog<C> {
         if idx + 1 == self.first {
             return Some(self.prev_term);
         }
-        self.get(idx).map(|e| e.term)
+        self.slot(idx)?;
+        Some(self.runs[self.run_of(idx)].1)
     }
 
-    /// Borrow the entry at `idx`, if retained.
-    pub fn get(&self, idx: LogIndex) -> Option<&Entry<C>> {
+    /// Borrows the entry at `idx`, if retained.
+    pub fn get(&self, idx: LogIndex) -> Option<Entry<&C>> {
         let (c, o) = self.slot(idx)?;
-        Some(&self.chunks[c][o])
+        Some(Entry {
+            term: self.runs[self.run_of(idx)].1,
+            index: idx,
+            cmd: &self.chunks[c][o],
+        })
     }
 
-    /// Mutably borrow the entry at `idx`, if retained. HovercRaft uses this
-    /// to stamp the immutable `replier` field just before an entry is
+    /// Mutably borrows the command at `idx`, if retained. HovercRaft uses
+    /// this to stamp the immutable `replier` field just before an entry is
     /// announced for the first time.
-    pub fn get_mut(&mut self, idx: LogIndex) -> Option<&mut Entry<C>> {
+    pub fn get_mut(&mut self, idx: LogIndex) -> Option<&mut C> {
         let (c, o) = self.slot(idx)?;
         Some(&mut self.chunks[c][o])
     }
@@ -133,7 +154,14 @@ impl<C> RaftLog<C> {
     /// Appends a command with the given term; returns its index.
     pub fn append(&mut self, term: Term, cmd: C) -> LogIndex {
         let index = self.last_index() + 1;
-        self.push_slot(Entry { term, index, cmd });
+        debug_assert!(term >= self.last_term(), "terms never decrease along a log");
+        if self.runs.last().is_none_or(|&(_, t)| t != term) {
+            self.runs.push((index, term));
+        }
+        match self.chunks.back_mut() {
+            Some(last) if last.len() < CHUNK => last.push(cmd),
+            _ => self.chunks.push_back(vec![cmd]),
+        }
         index
     }
 
@@ -143,15 +171,7 @@ impl<C> RaftLog<C> {
     /// Panics if the entry's index is not contiguous.
     pub fn push(&mut self, e: Entry<C>) {
         assert_eq!(e.index, self.last_index() + 1, "non-contiguous append");
-        self.push_slot(e);
-    }
-
-    /// Stores `e` in the next slot, opening a chunk when the last is full.
-    fn push_slot(&mut self, e: Entry<C>) {
-        match self.chunks.back_mut() {
-            Some(last) if last.len() < CHUNK => last.push(e),
-            _ => self.chunks.push_back(vec![e]),
-        }
+        self.append(e.term, e.cmd);
     }
 
     /// Removes all entries at `idx` and above (conflict truncation).
@@ -168,11 +188,13 @@ impl<C> RaftLog<C> {
         if let Some(last) = self.chunks.back_mut() {
             last.truncate(s % CHUNK);
         }
+        let keep = self.runs.partition_point(|&(start, _)| start < idx);
+        self.runs.truncate(if self.is_empty() { 0 } else { keep });
     }
 
     /// Iterates over the entries in `[lo, hi]` (inclusive, clamped to the
     /// log), oldest first.
-    pub fn range(&self, lo: LogIndex, hi: LogIndex) -> impl ExactSizeIterator<Item = &Entry<C>> {
+    pub fn range(&self, lo: LogIndex, hi: LogIndex) -> impl ExactSizeIterator<Item = Entry<&C>> {
         let lo = lo.max(self.first);
         let hi = hi.min(self.last_index());
         let (c, o) = self.slot(lo).unwrap_or((0, 0));
@@ -180,6 +202,8 @@ impl<C> RaftLog<C> {
         Range {
             cur: self.chunks.get(c).map_or(&[][..], |v| &v[o..]).iter(),
             rest: self.chunks.range(self.chunks.len().min(c + 1)..),
+            runs: &self.runs[if left > 0 { self.run_of(lo) } else { 0 }..],
+            index: lo,
             left,
         }
     }
@@ -192,7 +216,11 @@ impl<C> RaftLog<C> {
     {
         let it = self.range(lo, hi);
         let mut v = Vec::with_capacity(it.len());
-        v.extend(it.cloned());
+        v.extend(it.map(|e| Entry {
+            term: e.term,
+            index: e.index,
+            cmd: e.cmd.clone(),
+        }));
         v
     }
 
@@ -213,6 +241,7 @@ impl<C> RaftLog<C> {
     /// of the local log (the local suffix may conflict with it).
     pub fn reset_to(&mut self, idx: LogIndex, term: Term) {
         self.chunks.clear();
+        self.runs.clear();
         self.skip = 0;
         self.first = idx + 1;
         self.prev_term = term;
@@ -232,6 +261,11 @@ impl<C> RaftLog<C> {
         self.skip = skip % CHUNK;
         self.first = idx + 1;
         self.prev_term = term;
+        if self.is_empty() {
+            self.runs.clear();
+        } else {
+            self.runs.drain(..self.run_of(self.first));
+        }
     }
 }
 
@@ -239,27 +273,45 @@ impl<C> RaftLog<C> {
 /// [`RaftLog::range`].
 struct Range<'a, C> {
     /// The remaining slots of the chunk being walked.
-    cur: std::slice::Iter<'a, Entry<C>>,
+    cur: std::slice::Iter<'a, C>,
     /// The chunks after it.
-    rest: vec_deque::Iter<'a, Vec<Entry<C>>>,
+    rest: vec_deque::Iter<'a, Vec<C>>,
+    /// The term runs from the one holding `index` on.
+    runs: &'a [(LogIndex, Term)],
+    /// Index of the next entry.
+    index: LogIndex,
     /// Entries still to yield.
     left: usize,
 }
 
 impl<'a, C> Iterator for Range<'a, C> {
-    type Item = &'a Entry<C>;
+    type Item = Entry<&'a C>;
 
-    fn next(&mut self) -> Option<&'a Entry<C>> {
+    fn next(&mut self) -> Option<Entry<&'a C>> {
         if self.left == 0 {
             return None;
         }
-        loop {
-            if let Some(e) = self.cur.next() {
-                self.left -= 1;
-                return Some(e);
+        let cmd = loop {
+            if let Some(c) = self.cur.next() {
+                break c;
             }
             self.cur = self.rest.next()?.iter();
+        };
+        if self
+            .runs
+            .get(1)
+            .is_some_and(|&(start, _)| start == self.index)
+        {
+            self.runs = &self.runs[1..];
         }
+        let e = Entry {
+            term: self.runs[0].1,
+            index: self.index,
+            cmd,
+        };
+        self.index += 1;
+        self.left -= 1;
+        Some(e)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -299,7 +351,7 @@ mod tests {
         let l = log3();
         assert_eq!(l.last_index(), 3);
         assert_eq!(l.last_term(), 2);
-        assert_eq!(l.get(2).unwrap().cmd, "b");
+        assert_eq!(*l.get(2).unwrap().cmd, "b");
         assert_eq!(l.term_at(3), Some(2));
         assert_eq!(l.len(), 3);
     }
@@ -320,7 +372,7 @@ mod tests {
         let l = log3();
         let mut r = l.range(2, 10);
         assert_eq!(r.len(), 2);
-        assert_eq!(r.next().unwrap().cmd, "b");
+        assert_eq!(*r.next().unwrap().cmd, "b");
         assert_eq!(r.len(), 1, "the size stays exact while iterating");
         assert_eq!(l.range(4, 10).len(), 0);
         assert_eq!(l.range(3, 2).len(), 0);
@@ -336,7 +388,7 @@ mod tests {
         assert_eq!(l.last_index(), 3);
         assert_eq!(l.term_at(2), Some(1), "boundary term retained");
         assert_eq!(l.term_at(1), None, "compacted away");
-        assert_eq!(l.get(3).unwrap().cmd, "c");
+        assert_eq!(*l.get(3).unwrap().cmd, "c");
         // Appending after compaction continues the index sequence.
         l.append(3, "d");
         assert_eq!(l.last_index(), 4);
@@ -384,7 +436,7 @@ mod tests {
         for i in 1..=c {
             l.append(i / 1000, i);
         }
-        let at = |l: &RaftLog<u64>, i| l.get(i).unwrap() as *const Entry<u64>;
+        let at = |l: &RaftLog<u64>, i| l.get(i).unwrap().cmd as *const u64;
         let (a, b) = (at(&l, 10), at(&l, c));
         // Opening a second chunk leaves the full first one where it is.
         for i in c + 1..=c + 3 {
@@ -425,6 +477,29 @@ mod tests {
         fn last(&self) -> LogIndex {
             self.first + self.entries.len() as u64 - 1
         }
+
+        /// Index of the first entry of the `n`th term run (mod the number
+        /// of runs), or `first` when the log is empty.
+        fn run_start(&self, n: u64) -> LogIndex {
+            let starts: Vec<LogIndex> = (0..self.entries.len())
+                .filter(|&p| p == 0 || self.entries[p - 1].term != self.entries[p].term)
+                .map(|p| self.first + p as u64)
+                .collect();
+            if starts.is_empty() {
+                self.first
+            } else {
+                starts[n as usize % starts.len()]
+            }
+        }
+    }
+
+    /// `e` in the form the log yields it.
+    fn borrowed(e: &Entry<u64>) -> Entry<&u64> {
+        Entry {
+            term: e.term,
+            index: e.index,
+            cmd: &e.cmd,
+        }
     }
 
     /// Every observable of `l` agrees with `m`.
@@ -442,7 +517,7 @@ mod tests {
             let e = idx
                 .checked_sub(m.first)
                 .and_then(|p| m.entries.get(p as usize));
-            prop_assert_eq!(l.get(idx), e, "get({})", idx);
+            prop_assert_eq!(l.get(idx), e.map(borrowed), "get({})", idx);
             let term = match idx {
                 0 => Some(0),
                 i if i + 1 == m.first => Some(m.prev_term),
@@ -450,9 +525,11 @@ mod tests {
             };
             prop_assert_eq!(l.term_at(idx), term, "term_at({})", idx);
         }
-        prop_assert!(l.range(0, u64::MAX).eq(&m.entries), "full range");
+        let all = m.entries.iter().map(borrowed);
+        prop_assert!(l.range(0, u64::MAX).eq(all.clone()), "full range");
+        prop_assert_eq!(l.to_vec(0, u64::MAX), m.entries.clone(), "to_vec");
         let r = l.range(lo, hi);
-        let want = m.entries.iter().filter(|e| e.index >= lo && e.index <= hi);
+        let want = all.filter(|e| e.index >= lo && e.index <= hi);
         prop_assert_eq!(r.len(), want.clone().count(), "range({}, {}) size", lo, hi);
         prop_assert!(r.eq(want), "range({}, {})", lo, hi);
         Ok(())
@@ -461,8 +538,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-        /// Random operation sequences that cross chunk boundaries leave the
-        /// chunked log indistinguishable from a plain `Vec` of entries.
+        /// Random operation sequences that cross chunk boundaries and term
+        /// runs leave the chunked log indistinguishable from a plain `Vec`
+        /// of entries: truncation at and inside a run, compaction to and
+        /// across a run boundary, and `term_at` at `first_index − 1`.
         #[test]
         fn chunked_log_matches_a_vec(
             ops in proptest::collection::vec((0u8..8, 0u64..3 * CHUNK as u64, 0u64..64), 1..24)
@@ -475,10 +554,13 @@ mod tests {
                 // An index in [first - 1, last + 1], drawn from `a`.
                 let pick = move |a: u64| first - 1 + a % (last + 3 - first);
                 match op {
-                    // Append or push a batch of up to 3 chunks' worth.
+                    // Append or push a batch of up to 3 chunks' worth, with
+                    // a new term every `every` entries (never, for b ≥ 32).
                     0 | 1 => {
                         term += b % 2;
+                        let every = if b < 32 { 1 + b * 37 } else { u64::MAX };
                         for k in 0..a {
+                            term += u64::from(k > 0 && k % every == 0);
                             let e = Entry { term, index: last + 1 + k, cmd: a ^ k };
                             if op == 0 {
                                 prop_assert_eq!(l.append(e.term, e.cmd), e.index);
@@ -488,19 +570,29 @@ mod tests {
                             m.entries.push(e);
                         }
                     }
+                    // Truncate anywhere, at a run's first entry, or inside
+                    // a run (one past its first entry).
                     2 => {
-                        let idx = pick(a).max(m.first);
+                        let idx = match b % 3 {
+                            0 => pick(a),
+                            1 => m.run_start(a),
+                            _ => m.run_start(a) + 1,
+                        };
+                        let idx = idx.max(m.first);
                         l.truncate_from(idx);
                         m.entries.truncate((idx - m.first) as usize);
                     }
                     // Compact exactly to a chunk boundary, one past it, to
-                    // everything, or to an arbitrary index.
+                    // everything, to an arbitrary index, to just before a
+                    // run, or across a run's first entry.
                     3 | 4 => {
-                        let idx = match b % 4 {
+                        let idx = match b % 6 {
                             0 => m.base + (a / CHUNK as u64 + 1) * CHUNK as u64 - 1,
                             1 => m.base + (a / CHUNK as u64 + 1) * CHUNK as u64,
                             2 => last,
-                            _ => pick(a),
+                            3 => pick(a),
+                            4 => m.run_start(a) - 1,
+                            _ => m.run_start(a),
                         };
                         l.compact_to(idx);
                         let idx = idx.min(last);
@@ -525,8 +617,8 @@ mod tests {
                     }
                     _ => {
                         let idx = pick(a);
-                        if let Some(e) = l.get_mut(idx) {
-                            e.cmd = b;
+                        if let Some(cmd) = l.get_mut(idx) {
+                            *cmd = b;
                             m.entries[(idx - m.first) as usize].cmd = b;
                         } else {
                             prop_assert!(idx < m.first || idx > last);

@@ -292,7 +292,7 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
             .range(self.log.first_index(), self.log.last_index())
         {
             // `Hash::hash` wants a sized hasher, which `&mut dyn Hasher` is.
-            std::hash::Hash::hash(e, &mut &mut *h);
+            std::hash::Hash::hash(&e, &mut &mut *h);
         }
         let mut prog: Vec<(RaftId, Progress)> =
             self.progress.iter().map(|(&id, p)| (id, *p)).collect();

@@ -58,7 +58,7 @@ impl Harness {
                     let node = &self.nodes[id as usize];
                     let from = self.committed[id as usize].len() as LogIndex + 1;
                     for e in node.log().range(from, upto) {
-                        self.committed[id as usize].push(e.cmd);
+                        self.committed[id as usize].push(*e.cmd);
                     }
                     let applied = self.committed[id as usize].len() as LogIndex;
                     self.nodes[id as usize].set_applied(applied);

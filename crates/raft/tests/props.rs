@@ -96,7 +96,7 @@ impl Chaos {
                     let new: Vec<(LogIndex, u64)> = self.nodes[id]
                         .log()
                         .range(from, upto)
-                        .map(|e| (e.index, e.cmd))
+                        .map(|e| (e.index, *e.cmd))
                         .collect();
                     self.applied[id].extend(new);
                     let last = upto.min(self.nodes[id].log().last_index());

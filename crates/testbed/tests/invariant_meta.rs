@@ -66,7 +66,6 @@ fn checker_detects_mutated_replier_within_one_step() {
         .log_mut()
         .get_mut(idx)
         .unwrap()
-        .cmd
         .make_mut()
         .desc
         .replier = Some(forged);
@@ -152,7 +151,6 @@ fn checker_detects_rewritten_committed_entry_within_one_step() {
         .log_mut()
         .get_mut(idx)
         .expect("applied entry still in the log")
-        .cmd
         .make_mut()
         .desc
         .hash ^= 1;
