@@ -48,6 +48,6 @@ pub use flowctl::{FcDecision, FcStats, FlowControl, RECLAIM_NS};
 pub use msg::{AggStatus, WireMsg};
 pub use node::{DurableState, HcNode, HcStats, Input, Output, RestoreRejected};
 pub use policy::{PolicyKind, ReplierLedger};
-pub use pool::{Archived, PooledReq, UnorderedPool};
+pub use pool::{PooledReq, UnorderedPool};
 pub use service::{EchoService, Executed, Service};
 pub use trace::ProtoEvent;

@@ -204,12 +204,12 @@ mod tests {
     /// per node: a field added to any of them is a deliberate re-pin.
     #[test]
     fn retained_request_layouts_are_pinned() {
-        use crate::{Archived, PooledReq};
+        use crate::PooledReq;
         use std::mem::size_of;
         assert_eq!(size_of::<Bytes>(), 24);
         assert_eq!(size_of::<Option<Bytes>>(), 32);
         assert_eq!(size_of::<PooledReq>(), 40, "parked request");
-        assert_eq!(size_of::<(ReqId, Archived)>(), 40, "archive bucket");
+        assert_eq!(size_of::<(ReqId, Bytes)>(), 32, "archive bucket");
         // A log slot holds only the command: index and term are implied.
         assert_eq!(size_of::<Cmd>(), 8, "log slot");
         assert_eq!(size_of::<Entry<Cmd>>(), 24, "wire entry");

@@ -708,7 +708,7 @@ impl<S: Service> HcNode<S> {
                 if self.missing.remove(&id).is_some() {
                     self.events.push(ProtoEvent::RecoveryCompleted { id });
                 }
-                self.pool.insert_recovered(id, body, now);
+                self.pool.insert_recovered(id, body);
                 self.try_apply(now, out, arena);
             }
             WireMsg::AggCommit {

@@ -10,8 +10,8 @@
 //! Bodies of *ordered* requests move to a retained archive so the node can
 //! serve `recovery_request`s from peers that missed the multicast, and so
 //! the applier can execute entries in log order. The archive keeps only the
-//! body and its arrival time: an ordered request's kind is its log entry's
-//! `desc.kind`.
+//! body: an ordered request's kind is its log entry's `desc.kind`, and no
+//! GC ever expires an ordered body, so its arrival time is not kept.
 
 use std::collections::hash_map::Entry;
 
@@ -33,21 +33,11 @@ pub struct PooledReq {
     pub arrived: u64,
 }
 
-/// An ordered request's retained body.
-#[derive(Clone, Debug)]
-pub struct Archived {
-    /// Request payload.
-    pub body: Bytes,
-    /// Arrival (or recovery) time (ns). No protocol path reads it; it is
-    /// part of [`UnorderedPool::hash_state`].
-    pub arrived: u64,
-}
-
 /// The unordered set plus the ordered-body archive.
 #[derive(Clone)]
 pub struct UnorderedPool {
     unordered: FxHashMap<ReqId, PooledReq>,
-    archive: FxHashMap<ReqId, Archived>,
+    archive: FxHashMap<ReqId, Bytes>,
     /// Dedupe tombstones for bodies dropped by snapshot compaction: id →
     /// compaction time. The archive doubles as the duplicate-suppression
     /// set, so a body cannot simply vanish when its log entry is compacted
@@ -182,10 +172,9 @@ impl UnorderedPool {
     /// Looks up a request body wherever it lives (the archive first: the
     /// node's callers look up ordered bodies).
     pub fn get(&self, id: ReqId) -> Option<&Bytes> {
-        match self.archive.get(&id) {
-            Some(a) => Some(&a.body),
-            None => self.unordered.get(&id).map(|r| &r.body),
-        }
+        self.archive
+            .get(&id)
+            .or_else(|| self.unordered.get(&id).map(|r| &r.body))
     }
 
     /// Looks up a request still awaiting ordering.
@@ -202,8 +191,8 @@ impl UnorderedPool {
         // refuses those; every path into them clears the parked copy), so
         // the common case needs no look at either.
         match self.unordered.remove(&id) {
-            Some(PooledReq { body, arrived, .. }) => {
-                self.archive.insert(id, Archived { body, arrived });
+            Some(PooledReq { body, .. }) => {
+                self.archive.insert(id, body);
                 true
             }
             None => self.archive.contains_key(&id) || self.compacted.contains_key(&id),
@@ -214,14 +203,12 @@ impl UnorderedPool {
     /// late reply for an id compacted meanwhile is ignored: nothing would
     /// ever drop the body again, and a later recovery request for the id
     /// must be answered with the snapshot.
-    pub fn insert_recovered(&mut self, id: ReqId, body: Bytes, now: u64) {
+    pub fn insert_recovered(&mut self, id: ReqId, body: Bytes) {
         if self.compacted.contains_key(&id) {
             return;
         }
         self.unordered.remove(&id);
-        self.archive
-            .entry(id)
-            .or_insert(Archived { body, arrived: now });
+        self.archive.entry(id).or_insert(body);
     }
 
     /// Garbage-collects unordered requests **strictly older** than
@@ -336,29 +323,26 @@ impl UnorderedPool {
     }
 
     /// Feeds the pool's full content into `h` for model-checker state
-    /// fingerprints: all three maps as id-sorted vectors, arrival times as
-    /// ages relative to `now` (only age drives GC behaviour).
+    /// fingerprints: all three maps as id-sorted vectors, parked arrival
+    /// times and tombstone stamps as ages relative to `now` (only age
+    /// drives GC behaviour, and GC never expires an archived body).
     pub fn hash_state(&self, now: u64, h: &mut dyn std::hash::Hasher) {
-        /// One map's requests, by id; an archived one has no kind.
-        type Req<'a> = (ReqId, Option<OpKind>, &'a Bytes, u64);
-        fn side(mut reqs: Vec<Req>, now: u64, h: &mut dyn std::hash::Hasher) {
-            reqs.sort_unstable_by_key(|r| r.0.as_u64());
-            h.write_usize(reqs.len());
-            for (id, kind, body, arrived) in reqs {
-                h.write_u64(id.as_u64());
-                if let Some(kind) = kind {
-                    h.write_u8(kind as u8);
-                }
-                h.write(body);
-                h.write_u64(now.saturating_sub(arrived));
-            }
+        let mut parked: Vec<(&ReqId, &PooledReq)> = self.unordered.iter().collect();
+        parked.sort_unstable_by_key(|&(id, _)| id.as_u64());
+        h.write_usize(parked.len());
+        for (id, r) in parked {
+            h.write_u64(id.as_u64());
+            h.write_u8(r.kind as u8);
+            h.write(&r.body);
+            h.write_u64(now.saturating_sub(r.arrived));
         }
-        let parked = self.unordered.iter();
-        let parked = parked.map(|(&id, r)| (id, Some(r.kind), &r.body, r.arrived));
-        side(parked.collect(), now, h);
-        let archived = self.archive.iter();
-        let archived = archived.map(|(&id, a)| (id, None, &a.body, a.arrived));
-        side(archived.collect(), now, h);
+        let mut archived: Vec<(&ReqId, &Bytes)> = self.archive.iter().collect();
+        archived.sort_unstable_by_key(|&(id, _)| id.as_u64());
+        h.write_usize(archived.len());
+        for (id, body) in archived {
+            h.write_u64(id.as_u64());
+            h.write(body);
+        }
         let mut tombs: Vec<(u64, u64)> = self
             .compacted
             .iter()
@@ -600,7 +584,7 @@ mod tests {
     #[test]
     fn recovered_bodies_land_in_archive() {
         let mut p = UnorderedPool::new();
-        p.insert_recovered(id(3), body(), 7);
+        p.insert_recovered(id(3), body());
         assert_eq!(p.unordered_len(), 0);
         assert_eq!(p.archived_len(), 1);
         assert!(p.mark_ordered(id(3)));
@@ -610,7 +594,7 @@ mod tests {
     fn late_recovery_does_not_resurrect_a_compacted_body() {
         let mut p = UnorderedPool::new();
         p.seed_tombstones(&[id(4)], 5);
-        p.insert_recovered(id(4), body(), 6);
+        p.insert_recovered(id(4), body());
         assert_eq!(p.archived_len(), 0);
         assert!(p.get(id(4)).is_none());
         assert_eq!(p.tombstones(), &[id(4)]);

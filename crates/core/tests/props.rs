@@ -8,8 +8,8 @@ use std::hash::Hasher;
 
 use bytes::{ByteArena, Bytes};
 use hovercraft::{
-    Aggregator, Archived, Cmd, EchoService, EntryDesc, HcConfig, HcNode, Input, Mode, OpKind,
-    Output, PolicyKind, PooledReq, ReplierLedger, UnorderedPool, WireMsg,
+    Aggregator, Cmd, EchoService, EntryDesc, HcConfig, HcNode, Input, Mode, OpKind, Output,
+    PolicyKind, PooledReq, ReplierLedger, UnorderedPool, WireMsg,
 };
 use proptest::prelude::*;
 use r2p2::ReqId;
@@ -55,7 +55,7 @@ fn reply(term: u64, m: LogIndex, from: RaftId) -> WireMsg {
 #[derive(Default)]
 struct RefPool {
     unordered: HashMap<ReqId, PooledReq>,
-    archive: HashMap<ReqId, Archived>,
+    archive: HashMap<ReqId, Bytes>,
     compacted: HashMap<ReqId, u64>,
 }
 
@@ -83,7 +83,7 @@ impl RefPool {
         self.unordered
             .get(&id)
             .map(|r| &r.body)
-            .or_else(|| self.archive.get(&id).map(|a| &a.body))
+            .or_else(|| self.archive.get(&id))
     }
 
     fn mark_ordered(&mut self, id: ReqId) -> bool {
@@ -91,21 +91,20 @@ impl RefPool {
             return true;
         }
         match self.unordered.remove(&id) {
-            Some(PooledReq { body, arrived, .. }) => {
-                self.archive.insert(id, Archived { body, arrived });
+            Some(PooledReq { body, .. }) => {
+                self.archive.insert(id, body);
                 true
             }
             None => false,
         }
     }
 
-    fn insert_recovered(&mut self, id: ReqId, body: Bytes, now: u64) {
+    fn insert_recovered(&mut self, id: ReqId, body: Bytes) {
         if self.compacted.contains_key(&id) {
             return;
         }
         self.unordered.remove(&id);
-        let arrived = now;
-        self.archive.entry(id).or_insert(Archived { body, arrived });
+        self.archive.entry(id).or_insert(body);
     }
 
     fn gc(&mut self, now: u64, timeout: u64) -> usize {
@@ -163,14 +162,14 @@ impl RefPool {
             h.write(&r.body);
             h.write_u64(now.saturating_sub(r.arrived));
         }
-        // An archived body carries no kind: its log entry holds it.
-        let mut archived: Vec<(&ReqId, &Archived)> = self.archive.iter().collect();
+        // An archived body carries no kind (its log entry holds it) and no
+        // age (GC never expires it).
+        let mut archived: Vec<(&ReqId, &Bytes)> = self.archive.iter().collect();
         archived.sort_unstable_by_key(|&(id, _)| id.as_u64());
         h.write_usize(archived.len());
-        for (id, a) in archived {
+        for (id, body) in archived {
             h.write_u64(id.as_u64());
-            h.write(&a.body);
-            h.write_u64(now.saturating_sub(a.arrived));
+            h.write(body);
         }
         let mut tombs: Vec<(u64, u64)> = self
             .compacted
@@ -428,7 +427,7 @@ proptest! {
                     pool.gc(now, 100);
                 }
                 _ => {
-                    pool.insert_recovered(id, Bytes::from_static(b"y"), now);
+                    pool.insert_recovered(id, Bytes::from_static(b"y"));
                     archived.insert(id);
                 }
             }
@@ -570,8 +569,8 @@ proptest! {
                 }
                 2 => prop_assert_eq!(pool.mark_ordered(id), model.mark_ordered(id)),
                 3 => {
-                    model.insert_recovered(id, body.clone(), now);
-                    pool.insert_recovered(id, body, now);
+                    model.insert_recovered(id, body.clone());
+                    pool.insert_recovered(id, body);
                 }
                 4 => prop_assert_eq!(
                     pool.compact_archive(&ids, now),
@@ -603,8 +602,8 @@ proptest! {
                     // body back: the id stays tombstoned and unarchived,
                     // and compacting it again a little later drops nothing.
                     let id = live_tomb.unwrap_or(id);
-                    model.insert_recovered(id, body.clone(), now);
-                    pool.insert_recovered(id, body, now);
+                    model.insert_recovered(id, body.clone());
+                    pool.insert_recovered(id, body);
                     if live_tomb.is_some() {
                         prop_assert!(pool.tombstones().contains(&id), "tombstone kept");
                         prop_assert!(pool.get(id).is_none(), "compacted body resurrected");

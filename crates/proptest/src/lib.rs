@@ -4,17 +4,14 @@
 //! workspace vendors the subset of proptest's API it uses: the `proptest!`
 //! test macro, `prop_assert*` macros, range/`Just`/tuple/`prop_oneof!`/
 //! `collection::vec` strategies, `any::<T>()`, `prop::sample::Index`, and
-//! `ProptestConfig { cases, parallel }`.
+//! `ProptestConfig { cases }`.
 //!
 //! Differences from the real crate, by design:
 //! * **No shrinking.** A failing case reports its case number and the test's
 //!   deterministic RNG seed; the repo's own trace/replay tooling (DESIGN §5,
 //!   "Debugging a failing seed") is the intended minimization workflow.
-//! * **Optional parallel case execution.** `ProptestConfig { parallel: true }`
-//!   pre-generates every case's inputs from the single serial RNG stream,
-//!   then runs the case bodies on the workspace `pool` workers
-//!   (`HC_JOBS` threads, DESIGN §13). Outcomes are merged in case order, so
-//!   which case fails — and its message — is identical to a serial run.
+//! * **Serial cases.** Cases run one after another on the test's thread;
+//!   whole-cluster sweeps that need cores use `testbed::chaos` instead.
 //! * **Deterministic by default.** Each test's RNG is seeded from the hash
 //!   of its fully-qualified name, so failures reproduce without a
 //!   `proptest-regressions` file. Set `PROPTEST_SEED=<u64>` to override.
@@ -24,24 +21,16 @@
 pub mod test_runner {
     use std::fmt;
 
-    /// Per-test configuration (subset: `cases`, `parallel`).
+    /// Per-test configuration (subset: `cases`).
     #[derive(Clone, Debug)]
     pub struct ProptestConfig {
         /// Number of random cases to run.
         pub cases: u32,
-        /// Run case bodies on the workspace `pool` workers (`HC_JOBS`
-        /// threads). Inputs are still generated serially from the single
-        /// deterministic RNG stream, so the generated cases — and which case
-        /// is reported on failure — are identical to a serial run.
-        pub parallel: bool,
     }
 
     impl Default for ProptestConfig {
         fn default() -> ProptestConfig {
-            ProptestConfig {
-                cases: 256,
-                parallel: false,
-            }
+            ProptestConfig { cases: 256 }
         }
     }
 
@@ -395,47 +384,6 @@ pub mod sample {
     }
 }
 
-#[doc(hidden)]
-pub mod rt {
-    //! Macro support: runs pre-generated cases on the workspace workers.
-    //! Not part of the public proptest-compatible API surface.
-
-    use crate::test_runner::{TestCaseError, TestCaseResult};
-    use std::any::Any;
-
-    pub use pool::default_jobs;
-
-    /// What one case did when run on a worker.
-    pub enum CaseOutcome {
-        Pass,
-        Reject,
-        Fail(String),
-        Panic(Box<dyn Any + Send + 'static>),
-    }
-
-    /// Runs every case body on worker threads and returns the outcomes in
-    /// case order. Panics are caught per case so the caller can report the
-    /// lowest-index failure exactly as the serial loop would; the first
-    /// panic payload is re-raised by the caller via `resume_unwind`.
-    pub fn run_parallel<I, F>(inputs: Vec<I>, run_one: F) -> Vec<CaseOutcome>
-    where
-        I: Send + 'static,
-        F: Fn(I) -> TestCaseResult + Send + Sync + 'static,
-    {
-        let threads = default_jobs().min(inputs.len());
-        pool::with_workers(threads, |w| {
-            w.map(inputs, move |input| {
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_one(input))) {
-                    Ok(Ok(())) => CaseOutcome::Pass,
-                    Ok(Err(TestCaseError::Reject(_))) => CaseOutcome::Reject,
-                    Ok(Err(TestCaseError::Fail(msg))) => CaseOutcome::Fail(msg),
-                    Err(payload) => CaseOutcome::Panic(payload),
-                }
-            })
-        })
-    }
-}
-
 /// Defines deterministic property tests over generated inputs.
 ///
 /// Supports the block form used across this workspace:
@@ -457,56 +405,21 @@ macro_rules! proptest {
             let test_name = concat!(module_path!(), "::", stringify!($name));
             let mut rng = $crate::test_runner::TestRng::deterministic(test_name);
             let seed = rng.seed();
-            if cfg.parallel && $crate::rt::default_jobs() > 1 {
-                // Inputs come off the same single RNG stream as the serial
-                // loop; only the case *bodies* run on workers. Outcomes are
-                // merged in case order, so the reported failure (lowest
-                // index) and its message match the serial run exactly.
-                let mut inputs = ::std::vec::Vec::with_capacity(cfg.cases as usize);
-                for _ in 0..cfg.cases {
-                    inputs.push((
-                        $($crate::strategy::Strategy::generate(&($strat), &mut rng),)+
-                    ));
-                }
-                let outcomes = $crate::rt::run_parallel(
-                    inputs,
-                    move |($($binding,)+)| -> $crate::test_runner::TestCaseResult {
-                        $body
-                        ::core::result::Result::Ok(())
-                    },
-                );
-                for (case, outcome) in outcomes.into_iter().enumerate() {
-                    match outcome {
-                        $crate::rt::CaseOutcome::Pass | $crate::rt::CaseOutcome::Reject => {}
-                        $crate::rt::CaseOutcome::Fail(msg) => {
-                            panic!(
-                                "proptest {test_name}: case {}/{} failed (seed {seed}): {msg}",
-                                case + 1,
-                                cfg.cases,
-                            );
-                        }
-                        $crate::rt::CaseOutcome::Panic(payload) => {
-                            ::std::panic::resume_unwind(payload);
-                        }
-                    }
-                }
-            } else {
-                for case in 0..cfg.cases {
-                    $(let $binding = $crate::strategy::Strategy::generate(&($strat), &mut rng);)+
-                    let outcome: $crate::test_runner::TestCaseResult = (|| {
-                        $body
-                        ::core::result::Result::Ok(())
-                    })();
-                    match outcome {
-                        ::core::result::Result::Ok(()) => {}
-                        ::core::result::Result::Err($crate::test_runner::TestCaseError::Reject(_)) => {}
-                        ::core::result::Result::Err($crate::test_runner::TestCaseError::Fail(msg)) => {
-                            panic!(
-                                "proptest {test_name}: case {}/{} failed (seed {seed}): {msg}",
-                                case + 1,
-                                cfg.cases,
-                            );
-                        }
+            for case in 0..cfg.cases {
+                $(let $binding = $crate::strategy::Strategy::generate(&($strat), &mut rng);)+
+                let outcome: $crate::test_runner::TestCaseResult = (|| {
+                    $body
+                    ::core::result::Result::Ok(())
+                })();
+                match outcome {
+                    ::core::result::Result::Ok(()) => {}
+                    ::core::result::Result::Err($crate::test_runner::TestCaseError::Reject(_)) => {}
+                    ::core::result::Result::Err($crate::test_runner::TestCaseError::Fail(msg)) => {
+                        panic!(
+                            "proptest {test_name}: case {}/{} failed (seed {seed}): {msg}",
+                            case + 1,
+                            cfg.cases,
+                        );
                     }
                 }
             }
@@ -626,7 +539,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 7, ..ProptestConfig::default() })]
+        #![proptest_config(ProptestConfig { cases: 7 })]
         #[test]
         fn config_is_respected(x in 0u32..100) {
             prop_assert!(x < 100);
@@ -655,30 +568,21 @@ mod tests {
         assert_eq!(strat.generate(&mut r1), strat.generate(&mut r2));
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 64, parallel: true })]
-        #[test]
-        fn parallel_cases_pass(x in 0u64..1000, v in prop::collection::vec(any::<u8>(), 1..8)) {
-            prop_assert!(x < 1000);
-            prop_assert!(!v.is_empty() && v.len() < 8);
-        }
-    }
-
     // Declared without `#[test]` so the test below can invoke it directly
     // and inspect the panic it raises.
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 32, parallel: true })]
-        fn parallel_failing_run(x in 0u64..100) {
+        #![proptest_config(ProptestConfig { cases: 32 })]
+        fn failing_run(x in 0u64..100) {
             prop_assert!(x < 40, "x too large: {x}");
         }
     }
 
     #[test]
-    fn parallel_reports_lowest_failing_case_like_serial() {
+    fn failure_reports_the_first_failing_case_and_seed() {
         use crate::strategy::Strategy;
         // Reconstruct the generated stream to find the first case the
-        // property rejects, exactly as the serial loop would encounter it.
-        let test_name = concat!(module_path!(), "::", "parallel_failing_run");
+        // property rejects.
+        let test_name = concat!(module_path!(), "::", "failing_run");
         let mut rng = crate::test_runner::TestRng::deterministic(test_name);
         let seed = rng.seed();
         let strat = 0u64..100;
@@ -695,59 +599,11 @@ mod tests {
             "proptest {test_name}: case {}/32 failed (seed {seed}): x too large: {x}",
             case + 1
         );
-        let err = std::panic::catch_unwind(parallel_failing_run)
-            .expect_err("failing property must panic");
+        let err = std::panic::catch_unwind(failing_run).expect_err("failing property must panic");
         let msg = err
             .downcast_ref::<String>()
             .cloned()
             .expect("panic payload should be a formatted String");
         assert_eq!(msg, expected);
-    }
-
-    // Same shape as above but panicking (not prop_assert-failing): the parallel
-    // path must re-raise the original payload via resume_unwind.
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 16, parallel: true })]
-        fn parallel_panicking_run(x in 0u64..100) {
-            if x >= 40 {
-                panic!("boom at {x}");
-            }
-            prop_assert!(x < 40);
-        }
-    }
-
-    #[test]
-    fn rt_run_parallel_merges_outcomes_in_case_order() {
-        use crate::rt::{run_parallel, CaseOutcome};
-        let outcomes = run_parallel((0..50u64).collect::<Vec<_>>(), |x| {
-            if x == 7 {
-                Err(TestCaseError::fail(format!("seven {x}")))
-            } else if x == 9 {
-                Err(TestCaseError::reject("nine"))
-            } else {
-                Ok(())
-            }
-        });
-        assert_eq!(outcomes.len(), 50);
-        for (i, outcome) in outcomes.iter().enumerate() {
-            match (i, outcome) {
-                (7, CaseOutcome::Fail(msg)) => assert_eq!(msg, "seven 7"),
-                (9, CaseOutcome::Reject) => {}
-                (7 | 9, _) => panic!("case {i} produced the wrong outcome"),
-                (_, CaseOutcome::Pass) => {}
-                (_, _) => panic!("case {i} should have passed"),
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_propagates_body_panic_payload() {
-        let err = std::panic::catch_unwind(parallel_panicking_run)
-            .expect_err("panicking property must panic");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .expect("panic payload should be the body's String");
-        assert!(msg.starts_with("boom at "), "unexpected payload: {msg}");
     }
 }

@@ -133,6 +133,16 @@ impl<C> RaftLog<C> {
         Some(self.runs[self.run_of(idx)].1)
     }
 
+    /// The first retained index of the term run holding `idx`, or `idx`
+    /// itself when it is not retained: where a follower's conflicting term
+    /// begins, for the AppendEntries conflict hint.
+    pub fn run_start(&self, idx: LogIndex) -> LogIndex {
+        match self.slot(idx) {
+            Some(_) => self.runs[self.run_of(idx)].0.max(self.first),
+            None => idx,
+        }
+    }
+
     /// Borrows the entry at `idx`, if retained.
     pub fn get(&self, idx: LogIndex) -> Option<Entry<&C>> {
         let (c, o) = self.slot(idx)?;
@@ -478,13 +488,22 @@ mod tests {
             self.first + self.entries.len() as u64 - 1
         }
 
+        /// The first retained index of each entry's term run, entry by
+        /// entry.
+        fn run_starts(&self) -> Vec<LogIndex> {
+            let mut starts: Vec<LogIndex> = Vec::with_capacity(self.entries.len());
+            for (p, e) in self.entries.iter().enumerate() {
+                let fresh = p == 0 || self.entries[p - 1].term != e.term;
+                starts.push(if fresh { e.index } else { starts[p - 1] });
+            }
+            starts
+        }
+
         /// Index of the first entry of the `n`th term run (mod the number
         /// of runs), or `first` when the log is empty.
         fn run_start(&self, n: u64) -> LogIndex {
-            let starts: Vec<LogIndex> = (0..self.entries.len())
-                .filter(|&p| p == 0 || self.entries[p - 1].term != self.entries[p].term)
-                .map(|p| self.first + p as u64)
-                .collect();
+            let mut starts = self.run_starts();
+            starts.dedup();
             if starts.is_empty() {
                 self.first
             } else {
@@ -513,11 +532,13 @@ mod tests {
         prop_assert_eq!(l.snapshot_term(), m.prev_term);
         let last_term = m.entries.last().map_or(m.prev_term, |e| e.term);
         prop_assert_eq!(l.last_term(), last_term);
+        let starts = m.run_starts();
         for idx in 0..=last + 1 {
-            let e = idx
-                .checked_sub(m.first)
-                .and_then(|p| m.entries.get(p as usize));
+            let p = idx.checked_sub(m.first).map(|p| p as usize);
+            let e = p.and_then(|p| m.entries.get(p));
             prop_assert_eq!(l.get(idx), e.map(borrowed), "get({})", idx);
+            let start = p.and_then(|p| starts.get(p)).copied().unwrap_or(idx);
+            prop_assert_eq!(l.run_start(idx), start, "run_start({})", idx);
             let term = match idx {
                 0 => Some(0),
                 i if i + 1 == m.first => Some(m.prev_term),
@@ -536,7 +557,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+        #![proptest_config(ProptestConfig { cases: 48 })]
 
         /// Random operation sequences that cross chunk boundaries and term
         /// runs leave the chunked log indistinguishable from a plain `Vec`

@@ -978,12 +978,9 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
         // Consistency check on the previous entry.
         match self.log.term_at(prev_log_index) {
             Some(t) if t == prev_log_term => {}
-            Some(t) => {
+            Some(_) => {
                 // Conflicting term: hint the first index of that term.
-                let mut ci = prev_log_index;
-                while ci > self.log.first_index() && self.log.term_at(ci - 1) == Some(t) {
-                    ci -= 1;
-                }
+                let ci = self.log.run_start(prev_log_index);
                 out.push(Action::Send {
                     to: leader,
                     msg: Message::AppendEntriesReply {

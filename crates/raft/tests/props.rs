@@ -193,10 +193,7 @@ fn check_invariants(c: &Chaos) -> Result<(), TestCaseError> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 24,
-        .. ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig { cases: 24 })]
 
     /// Safety under a lossy, duplicating, delaying network.
     #[test]

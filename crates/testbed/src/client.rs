@@ -98,7 +98,7 @@ impl ClientWorkload {
 }
 
 /// Counters and samples harvested after a run.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ClientResults {
     /// Requests sent after the measurement start.
     pub sent: u64,

@@ -12,12 +12,7 @@
 //! human-readable detail text: detail is rendered lazily for display only,
 //! and hashing it would force the rendering the hot path exists to avoid.
 
-use hovercraft::PolicyKind;
-use simnet::{FaultPlan, FaultPlanConfig, SimDur, SimTime, Tracer};
-
-use crate::client::RetryPolicy;
-use crate::cluster::{Cluster, ClusterOpts};
-use crate::setup::Setup;
+use simnet::Tracer;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -95,8 +90,8 @@ impl TraceDigest {
     }
 }
 
-/// Outcome of a canonical digest run: the trace fingerprint plus the raw
-/// volume counters a determinism guard pins.
+/// The trace fingerprint of a run plus the raw volume counters a
+/// determinism guard pins (see [`crate::chaos::Report`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DigestReport {
     /// FNV-1a over the structured event stream.
@@ -110,54 +105,10 @@ pub struct DigestReport {
     pub sim_events: u64,
 }
 
-/// The canonical chaos point of the determinism guard and the chaos suite
-/// (`tests/chaos.rs`): 5-way HovercRaft/JBSQ at 25 kRPS with client retries
-/// on, so requests survive the faults they straddle. Load runs 150–500 ms
-/// (50 ms warm-up, 300 ms measured).
-pub fn chaos_digest_opts(seed: u64) -> ClusterOpts {
-    let mut o = ClusterOpts::new(Setup::Hovercraft(PolicyKind::Jbsq), 5, 25_000.0);
-    o.warmup = SimDur::millis(50);
-    o.measure = SimDur::millis(300);
-    o.bound = 64;
-    o.retry = Some(RetryPolicy::default());
-    o.seed = seed;
-    o
-}
-
-/// Runs the canonical chaos point for `seed` under invariant checking,
-/// harvesting the digest every simulated millisecond. Deterministic:
-/// repeated calls (in any process) return identical reports.
-pub fn digest_chaos_run(seed: u64) -> DigestReport {
-    let opts = chaos_digest_opts(seed);
-    let mut cluster = Cluster::build(opts);
-    cluster.settle();
-    let plan = FaultPlan::generate(&FaultPlanConfig {
-        nodes: cluster.servers.clone(),
-        window_start: SimTime::ZERO + SimDur::millis(210),
-        window_end: SimTime::ZERO + SimDur::millis(460),
-        episodes: 3,
-        seed,
-    });
-    cluster.sim.apply_fault_plan(&plan);
-    let end = cluster.opts().load_end() + SimDur::millis(220);
-    let mut digest = TraceDigest::new();
-    while cluster.sim.now() < end {
-        let next = (cluster.sim.now() + SimDur::millis(1)).min(end);
-        cluster.run_until_checked(next);
-        digest.absorb(cluster.tracer());
-    }
-    digest.absorb(cluster.tracer());
-    DigestReport {
-        digest: digest.value(),
-        events: digest.count(),
-        total_recorded: cluster.tracer().total_recorded(),
-        sim_events: cluster.sim.events_processed(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::SimTime;
 
     fn none(_: &mut std::fmt::Formatter<'_>, _: u64, _: u64, _: u64) -> std::fmt::Result {
         Ok(())

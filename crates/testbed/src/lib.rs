@@ -9,11 +9,13 @@
 //! The main entry point is [`run_experiment`]: configure a point with
 //! [`ClusterOpts`], get back an [`ExpResult`] with goodput and latency
 //! percentiles. For scripted scenarios (failure injection, time series),
-//! build a [`Cluster`] directly and drive `cluster.sim` by hand.
+//! build a [`Cluster`] directly and drive `cluster.sim` by hand. Every
+//! randomized fault-injection test case runs through [`chaos`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod chaos;
 mod client;
 mod cluster;
 mod digest;
@@ -25,7 +27,7 @@ mod setup;
 
 pub use client::{ClientAgent, ClientResults, ClientWorkload, RetryPolicy};
 pub use cluster::{Cluster, ClusterOpts, ServiceKind, WorkloadKind};
-pub use digest::{chaos_digest_opts, digest_chaos_run, DigestReport, TraceDigest};
+pub use digest::{DigestReport, TraceDigest};
 pub use invariants::{InvariantChecker, Violation};
 pub use programs::{AggProgram, FcProgram};
 pub use runner::{run_experiment, run_experiment_checked, summarize, ExpResult};

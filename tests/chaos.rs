@@ -3,40 +3,28 @@
 //! majority-side progress under partition with Pre-Vote term stability,
 //! stall-aware replier routing around a paused node (§3.4), and
 //! crash–restart rejoin via log catch-up plus body recovery (§5) — while
-//! randomized [`FaultPlan`]s (env-scalable via `CHAOS_CASES` /
-//! `CHAOS_SEED`) and a committed seed corpus sweep the space, sharded
-//! across cores by the workspace pool (`HC_JOBS`; each seed is one
-//! single-threaded deterministic simulation). Every run is replayable
-//! from `(opts, seed)` alone; a meta-test proves it.
+//! the `plain` and `snap` families of [`testbed::chaos`] (env-scalable via
+//! `CHAOS_CASES` / `CHAOS_SEED`) and the committed corpus sweep the space,
+//! sharded across cores by the workspace pool (`HC_JOBS`; each case is one
+//! single-threaded deterministic simulation). Every case is replayable
+//! from its corpus line alone; a meta-test proves it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hovercraft::PolicyKind;
-use simnet::{FaultCmd, FaultPlan, FaultPlanConfig, SimDur, SimTime, TraceEvent};
-use testbed::{chaos_digest_opts as chaos_opts, Cluster, ClusterOpts, ServerAgent, Setup};
+use hovercraft_bench::sweep::par_map;
+use simnet::{FaultCmd, SimDur, SimTime, TraceEvent};
+use testbed::chaos::{self, assert_converged, Case, Family};
+use testbed::{Cluster, ClusterOpts, ServerAgent, Setup};
 
 fn ms(x: u64) -> SimTime {
     SimTime::ZERO + SimDur::millis(x)
 }
 
-/// The snapshot chaos point: the standard chaos cluster plus an aggressive
-/// compaction horizon (snapshot every 64 applied entries ≈ every 2.5 ms at
-/// this load) and deliberately small transfer chunks, so the framed blob
-/// (service state plus the covered-id dedupe set) still crosses the wire
-/// in several stop-and-wait round trips. Any node that falls behind by
-/// more than a couple of milliseconds finds the bodies it needs compacted
-/// everywhere and must take the snapshot state-transfer path — which the
-/// fault window then kills, partitions, and pauses mid-stream.
-fn snap_chaos_opts(seed: u64) -> ClusterOpts {
-    let mut o = chaos_opts(seed);
-    o.snapshot_interval = 64;
-    // Small enough that every transfer takes several stop-and-wait round
-    // trips (so chaos can hit it mid-stream), large enough that a full
-    // transfer finishes well inside one 64-entry compaction period at
-    // 25 krps — the blob carries the covered-id set, so a byte-sized chunk
-    // would make transfers slower than compaction and livelock catch-up.
-    o.snap_chunk_bytes = 256;
-    o
+/// The cluster options of `family`'s case for `seed`: the scenarios below
+/// run at the chaos points the sweeps use.
+fn opts(family: Family, seed: u64) -> ClusterOpts {
+    Case::new(family, seed).shape().opts
 }
 
 fn term_of(cluster: &Cluster, node: u32) -> u64 {
@@ -50,42 +38,6 @@ fn commit_of(cluster: &Cluster, node: u32) -> u64 {
         .node()
         .raft()
         .commit_index()
-}
-
-/// All live replicas applied the same prefix.
-fn assert_converged(cluster: &Cluster) {
-    let applied: Vec<u64> = cluster
-        .servers
-        .iter()
-        .copied()
-        .filter(|&s| cluster.sim.is_alive(s))
-        .map(|s| cluster.sim.agent::<ServerAgent>(s).node().applied_index())
-        .collect();
-    assert!(
-        applied.windows(2).all(|w| w[0] == w[1]),
-        "live replicas diverged after drain: {applied:?}"
-    );
-}
-
-/// Every live replica's state-machine content is bit-identical — the
-/// "restored/transferred node equals a replaying reference" check: the
-/// nodes that never crashed *are* the replaying reference, so a node that
-/// rejoined via snapshot transfer must serialize the exact same state.
-fn assert_state_identical(cluster: &Cluster) {
-    let states: Vec<(u32, Vec<u8>)> = cluster
-        .servers
-        .iter()
-        .copied()
-        .filter(|&s| cluster.sim.is_alive(s))
-        .map(|s| {
-            let n = cluster.sim.agent::<ServerAgent>(s).node();
-            (s, n.service().snapshot().to_vec())
-        })
-        .collect();
-    let (ref_node, ref_state) = &states[0];
-    if let Some((s, _)) = states[1..].iter().find(|(_, b)| b != ref_state) {
-        panic!("n{s} state diverges from replaying reference n{ref_node}");
-    }
 }
 
 /// Visits every trace event from `cursor` on, oldest first, and advances
@@ -121,7 +73,7 @@ fn run_and_harvest(cluster: &mut Cluster, cursor: &mut u64, drain: SimDur) -> Ve
 
 #[test]
 fn majority_partition_keeps_committing_and_pre_vote_freezes_terms() {
-    let mut cluster = Cluster::build(chaos_opts(101));
+    let mut cluster = Cluster::build(opts(Family::Plain, 101));
     cluster.settle();
     let leader = cluster.leader().expect("settled leader");
     let term0 = term_of(&cluster, leader);
@@ -178,7 +130,7 @@ fn majority_partition_keeps_committing_and_pre_vote_freezes_terms() {
 
 #[test]
 fn paused_replier_is_detected_and_routed_around() {
-    let mut cluster = Cluster::build(chaos_opts(202));
+    let mut cluster = Cluster::build(opts(Family::Plain, 202));
     cluster.settle();
     let leader = cluster.leader().expect("settled leader");
     let victim = cluster
@@ -234,7 +186,7 @@ fn paused_replier_is_detected_and_routed_around() {
 
 #[test]
 fn restarted_follower_rejoins_and_catches_up() {
-    let mut cluster = Cluster::build(chaos_opts(303));
+    let mut cluster = Cluster::build(opts(Family::Plain, 303));
     cluster.settle();
     let leader = cluster.leader().expect("settled leader");
     let victim = cluster
@@ -251,24 +203,12 @@ fn restarted_follower_rejoins_and_catches_up() {
     assert!(cluster.sim.is_alive(victim), "restarted node is back");
 
     // Drain: log catch-up, body recovery for unpooled entries, and
-    // re-execution from index 1 all complete within the run.
+    // re-execution from index 1 all complete within the run, so the
+    // restarted follower is on the leader's applied index.
     cluster.run_checked(SimDur::millis(200));
     let leader_now = cluster.leader().expect("a leader at the end");
-    let applied_leader = cluster
-        .sim
-        .agent::<ServerAgent>(leader_now)
-        .node()
-        .applied_index();
-    let applied_victim = cluster
-        .sim
-        .agent::<ServerAgent>(victim)
-        .node()
-        .applied_index();
-    assert!(applied_leader > 0, "the run made progress");
-    assert_eq!(
-        applied_victim, applied_leader,
-        "restarted follower must fully catch up"
-    );
+    let node = cluster.sim.agent::<ServerAgent>(leader_now).node();
+    assert!(node.applied_index() > 0, "the run made progress");
     assert_converged(&cluster);
 }
 
@@ -281,7 +221,7 @@ fn restarted_follower_rejoins_and_catches_up() {
 /// replicas.
 #[test]
 fn state_transfer_resumes_after_midstream_crash() {
-    let mut cluster = Cluster::build(snap_chaos_opts(404));
+    let mut cluster = Cluster::build(opts(Family::Snap, 404));
     cluster.settle();
     let leader = cluster.leader().expect("settled leader");
     let victim = cluster
@@ -338,7 +278,6 @@ fn state_transfer_resumes_after_midstream_crash() {
         "rejoined follower must install a transferred snapshot: {vstats:?}"
     );
     assert_converged(&cluster);
-    assert_state_identical(&cluster);
 }
 
 // ---------------------------------------------------------------------
@@ -346,10 +285,10 @@ fn state_transfer_resumes_after_midstream_crash() {
 // unchanged, the seeded fault plan that first exposed the bug during the
 // snapshot/compaction work (the same seeds stay in tests/chaos_corpus.txt
 // for the sweep; the named anchors keep the diagnosis greppable next to
-// the code that fixes it). All run at the snapshot chaos point and
-// inherit `run_snapshot_chaos_case`'s asserts: the full invariant set at
-// every sampled millisecond, convergence, bit-identical state machines,
-// compaction actually running, and bounded client-visible reply loss.
+// the code that fixes it). Each is its `snap:` case run through
+// `chaos::check`: the full invariant set at every sampled millisecond,
+// convergence, bit-identical state machines, compaction actually running,
+// and bounded client-visible reply loss.
 // ---------------------------------------------------------------------
 
 /// snap:8 — stale-completion applied regression. A restart of n1 at
@@ -362,7 +301,7 @@ fn state_transfer_resumes_after_midstream_crash() {
 /// subsumed by the restored snapshot and dropped.
 #[test]
 fn regression_snap8_stale_completion_must_not_regress_applied() {
-    run_snapshot_chaos_case(8);
+    chaos::check(Case::new(Family::Snap, 8));
 }
 
 /// snap:13 — unhealable rejoined node. A follower mid-state-transfer
@@ -375,7 +314,7 @@ fn regression_snap8_stale_completion_must_not_regress_applied() {
 /// leader hint or asserting leadership on the sender's behalf).
 #[test]
 fn regression_snap13_rejoiner_mid_transfer_must_not_depose_leader() {
-    run_snapshot_chaos_case(13);
+    chaos::check(Case::new(Family::Snap, 13));
 }
 
 /// snap:34 — two bugs in one plan (pause + partition + a 33% duplicate
@@ -391,7 +330,7 @@ fn regression_snap13_rejoiner_mid_transfer_must_not_depose_leader() {
 /// and parks the peer behind a `NeedsSnapshot`.
 #[test]
 fn regression_snap34_install_guards_issue_cursor_and_compacted_sentinel() {
-    run_snapshot_chaos_case(34);
+    chaos::check(Case::new(Family::Snap, 34));
 }
 
 /// snap:55 — double execution across a snapshot install. A node that
@@ -404,7 +343,7 @@ fn regression_snap34_install_guards_issue_cursor_and_compacted_sentinel() {
 /// a covered request.
 #[test]
 fn regression_snap55_install_seeds_dedupe_tombstones_for_covered_ids() {
-    run_snapshot_chaos_case(55);
+    chaos::check(Case::new(Family::Snap, 55));
 }
 
 /// The transfer-livelock regression, pinned as a deterministic scenario
@@ -421,7 +360,7 @@ fn regression_snap55_install_seeds_dedupe_tombstones_for_covered_ids() {
 /// compaction intervals' worth while load is running.
 #[test]
 fn regression_transfer_slower_than_compaction_still_converges() {
-    let mut opts = snap_chaos_opts(909);
+    let mut opts = opts(Family::Snap, 909);
     opts.snap_chunk_bytes = 8;
     let mut cluster = Cluster::build(opts);
     cluster.settle();
@@ -449,104 +388,11 @@ fn regression_transfer_slower_than_compaction_still_converges() {
         "rejoin must complete at least one snapshot install: {vstats:?}"
     );
     assert_converged(&cluster);
-    assert_state_identical(&cluster);
-}
-
-/// Runs one randomized chaos case end to end: draw a survivable fault plan
-/// from the seed, inject it, and require the PR-1 invariants plus
-/// convergence and bounded client-visible loss.
-fn run_chaos_case(seed: u64) {
-    let opts = chaos_opts(seed);
-    let episodes = 3usize;
-    let mut cluster = Cluster::build(opts);
-    cluster.settle();
-    let plan = FaultPlan::generate(&FaultPlanConfig {
-        nodes: cluster.servers.clone(),
-        window_start: ms(210),
-        window_end: ms(460),
-        episodes,
-        seed,
-    });
-    cluster.sim.apply_fault_plan(&plan);
-
-    let end = cluster.opts().load_end() + SimDur::millis(20);
-    cluster.run_until_checked(end);
-    cluster.run_checked(SimDur::millis(200));
-    assert_converged(&cluster);
-
-    let r = cluster.client_results();
-    let lost = r.sent.saturating_sub(r.responses + r.nacks);
-    let budget = (episodes * cluster.opts().bound + 64) as u64;
-    assert!(
-        lost <= budget,
-        "seed {seed}: lost {lost} replies > budget {budget} ({r:?})"
-    );
-}
-
-/// One randomized snapshot chaos case: the same survivable fault plan as
-/// [`run_chaos_case`], but at the snapshot chaos point where compaction is
-/// continuous — so restarts and partitions inside the fault window land
-/// before, inside, and after snapshot state transfers. On top of the
-/// standard invariants and convergence, the state machines of all live
-/// replicas must end bit-identical (a transferred node equals a replaying
-/// reference), and compaction must actually have run.
-fn run_snapshot_chaos_case(seed: u64) {
-    let opts = snap_chaos_opts(seed);
-    let episodes = 3usize;
-    let mut cluster = Cluster::build(opts);
-    cluster.settle();
-    let plan = FaultPlan::generate(&FaultPlanConfig {
-        nodes: cluster.servers.clone(),
-        window_start: ms(210),
-        window_end: ms(460),
-        episodes,
-        seed,
-    });
-    cluster.sim.apply_fault_plan(&plan);
-
-    let end = cluster.opts().load_end() + SimDur::millis(20);
-    cluster.run_until_checked(end);
-    cluster.run_checked(SimDur::millis(200));
-    assert_converged(&cluster);
-    assert_state_identical(&cluster);
-
-    let snapshots: u64 = cluster
-        .servers
-        .iter()
-        .copied()
-        .filter(|&s| cluster.sim.is_alive(s))
-        .map(|s| cluster.sim.agent::<ServerAgent>(s).node().stats().snapshots)
-        .sum();
-    assert!(snapshots > 0, "seed {seed}: compaction never ran");
-
-    let r = cluster.client_results();
-    let lost = r.sent.saturating_sub(r.responses + r.nacks);
-    let budget = (episodes * cluster.opts().bound + 64) as u64;
-    assert!(
-        lost <= budget,
-        "seed {seed}: lost {lost} replies > budget {budget} ({r:?})"
-    );
-}
-
-/// Reads a u64 env knob, accepting decimal or `0x`-prefixed hex. Panics
-/// on anything else: a typo must not turn a 64-case sweep into 3 cases.
-fn env_u64(name: &str, default: u64) -> u64 {
-    let raw = std::env::var_os(name);
-    let raw = raw.as_deref().map(|v| v.to_string_lossy());
-    parse_u64(name, raw.as_deref(), default)
-}
-
-fn parse_u64(name: &str, raw: Option<&str>, default: u64) -> u64 {
-    let Some(v) = raw else { return default };
-    let t = v.trim();
-    let parsed = t
-        .strip_prefix("0x")
-        .map_or_else(|| t.parse(), |hex| u64::from_str_radix(hex, 16));
-    parsed.unwrap_or_else(|_| panic!("{name}={v:?}: expected a decimal or 0x-hex u64"))
 }
 
 #[test]
 fn chaos_env_knobs_parse_or_panic() {
+    let parse_u64 = chaos::parse_u64;
     assert_eq!(parse_u64("CHAOS_CASES", None, 3), 3);
     assert_eq!(parse_u64("CHAOS_CASES", Some("64"), 3), 64);
     assert_eq!(parse_u64("CHAOS_SEED", Some(" 0xc0ffee\n"), 0), 0xc0ffee);
@@ -561,103 +407,43 @@ fn chaos_env_knobs_parse_or_panic() {
     }
 }
 
+/// Fresh `plain:` cases: three fault episodes against the standard chaos
+/// point, with convergence and bounded loss required.
 #[test]
 fn random_fault_plans_preserve_invariants_and_liveness() {
-    let cases = env_u64("CHAOS_CASES", 3);
-    let base = env_u64("CHAOS_SEED", 0xc0ffee);
-    let seeds: Vec<u64> = (0..cases)
-        .map(|i| base.wrapping_add(i.wrapping_mul(7919)))
-        .collect();
-    // Each seed is an independent single-threaded simulation; shard them
-    // across HC_JOBS workers. A failing seed's panic propagates here.
-    hovercraft_bench::sweep::par_map(seeds, run_chaos_case);
+    par_map(Family::Plain.sweep(3), chaos::check);
 }
 
-/// Fresh seeded fault plans at the snapshot chaos point — the CI chaos job
-/// runs this with `CHAOS_CASES=64`, so every CI run explores ≥ 64 new
-/// kill/partition/pause schedules against in-flight state transfers. The
-/// seed stream is offset from the plain sweep's so the two families never
-/// replay the same plans.
+/// Fresh `snap:` cases — the CI chaos job runs this with `CHAOS_CASES=64`,
+/// so every CI run explores ≥ 64 new kill/partition/pause schedules
+/// against in-flight state transfers.
 #[test]
 fn random_snapshot_fault_plans_converge_with_identical_state() {
-    let cases = env_u64("CHAOS_CASES", 3);
-    let base = env_u64("CHAOS_SEED", 0xc0ffee).wrapping_add(0x5eed_0000);
-    let seeds: Vec<u64> = (0..cases)
-        .map(|i| base.wrapping_add(i.wrapping_mul(6007)))
-        .collect();
-    hovercraft_bench::sweep::par_map(seeds, run_snapshot_chaos_case);
+    par_map(Family::Snap.sweep(3), chaos::check);
 }
 
-/// Every seed in the committed corpus replays a fault mix that once ran in
-/// CI; keeping them green makes past chaos runs regression tests. Bare
-/// lines run at the standard chaos point; `snap:<seed>` lines run at the
-/// snapshot chaos point (continuous compaction + chunked state transfer).
+/// Every case in the committed corpus replays a fault mix that once ran in
+/// CI; keeping them green makes past chaos runs regression tests.
 #[test]
 fn committed_fault_plan_corpus_stays_green() {
-    let mut plain: Vec<u64> = Vec::new();
-    let mut snap: Vec<u64> = Vec::new();
-    for line in include_str!("chaos_corpus.txt")
+    let cases: Vec<Case> = include_str!("chaos_corpus.txt")
         .lines()
         .map(str::trim)
-        .filter(|line| !line.is_empty() && !line.starts_with('#'))
-    {
-        match line.strip_prefix("snap:") {
-            Some(s) => snap.push(s.trim().parse().expect("snap: lines carry a seed")),
-            // `mc:` lines are model-checker action traces, not fault-plan
-            // seeds; tests/mc.rs::committed_mc_corpus_seeds_verify replays
-            // them.
-            None if line.starts_with("mc:") => {}
-            None => plain.push(line.parse().expect("corpus lines are bare seeds")),
-        }
+        // `mc:` lines are model-checker action traces, not chaos cases;
+        // tests/mc.rs::committed_mc_corpus_seeds_verify replays them.
+        .filter(|line| !line.is_empty() && !line.starts_with('#') && !line.starts_with("mc:"))
+        .map(|line| line.parse().unwrap_or_else(|e| panic!("{e}")))
+        .collect();
+    for family in [Family::Plain, Family::Snap] {
+        let n = cases.iter().filter(|c| c.family == family).count();
+        assert!(n >= 4, "{family:?} corpus unexpectedly small: {n} cases");
     }
-    assert!(
-        plain.len() >= 4,
-        "corpus unexpectedly small: {} seeds",
-        plain.len()
-    );
-    assert!(
-        snap.len() >= 4,
-        "snapshot corpus unexpectedly small: {} seeds",
-        snap.len()
-    );
-    hovercraft_bench::sweep::par_map(plain, run_chaos_case);
-    hovercraft_bench::sweep::par_map(snap, run_snapshot_chaos_case);
+    par_map(cases, chaos::check);
 }
 
 #[test]
 fn chaos_runs_are_bit_exact_replayable() {
-    let run = |seed: u64| {
-        let mut cluster = Cluster::build(chaos_opts(seed));
-        cluster.settle();
-        let cfg = FaultPlanConfig {
-            nodes: cluster.servers.clone(),
-            window_start: ms(210),
-            window_end: ms(460),
-            episodes: 3,
-            seed,
-        };
-        let plan = FaultPlan::generate(&cfg);
-        cluster.sim.apply_fault_plan(&plan);
-        let end = cluster.opts().load_end() + SimDur::millis(20);
-        cluster.run_until_checked(end);
-        cluster.run_checked(SimDur::millis(150));
-        let r = cluster.client_results();
-        (
-            plan,
-            cluster.tracer().total_recorded(),
-            cluster.tracer().render_tail(256),
-            (r.sent, r.responses, r.nacks, r.retries, r.duplicates),
-        )
-    };
-    let (plan_a, total_a, tail_a, res_a) = run(777);
-    let (plan_b, total_b, tail_b, res_b) = run(777);
-    assert_eq!(
-        plan_a, plan_b,
-        "fault schedule is a pure function of (cfg, seed)"
-    );
-    assert_eq!(total_a, total_b, "identical protocol event counts");
-    assert_eq!(tail_a, tail_b, "identical protocol trace");
-    assert_eq!(res_a, res_b, "identical client-visible outcome");
+    chaos::replay(Case::new(Family::Plain, 777), SimDur::millis(1));
 }
 
 #[test]

@@ -15,7 +15,14 @@
 //! prints over the matching rows of `PINNED` — and say why in the commit
 //! message.
 
-use testbed::{digest_chaos_run, DigestReport};
+use simnet::SimDur;
+use testbed::chaos::{self, Case, Family};
+use testbed::DigestReport;
+
+/// The digest report of case `plain:<seed>`.
+fn plain(seed: u64) -> DigestReport {
+    chaos::run(Case::new(Family::Plain, seed)).digest
+}
 
 /// (seed, digest, digested events, total recorded, engine events).
 ///
@@ -86,7 +93,7 @@ fn chaos_corpus_digests_are_pinned() {
     let mismatches: Vec<String> = PINNED
         .iter()
         .filter_map(|&(seed, expected)| {
-            let got = digest_chaos_run(seed);
+            let got = plain(seed);
             (got != expected).then(|| {
                 format!(
                     "seed {seed}:\n  expected\n{}\n  got\n{}",
@@ -105,12 +112,16 @@ fn chaos_corpus_digests_are_pinned() {
 }
 
 /// The digest must be identical when harvested at a different cadence:
-/// the fingerprint is a property of the run, not of the observer.
+/// the fingerprint is a property of the run, not of the observer. Case
+/// `plain:7` is harvested every 1 ms and every 5 ms; its ring evicts
+/// nothing even at 5 ms, so both harvests see every event.
 #[test]
 fn digest_is_observer_independent() {
-    let a = digest_chaos_run(7);
-    let b = digest_chaos_run(7);
-    assert_eq!(a, b, "same-process repeat of seed 7 diverged");
+    let r = chaos::replay(Case::new(Family::Plain, 7), SimDur::millis(5));
+    assert_eq!(
+        r.digest.events, r.digest.total_recorded,
+        "plain:7 evicted events between harvests; pick a quieter seed"
+    );
 }
 
 /// Running the same seeds inline and on 1, 4, and 8 workers must produce
@@ -126,9 +137,9 @@ fn digest_is_observer_independent() {
 #[test]
 fn pool_execution_is_digest_invariant() {
     let seeds: Vec<u64> = PINNED.iter().map(|&(seed, _)| seed).collect();
-    let inline: Vec<DigestReport> = seeds.iter().map(|&s| digest_chaos_run(s)).collect();
+    let inline: Vec<DigestReport> = seeds.iter().map(|&s| plain(s)).collect();
     for workers in [1usize, 4, 8] {
-        let on_pool = pool::with_workers(workers, |w| w.map(seeds.clone(), digest_chaos_run));
+        let on_pool = pool::with_workers(workers, |w| w.map(seeds.clone(), plain));
         assert_eq!(
             inline, on_pool,
             "{workers}-worker pool changed a digest report — scheduling leaked \

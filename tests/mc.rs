@@ -32,7 +32,7 @@ fn no_limits() -> Limits {
 /// (CI's digest will also fail) and update `tests/mc_digest.txt`
 /// alongside this constant — the point is that the search space cannot
 /// shrink silently.
-const TINY_STATES: usize = 467;
+const TINY_STATES: usize = 445;
 
 #[test]
 fn tiny_scope_exhausts_with_pinned_state_count() {
