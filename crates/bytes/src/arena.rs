@@ -18,8 +18,12 @@
 //!   allocations are byte-identical — replay digests cannot observe
 //!   whether pooling happened.
 //! * **Graceful fallback.** Oversized or pool-exhausted requests fall back
-//!   to a plain allocation; a bounded registry (per class) caps worst-case
-//!   arena memory at a few MiB regardless of workload.
+//!   to a plain allocation; a bounded registry (512 chunks per class) caps
+//!   the memory an arena keeps for reuse at
+//!   [`ByteArena::MAX_POOLED_BYTES`], 512 × (16 B + 32 B + … + 64 KiB)
+//!   = 67 100 672 B ≈ 64 MiB of chunk payload, whatever the workload.
+//!   Only a workload that holds hundreds of large buffers at once comes
+//!   near it; chunks held outside the registry are not counted.
 //!
 //! # Lifetime rules
 //!
@@ -67,6 +71,10 @@ impl Default for ByteArena {
 }
 
 impl ByteArena {
+    /// The most chunk payload the registries can retain: 512 chunks of
+    /// every class, 16 B to 64 KiB.
+    pub const MAX_POOLED_BYTES: usize = CLASS_CAP * ((2 << MAX_CLASS) - (1 << MIN_CLASS));
+
     /// An empty arena. Chunks are created on demand, so an unused arena
     /// costs a few hundred bytes.
     pub fn new() -> ByteArena {
@@ -252,6 +260,14 @@ mod tests {
         let held: Vec<_> = (0..2 * CLASS_CAP).map(|_| a.alloc(&[7u8; 64])).collect();
         assert_eq!(held.len(), 2 * CLASS_CAP);
         assert!(a.pools.iter().all(|p| p.bufs.len() <= CLASS_CAP));
+    }
+
+    #[test]
+    fn pooled_memory_bound_is_64_mib() {
+        let per_class: usize = (MIN_CLASS..=MAX_CLASS).map(|c| CLASS_CAP << c).sum();
+        assert_eq!(ByteArena::MAX_POOLED_BYTES, per_class);
+        assert_eq!(ByteArena::MAX_POOLED_BYTES, 67_100_672);
+        assert_eq!(ByteArena::MAX_POOLED_BYTES.div_ceil(1 << 20), 64);
     }
 
     #[test]

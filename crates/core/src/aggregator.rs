@@ -169,8 +169,9 @@ impl Aggregator {
                 term,
                 leader,
                 prev_log_index,
-                ref entries,
-                ..
+                prev_log_term,
+                entries,
+                leader_commit,
             } => {
                 if term > self.term {
                     self.flush();
@@ -190,30 +191,16 @@ impl Aggregator {
                 self.last_target = self.last_target.max(target);
                 self.stats.fanouts += 1;
                 // Fan out to every member except the leader.
-                self.members
-                    .iter()
-                    .copied()
-                    .filter(|&n| n != leader)
-                    .map(|n| {
-                        (
-                            n,
-                            WireMsg::Raft(Message::AppendEntries {
-                                term,
-                                leader,
-                                prev_log_index,
-                                prev_log_term: match &m {
-                                    Message::AppendEntries { prev_log_term, .. } => *prev_log_term,
-                                    _ => unreachable!(),
-                                },
-                                entries: entries.clone(),
-                                leader_commit: match &m {
-                                    Message::AppendEntries { leader_commit, .. } => *leader_commit,
-                                    _ => unreachable!(),
-                                },
-                            }),
-                        )
+                fan_out(&self.members, Some(leader), entries, |entries| {
+                    WireMsg::Raft(Message::AppendEntries {
+                        term,
+                        leader,
+                        prev_log_index,
+                        prev_log_term,
+                        entries,
+                        leader_commit,
                     })
-                    .collect()
+                })
             }
             Message::AppendEntriesReply {
                 term,
@@ -280,20 +267,35 @@ impl Aggregator {
                 applied_index: self.completed.get(&n).copied().unwrap_or(0),
             })
             .collect();
-        self.members
-            .iter()
-            .map(|&n| {
-                (
-                    n,
-                    WireMsg::AggCommit {
-                        term: self.term,
-                        commit: self.commit,
-                        status: status.clone(),
-                    },
-                )
-            })
-            .collect()
+        let (term, commit) = (self.term, self.commit);
+        fan_out(&self.members, None, status, |status| WireMsg::AggCommit {
+            term,
+            commit,
+            status,
+        })
     }
+}
+
+/// One message per member other than `skip`, in member order, each built
+/// from its own copy of `payload`: every copy but the last is a clone,
+/// and the last takes the original.
+fn fan_out<T: Clone>(
+    members: &[RaftId],
+    skip: Option<RaftId>,
+    payload: T,
+    msg: impl Fn(T) -> WireMsg,
+) -> Vec<(u32, WireMsg)> {
+    let mut out = Vec::with_capacity(members.len());
+    let mut last = None;
+    for n in members.iter().copied().filter(|&n| Some(n) != skip) {
+        if let Some(prev) = last.replace(n) {
+            out.push((prev, msg(payload.clone())));
+        }
+    }
+    if let Some(n) = last {
+        out.push((n, msg(payload)));
+    }
+    out
 }
 
 #[cfg(test)]

@@ -42,19 +42,18 @@ impl LatencyRecorder {
         self.samples.iter().map(|&s| s as f64).sum::<f64>() / self.samples.len() as f64
     }
 
-    /// The exact `p`-th percentile (0 < p ≤ 100) by the nearest-rank
-    /// method Lancet reports; `None` if empty.
+    /// The exact `p`-th percentile (0 < p ≤ 100, in thousandths of a
+    /// percent) by the nearest-rank method Lancet reports; `None` if
+    /// empty.
     pub fn percentile(&mut self, p: f64) -> Option<u64> {
         if self.samples.is_empty() {
             return None;
         }
-        assert!(p > 0.0 && p <= 100.0);
         if !self.sorted {
             self.samples.sort_unstable();
             self.sorted = true;
         }
-        let rank = ((p / 100.0) * self.samples.len() as f64).ceil() as usize;
-        Some(self.samples[rank.clamp(1, self.samples.len()) - 1])
+        Some(self.samples[nearest_rank(p, self.samples.len()) - 1])
     }
 
     /// The 99th percentile (the paper's SLO metric), ns.
@@ -138,9 +137,51 @@ impl WindowedSeries {
     }
 }
 
+/// The 1-based nearest rank of percentile `p` among `n` samples,
+/// `⌈p · n / 100⌉`, computed in integers: in floating point, `0.999 × n`
+/// rounds up past an integer for p = 99.9 at n = 1000, 2000, … and picks
+/// one sample too high.
+///
+/// # Panics
+/// Panics unless 0 < p ≤ 100 and p is a whole number of thousandths.
+fn nearest_rank(p: f64, n: usize) -> usize {
+    let milli = (p * 1000.0).round();
+    assert!(
+        (1.0..=100_000.0).contains(&milli) && (p * 1000.0 - milli).abs() < 1e-6,
+        "percentile {p} is not in (0, 100] in thousandths"
+    );
+    (milli as u128 * n as u128).div_ceil(100_000) as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn p99_9_of_a_thousand_is_the_999th_sample() {
+        let mut r = LatencyRecorder::new();
+        for v in 1..=1000u64 {
+            r.record(v);
+        }
+        assert_eq!(r.percentile(99.9), Some(999));
+        assert_eq!(r.percentile(99.0), Some(990));
+    }
+
+    #[test]
+    fn nearest_rank_is_the_exact_rational_ceiling() {
+        // p as a fraction of 1000 (tenths of a percent): the rank r is the
+        // one integer with (r - 1) · 1000 < p · n ≤ r · 1000.
+        for tenths in [500u64, 900, 990, 999] {
+            let p = tenths as f64 / 10.0;
+            for n in 1..=100_000u64 {
+                let r = nearest_rank(p, n as usize) as u64;
+                assert!(
+                    (r - 1) * 1000 < tenths * n && tenths * n <= r * 1000,
+                    "p{p} n={n}: rank {r}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn percentiles_by_nearest_rank() {

@@ -3,6 +3,7 @@
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use hovercraft::{HcConfig, HcNode, Mode, Service, WireMsg};
 use minikv::{CostModel, KvService};
@@ -50,12 +51,20 @@ pub enum WorkloadKind {
 }
 
 impl WorkloadKind {
-    fn instantiate(&self, seed: u64) -> ClientWorkload {
+    /// One client workload per seed. A YCSB generator's zipfian constants
+    /// cost O(records) to compute, so a world builds one generator and
+    /// every client draws from a reseeded clone of it.
+    fn instantiate(&self, seeds: impl Iterator<Item = u64>) -> Vec<ClientWorkload> {
         match self {
-            WorkloadKind::Synth(spec) => ClientWorkload::Synth(spec.clone()),
-            WorkloadKind::Ycsb { workload, records } => ClientWorkload::Ycsb(Box::new(
-                YcsbGen::new(*workload, *records, RecordSpec::default(), seed),
-            )),
+            WorkloadKind::Synth(spec) => {
+                seeds.map(|_| ClientWorkload::Synth(spec.clone())).collect()
+            }
+            WorkloadKind::Ycsb { workload, records } => {
+                let gen = YcsbGen::new(*workload, *records, RecordSpec::default(), 0);
+                seeds
+                    .map(|seed| ClientWorkload::Ycsb(Box::new(gen.reseeded(seed))))
+                    .collect()
+            }
         }
     }
 }
@@ -161,7 +170,7 @@ pub struct Cluster {
     opts: ClusterOpts,
 }
 
-/// The application state every server starts from, built once per world
+/// The application state every server starts from, taken once per world
 /// (outside simulated time) and cloned wherever a service is needed: each
 /// replica, the unreplicated baseline, and every crash–restart rejoin (a
 /// restarted node's state machine starts from this same image and
@@ -170,9 +179,34 @@ enum ServiceImage {
     /// The synthetic service holds no state worth sharing.
     Synth,
     /// The store, preloaded with the YCSB records when the workload has
-    /// any. A clone shares the record buffers and owns its map, so a write
-    /// on one replica stays private to it.
-    Kv(KvService),
+    /// any, and shared with every world of the same record count (see
+    /// [`KV_IMAGE`]). A clone shares the record buffers and owns its map,
+    /// so a write on one replica stays private to it.
+    Kv(Arc<KvService>),
+}
+
+/// The last preloaded store built in this process, keyed by its record
+/// count (0: no YCSB workload, an empty store). The image is a pure
+/// function of that count, so every world of the same count takes it
+/// from here instead of preloading again; a world of another count
+/// replaces it, so at most one image is retained. Worlds on other threads
+/// may share it: its records are `Arc`-backed `Bytes`, and nobody writes
+/// through the slot's handle.
+static KV_IMAGE: Mutex<Option<(u64, Arc<KvService>)>> = Mutex::new(None);
+
+/// The store after the YCSB load phase over `records` records, executed
+/// through [`Service::execute`] as a client's INSERTs would be.
+fn preload(records: u64) -> KvService {
+    let mut kv = KvService::new(CostModel::default());
+    if records > 0 {
+        let gen = YcsbGen::new(YcsbWorkload::E, records, RecordSpec::default(), 0);
+        // A throwaway arena: the preload's replies are dropped.
+        let mut arena = bytes::ByteArena::new();
+        for cmd in gen.load_phase() {
+            kv.execute(&cmd.encode(), false, &mut arena);
+        }
+    }
+    kv
 }
 
 impl ServiceImage {
@@ -180,25 +214,31 @@ impl ServiceImage {
         match opts.service {
             ServiceKind::Synth => ServiceImage::Synth,
             ServiceKind::Kv => {
-                let mut kv = KvService::new(CostModel::default());
-                if let WorkloadKind::Ycsb { records, .. } = &opts.workload {
-                    let gen = YcsbGen::new(YcsbWorkload::E, *records, RecordSpec::default(), 0);
-                    // A throwaway arena: the preload's replies are dropped.
-                    let mut arena = bytes::ByteArena::new();
-                    for cmd in gen.load_phase() {
-                        kv.execute(&cmd.encode(), false, &mut arena);
-                    }
-                }
+                let records = match &opts.workload {
+                    WorkloadKind::Ycsb { records, .. } => *records,
+                    WorkloadKind::Synth(_) => 0,
+                };
+                // Held across the preload, so concurrent builders of one
+                // count wait for a single image rather than each making one.
+                // A panic in a preload leaves the slot as it was (it is
+                // written only after), so a poisoned lock is still sound.
+                let mut slot = KV_IMAGE.lock().unwrap_or_else(PoisonError::into_inner);
+                let kv = match &*slot {
+                    Some((n, kv)) if *n == records => Arc::clone(kv),
+                    _ => Arc::clone(&slot.insert((records, Arc::new(preload(records)))).1),
+                };
                 ServiceImage::Kv(kv)
             }
         }
     }
 
-    /// A fresh service in the image's state.
+    /// A fresh service in the image's state. The map is cloned here, for
+    /// each instance, and not on its first write: a copy deferred to the
+    /// first INSERT would only move the same host time into the run.
     fn instance(&self) -> Box<dyn Service> {
         match self {
             ServiceImage::Synth => Box::new(SynthService::default()),
-            ServiceImage::Kv(kv) => Box::new(kv.clone()),
+            ServiceImage::Kv(kv) => Box::new(KvService::clone(kv)),
         }
     }
 }
@@ -319,8 +359,10 @@ impl Cluster {
         let target = Self::default_target(&opts, servers[0]);
         let mut clients = Vec::with_capacity(opts.clients as usize);
         let per_client = opts.rate_rps / opts.clients as f64;
-        for c in 0..opts.clients {
-            let wl = opts.workload.instantiate(opts.seed * 1000 + c as u64);
+        let workloads = opts
+            .workload
+            .instantiate((0..opts.clients).map(|c| opts.seed * 1000 + c as u64));
+        for (c, wl) in (0..opts.clients).zip(workloads) {
             let mut agent = ClientAgent::new(
                 target,
                 per_client,
@@ -589,48 +631,155 @@ impl Cluster {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use minikv::{Command, Reply};
+    use minikv::{Command, Reply, Store};
 
-    #[test]
-    fn image_instances_share_records_and_keep_writes_private() {
-        let mut opts = ClusterOpts::new(Setup::Unrep, 1, 1.0);
+    /// Serializes the tests that read or replace the process-wide image.
+    static SLOT: Mutex<()> = Mutex::new(());
+
+    fn slot_lock() -> std::sync::MutexGuard<'static, ()> {
+        SLOT.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn kv_opts(setup: Setup, n: u32, records: u64) -> ClusterOpts {
+        let mut opts = ClusterOpts::new(setup, n, 1.0);
         opts.service = ServiceKind::Kv;
         opts.workload = WorkloadKind::Ycsb {
             workload: YcsbWorkload::E,
-            records: 100,
+            records,
         };
-        let image = ServiceImage::new(&opts);
-        let ServiceImage::Kv(kv) = &image else {
-            panic!("a Kv world builds a Kv image");
-        };
-        // The stores of two instances, as `instance` clones them.
-        let (mut a, mut b) = (kv.store().clone(), kv.store().clone());
+        opts
+    }
+
+    /// The image a world of `records` records starts from.
+    fn kv_image(records: u64) -> Arc<KvService> {
+        match ServiceImage::new(&kv_opts(Setup::Unrep, 1, records)) {
+            ServiceImage::Kv(kv) => kv,
+            ServiceImage::Synth => panic!("a Kv world builds a Kv image"),
+        }
+    }
+
+    /// A replicated Kv world of `records` records, built but not run.
+    fn world(records: u64) -> Cluster {
+        Cluster::build(kv_opts(Setup::Vanilla, 3, records))
+    }
+
+    /// Every server's state in `c`.
+    fn snapshots(c: &Cluster) -> Vec<Bytes> {
+        c.servers
+            .iter()
+            .map(|&s| c.sim.agent::<ServerAgent>(s).node().service().snapshot())
+            .collect()
+    }
+
+    /// Preloaded record `rank` as `store` holds it.
+    fn record(store: &Store, rank: u64) -> Bytes {
         let read = Command::Scan(
             Bytes::from_static(b"usertable"),
-            Bytes::from(workload::key_of(7)),
+            Bytes::from(workload::key_of(rank)),
             1,
         );
-        match (a.execute(&read).0, b.execute(&read).0) {
-            (Reply::Array(ra), Reply::Array(rb)) => match (&ra[..], &rb[..]) {
-                ([_, Reply::Bulk(ra)], [_, Reply::Bulk(rb)]) => {
-                    assert_eq!(ra.as_ptr(), rb.as_ptr(), "one allocation per record");
-                }
+        match store.clone().execute(&read).0 {
+            Reply::Array(items) => match &items[..] {
+                [_, Reply::Bulk(rec)] => rec.clone(),
                 other => panic!("preloaded record missing: {other:?}"),
             },
             other => panic!("unexpected reply: {other:?}"),
         }
+    }
+
+    fn overwrite(rank: u64) -> Bytes {
+        Command::Insert(
+            Bytes::from_static(b"usertable"),
+            Bytes::from(workload::key_of(rank)),
+            Bytes::from_static(b"rewritten"),
+        )
+        .encode()
+    }
+
+    #[test]
+    fn image_instances_share_records_and_keep_writes_private() {
+        let _slot = slot_lock();
+        let (kv, again) = (kv_image(100), kv_image(100));
+        assert!(Arc::ptr_eq(&kv, &again), "a second world reuses the image");
+        // The stores of two instances, as `instance` clones them.
+        let (a, b) = (kv.store().clone(), again.store().clone());
+        assert_eq!(
+            record(&a, 7).as_ptr(),
+            record(&b, 7).as_ptr(),
+            "one allocation per record"
+        );
 
         // An INSERT that overwrites a preloaded key stays on its instance.
         let preloaded = kv.snapshot();
+        let image = ServiceImage::Kv(again);
         let (mut a, b) = (image.instance(), image.instance());
-        let overwrite = Command::Insert(
-            Bytes::from_static(b"usertable"),
-            Bytes::from(workload::key_of(7)),
-            Bytes::from_static(b"rewritten"),
-        );
-        a.execute(&overwrite.encode(), false, &mut bytes::ByteArena::new());
+        a.execute(&overwrite(7), false, &mut bytes::ByteArena::new());
         assert_ne!(a.snapshot(), preloaded);
         assert_eq!(b.snapshot(), preloaded, "the other instance is unchanged");
         assert_eq!(kv.snapshot(), preloaded, "so is the image");
+    }
+
+    #[test]
+    fn a_write_in_one_world_reaches_no_other_world() {
+        let _slot = slot_lock();
+        let (mut a, b) = (world(100), world(100));
+        let n0 = a.servers[0];
+        a.sim
+            .agent_mut::<ServerAgent>(n0)
+            .node_mut()
+            .service_mut()
+            .execute(&overwrite(7), false, &mut bytes::ByteArena::new());
+        let c = world(100);
+        let preloaded = preload(100).snapshot();
+        let (a, b, c) = (snapshots(&a), snapshots(&b), snapshots(&c));
+        assert_ne!(a[0], preloaded, "the write landed on its replica");
+        for snap in a[1..].iter().chain(&b).chain(&c) {
+            assert_eq!(*snap, preloaded, "a replica without the write moved");
+        }
+    }
+
+    #[test]
+    fn concurrent_builders_share_one_identical_image() {
+        let _slot = slot_lock();
+        // A count no other test uses, so both threads race to create it.
+        let start = std::sync::Barrier::new(2);
+        let build = || {
+            start.wait();
+            (kv_image(300), snapshots(&world(300)))
+        };
+        let ((img_a, snaps_a), (img_b, snaps_b)) = std::thread::scope(|s| {
+            let a = s.spawn(build);
+            let b = s.spawn(build);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(&img_a, &img_b), "one image, built once");
+        let preloaded = preload(300).snapshot();
+        for snap in snaps_a.iter().chain(&snaps_b) {
+            assert_eq!(*snap, preloaded);
+        }
+    }
+
+    #[test]
+    fn another_record_count_replaces_the_image() {
+        let _slot = slot_lock();
+        let first = kv_image(10_000);
+        let other = kv_image(50);
+        {
+            let slot = KV_IMAGE.lock().unwrap();
+            let (records, kv) = slot.as_ref().expect("an image is retained");
+            assert_eq!(*records, 50);
+            assert!(
+                Arc::ptr_eq(kv, &other),
+                "the slot holds only the newest image"
+            );
+        }
+        assert!(
+            !Arc::ptr_eq(&first, &kv_image(10_000)),
+            "10 000 was rebuilt"
+        );
+        let alone = preload(10_000).snapshot();
+        for snap in snapshots(&world(10_000)) {
+            assert_eq!(snap, alone, "the rebuilt image is the preloaded store");
+        }
     }
 }

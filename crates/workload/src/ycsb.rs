@@ -75,6 +75,7 @@ pub struct YcsbOp {
 }
 
 /// Stateful YCSB operation generator.
+#[derive(Clone)]
 pub struct YcsbGen {
     workload: YcsbWorkload,
     spec: RecordSpec,
@@ -105,6 +106,18 @@ impl YcsbGen {
             zipf: Zipfian::ycsb(record_count),
             max_scan_len: 10,
             rng: SmallRng::seed_from_u64(seed),
+        }
+    }
+
+    /// A clone of this generator that draws from `seed`. The zipfian
+    /// constants are O(records) to compute and are copied instead, so a
+    /// fresh generator's reseeded clone yields exactly the op stream of
+    /// `YcsbGen::new(.., seed)` at a fraction of the cost.
+    pub fn reseeded(&self, seed: u64) -> YcsbGen {
+        use rand::SeedableRng;
+        YcsbGen {
+            rng: SmallRng::seed_from_u64(seed),
+            ..self.clone()
         }
     }
 
@@ -290,6 +303,25 @@ mod tests {
                 Reply::Array(items) => assert!(!items.is_empty(), "scan hit data"),
                 Reply::Ok => {} // insert
                 other => panic!("{other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_reseeded_clone_replays_a_fresh_generator() {
+        use YcsbWorkload::*;
+        for workload in [A, B, C, D, E] {
+            let base = YcsbGen::new(workload, 10_000, RecordSpec::default(), 0);
+            for seed in [1, 42_000, 42_003] {
+                let mut fresh = YcsbGen::new(workload, 10_000, RecordSpec::default(), seed);
+                let mut clone = base.reseeded(seed);
+                for i in 0..10_000 {
+                    let (a, b) = (fresh.next_op(), clone.next_op());
+                    assert!(
+                        a.body == b.body && a.read_only == b.read_only,
+                        "{workload:?} seed {seed}: op {i} differs"
+                    );
+                }
             }
         }
     }
