@@ -20,6 +20,9 @@ pub struct Counters {
     pub dropped_loss: u64,
     /// Arrivals discarded because the node was killed.
     pub dropped_dead: u64,
+    /// Arrivals a crash–restart discarded: accepted into the RX ring (or
+    /// deferred by a pause) by the crashed incarnation, never handled.
+    pub dropped_restart: u64,
     /// Copies dropped at the switch because sender and receiver were in
     /// different partition groups.
     pub dropped_partition: u64,
@@ -49,6 +52,7 @@ mod tests {
             rx_dropped_backlog: 1,
             dropped_loss: 3,
             dropped_dead: 9,
+            dropped_restart: 5,
             dropped_partition: 2,
             duplicated: 1,
         };

@@ -52,20 +52,23 @@ pub type DropFilter<M> = Box<dyn FnMut(&Packet<M>, NodeId, SimTime) -> bool>;
 /// the rebooted agent with all volatile state wiped.
 pub type RestartHook<M> = Box<dyn FnMut(NodeId, SimTime, Box<dyn Agent<M>>) -> Box<dyn Agent<M>>>;
 
-/// A scheduled event. The node-scoped ones (`Start`, `PktDeliver`,
-/// `Timer`, `AppDone`) carry the incarnation `epoch` of the node that
-/// scheduled them, and dispatch drops every one whose epoch is not the
-/// node's current one: nothing a crashed incarnation set in motion runs in
-/// the restarted one. There is no other way to retract an event.
-enum Ev<M> {
-    PktAtSwitch(Packet<M>),
+/// A scheduled event, stored once in the wheel's arena (32 B). The
+/// node-scoped ones (`Start`, `PktDeliver`, `Timer`, `AppDone`) carry the
+/// incarnation `epoch` of the node that scheduled them, and dispatch drops
+/// every one whose epoch is not the node's current one: nothing a crashed
+/// incarnation set in motion runs in the restarted one. There is no other
+/// way to retract an event. A packet event names its packet's slot in the
+/// engine's [`PacketStore`]; whoever consumes or discards the event
+/// releases the slot (`Sim::discard` for an undispatched one).
+enum Ev {
+    PktAtSwitch(u32),
     PktArrive {
         node: NodeId,
-        pkt: Packet<M>,
+        pkt: u32,
     },
     PktDeliver {
         node: NodeId,
-        pkt: Packet<M>,
+        pkt: u32,
         epoch: u64,
     },
     Timer {
@@ -83,10 +86,13 @@ enum Ev<M> {
         node: NodeId,
         epoch: u64,
     },
-    Fault(FaultCmd),
+    Fault(Box<FaultCmd>),
 }
 
-impl<M> Ev<M> {
+// Every queued event costs one wheel node of this plus 24 B.
+const _: () = assert!(std::mem::size_of::<Ev>() == 32);
+
+impl Ev {
     /// The node and incarnation a node-scoped event was scheduled for.
     fn incarnation(&self) -> Option<(NodeId, u64)> {
         match *self {
@@ -99,43 +105,46 @@ impl<M> Ev<M> {
     }
 }
 
-/// Slab storage for scheduled events: stable `u32` slots handed to the
-/// wheel, with freed slots recycled LIFO, so at a steady state the event
-/// loop allocates nothing per event.
-struct EventSlab<M> {
-    slots: Vec<Option<Ev<M>>>,
+/// Packets in flight, each parked once from its send until delivery or
+/// drop, in stable `u32` slots that packet events name. Freed slots are
+/// recycled LIFO, so at a steady state the store allocates nothing.
+struct PacketStore<M> {
+    slots: Vec<Option<Packet<M>>>,
     free: Vec<u32>,
 }
 
-impl<M> EventSlab<M> {
-    fn new() -> Self {
-        EventSlab {
-            slots: Vec::with_capacity(256),
-            free: Vec::with_capacity(256),
-        }
-    }
-
+impl<M> PacketStore<M> {
     #[inline]
-    fn insert(&mut self, ev: Ev<M>) -> u32 {
+    fn park(&mut self, pkt: Packet<M>) -> u32 {
         match self.free.pop() {
-            Some(slot) => {
-                debug_assert!(self.slots[slot as usize].is_none());
-                self.slots[slot as usize] = Some(ev);
-                slot
+            Some(id) => {
+                debug_assert!(self.slots[id as usize].is_none());
+                self.slots[id as usize] = Some(pkt);
+                id
             }
             None => {
-                let slot = self.slots.len() as u32;
-                self.slots.push(Some(ev));
-                slot
+                self.slots.push(Some(pkt));
+                (self.slots.len() - 1) as u32
             }
         }
     }
 
     #[inline]
-    fn remove(&mut self, slot: u32) -> Ev<M> {
-        let ev = self.slots[slot as usize].take().expect("live slab slot");
-        self.free.push(slot);
-        ev
+    fn get(&self, id: u32) -> &Packet<M> {
+        self.slots[id as usize].as_ref().expect("parked packet")
+    }
+
+    /// Takes a packet out and frees its slot; discarding the result
+    /// releases a packet that will never be delivered.
+    #[inline]
+    fn take(&mut self, id: u32) -> Packet<M> {
+        let pkt = self.slots[id as usize].take().expect("parked packet");
+        self.free.push(id);
+        pkt
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
     }
 }
 
@@ -160,7 +169,7 @@ struct NodeSlot<M> {
     /// evicted the `fault_restart` marker by the time they look).
     restarted_at: Vec<SimTime>,
     /// Events deferred while paused, redelivered on resume in order.
-    stalled: Vec<Ev<M>>,
+    stalled: Vec<Ev>,
     net_busy: SimTime,
     tx_wire_busy: SimTime,
     rx_wire_busy: SimTime,
@@ -182,9 +191,9 @@ pub struct Sim<M> {
     nodes: Vec<NodeSlot<M>>,
     groups: GroupTable,
     programs: Vec<Box<dyn SwitchProgram<M>>>,
-    queue: TimerWheel,
-    /// Event payloads, indexed by the wheel's token.
-    slab: EventSlab<M>,
+    queue: TimerWheel<Ev>,
+    /// Packets named by the queued packet events and `stalled` lists.
+    packets: PacketStore<M>,
     /// Scratch reused across `at_switch` calls (program emissions).
     emit_scratch: Vec<Packet<M>>,
     /// Scratch reused across group fan-outs (resolved member list).
@@ -217,7 +226,10 @@ impl<M: Clone + Debug + 'static> Sim<M> {
             groups: GroupTable::default(),
             programs: Vec::new(),
             queue: TimerWheel::new(),
-            slab: EventSlab::new(),
+            packets: PacketStore {
+                slots: Vec::new(),
+                free: Vec::new(),
+            },
             emit_scratch: Vec::new(),
             members_scratch: Vec::new(),
             switch_rng: SmallRng::seed_from_u64(seed ^ 0x5151_5151_dead_beef),
@@ -315,7 +327,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
     /// Schedules a single fault transition (clamped to `now` if `at` is in
     /// the past).
     pub fn schedule_fault(&mut self, at: SimTime, cmd: FaultCmd) {
-        self.push(at.max(self.now), Ev::Fault(cmd));
+        self.push(at.max(self.now), Ev::Fault(Box::new(cmd)));
     }
 
     /// Schedules every event of a [`FaultPlan`].
@@ -366,6 +378,14 @@ impl<M: Clone + Debug + 'static> Sim<M> {
     /// the seed, pinned per chaos seed in `tests/determinism_guard.rs`.
     pub fn events_processed(&self) -> u64 {
         self.processed
+    }
+
+    /// Packets parked in the engine: sent and not yet delivered or
+    /// dropped. Zero once the queue has drained; a positive count on an
+    /// empty queue is a leak.
+    #[doc(hidden)]
+    pub fn parked_packets(&self) -> usize {
+        self.packets.len()
     }
 
     /// The world's byte-buffer arena, for allocations made outside agent
@@ -445,9 +465,8 @@ impl<M: Clone + Debug + 'static> Sim<M> {
     /// when it reached `t`. Stopping early changes nothing: a later call
     /// resumes with the next event in order.
     pub fn run_until_or(&mut self, t: SimTime, mut stop: impl FnMut() -> bool) -> bool {
-        while let Some((at, slot)) = self.pop_next(t) {
+        while let Some((at, ev)) = self.pop_next(t) {
             self.now = at;
-            let ev = self.slab.remove(slot);
             self.dispatch(ev);
             if stop() {
                 return false;
@@ -465,22 +484,33 @@ impl<M: Clone + Debug + 'static> Sim<M> {
 
     // ---- internals -------------------------------------------------------
 
-    fn push(&mut self, at: SimTime, ev: Ev<M>) {
+    fn push(&mut self, at: SimTime, ev: Ev) {
         crate::profile::note_sched_op();
         let seq = self.seq;
         self.seq += 1;
-        let slot = self.slab.insert(ev);
-        self.queue.insert(at.as_nanos(), seq, slot);
+        self.queue.insert(at.as_nanos(), seq, ev);
     }
 
     /// Pops the earliest `(at, seq)` event at or before `limit`.
-    fn pop_next(&mut self, limit: SimTime) -> Option<(SimTime, u32)> {
-        let (at, _seq, slot) = self.queue.pop_next(limit.as_nanos())?;
+    fn pop_next(&mut self, limit: SimTime) -> Option<(SimTime, Ev)> {
+        let (at, _seq, ev) = self.queue.pop_next(limit.as_nanos())?;
         crate::profile::note_sched_op();
-        Some((SimTime::from_nanos(at), slot))
+        Some((SimTime::from_nanos(at), ev))
     }
 
-    fn dispatch(&mut self, ev: Ev<M>) {
+    /// Drops a node-scoped event undispatched, releasing the packet a
+    /// `PktDeliver` parked. Returns the packets released (0 or 1).
+    fn discard(&mut self, ev: Ev) -> u64 {
+        match ev {
+            Ev::PktDeliver { pkt, .. } => {
+                self.packets.take(pkt);
+                1
+            }
+            _ => 0,
+        }
+    }
+
+    fn dispatch(&mut self, ev: Ev) {
         self.processed += 1;
         if let Some((node, epoch)) = ev.incarnation() {
             let slot = &mut self.nodes[node as usize];
@@ -492,6 +522,8 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                 return;
             }
             if epoch != slot.epoch {
+                let dropped = self.discard(ev);
+                self.nodes[node as usize].counters.dropped_restart += dropped;
                 return;
             }
         }
@@ -499,10 +531,14 @@ impl<M: Clone + Debug + 'static> Sim<M> {
             Ev::Start { node, .. } => {
                 self.invoke(node, ThreadClass::Net, |a, ctx| a.on_start(ctx));
             }
-            Ev::Fault(cmd) => self.apply_fault(cmd),
-            Ev::PktAtSwitch(pkt) => self.at_switch(pkt),
+            Ev::Fault(cmd) => self.apply_fault(*cmd),
+            Ev::PktAtSwitch(pkt) => {
+                let pkt = self.packets.take(pkt);
+                self.at_switch(pkt);
+            }
             Ev::PktArrive { node, pkt } => self.arrive(node, pkt),
             Ev::PktDeliver { node, pkt, .. } => {
+                let pkt = self.packets.take(pkt);
                 let slot = &mut self.nodes[node as usize];
                 slot.net_backlog = slot.net_backlog.saturating_sub(1);
                 if !slot.alive {
@@ -544,7 +580,9 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                 let slot = &mut self.nodes[*node as usize];
                 slot.alive = false;
                 slot.paused = false;
-                slot.stalled.clear();
+                let stalled = std::mem::take(&mut slot.stalled);
+                let dropped: u64 = stalled.into_iter().map(|ev| self.discard(ev)).sum();
+                self.nodes[*node as usize].counters.dropped_dead += dropped;
             }
             FaultCmd::Restart { node } => {
                 let n = *node;
@@ -554,7 +592,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                 slot.restarted_at.push(now);
                 slot.alive = true;
                 slot.paused = false;
-                slot.stalled.clear();
+                let stalled = std::mem::take(&mut slot.stalled);
                 slot.net_backlog = 0;
                 slot.app.queue.clear();
                 slot.app.busy = false;
@@ -562,6 +600,8 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                 slot.net_busy = now;
                 slot.tx_wire_busy = now;
                 slot.rx_wire_busy = now;
+                let dropped: u64 = stalled.into_iter().map(|ev| self.discard(ev)).sum();
+                self.nodes[n as usize].counters.dropped_restart += dropped;
                 let hook = self
                     .restart_hook
                     .as_mut()
@@ -670,8 +710,8 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                     thread: charge,
                 } => {
                     let slot = &mut self.nodes[node as usize];
-                    let frags = slot.nic.frags(size) as u64;
-                    let tx_cpu = slot.nic.tx_cpu_per_frag * frags;
+                    let (frags, wire) = slot.nic.frags_and_wire_time(size);
+                    let tx_cpu = slot.nic.tx_cpu_per_frag * frags as u64;
                     // CPU stage: charged to the thread that owns the send
                     // (usually the calling thread; see `Ctx::send_from`).
                     let cpu_done = match charge {
@@ -686,7 +726,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                         }
                     };
                     // Wire stage: one serialization regardless of fan-out.
-                    let t2 = slot.tx_wire_busy.max(cpu_done) + slot.nic.wire_time(size);
+                    let t2 = slot.tx_wire_busy.max(cpu_done) + wire;
                     slot.tx_wire_busy = t2;
                     slot.counters.tx_msgs += 1;
                     slot.counters.tx_bytes += size as u64;
@@ -698,6 +738,7 @@ impl<M: Clone + Debug + 'static> Sim<M> {
                         sent_at: now,
                     };
                     let at = t2 + self.fabric.prop_delay;
+                    let pkt = self.packets.park(pkt);
                     self.push(at, Ev::PktAtSwitch(pkt));
                 }
                 Effect::Timer { delay, kind, id } => {
@@ -832,31 +873,29 @@ impl<M: Clone + Debug + 'static> Sim<M> {
         }
         if dup_prob > 0.0 && self.switch_rng.gen::<f64>() < dup_prob {
             self.nodes[m as usize].counters.duplicated += 1;
-            self.push(
-                at,
-                Ev::PktArrive {
-                    node: m,
-                    pkt: p.clone(),
-                },
-            );
+            let pkt = self.packets.park(p.clone());
+            self.push(at, Ev::PktArrive { node: m, pkt });
         }
-        self.push(at, Ev::PktArrive { node: m, pkt: p });
+        let pkt = self.packets.park(p);
+        self.push(at, Ev::PktArrive { node: m, pkt });
     }
 
-    fn arrive(&mut self, node: NodeId, pkt: Packet<M>) {
+    fn arrive(&mut self, node: NodeId, pkt: u32) {
         let slot = &mut self.nodes[node as usize];
         if !slot.alive {
             slot.counters.dropped_dead += 1;
+            self.packets.take(pkt);
             return;
         }
         if slot.net_backlog >= slot.nic.rx_ring {
             slot.counters.rx_dropped_backlog += 1;
+            self.packets.take(pkt);
             return;
         }
-        let frags = slot.nic.frags(pkt.size) as u64;
-        let t5 = slot.rx_wire_busy.max(self.now) + slot.nic.wire_time(pkt.size);
+        let (frags, wire) = slot.nic.frags_and_wire_time(self.packets.get(pkt).size);
+        let t5 = slot.rx_wire_busy.max(self.now) + wire;
         slot.rx_wire_busy = t5;
-        let t6 = slot.net_busy.max(t5) + slot.nic.rx_cpu_per_frag * frags;
+        let t6 = slot.net_busy.max(t5) + slot.nic.rx_cpu_per_frag * frags as u64;
         slot.net_busy = t6;
         slot.net_backlog += 1;
         let epoch = slot.epoch;

@@ -61,11 +61,19 @@ impl NicParams {
     /// per-fragment framing overhead.
     #[inline]
     pub fn wire_time(&self, size: u32) -> SimDur {
-        let frags = self.frags(size) as u64;
-        let bytes = size as u64 + frags * self.per_frag_overhead as u64;
+        self.frags_and_wire_time(size).1
+    }
+
+    /// [`NicParams::frags`] and [`NicParams::wire_time`] of one message,
+    /// computed together: a hop charges both.
+    #[inline]
+    pub fn frags_and_wire_time(&self, size: u32) -> (u32, SimDur) {
+        let frags = self.frags(size);
+        let bytes = size as u64 + frags as u64 * self.per_frag_overhead as u64;
         // bits / (bits-per-second) expressed in nanoseconds, rounded up so a
         // non-empty message never serializes in zero time.
-        SimDur::nanos((bytes * 8 * 1_000_000_000).div_ceil(self.link_bps))
+        let wire = SimDur::nanos((bytes * 8 * 1_000_000_000).div_ceil(self.link_bps));
+        (frags, wire)
     }
 }
 

@@ -38,6 +38,16 @@
 //! the 4096-bit level 0) finds the earliest slot with no wrap-around case
 //! analysis.
 //!
+//! # Storage
+//!
+//! Each entry is stored once, from insert to pop: one node `{at, seq,
+//! next, val}` in a single arena `Vec` (56 B for the engine's 32 B
+//! event), with freed nodes recycled through a LIFO free list threaded
+//! through `next`. A bucket is a head/tail pair of `u32` node indices,
+//! and linking appends at the tail, so a cascade relinks nodes in list
+//! order and copies no payload, and the drained instant (`current`) is
+//! itself a list head. At a steady state the wheel allocates nothing.
+//!
 //! # Exact (time, seq) order
 //!
 //! Two structural facts make the pop order identical to a heap ordered by
@@ -46,8 +56,12 @@
 //! * A **level-0 slot holds exactly one timestamp.** Level 0 means all bits
 //!   ≥ 12 agree with `base`, and the slot index pins bits 0–11, so `at` is
 //!   fully determined. Draining a level-0 slot therefore yields entries of
-//!   one instant; sorting them by `seq` alone (seqs are unique) gives the
-//!   exact total order for that instant.
+//!   one instant; ordering them by `seq` alone (seqs are unique) gives the
+//!   exact total order for that instant. Appends keep a bucket in `seq`
+//!   order whenever seqs arrive increasing, as the engine's always do; a
+//!   link behind a tail with a higher `seq` (an out-of-order insert, or a
+//!   cascade landing behind later inserts) flags the bucket, and only a
+//!   flagged bucket is sorted when drained.
 //! * A **cascade moves the origin to the start of the earliest occupied
 //!   window.** All other entries are strictly later, so redistributing the
 //!   window's entries with the new origin (each lands at a strictly lower
@@ -64,8 +78,6 @@
 //! slot that instant just vacated; it pops once `current` is empty, after
 //! every entry of the instant scheduled before it.
 
-use std::collections::VecDeque;
-
 /// Bits resolved by the near level: 4096 slots, one nanosecond each.
 const L0_BITS: u32 = 12;
 /// Near-level slot count.
@@ -78,63 +90,91 @@ const SLOTS: usize = 1 << BITS;
 const LEVELS: usize = 10;
 /// Words in the level-0 occupancy bitmap (4096 bits).
 const L0_WORDS: usize = L0_SLOTS / 64;
+/// The null node index: the end of a list.
+const NIL: u32 = u32::MAX;
 
-/// One pending event: absolute deadline, global push sequence number, and
-/// the caller's payload handle (the engine's slab slot).
-#[derive(Clone, Copy, Debug)]
-struct Entry {
+/// One arena slot: a pending entry (absolute deadline, global push
+/// sequence number, payload) linked into its bucket's list, or a free
+/// slot (`val: None`) linked into the free list.
+struct Node<T> {
     at: u64,
     seq: u64,
-    token: u32,
+    next: u32,
+    val: Option<T>,
 }
 
-/// A hierarchical timer wheel ordering `(at, seq, token)` triples by
-/// `(at, seq)`, exactly like a min-heap on that key.
+/// A singly linked list of arena nodes, appended at the tail.
+#[derive(Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+impl List {
+    const EMPTY: List = List {
+        head: NIL,
+        tail: NIL,
+    };
+}
+
+/// A hierarchical timer wheel holding `(at, seq, val)` entries and
+/// popping them in `(at, seq)` order, exactly like a min-heap on that key.
 ///
 /// `pop_next(limit)` never returns entries later than `limit` and never
 /// advances the wheel's origin past `limit`, so interleaving pops with
 /// inserts at or after the last popped instant is always safe.
-pub struct TimerWheel {
+pub struct TimerWheel<T = u32> {
     /// Origin timestamp; invariant: every stored entry has `at >= base`.
     base: u64,
     /// Level-0 occupancy: 4096 bits in 64 words...
     l0_occ: Box<[u64; L0_WORDS]>,
     /// ...plus a summary word (bit `w` set iff `l0_occ[w] != 0`).
     l0_sum: u64,
+    /// Level-0 buckets whose list is out of seq order: set when a link
+    /// appends behind a tail with a higher seq, cleared by the drain.
+    l0_unsorted: Box<[u64; L0_WORDS]>,
     /// Overflow-level slot occupancy bitmaps (`occ[0]` unused).
     occ: [u64; LEVELS],
     /// Summary bitmap: bit 0 iff level 0 is occupied, bit `L ≥ 1` iff
     /// `occ[L] != 0`.
     level_occ: u16,
     /// Buckets: 4096 level-0 slots, then `SLOTS` per overflow level.
-    slots: Box<[Vec<Entry>]>,
-    /// The drained earliest instant, in seq order. Non-empty only between
-    /// a drain and the pops that consume it; all entries share one `at`
-    /// (== `base`).
-    current: VecDeque<Entry>,
+    buckets: Box<[List]>,
+    /// The drained earliest instant, in seq order: all its entries share
+    /// one `at` (== `base`). `NIL` except between a drain and the pops
+    /// that consume it.
+    current: u32,
+    /// Every entry lives here exactly once, from insert to pop.
+    nodes: Vec<Node<T>>,
+    /// Head of the LIFO list of free `nodes`, threaded through `next`.
+    free: u32,
+    /// Scratch for re-sorting an out-of-order level-0 bucket.
+    sort_scratch: Vec<u32>,
     /// Total entries stored (levels + `current`).
     len: usize,
 }
 
-impl Default for TimerWheel {
+impl<T> Default for TimerWheel<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl TimerWheel {
+impl<T> TimerWheel<T> {
     /// An empty wheel with origin 0.
-    pub fn new() -> TimerWheel {
+    pub fn new() -> TimerWheel<T> {
         TimerWheel {
             base: 0,
             l0_occ: Box::new([0; L0_WORDS]),
             l0_sum: 0,
+            l0_unsorted: Box::new([0; L0_WORDS]),
             occ: [0; LEVELS],
             level_occ: 0,
-            slots: (0..L0_SLOTS + (LEVELS - 1) * SLOTS)
-                .map(|_| Vec::new())
-                .collect(),
-            current: VecDeque::new(),
+            buckets: vec![List::EMPTY; L0_SLOTS + (LEVELS - 1) * SLOTS].into_boxed_slice(),
+            current: NIL,
+            nodes: Vec::new(),
+            free: NIL,
+            sort_scratch: Vec::new(),
             len: 0,
         }
     }
@@ -175,14 +215,51 @@ impl TimerWheel {
     /// Inserts an entry. `at` must be `>= ` the wheel's origin, which the
     /// engine guarantees by never scheduling before its clock.
     #[inline]
-    pub fn insert(&mut self, at: u64, seq: u64, token: u32) {
+    pub fn insert(&mut self, at: u64, seq: u64, val: T) {
         debug_assert!(
             at >= self.base,
             "insert at {at} behind wheel origin {}",
             self.base
         );
+        let node = Node {
+            at,
+            seq,
+            next: NIL,
+            val: Some(val),
+        };
+        let idx = if self.free != NIL {
+            let idx = self.free;
+            let slot = &mut self.nodes[idx as usize];
+            debug_assert!(slot.val.is_none(), "free node holds a payload");
+            self.free = slot.next;
+            *slot = node;
+            idx
+        } else {
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        };
+        self.link(idx, at, seq);
+        self.len += 1;
+    }
+
+    /// Appends node `idx` (deadline `at`, sequence `seq`, its `next`
+    /// already `NIL`) to the tail of the bucket `at` maps to under the
+    /// current origin, and marks the bucket occupied. A level-0 bucket
+    /// appended out of seq order is flagged for the drain's sort.
+    #[inline]
+    fn link(&mut self, idx: u32, at: u64, seq: u64) {
         let (level, slot) = Self::place(self.base, at);
-        self.slots[Self::bucket(level, slot)].push(Entry { at, seq, token });
+        let list = &mut self.buckets[Self::bucket(level, slot)];
+        if list.tail == NIL {
+            list.head = idx;
+        } else {
+            let tail = &mut self.nodes[list.tail as usize];
+            tail.next = idx;
+            if level == 0 && tail.seq > seq {
+                self.l0_unsorted[slot / 64] |= 1 << (slot % 64);
+            }
+        }
+        list.tail = idx;
         if level == 0 {
             self.l0_occ[slot / 64] |= 1 << (slot % 64);
             self.l0_sum |= 1 << (slot / 64);
@@ -191,7 +268,6 @@ impl TimerWheel {
             self.occ[level] |= 1 << slot;
             self.level_occ |= 1 << level;
         }
-        self.len += 1;
     }
 
     /// Start of the level-`level` (≥ 1), slot-`slot` window under the
@@ -209,14 +285,41 @@ impl TimerWheel {
         high | ((slot as u64) << lo_shift)
     }
 
+    /// Relinks the list starting at `head` in seq order and returns its
+    /// new head.
+    fn sort_by_seq(&mut self, head: u32) -> u32 {
+        let mut order = std::mem::take(&mut self.sort_scratch);
+        let mut idx = head;
+        while idx != NIL {
+            order.push(idx);
+            idx = self.nodes[idx as usize].next;
+        }
+        // Unique seqs: unstable sort is deterministic here.
+        order.sort_unstable_by_key(|&i| self.nodes[i as usize].seq);
+        let mut next = NIL;
+        for &i in order.iter().rev() {
+            self.nodes[i as usize].next = next;
+            next = i;
+        }
+        order.clear();
+        self.sort_scratch = order;
+        next
+    }
+
     /// Pops the earliest `(at, seq)` entry with `at <= limit`, or `None`
     /// if the wheel is empty or its earliest entry is later than `limit`.
     /// The origin never advances past `limit`.
-    pub fn pop_next(&mut self, limit: u64) -> Option<(u64, u64, u32)> {
+    pub fn pop_next(&mut self, limit: u64) -> Option<(u64, u64, T)> {
         loop {
-            if let Some(e) = self.current.pop_front() {
+            if self.current != NIL {
+                let idx = self.current;
+                let node = &mut self.nodes[idx as usize];
+                self.current = node.next;
+                node.next = self.free;
+                self.free = idx;
                 self.len -= 1;
-                return Some((e.at, e.seq, e.token));
+                let val = node.val.take().expect("linked node holds a payload");
+                return Some((node.at, node.seq, val));
             }
             if self.level_occ == 0 {
                 return None;
@@ -232,7 +335,7 @@ impl TimerWheel {
                 if at > limit {
                     return None;
                 }
-                let mut v = std::mem::take(&mut self.slots[slot]);
+                let list = std::mem::replace(&mut self.buckets[slot], List::EMPTY);
                 self.l0_occ[word] &= !(1 << bit);
                 if self.l0_occ[word] == 0 {
                     self.l0_sum &= !(1 << word);
@@ -240,15 +343,16 @@ impl TimerWheel {
                         self.level_occ &= !1;
                     }
                 }
-                // Unique seqs: unstable sort is deterministic here.
-                v.sort_unstable_by_key(|e| e.seq);
                 self.base = at;
-                self.current.extend(v.drain(..));
-                self.slots[slot] = v; // keep the bucket's capacity
+                self.current = if self.l0_unsorted[word] & (1 << bit) != 0 {
+                    self.l0_unsorted[word] &= !(1 << bit);
+                    self.sort_by_seq(list.head)
+                } else {
+                    list.head
+                };
                 continue;
             }
             let slot = self.occ[level].trailing_zeros() as usize;
-            let idx = Self::bucket(level, slot);
             // Overflow level: cascade the earliest window down one or more
             // levels, re-anchoring the origin at the window start. Refuse
             // to advance past `limit` — entries in this window may still
@@ -257,32 +361,29 @@ impl TimerWheel {
             if ws > limit {
                 return None;
             }
-            let mut v = std::mem::take(&mut self.slots[idx]);
+            let list = std::mem::replace(&mut self.buckets[Self::bucket(level, slot)], List::EMPTY);
             self.occ[level] &= !(1 << slot);
             if self.occ[level] == 0 {
                 self.level_occ &= !(1 << level);
             }
             self.base = ws;
-            crate::profile::note_wheel_cascades(v.len() as u64);
-            for e in v.drain(..) {
-                let (l2, s2) = Self::place(self.base, e.at);
-                debug_assert!(l2 < level, "cascade must descend");
-                self.slots[Self::bucket(l2, s2)].push(e);
-                if l2 == 0 {
-                    self.l0_occ[s2 / 64] |= 1 << (s2 % 64);
-                    self.l0_sum |= 1 << (s2 / 64);
-                    self.level_occ |= 1;
-                } else {
-                    self.occ[l2] |= 1 << s2;
-                    self.level_occ |= 1 << l2;
-                }
+            let mut moved = 0;
+            let mut idx = list.head;
+            while idx != NIL {
+                let node = &mut self.nodes[idx as usize];
+                let next = std::mem::replace(&mut node.next, NIL);
+                let (at, seq) = (node.at, node.seq);
+                debug_assert!(Self::place(self.base, at).0 < level, "cascade must descend");
+                self.link(idx, at, seq);
+                moved += 1;
+                idx = next;
             }
-            self.slots[idx] = v;
+            crate::profile::note_wheel_cascades(moved);
         }
     }
 }
 
-impl std::fmt::Debug for TimerWheel {
+impl<T> std::fmt::Debug for TimerWheel<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TimerWheel")
             .field("base", &self.base)
@@ -428,7 +529,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(42);
         let mut wheel = TimerWheel::new();
         let mut heap = RefHeap::default();
-        // Many entries on few distinct instants: exercises slot Vecs with
+        // Many entries on few distinct instants: exercises bucket lists with
         // mixed push/cascade arrival order.
         for seq in 0..2_000u64 {
             let at = 1 + rng.gen_range(0u64..8) * 700;
@@ -441,6 +542,57 @@ mod tests {
             if w.is_none() {
                 break;
             }
+        }
+    }
+
+    /// The wheel owns its payloads: over random insert/pop streams, each
+    /// one comes out of `pop_next` at most once, and whatever is still
+    /// pending is dropped with the wheel, so every `Rc` the test kept
+    /// ends with a strong count of 1.
+    #[test]
+    fn payloads_are_returned_once_or_dropped_with_the_wheel() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use std::rc::Rc;
+        for seed in 0..20 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut wheel = TimerWheel::new();
+            let mut kept = Vec::new();
+            let mut popped = vec![false; 400];
+            let mut clock = 0u64;
+            for i in 0..400usize {
+                if rng.gen_bool(0.6) {
+                    let delta = match rng.gen_range(0u32..10) {
+                        0 => 0,
+                        1..=5 => rng.gen_range(1..4_000),
+                        6..=8 => rng.gen_range(1..5_000_000),
+                        _ => rng.gen_range(1..(u64::MAX - clock).max(2)),
+                    };
+                    let rc = Rc::new(i);
+                    kept.push(Rc::clone(&rc));
+                    wheel.insert(clock + delta, i as u64, rc);
+                } else {
+                    let limit = clock.saturating_add(rng.gen_range(0..100_000));
+                    match wheel.pop_next(limit) {
+                        Some((at, _, rc)) => {
+                            assert!(!popped[*rc], "payload {} popped twice", *rc);
+                            popped[*rc] = true;
+                            assert_eq!(Rc::strong_count(&rc), 2);
+                            clock = clock.max(at);
+                        }
+                        None => clock = clock.max(limit),
+                    }
+                }
+            }
+            assert_eq!(
+                wheel.len(),
+                kept.len() - popped.iter().filter(|p| **p).count()
+            );
+            drop(wheel);
+            assert!(
+                kept.iter().all(|rc| Rc::strong_count(rc) == 1),
+                "seed {seed}"
+            );
         }
     }
 }

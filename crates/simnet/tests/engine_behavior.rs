@@ -932,3 +932,79 @@ fn stalled_deliveries_count_down_on_resume() {
     s.run_for(SimDur::millis(1));
     assert_eq!(backlogs(&s, srv, "packet"), vec![4, 3, 2, 1, 0]);
 }
+
+// ---- parked packets ----------------------------------------------------------
+
+/// Every copy sent reaches exactly one end: delivered, or counted under
+/// one drop reason. A receiver with a slow, shallow RX ring is paused,
+/// restarted while paused (deferred and queued deliveries both pending),
+/// paused and resumed, killed while paused, restarted from dead,
+/// partitioned away and restarted under load, while a unicast and a
+/// multicast sender keep packets at the switch, arriving and awaiting
+/// delivery throughout. Once the queue drains, the engine holds no
+/// packet.
+#[test]
+fn every_copy_is_delivered_or_counted_dropped_and_none_stays_parked() {
+    let mut s = sim();
+    let nic = NicParams {
+        rx_ring: 8,
+        ..slow_rx()
+    };
+    let r = s.add_node_with(Box::new(Sink { got: Vec::new() }), nic);
+    let r2 = s.add_node(Box::new(Sink { got: Vec::new() }));
+    let g = Addr::group(0);
+    s.add_group(g, vec![r, r2]);
+    let unicast = s.add_node(Box::new(Pinger::new(
+        Addr::node(r),
+        500,
+        64,
+        SimDur::micros(2),
+    )));
+    s.add_node(Box::new(Pinger::new(g, 250, 1600, SimDur::micros(4))));
+    s.set_loss_rate(0.02);
+    s.set_restart_hook(Box::new(|_node, _now, old| old));
+    let us = |n| SimTime::ZERO + SimDur::micros(n);
+    let node = r;
+    for (at, cmd) in [
+        (100, FaultCmd::Pause { node }),
+        (200, FaultCmd::Restart { node }),
+        (300, FaultCmd::Pause { node }),
+        (400, FaultCmd::Resume { node }),
+        (450, FaultCmd::Pause { node }),
+        (500, FaultCmd::Kill { node }),
+        (600, FaultCmd::Restart { node }),
+        (
+            700,
+            FaultCmd::Partition {
+                groups: vec![vec![r], vec![unicast]],
+            },
+        ),
+        (750, FaultCmd::Heal),
+        (850, FaultCmd::Restart { node }),
+    ] {
+        s.schedule_fault(us(at), cmd);
+    }
+    s.run_for(SimDur::millis(100));
+
+    assert_eq!(s.parked_packets(), 0, "packets left parked");
+    for (node, sent) in [(r, 750), (r2, 250)] {
+        let c = s.counters(node);
+        let delivered = s.agent::<Sink>(node).got.len() as u64;
+        assert_eq!(c.rx_msgs, delivered);
+        let dropped = c.rx_dropped_backlog
+            + c.dropped_loss
+            + c.dropped_dead
+            + c.dropped_partition
+            + c.dropped_restart;
+        assert_eq!(delivered + dropped, sent, "n{node}: {c:?}");
+    }
+    let c = s.counters(r);
+    assert!(
+        c.rx_dropped_backlog > 0
+            && c.dropped_loss > 0
+            && c.dropped_dead > 0
+            && c.dropped_partition > 0
+            && c.dropped_restart > 0,
+        "every drop reason exercised: {c:?}"
+    );
+}

@@ -2,7 +2,7 @@
 //!
 //! The simulator's contract is that a run is a pure function of
 //! `(topology, params, seed)`. The performance work on the engine hot path
-//! (lazy tracing, slab scheduling, hashed-map swaps) is only sound if it
+//! (lazy tracing, arena scheduling, hashed-map swaps) is only sound if it
 //! preserves that function *bit-exactly* — same events, same order, same
 //! timestamps. This test pins the FNV-1a digest of the full structured
 //! trace stream (plus raw volume counters) for a subset of the chaos
