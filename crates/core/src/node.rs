@@ -29,7 +29,7 @@ use fxhash::{FxHashMap, FxHashSet};
 
 use bytes::{BufMut, ByteArena, Bytes};
 use r2p2::{body_hash, ReqId};
-use raft::{Action, LogIndex, Message, RaftId, RaftNode, Role};
+use raft::{Action, LogIndex, Message, RaftId, RaftLog, RaftNode, Role};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -230,6 +230,13 @@ fn decode_snapshot_blob(data: &Bytes) -> Option<(Bytes, Vec<ReqId>)> {
     Some((service, ids))
 }
 
+/// Ids of the requests `log`'s retained entries up to `upto` (inclusive)
+/// name. A compaction enumerates them before the log changes, so their
+/// archived bodies leave with the entries.
+fn log_ids(log: &RaftLog<Cmd>, upto: LogIndex) -> impl Iterator<Item = ReqId> + '_ {
+    log.range(log.first_index(), upto).map(|e| e.cmd.desc.id)
+}
+
 /// Leader side of one in-flight snapshot transfer (stop-and-wait).
 #[derive(Clone)]
 struct OutXfer {
@@ -256,7 +263,6 @@ struct InXfer {
 
 #[derive(Clone)]
 struct PendingReply {
-    client: u32,
     id: ReqId,
     reply: Option<Bytes>,
     respond: bool,
@@ -278,8 +284,6 @@ pub struct HcNode<S> {
     /// Last log index whose execution completed.
     applied: LogIndex,
     pending: FxHashMap<LogIndex, PendingReply>,
-    /// Outstanding body recoveries: id → last request time.
-    missing: FxHashMap<ReqId, u64>,
     /// HovercRaft++ leader: followers being repaired over direct
     /// point-to-point AppendEntries after a failed append (§5).
     recovering: FxHashSet<RaftId>,
@@ -350,7 +354,6 @@ impl<S: Service> HcNode<S> {
             next_apply: 1,
             applied: 0,
             pending: FxHashMap::default(),
-            missing: FxHashMap::default(),
             recovering: FxHashSet::default(),
             agg_confirmed: false,
             last_ae_via_agg: false,
@@ -412,27 +415,10 @@ impl<S: Service> HcNode<S> {
         h.write_usize(pend.len());
         for (&idx, p) in pend {
             h.write_u64(idx);
-            h.write_u32(p.client);
             h.write_u64(p.id.as_u64());
-            match &p.reply {
-                Some(b) => {
-                    h.write_u8(1);
-                    h.write(b);
-                }
-                None => h.write_u8(0),
-            }
+            h.write_u8(p.reply.is_some() as u8);
+            h.write(p.reply.as_deref().unwrap_or_default());
             h.write_u8(p.respond as u8);
-        }
-        let mut miss: Vec<(u64, u64)> = self
-            .missing
-            .iter()
-            .map(|(&id, &t)| (id.as_u64(), now.saturating_sub(t)))
-            .collect();
-        miss.sort_unstable();
-        h.write_usize(miss.len());
-        for (id, age) in miss {
-            h.write_u64(id);
-            h.write_u64(age);
         }
         let mut rec: Vec<RaftId> = self.recovering.iter().copied().collect();
         rec.sort_unstable();
@@ -482,7 +468,8 @@ impl<S: Service> HcNode<S> {
     /// entries above it re-execute; everything volatile — the unordered
     /// pool, the replier ledger, the commit index — comes back empty, and
     /// bodies lost with the old pool are re-fetched through the recovery
-    /// protocol (§5).
+    /// protocol (§5). The pool learns that the restored entries' ids are
+    /// ordered, so a client retry of one is never parked and re-proposed.
     ///
     /// `new_epoch` must be exactly `durable.epoch + 1`: each restart is one
     /// incarnation, and restoring from any other epoch's state (a stale
@@ -529,6 +516,8 @@ impl<S: Service> HcNode<S> {
                 data: durable.snapshot,
             });
         }
+        node.pool
+            .restore_ordered(log_ids(node.raft.log(), LogIndex::MAX));
         Ok(node)
     }
 
@@ -570,10 +559,7 @@ impl<S: Service> HcNode<S> {
     }
     /// Protocol activity counters.
     pub fn stats(&self) -> HcStats {
-        HcStats {
-            gc_examined: self.pool.gc_examined(),
-            ..self.stats
-        }
+        self.stats
     }
     /// The node's configuration.
     pub fn config(&self) -> &HcConfig {
@@ -705,10 +691,9 @@ impl<S: Service> HcNode<S> {
                 }
             }
             WireMsg::RecoveryRep { id, body } => {
-                if self.missing.remove(&id).is_some() {
+                if self.pool.insert_recovered(id, body) {
                     self.events.push(ProtoEvent::RecoveryCompleted { id });
                 }
-                self.pool.insert_recovered(id, body);
                 self.try_apply(now, out, arena);
             }
             WireMsg::AggCommit {
@@ -753,18 +738,12 @@ impl<S: Service> HcNode<S> {
     /// Periodic maintenance ([`Input::Tick`]).
     fn tick(&mut self, now: u64, out: &mut Vec<Output>, arena: &mut ByteArena) {
         self.with_raft(|r, a| r.tick_into(now, a), now, out, arena);
-        self.pool.gc(now, self.cfg.gc_timeout_ns);
+        self.stats.gc_examined += self.pool.gc(now, self.cfg.gc_timeout_ns).1 as u64;
         self.retry_recoveries(now, out);
         self.retry_transfers(now, out);
         // An inbound transfer overtaken by ordinary replication (we applied
         // past its horizon) will never install; drop the buffer.
-        if self
-            .incoming
-            .as_ref()
-            .is_some_and(|x| x.snap_index <= self.applied)
-        {
-            self.incoming = None;
-        }
+        self.incoming.take_if(|x| x.snap_index <= self.applied);
         self.try_announce(now);
     }
 
@@ -791,10 +770,10 @@ impl<S: Service> HcNode<S> {
                 self.events.push(ProtoEvent::ReplySent {
                     index,
                     id: p.id,
-                    to: p.client,
+                    to: p.id.src_ip,
                 });
                 out.push(Output::Send {
-                    dst: p.client,
+                    dst: p.id.src_ip,
                     msg: WireMsg::Response {
                         id: p.id,
                         body: p.reply.unwrap_or_default(),
@@ -852,8 +831,8 @@ impl<S: Service> HcNode<S> {
                     return;
                 }
                 // Client retransmissions must not be ordered twice; the
-                // archive doubles as the leader's dedupe set in this mode.
-                if self.pool.is_archived(id) {
+                // pool doubles as the leader's dedupe set in this mode.
+                if self.pool.is_ordered(id) {
                     return;
                 }
                 let mut desc = EntryDesc::new(id, body_hash(&body), kind);
@@ -868,8 +847,8 @@ impl<S: Service> HcNode<S> {
             Mode::Hovercraft | Mode::HovercraftPp => {
                 let leader = self.is_leader();
                 // Every node parks the multicast request. Duplicate
-                // suppression: a request already bound to a log slot lives
-                // in the archive (or its tombstone) and is not parked again.
+                // suppression: a request already bound to a log slot here
+                // is not parked again.
                 let Some(parked) = self.pool.insert(id, kind, body, now) else {
                     return;
                 };
@@ -918,9 +897,8 @@ impl<S: Service> HcNode<S> {
             {
                 for e in entries {
                     let id = e.cmd.desc.id;
-                    if !self.pool.mark_ordered(id) && !self.missing.contains_key(&id) {
+                    if self.pool.bind(id, now) {
                         self.stats.recoveries_sent += 1;
-                        self.missing.insert(id, now);
                         self.events
                             .push(ProtoEvent::RecoveryRequested { id, to: *leader });
                         out.push(Output::Send {
@@ -1160,41 +1138,24 @@ impl<S: Service> HcNode<S> {
     /// follower would receive an identical message, individual unicasts
     /// otherwise (divergent followers fail the append and enter recovery,
     /// which is safe — appends are idempotent).
-    fn route_appends(&mut self, appends: Vec<(RaftId, Message<Cmd>)>, out: &mut Vec<Output>) {
-        if appends.is_empty() {
-            return;
+    fn route_appends(&mut self, mut appends: Vec<(RaftId, Message<Cmd>)>, out: &mut Vec<Output>) {
+        if !appends.is_empty() && appends.windows(2).all(|w| w[0].1 == w[1].1) {
+            appends.truncate(1);
+            appends[0].0 = self.cfg.agg_addr.expect("HC++ mode");
         }
-        let identical = appends.windows(2).all(|w| w[0].1 == w[1].1);
-        if identical {
-            let (_, msg) = appends.into_iter().next().expect("nonempty");
-            let agg = self.cfg.agg_addr.expect("HC++ mode");
+        for (to, msg) in appends {
             if let Message::AppendEntries {
                 entries,
                 leader_commit,
                 ..
             } = &msg
             {
-                self.note_append_sent(agg, entries.len() as u64, *leader_commit);
+                self.note_append_sent(to, entries.len() as u64, *leader_commit);
             }
             out.push(Output::Send {
-                dst: agg,
+                dst: to,
                 msg: WireMsg::Raft(msg),
             });
-        } else {
-            for (to, msg) in appends {
-                if let Message::AppendEntries {
-                    entries,
-                    leader_commit,
-                    ..
-                } = &msg
-                {
-                    self.note_append_sent(to, entries.len() as u64, *leader_commit);
-                }
-                out.push(Output::Send {
-                    dst: to,
-                    msg: WireMsg::Raft(msg),
-                });
-            }
         }
     }
 
@@ -1213,12 +1174,10 @@ impl<S: Service> HcNode<S> {
         if self.cfg.mode.is_hovercraft() {
             // Entries inherited from previous terms keep their immutable
             // replier assignment; rebuild the ledger from them (§5).
-            let last = self.raft.log().last_index();
-            for idx in (self.applied + 1)..=last {
-                if let Some(e) = self.raft.log().get(idx) {
-                    if let Some(r) = e.cmd.desc.replier {
-                        self.ledger.assign(r, idx);
-                    }
+            let log = self.raft.log();
+            for e in log.range(self.applied + 1, log.last_index()) {
+                if let Some(r) = e.cmd.desc.replier {
+                    self.ledger.assign(r, e.index);
                 }
             }
             // Freeze announcements at the inherited horizon; entries above
@@ -1229,11 +1188,8 @@ impl<S: Service> HcNode<S> {
             // still parked in our unordered set (the multicast reached us
             // directly). Order them now, deterministically.
             for id in self.pool.unordered_ids() {
-                let (kind, hash) = {
-                    let r = self.pool.parked(id).expect("listed id present");
-                    (r.kind, body_hash(&r.body))
-                };
-                let desc = EntryDesc::new(id, hash, kind);
+                let r = self.pool.parked(id).expect("listed id present");
+                let desc = EntryDesc::new(id, body_hash(&r.body), r.kind);
                 if let Ok(index) = self.raft.propose(Cmd::meta(desc)) {
                     self.events.push(ProtoEvent::Proposed { index, id });
                     self.pool.mark_ordered(id);
@@ -1347,21 +1303,14 @@ impl<S: Service> HcNode<S> {
                 break;
             };
             let desc = entry.cmd.desc;
-            let inline_body = entry.cmd.body.clone();
-            let body = match inline_body {
+            let body = match entry.cmd.body.clone() {
                 Some(b) => b,
-                None => match self.pool.get(desc.id) {
-                    Some(b) => b.clone(),
+                None => match self.pool.ordered_body(desc.id) {
+                    Some(b) => b,
                     None => {
                         // Committed but body still in flight: recovery is
                         // already running (or starts now); apply stalls.
                         self.stats.apply_stalls += 1;
-                        if !self.missing.contains_key(&desc.id) {
-                            self.events.push(ProtoEvent::ApplyStalled {
-                                index: idx,
-                                id: desc.id,
-                            });
-                        }
                         self.request_missing_window(idx, now, out);
                         return;
                     }
@@ -1374,16 +1323,9 @@ impl<S: Service> HcNode<S> {
                 .or(self.raft.leader_hint())
                 .unwrap_or_else(|| self.id());
             let am_replier = replier == self.id();
-            let execute = match desc.kind {
-                OpKind::ReadWrite => true,
-                OpKind::ReadOnly => {
-                    if self.cfg.lb_reads && self.cfg.mode.is_hovercraft() {
-                        am_replier
-                    } else {
-                        true
-                    }
-                }
-            };
+            let lb_read =
+                desc.kind.is_read_only() && self.cfg.lb_reads && self.cfg.mode.is_hovercraft();
+            let execute = am_replier || !lb_read;
             let (reply, cost) = if execute {
                 self.stats.executed += 1;
                 self.events.push(ProtoEvent::Executed {
@@ -1403,7 +1345,6 @@ impl<S: Service> HcNode<S> {
             self.pending.insert(
                 idx,
                 PendingReply {
-                    client: desc.id.src_ip,
                     id: desc.id,
                     reply,
                     respond: am_replier && execute,
@@ -1443,7 +1384,8 @@ impl<S: Service> HcNode<S> {
     /// *every* committed-but-missing entry in a bounded window ahead of the
     /// cursor, not just the blocking one. A restarted follower whose pool
     /// came back empty catches up in one recovery round-trip per window
-    /// instead of one per entry.
+    /// instead of one per entry. The stall is traced when it starts a
+    /// recovery of the blocking entry's body.
     fn request_missing_window(&mut self, from: LogIndex, now: u64, out: &mut Vec<Output>) {
         /// Entries scanned past the stalled apply cursor per invocation.
         const RECOVERY_WINDOW: u64 = 64;
@@ -1451,24 +1393,19 @@ impl<S: Service> HcNode<S> {
             .raft
             .commit_index()
             .min(from.saturating_add(RECOVERY_WINDOW - 1));
-        let mut wanted: Vec<ReqId> = Vec::new();
-        for idx in from..=hi {
-            let Some(entry) = self.raft.log().get(idx) else {
-                break;
-            };
-            let id = entry.cmd.desc.id;
-            if entry.cmd.body.is_none()
-                && self.pool.get(id).is_none()
-                && !self.missing.contains_key(&id)
-            {
-                wanted.push(id);
-            }
-        }
         let leader = self.raft.leader_hint().filter(|&l| l != self.id());
-        for id in wanted {
-            // Even without a known leader the entry lands in `missing`;
+        let log = self.raft.log();
+        for e in log.range(from, hi) {
+            let id = e.cmd.desc.id;
+            if e.cmd.body.is_some() || !self.pool.await_body(id, now) {
+                continue;
+            }
+            if e.index == from {
+                self.events
+                    .push(ProtoEvent::ApplyStalled { index: from, id });
+            }
+            // Even without a known leader the id is awaited;
             // `retry_recoveries` will fan out to a random member shortly.
-            self.missing.insert(id, now);
             if let Some(l) = leader {
                 self.stats.recoveries_sent += 1;
                 self.events
@@ -1482,62 +1419,40 @@ impl<S: Service> HcNode<S> {
     }
 
     fn retry_recoveries(&mut self, now: u64, out: &mut Vec<Output>) {
-        if self.missing.is_empty() {
+        if self.pool.awaited_mut().len() == 0 {
             return;
         }
-        let retry = self.cfg.recovery_retry_ns;
         let leader = self.raft.leader_hint();
-        let members = self.cfg.raft.members.clone();
         let me = self.id();
-        let mut sent = 0u64;
-        let mut evs: Vec<ProtoEvent> = Vec::new();
-        for (id, last) in self.missing.iter_mut() {
-            if now.saturating_sub(*last) >= retry {
-                *last = now;
-                // Prefer the leader; fall back to a random other member —
-                // any node that saw the multicast can serve it (§5).
-                let dst = match leader {
-                    Some(l) if l != me => l,
-                    _ => {
-                        let others: Vec<RaftId> =
-                            members.iter().copied().filter(|m| *m != me).collect();
-                        if others.is_empty() {
-                            continue;
-                        }
-                        others[self.rng.gen_range(0..others.len())]
-                    }
-                };
-                sent += 1;
-                evs.push(ProtoEvent::RecoveryRequested { id: *id, to: dst });
-                out.push(Output::Send {
-                    dst,
-                    msg: WireMsg::RecoveryReq { id: *id },
-                });
+        for (&id, last) in self.pool.awaited_mut() {
+            if now.saturating_sub(*last) < self.cfg.recovery_retry_ns {
+                continue;
             }
-        }
-        self.stats.recoveries_sent += sent;
-        for e in evs {
-            self.events.push(e);
+            *last = now;
+            // Prefer the leader; fall back to a random other member — any
+            // node that saw the multicast can serve it (§5).
+            let dst = match leader {
+                Some(l) if l != me => l,
+                _ => {
+                    let members = self.cfg.raft.members.iter().copied();
+                    let others: Vec<RaftId> = members.filter(|m| *m != me).collect();
+                    if others.is_empty() {
+                        continue;
+                    }
+                    others[self.rng.gen_range(0..others.len())]
+                }
+            };
+            self.stats.recoveries_sent += 1;
+            self.events
+                .push(ProtoEvent::RecoveryRequested { id, to: dst });
+            out.push(Output::Send {
+                dst,
+                msg: WireMsg::RecoveryReq { id },
+            });
         }
     }
 
     // ---- snapshotting & state transfer (log compaction + InstallSnapshot) --
-
-    /// Ids of the requests referenced by retained log entries up to `upto`
-    /// (inclusive). Enumerated *before* compaction so their archived bodies
-    /// can be dropped with the entries that reference them.
-    fn ids_upto(&self, upto: LogIndex) -> Vec<ReqId> {
-        let log = self.raft.log();
-        let lo = log.first_index();
-        let hi = upto.min(log.last_index());
-        let mut ids = Vec::new();
-        for idx in lo..=hi {
-            if let Some(e) = log.get(idx) {
-                ids.push(e.cmd.desc.id);
-            }
-        }
-        ids
-    }
 
     /// The ids a snapshot at `upto` carries, sorted and duplicate-free:
     /// everything ordered at or below `upto`, that is the retained entries
@@ -1546,7 +1461,7 @@ impl<S: Service> HcNode<S> {
     /// retained entries are sorted here; the pool keeps its tombstones
     /// sorted, so they cost one merge.
     fn covered_ids(&mut self, upto: LogIndex) -> Vec<ReqId> {
-        let mut ids = self.ids_upto(upto);
+        let mut ids: Vec<ReqId> = log_ids(self.raft.log(), upto).collect();
         self.stats.snapshot_ids_sorted += ids.len() as u64;
         ids.sort_unstable();
         ids.dedup();
@@ -1558,15 +1473,9 @@ impl<S: Service> HcNode<S> {
     /// `snapshot_interval` applied entries (0 disables snapshotting
     /// entirely, preserving pre-snapshot behavior bit-for-bit).
     fn maybe_snapshot(&mut self, now: u64) {
-        if self
-            .pending_snap
-            .as_ref()
-            .is_none_or(|p| p.index > self.applied)
-        {
-            return;
+        if let Some(snap) = self.pending_snap.take_if(|p| p.index <= self.applied) {
+            self.commit_snapshot(snap, now);
         }
-        let snap = self.pending_snap.take().expect("checked above");
-        self.commit_snapshot(snap, now);
     }
 
     /// Publishes a snapshot whose blob is known to correspond exactly to
@@ -1578,7 +1487,7 @@ impl<S: Service> HcNode<S> {
         if snap.index == 0 || snap.index <= self.raft.log().snapshot_index() {
             return;
         }
-        let ids = self.ids_upto(snap.index);
+        let ids: Vec<ReqId> = log_ids(self.raft.log(), snap.index).collect();
         let dropped = self.pool.compact_archive(&ids, now);
         self.raft.compact_to(snap.index);
         self.stats.snapshots += 1;
@@ -1877,7 +1786,7 @@ impl<S: Service> HcNode<S> {
         }
         // Bodies referenced by entries the install will discard leave the
         // archive with them (enumerated before the log changes).
-        let ids = self.ids_upto(snap_index);
+        let ids: Vec<ReqId> = log_ids(self.raft.log(), snap_index).collect();
         let mut dropped = self.pool.compact_archive(&ids, now);
         // The snapshot carries the ids of *every* request it covers —
         // including entries this node never received, which its own log
@@ -1901,11 +1810,8 @@ impl<S: Service> HcNode<S> {
         self.pending.retain(|&i, _| i > snap_index);
         // Outstanding body recoveries survive only if a retained log entry
         // still references them.
-        let retained: FxHashSet<ReqId> = self
-            .ids_upto(self.raft.log().last_index())
-            .into_iter()
-            .collect();
-        self.missing.retain(|id, _| retained.contains(id));
+        self.pool
+            .retain_awaited(log_ids(self.raft.log(), LogIndex::MAX));
         self.last_snapshot = Some(Snapshot {
             index: snap_index,
             term: snap_term,

@@ -12,10 +12,16 @@
 //! the applier can execute entries in log order. The archive keeps only the
 //! body: an ordered request's kind is its log entry's `desc.kind`, and no
 //! GC ever expires an ordered body, so its arrival time is not kept.
+//!
+//! The pool is the node's one record of a request's state (DESIGN.md
+//! §14.3): parked; ordered, with the body archived, awaited from a peer, or
+//! restored and not yet asked for; compacted to a tombstone. Every path
+//! that binds an id to this node's log tells the pool, so the unordered set
+//! never holds an id the log names.
 
 use std::collections::hash_map::Entry;
 
-use fxhash::FxHashMap;
+use fxhash::{FxHashMap, FxHashSet};
 
 use bytes::Bytes;
 use r2p2::ReqId;
@@ -33,11 +39,21 @@ pub struct PooledReq {
     pub arrived: u64,
 }
 
-/// The unordered set plus the ordered-body archive.
+/// A node's record of every request it knows (see the module docs).
 #[derive(Clone)]
 pub struct UnorderedPool {
     unordered: FxHashMap<ReqId, PooledReq>,
     archive: FxHashMap<ReqId, Bytes>,
+    /// Ordered here, body asked of a peer: id → time of the last
+    /// RecoveryReq. Its iteration order is the order of retries. A client
+    /// copy may archive the body first; the id stays until a RecoveryRep
+    /// or an install whose log no longer names it.
+    awaited: FxHashMap<ReqId, u64>,
+    /// Ordered by a log entry a restart brought back, body not held and not
+    /// yet asked for: recovery starts when apply or an AppendEntries
+    /// reaches the entry. Boxed, and allocated only by a restore: a pool
+    /// that never restores pays one word.
+    restored: Option<Box<FxHashSet<ReqId>>>,
     /// Dedupe tombstones for bodies dropped by snapshot compaction: id →
     /// compaction time. The archive doubles as the duplicate-suppression
     /// set, so a body cannot simply vanish when its log entry is compacted
@@ -62,8 +78,6 @@ pub struct UnorderedPool {
     /// out of [`UnorderedPool::hash_state`].
     unordered_oldest: u64,
     compacted_oldest: u64,
-    /// Map entries [`UnorderedPool::gc`] has examined so far.
-    gc_examined: u64,
 }
 
 impl Default for UnorderedPool {
@@ -71,11 +85,12 @@ impl Default for UnorderedPool {
         Self {
             unordered: FxHashMap::default(),
             archive: FxHashMap::default(),
+            awaited: FxHashMap::default(),
+            restored: None,
             compacted: FxHashMap::default(),
             compacted_sorted: Vec::new(),
             unordered_oldest: u64::MAX,
             compacted_oldest: u64::MAX,
-            gc_examined: 0,
         }
     }
 }
@@ -143,10 +158,14 @@ impl UnorderedPool {
 
     /// Parks a client request awaiting ordering and returns the parked copy
     /// — the first one, when this is a duplicate arrival (e.g. a client
-    /// retry) — or `None` if the request is already ordered (archived or
-    /// compacted), in which case nothing is parked.
+    /// retry) — or `None` if the request is already ordered here, in which
+    /// case nothing is parked and a body still lacking is archived.
     pub fn insert(&mut self, id: ReqId, kind: OpKind, body: Bytes, now: u64) -> Option<&PooledReq> {
         if self.archive.contains_key(&id) || self.compacted.contains_key(&id) {
+            return None;
+        }
+        if self.awaited.contains_key(&id) || self.unrestore(&id) {
+            self.archive.insert(id, body);
             return None;
         }
         self.unordered_oldest = self.unordered_oldest.min(now);
@@ -157,16 +176,19 @@ impl UnorderedPool {
         }))
     }
 
-    /// True if the request is available (unordered or archived).
-    pub fn contains(&self, id: ReqId) -> bool {
-        self.unordered.contains_key(&id) || self.archive.contains_key(&id)
+    /// True if a log slot on this node names the request: its body is
+    /// archived, awaited or not yet asked for, or a snapshot compacted it.
+    /// Used for duplicate suppression on the leader.
+    pub fn is_ordered(&self, id: ReqId) -> bool {
+        self.archive.contains_key(&id)
+            || self.compacted.contains_key(&id)
+            || self.awaited.contains_key(&id)
+            || self.restored.as_ref().is_some_and(|r| r.contains(&id))
     }
 
-    /// True if the request has already been bound to a log slot (it sits in
-    /// the archive, or was compacted out of it by a snapshot). Used for
-    /// duplicate suppression on the leader.
-    pub fn is_archived(&self, id: ReqId) -> bool {
-        self.archive.contains_key(&id) || self.compacted.contains_key(&id)
+    /// Drops `id`'s restored marker; true if it had one.
+    fn unrestore(&mut self, id: &ReqId) -> bool {
+        self.restored.as_mut().is_some_and(|r| r.remove(id))
     }
 
     /// Looks up a request body wherever it lives (the archive first: the
@@ -184,12 +206,13 @@ impl UnorderedPool {
 
     /// Marks a request as ordered: moves it from the unordered set to the
     /// archive (it is now referenced by a log entry and must outlive GC so
-    /// peers can recover it). Returns false if the body is missing — the
-    /// caller should start recovery.
+    /// peers can recover it). Returns false if no body is archived and no
+    /// tombstone stands for one ([`UnorderedPool::bind`] then starts
+    /// recovery).
     pub fn mark_ordered(&mut self, id: ReqId) -> bool {
-        // A parked id is never archived or compacted as well (`insert`
-        // refuses those; every path into them clears the parked copy), so
-        // the common case needs no look at either.
+        // A parked id is never ordered in any other way (`insert` refuses
+        // those; every path into them clears the parked copy), so the
+        // common case needs no further look.
         match self.unordered.remove(&id) {
             Some(PooledReq { body, .. }) => {
                 self.archive.insert(id, body);
@@ -199,16 +222,77 @@ impl UnorderedPool {
         }
     }
 
-    /// Inserts a body recovered from a peer directly into the archive. A
-    /// late reply for an id compacted meanwhile is ignored: nothing would
-    /// ever drop the body again, and a later recovery request for the id
-    /// must be answered with the snapshot.
-    pub fn insert_recovered(&mut self, id: ReqId, body: Bytes) {
-        if self.compacted.contains_key(&id) {
-            return;
+    /// Binds `id` to an AppendEntries entry: a parked body moves to the
+    /// archive. True when recovery must start now: the id is neither
+    /// compacted here nor already awaited, and its body is nowhere here.
+    pub fn bind(&mut self, id: ReqId, now: u64) -> bool {
+        !self.compacted.contains_key(&id) && self.await_body(id, now)
+    }
+
+    /// Like [`UnorderedPool::bind`], for an entry a stalled apply needs: a
+    /// tombstone does not stop recovery (peers that compacted the body
+    /// answer with their snapshot). The id is then awaited from `now`.
+    pub fn await_body(&mut self, id: ReqId, now: u64) -> bool {
+        self.mark_ordered(id);
+        if self.archive.contains_key(&id) || self.awaited.contains_key(&id) {
+            return false;
         }
-        self.unordered.remove(&id);
-        self.archive.entry(id).or_insert(body);
+        self.unrestore(&id);
+        self.awaited.insert(id, now);
+        true
+    }
+
+    /// Marks the ids of the log entries a restart brought back as ordered:
+    /// a body not held here is not asked for yet.
+    pub fn restore_ordered(&mut self, ids: impl Iterator<Item = ReqId>) {
+        for id in ids {
+            if !self.mark_ordered(id) && !self.awaited.contains_key(&id) {
+                self.restored.get_or_insert_default().insert(id);
+            }
+        }
+    }
+
+    /// The body of an ordered request, for the applier (a parked copy
+    /// moves to the archive).
+    pub fn ordered_body(&mut self, id: ReqId) -> Option<Bytes> {
+        if let Some(body) = self.archive.get(&id) {
+            return Some(body.clone());
+        }
+        self.mark_ordered(id);
+        self.archive.get(&id).cloned()
+    }
+
+    /// Files a body recovered from a peer in the archive; true if it was
+    /// awaited. A late reply for an id compacted meanwhile is ignored:
+    /// nothing would ever drop the body again, and a later recovery request
+    /// for the id must be answered with the snapshot.
+    pub fn insert_recovered(&mut self, id: ReqId, body: Bytes) -> bool {
+        let awaited = self.awaited.remove(&id).is_some();
+        self.unrestore(&id);
+        if !self.compacted.contains_key(&id) {
+            self.unordered.remove(&id);
+            self.archive.entry(id).or_insert(body);
+        }
+        awaited
+    }
+
+    /// The awaited ids with the time each was last asked for, in retry
+    /// order.
+    pub(crate) fn awaited_mut(&mut self) -> impl ExactSizeIterator<Item = (&ReqId, &mut u64)> {
+        self.awaited.iter_mut()
+    }
+
+    /// Forgets the awaited ids `named` does not yield: after an install,
+    /// those no retained log entry names.
+    pub fn retain_awaited(&mut self, named: impl Iterator<Item = ReqId>) {
+        let mut unnamed: FxHashSet<ReqId> = self.awaited.keys().copied().collect();
+        for id in named {
+            if unnamed.is_empty() {
+                break;
+            }
+            unnamed.remove(&id);
+        }
+        self.awaited.retain(|id, _| !unnamed.contains(id));
     }
 
     /// Garbage-collects unordered requests **strictly older** than
@@ -220,7 +304,9 @@ impl UnorderedPool {
     /// Called every tick, so it costs nothing while nothing can be due: a
     /// map is scanned only once its oldest-stamp bound crosses the boundary
     /// (one pass per compaction batch that expires, not one per call).
-    pub fn gc(&mut self, now: u64, timeout: u64) -> usize {
+    /// Also returns how many map entries it examined: the work it did, as
+    /// opposed to the work it skipped.
+    pub fn gc(&mut self, now: u64, timeout: u64) -> (usize, usize) {
         let before = self.unordered.len();
         let parked = expire(
             &mut self.unordered,
@@ -244,14 +330,7 @@ impl UnorderedPool {
             let live = &self.compacted;
             self.compacted_sorted.retain(|id| live.contains_key(id));
         }
-        self.gc_examined += (parked + tombstones) as u64;
-        before - self.unordered.len()
-    }
-
-    /// Map entries [`UnorderedPool::gc`] has examined since the pool was
-    /// created: the work it did, as opposed to the work it skipped.
-    pub fn gc_examined(&self) -> u64 {
-        self.gc_examined
+        (before - self.unordered.len(), parked + tombstones)
     }
 
     /// Number of requests awaiting ordering.
@@ -292,7 +371,8 @@ impl UnorderedPool {
 
     /// Seeds the dedupe tombstones carried inside an installed snapshot:
     /// every id is marked ordered-and-compacted, and any parked unordered
-    /// or archived copy this node still holds is dropped. This is what
+    /// or archived copy this node still holds is dropped (an awaited id is
+    /// left to [`UnorderedPool::retain_awaited`]). This is what
     /// makes snapshot installation safe for exactly-one-reply: an
     /// installer that never received the log entries below the snapshot
     /// horizon has no way to enumerate their ids from its own log, so
@@ -310,6 +390,7 @@ impl UnorderedPool {
             if self.archive.remove(id).is_some() {
                 dropped += 1;
             }
+            self.unrestore(id);
             if let Entry::Vacant(slot) = self.compacted.entry(*id) {
                 slot.insert(now);
                 fresh.push(*id);
@@ -323,9 +404,10 @@ impl UnorderedPool {
     }
 
     /// Feeds the pool's full content into `h` for model-checker state
-    /// fingerprints: all three maps as id-sorted vectors, parked arrival
-    /// times and tombstone stamps as ages relative to `now` (only age
-    /// drives GC behaviour, and GC never expires an archived body).
+    /// fingerprints: every map and set as an id-sorted vector, parked
+    /// arrival times, recovery and tombstone stamps as ages relative to
+    /// `now` (only age drives GC and retries, and GC never expires an
+    /// ordered id).
     pub fn hash_state(&self, now: u64, h: &mut dyn std::hash::Hasher) {
         let mut parked: Vec<(&ReqId, &PooledReq)> = self.unordered.iter().collect();
         parked.sort_unstable_by_key(|&(id, _)| id.as_u64());
@@ -343,16 +425,22 @@ impl UnorderedPool {
             h.write_u64(id.as_u64());
             h.write(body);
         }
-        let mut tombs: Vec<(u64, u64)> = self
-            .compacted
-            .iter()
-            .map(|(id, &t)| (id.as_u64(), now.saturating_sub(t)))
-            .collect();
-        tombs.sort_unstable();
-        h.write_usize(tombs.len());
-        for (id, age) in tombs {
-            h.write_u64(id);
-            h.write_u64(age);
+        let restored = self.restored.iter().flat_map(|r| r.iter());
+        let mut restored: Vec<u64> = restored.map(|id| id.as_u64()).collect();
+        restored.sort_unstable();
+        h.write_usize(restored.len());
+        restored.iter().for_each(|&id| h.write_u64(id));
+        for stamps in [&self.awaited, &self.compacted] {
+            let mut aged: Vec<(u64, u64)> = stamps
+                .iter()
+                .map(|(id, &t)| (id.as_u64(), now.saturating_sub(t)))
+                .collect();
+            aged.sort_unstable();
+            h.write_usize(aged.len());
+            for (id, age) in aged {
+                h.write_u64(id);
+                h.write_u64(age);
+            }
         }
     }
 
@@ -400,12 +488,12 @@ mod tests {
     fn insert_then_order() {
         let mut p = UnorderedPool::new();
         p.insert(id(1), OpKind::ReadWrite, body(), 0);
-        assert!(p.contains(id(1)));
+        assert!(p.get(id(1)).is_some());
         assert_eq!(p.unordered_len(), 1);
         assert!(p.mark_ordered(id(1)));
         assert_eq!(p.unordered_len(), 0);
         assert_eq!(p.archived_len(), 1);
-        assert!(p.contains(id(1)), "still serveable for recovery");
+        assert!(p.get(id(1)).is_some(), "still serveable for recovery");
     }
 
     #[test]
@@ -450,10 +538,10 @@ mod tests {
         p.insert(id(1), OpKind::ReadWrite, body(), 0);
         p.insert(id(2), OpKind::ReadWrite, body(), 500);
         p.mark_ordered(id(1));
-        let n = p.gc(1200, 600);
+        let (n, _) = p.gc(1200, 600);
         assert_eq!(n, 1, "only the stale unordered one");
-        assert!(p.contains(id(1)), "archived survives GC");
-        assert!(!p.contains(id(2)));
+        assert!(p.get(id(1)).is_some(), "archived survives GC");
+        assert!(p.get(id(2)).is_none());
     }
 
     #[test]
@@ -463,10 +551,10 @@ mod tests {
         // nanosecond later.
         let mut p = UnorderedPool::new();
         p.insert(id(1), OpKind::ReadWrite, body(), 1000);
-        assert_eq!(p.gc(1000 + 600, 600), 0, "age == timeout survives");
-        assert!(p.contains(id(1)));
-        assert_eq!(p.gc(1000 + 601, 600), 1, "age == timeout + 1 collected");
-        assert!(!p.contains(id(1)));
+        assert_eq!(p.gc(1000 + 600, 600).0, 0, "age == timeout survives");
+        assert!(p.get(id(1)).is_some());
+        assert_eq!(p.gc(1000 + 601, 600).0, 1, "age == timeout + 1 collected");
+        assert!(p.get(id(1)).is_none());
     }
 
     #[test]
@@ -477,19 +565,19 @@ mod tests {
             p.mark_ordered(id(n));
         }
         assert_eq!(p.compact_archive(&[id(1), id(2), id(9)], 100), 2);
-        assert!(!p.contains(id(1)), "body is gone");
-        assert!(p.contains(id(3)), "uncompacted body survives");
+        assert!(p.get(id(1)).is_none(), "body is gone");
+        assert!(p.get(id(3)).is_some(), "uncompacted body survives");
         // The tombstone still suppresses duplicates: a delayed copy or a
         // client retry of a compacted request must not be re-ordered and
         // re-executed (exactly-one-reply).
-        assert!(p.is_archived(id(1)));
+        assert!(p.is_ordered(id(1)));
         let dup = p.insert(id(1), OpKind::ReadWrite, Bytes::from_static(b"dup"), 200);
         assert!(dup.is_none(), "a tombstone reports already ordered too");
         assert_eq!(p.unordered_len(), 0);
         assert!(p.mark_ordered(id(1)), "treated as already ordered");
         // Tombstones expire on the GC boundary, bounding their memory.
         p.gc(100 + 601, 600);
-        assert!(!p.is_archived(id(1)));
+        assert!(!p.is_ordered(id(1)));
     }
 
     #[test]
@@ -504,14 +592,14 @@ mod tests {
         assert_eq!(p.seed_tombstones(&[id(1), id(2), id(7)], 50), 2);
         assert_eq!(p.unordered_len(), 0, "no re-proposal candidate remains");
         assert_eq!(p.archived_len(), 0);
-        assert!(p.is_archived(id(1)), "tombstone suppresses late duplicates");
-        assert!(p.is_archived(id(7)));
+        assert!(p.is_ordered(id(1)), "tombstone suppresses late duplicates");
+        assert!(p.is_ordered(id(7)));
         p.insert(id(1), OpKind::ReadWrite, Bytes::from_static(b"dup"), 60);
         assert_eq!(p.unordered_len(), 0);
         assert_eq!(p.tombstones(), [id(1), id(2), id(7)]);
         // Seeded tombstones expire on the normal GC boundary.
         p.gc(50 + 601, 600);
-        assert!(!p.is_archived(id(7)));
+        assert!(!p.is_ordered(id(7)));
     }
 
     #[test]
@@ -536,24 +624,20 @@ mod tests {
                     p.seed_tombstones(ids, now);
                 }
             }
-            assert_eq!(p.gc(now, TIMEOUT), 0);
+            assert_eq!(p.gc(now, TIMEOUT), (0, 0), "nothing due, nothing examined");
         }
         assert_eq!(p.tombstone_len(), 50_000);
-        assert_eq!(p.gc_examined(), 0, "nothing due, nothing examined");
         // One nanosecond later the first batch is past the boundary: one
         // pass over the map drops exactly that batch.
-        p.gc(TIMEOUT + 1, TIMEOUT);
-        assert_eq!(p.gc_examined(), 50_000);
+        assert_eq!(p.gc(TIMEOUT + 1, TIMEOUT).1, 50_000);
         assert_eq!(p.tombstone_len(), 50_000 - batches[0].len());
-        assert!(batches[0].iter().all(|&i| !p.is_archived(i)));
-        assert!(batches[1..].iter().flatten().all(|&i| p.is_archived(i)));
+        assert!(batches[0].iter().all(|&i| !p.is_ordered(i)));
+        assert!(batches[1..].iter().flatten().all(|&i| p.is_ordered(i)));
         // The bound is now the second batch's stamp: idle until it is due.
         for tick in 2_001..=2_072 {
-            p.gc(tick * TICK, TIMEOUT);
+            assert_eq!(p.gc(tick * TICK, TIMEOUT).1, 0);
         }
-        assert_eq!(p.gc_examined(), 50_000);
-        p.gc(2_073 * TICK, TIMEOUT);
-        assert_eq!(p.gc_examined(), 100_000 - batches[0].len() as u64);
+        assert_eq!(p.gc(2_073 * TICK, TIMEOUT).1, 50_000 - batches[0].len());
         assert_eq!(
             p.tombstone_len(),
             50_000 - batches[0].len() - batches[1].len()
@@ -588,6 +672,35 @@ mod tests {
         assert_eq!(p.unordered_len(), 0);
         assert_eq!(p.archived_len(), 1);
         assert!(p.mark_ordered(id(3)));
+    }
+
+    #[test]
+    fn a_body_for_an_id_ordered_here_is_archived_not_parked() {
+        let mut p = UnorderedPool::new();
+        // Bound by an AppendEntries before any copy arrived: awaited.
+        assert!(p.bind(id(1), 10), "recovery starts");
+        assert!(!p.bind(id(1), 20), "and is not started twice");
+        // Bound by a restored log entry: ordered, not yet asked.
+        p.restore_ordered([id(2)].into_iter());
+        assert!(p.is_ordered(id(1)) && p.is_ordered(id(2)));
+        for n in [1, 2] {
+            assert!(p.insert(id(n), OpKind::ReadWrite, body(), 30).is_none());
+        }
+        assert!(p.unordered_ids().is_empty(), "nothing to re-propose");
+        assert_eq!(p.archived_len(), 2);
+        // The awaited recovery completes when its reply lands; the body
+        // the client copy brought stays.
+        assert!(p.insert_recovered(id(1), Bytes::from_static(b"peer")));
+        assert!(!p.insert_recovered(id(1), Bytes::from_static(b"peer")));
+        assert_eq!(&p.get(id(1)).unwrap()[..], b"req");
+        // A restored id the apply path reaches first becomes awaited.
+        p.restore_ordered([id(3)].into_iter());
+        assert!(p.bind(id(3), 40));
+        // A stalled apply asks for a body a tombstone stands for (peers
+        // answer with a snapshot); an AppendEntries does not.
+        p.seed_tombstones(&[id(4)], 50);
+        assert!(!p.bind(id(4), 60));
+        assert!(p.await_body(id(4), 60));
     }
 
     #[test]

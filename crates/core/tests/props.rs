@@ -3,7 +3,7 @@
 //! invariant and the unordered pool against its reference model, under
 //! arbitrary event sequences.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::Hasher;
 
 use bytes::{ByteArena, Bytes};
@@ -49,19 +49,26 @@ fn reply(term: u64, m: LogIndex, from: RaftId) -> WireMsg {
 }
 
 /// Reference model of [`UnorderedPool`]: the pool as it was before `gc`
-/// learned to skip scans and the request path stopped re-probing — three
-/// maps, every method the obvious one, `gc` two unconditional `retain`s.
-/// `pool_matches_reference_model` drives both with the same calls.
+/// learned to skip scans and the request path stopped re-probing — one map
+/// or set per state, every method the obvious one, `gc` two unconditional
+/// `retain`s. `pool_matches_reference_model` drives both with the same
+/// calls.
 #[derive(Default)]
 struct RefPool {
     unordered: HashMap<ReqId, PooledReq>,
     archive: HashMap<ReqId, Bytes>,
+    awaited: HashMap<ReqId, u64>,
+    restored: HashSet<ReqId>,
     compacted: HashMap<ReqId, u64>,
 }
 
 impl RefPool {
     fn insert(&mut self, id: ReqId, kind: OpKind, body: Bytes, now: u64) {
         if self.archive.contains_key(&id) || self.compacted.contains_key(&id) {
+            return;
+        }
+        if self.awaited.contains_key(&id) || self.restored.remove(&id) {
+            self.archive.insert(id, body);
             return;
         }
         self.unordered.entry(id).or_insert(PooledReq {
@@ -71,12 +78,48 @@ impl RefPool {
         });
     }
 
-    fn contains(&self, id: ReqId) -> bool {
-        self.unordered.contains_key(&id) || self.archive.contains_key(&id)
+    fn is_ordered(&self, id: ReqId) -> bool {
+        self.archive.contains_key(&id)
+            || self.compacted.contains_key(&id)
+            || self.awaited.contains_key(&id)
+            || self.restored.contains(&id)
     }
 
-    fn is_archived(&self, id: ReqId) -> bool {
-        self.archive.contains_key(&id) || self.compacted.contains_key(&id)
+    fn bind(&mut self, id: ReqId, now: u64) -> bool {
+        if self.mark_ordered(id) || self.awaited.contains_key(&id) {
+            return false;
+        }
+        self.restored.remove(&id);
+        self.awaited.insert(id, now);
+        true
+    }
+
+    /// The stalled apply's variant: a tombstone does not stop recovery.
+    fn await_body(&mut self, id: ReqId, now: u64) -> bool {
+        self.mark_ordered(id);
+        if self.get(id).is_some() || self.awaited.contains_key(&id) {
+            return false;
+        }
+        self.restored.remove(&id);
+        self.awaited.insert(id, now);
+        true
+    }
+
+    fn restore_ordered(&mut self, ids: &[ReqId]) {
+        for &id in ids {
+            if !self.mark_ordered(id) && !self.awaited.contains_key(&id) {
+                self.restored.insert(id);
+            }
+        }
+    }
+
+    fn ordered_body(&mut self, id: ReqId) -> Option<Bytes> {
+        self.mark_ordered(id);
+        self.archive.get(&id).cloned()
+    }
+
+    fn retain_awaited(&mut self, named: &[ReqId]) {
+        self.awaited.retain(|id, _| named.contains(id));
     }
 
     fn get(&self, id: ReqId) -> Option<&Bytes> {
@@ -99,12 +142,14 @@ impl RefPool {
         }
     }
 
-    fn insert_recovered(&mut self, id: ReqId, body: Bytes) {
-        if self.compacted.contains_key(&id) {
-            return;
+    fn insert_recovered(&mut self, id: ReqId, body: Bytes) -> bool {
+        let awaited = self.awaited.remove(&id).is_some();
+        self.restored.remove(&id);
+        if !self.compacted.contains_key(&id) {
+            self.unordered.remove(&id);
+            self.archive.entry(id).or_insert(body);
         }
-        self.unordered.remove(&id);
-        self.archive.entry(id).or_insert(body);
+        awaited
     }
 
     fn gc(&mut self, now: u64, timeout: u64) -> usize {
@@ -125,6 +170,7 @@ impl RefPool {
             if self.archive.remove(id).is_some() {
                 dropped += 1;
             }
+            self.restored.remove(id);
             self.compacted.entry(*id).or_insert(now);
         }
         dropped
@@ -171,16 +217,24 @@ impl RefPool {
             h.write_u64(id.as_u64());
             h.write(body);
         }
-        let mut tombs: Vec<(u64, u64)> = self
-            .compacted
-            .iter()
-            .map(|(id, &t)| (id.as_u64(), now.saturating_sub(t)))
-            .collect();
-        tombs.sort_unstable();
-        h.write_usize(tombs.len());
-        for (id, age) in tombs {
+        let mut restored: Vec<u64> = self.restored.iter().map(|id| id.as_u64()).collect();
+        restored.sort_unstable();
+        h.write_usize(restored.len());
+        for id in restored {
             h.write_u64(id);
-            h.write_u64(age);
+        }
+        // Recovery and tombstone stamps, as ages.
+        for stamps in [&self.awaited, &self.compacted] {
+            let mut aged: Vec<(u64, u64)> = stamps
+                .iter()
+                .map(|(id, &t)| (id.as_u64(), now.saturating_sub(t)))
+                .collect();
+            aged.sort_unstable();
+            h.write_usize(aged.len());
+            for (id, age) in aged {
+                h.write_u64(id);
+                h.write_u64(age);
+            }
         }
     }
 
@@ -434,7 +488,7 @@ proptest! {
             // Every archived id remains retrievable (recovery serving).
             for a in &archived {
                 prop_assert!(pool.get(*a).is_some(), "archived body lost");
-                prop_assert!(pool.is_archived(*a));
+                prop_assert!(pool.is_ordered(*a));
             }
             prop_assert_eq!(pool.archived_len(), archived.len());
         }
@@ -525,10 +579,14 @@ proptest! {
     /// (a late `insert_recovered` of a tombstoned id, seeding over an
     /// existing tombstone) are steps of their own rather than left to
     /// chance.
+    ///
+    /// After every step, whatever the model says: no id the pool has
+    /// ordered is offered for re-proposal, and a body that arrived for an
+    /// awaited id sits in the archive.
     #[test]
     fn pool_matches_reference_model(
         timeout in prop_oneof![Just(0u64), Just(1u64), 2u64..300],
-        steps in proptest::collection::vec((0u8..10, 0u8..6, 0u64..1_000), 1..250),
+        steps in proptest::collection::vec((0u8..15, 0u8..6, 0u64..1_000), 1..250),
     ) {
         let mut pool = UnorderedPool::new();
         let mut model = RefPool::default();
@@ -559,19 +617,24 @@ proptest! {
             let live_tomb = tombs.get(val as usize % tombs.len().max(1)).copied();
             match op {
                 0 | 1 => {
-                    let ordered = model.is_archived(id);
+                    let ordered = model.is_ordered(id);
+                    // (A tombstone wins: a snapshot covers the id.)
+                    let awaited = model.awaited.contains_key(&id) && !model.compacted.contains_key(&id);
                     model.insert(id, kind, body.clone(), now);
                     let parked = seen(pool.insert(id, kind, body, now));
                     prop_assert_eq!(parked.is_none(), ordered);
                     if !ordered {
                         prop_assert_eq!(parked, seen(model.unordered.get(&id)), "first copy is the one kept");
                     }
+                    if awaited {
+                        prop_assert!(pool.get(id).is_some() && pool.parked(id).is_none(), "awaited body archived");
+                    }
                 }
                 2 => prop_assert_eq!(pool.mark_ordered(id), model.mark_ordered(id)),
-                3 => {
-                    model.insert_recovered(id, body.clone());
-                    pool.insert_recovered(id, body);
-                }
+                3 => prop_assert_eq!(
+                    pool.insert_recovered(id, body.clone()),
+                    model.insert_recovered(id, body)
+                ),
                 4 => prop_assert_eq!(
                     pool.compact_archive(&ids, now),
                     model.compact_archive(&ids, now)
@@ -580,13 +643,29 @@ proptest! {
                     pool.seed_tombstones(&ids, now),
                     model.seed_tombstones(&ids, now)
                 ),
-                6 => prop_assert_eq!(pool.gc(now, timeout), model.gc(now, timeout)),
+                6 => prop_assert_eq!(pool.gc(now, timeout).0, model.gc(now, timeout)),
                 7 => {
                     // A run of ticks, most of them with nothing to expire.
                     for _ in 0..40 {
                         now += val % 3;
-                        prop_assert_eq!(pool.gc(now, timeout), model.gc(now, timeout));
+                        prop_assert_eq!(pool.gc(now, timeout).0, model.gc(now, timeout));
                     }
+                }
+                10 => prop_assert_eq!(pool.bind(id, now), model.bind(id, now)),
+                14 => prop_assert_eq!(pool.await_body(id, now), model.await_body(id, now)),
+                11 => {
+                    // A restart brings back log entries naming these ids.
+                    model.restore_ordered(&ids);
+                    pool.restore_ordered(ids.into_iter());
+                }
+                12 => prop_assert_eq!(
+                    body_of(pool.ordered_body(id).as_ref()),
+                    body_of(model.ordered_body(id).as_ref())
+                ),
+                13 => {
+                    // An install whose retained log names only these ids.
+                    model.retain_awaited(&ids);
+                    pool.retain_awaited(ids.into_iter());
                 }
                 8 => {
                     // Seed over an existing tombstone (the older stamp
@@ -597,18 +676,20 @@ proptest! {
                         model.seed_tombstones(&ids, now)
                     );
                 }
-                _ => {
+                9 => {
                     // A late recovery reply for a tombstoned id brings no
                     // body back: the id stays tombstoned and unarchived,
                     // and compacting it again a little later drops nothing.
                     let id = live_tomb.unwrap_or(id);
-                    model.insert_recovered(id, body.clone());
-                    pool.insert_recovered(id, body);
+                    prop_assert_eq!(
+                        pool.insert_recovered(id, body.clone()),
+                        model.insert_recovered(id, body)
+                    );
                     if live_tomb.is_some() {
                         prop_assert!(pool.tombstones().contains(&id), "tombstone kept");
                         prop_assert!(pool.get(id).is_none(), "compacted body resurrected");
                     }
-                    prop_assert_eq!(pool.is_archived(id), model.is_archived(id));
+                    prop_assert_eq!(pool.is_ordered(id), model.is_ordered(id));
                     prop_assert_eq!(body_of(pool.get(id)), body_of(model.get(id)));
                     now += val % 5;
                     prop_assert_eq!(
@@ -616,15 +697,21 @@ proptest! {
                         model.compact_archive(&[id], now)
                     );
                 }
+                _ => unreachable!("ops are drawn from 0..15"),
             }
             for n in 0..POOL_IDS as u64 {
                 let id = pool_id(n);
-                prop_assert_eq!(pool.contains(id), model.contains(id), "contains {:?}", id);
-                prop_assert_eq!(pool.is_archived(id), model.is_archived(id), "is_archived {:?}", id);
+                prop_assert_eq!(pool.is_ordered(id), model.is_ordered(id), "is_ordered {:?}", id);
                 prop_assert_eq!(body_of(pool.get(id)), body_of(model.get(id)), "get {:?}", id);
                 prop_assert_eq!(seen(pool.parked(id)), seen(model.unordered.get(&id)), "parked {:?}", id);
             }
             prop_assert_eq!(pool.unordered_ids(), model.unordered_ids());
+            for id in pool.unordered_ids() {
+                prop_assert!(!pool.is_ordered(id), "{:?} is both parked and ordered", id);
+            }
+            for id in model.awaited.keys() {
+                prop_assert!(pool.parked(*id).is_none(), "awaited {:?} parked", id);
+            }
             prop_assert_eq!(pool.tombstones(), &model.tombstone_ids()[..], "sorted tombstone mirror");
             prop_assert_eq!(pool.unordered_len(), model.unordered.len());
             prop_assert_eq!(pool.archived_len(), model.archive.len());

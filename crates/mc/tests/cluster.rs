@@ -583,6 +583,69 @@ fn duplicate_client_request_is_ordered_once() {
     assert_eq!(s.writes(), [1; 3], "executed exactly once per node");
 }
 
+/// The leader proposes request X without shipping it (its batch has not
+/// ended), crashes and restarts with X in its restored log, and wins the
+/// next election: only it holds X. The client's copy of X reaches it
+/// before the election, or after it with `retransmit_after_election` (a
+/// VanillaRaft client sends to the leader). X must be ordered once: one
+/// more request commits the restored entry.
+fn restarted_leader_orders_x_once(mode: Mode, retransmit_after_election: bool) {
+    let mut s = Script::new(mode, 3);
+    s.load(OpKind::ReadWrite, (0..3u64).map(u64::to_le_bytes), 1, 3);
+    let l = s.leader().expect("leader");
+    let x = s.ids.allocate();
+    let (node, now) = s.st.node_mut(l).expect("live leader");
+    hand_step(node, now, request_input(x, 7), false);
+    let proposed_at = node.raft().log().last_index();
+    s.apply(McAction::Crash(l));
+    s.apply(McAction::Restart(l));
+    let body = 7u64.to_le_bytes();
+    if !retransmit_after_election {
+        s.request(x, OpKind::ReadWrite, &body, &[l]);
+    }
+    // The followers' election timeouts pass, and their own pre-votes are
+    // lost.
+    for f in (0..3).filter(|&n| n != l) {
+        s.apply(McAction::Tick(f));
+    }
+    while !s.st.net().is_empty() {
+        s.apply(McAction::Drop(0));
+    }
+    assert_eq!(s.elect(), l, "{mode:?}: only the restarted node holds X");
+    if retransmit_after_election {
+        s.request(x, OpKind::ReadWrite, &body, &[l]);
+    }
+    s.load(OpKind::ReadWrite, [8u64.to_le_bytes()], 1, 3);
+    let log = s.node(l).raft().log();
+    let ordered = log
+        .range(1, log.last_index())
+        .filter(|e| e.cmd.desc.id == x);
+    assert_eq!(
+        ordered.map(|e| e.index).collect::<Vec<_>>(),
+        [proposed_at],
+        "{mode:?}"
+    );
+    // Each follower executes each write once. (A restarted HovercRaft
+    // leader cannot apply: no retry fetches its lost bodies in this scope.)
+    let writes = s.writes();
+    for n in (0..3).filter(|&n| n != l || mode == Mode::Vanilla) {
+        assert_eq!(writes[n as usize], 5, "{mode:?}: node {n} executed X once");
+    }
+}
+
+#[test]
+fn restarted_leader_does_not_re_propose_a_request_its_log_holds() {
+    // A duplicated multicast copy of X parks in the restarted node's fresh
+    // pool unless the pool knows the restored log names X; §5's backlog
+    // flush would then order X a second time.
+    restarted_leader_orders_x_once(Mode::Hovercraft, false);
+}
+
+#[test]
+fn restored_vanilla_leader_drops_a_retransmission_its_log_holds() {
+    restarted_leader_orders_x_once(Mode::Vanilla, true);
+}
+
 /// Node `n`'s log entry at `idx`.
 fn entry_cmd(s: &Script, n: u32, idx: u64) -> &Cmd {
     s.node(n).raft().log().get(idx).expect("entry in log").cmd

@@ -14,7 +14,7 @@
 //!
 //! [`InvariantChecker::check_nodes`] reads only the live
 //! [`HcNode`]s, so both drivers evaluate the same rules over the same
-//! observations. The trace invariants (6, 9) and flow conservation (7)
+//! observations. The trace invariants (6, 9, 10) and flow conservation (7)
 //! need the simulator and run only in [`InvariantChecker::check`]; `mc`
 //! feeds its replies to the same [`ReplyLedger`] at send time.
 //!
@@ -63,10 +63,16 @@
 //!    a blob that does not frame is dropped). A partial rewind, a rewind
 //!    after `snapshot_installed`, or a rewind in a fresh incarnation
 //!    claiming old progress is a protocol bug.
+//! 10. **Executed once** — across the cluster, a request id is executed
+//!     (or skipped as read-only) at one log index only. A committed entry
+//!     has one index on every node and a restart re-executes the same
+//!     index, so a second index means the request was ordered twice —
+//!     even when the second reply was lost or skipped and invariant 6 saw
+//!     none.
 //!
 //! The trace scan is incremental: events evicted from the bounded ring
 //! before the checker saw them are reported as a `trace_gap` violation,
-//! since invariants 6 and 9 would otherwise skip them silently.
+//! since invariants 6, 9 and 10 would otherwise skip them silently.
 //!
 //! The checker is stateful (watermarks, first-seen replier stamps, reply
 //! ledger, trace cursor); create one per cluster and feed it every step.
@@ -190,6 +196,8 @@ pub struct InvariantChecker {
     depth_baseline: FxHashMap<(u64, NodeId), usize>,
     /// Requests already answered (invariant 6).
     replies: ReplyLedger,
+    /// The log index each executed request id ran at (invariant 10).
+    executed: FxHashMap<u64, LogIndex>,
     /// Highest cumulative chunk-ack offset per
     /// `(node, snapshot index, incarnation)` (invariant 9).
     ack_progress: FxHashMap<(NodeId, u64, u64), u64>,
@@ -432,8 +440,8 @@ impl InvariantChecker {
         Ok(())
     }
 
-    /// Invariants 6 and 9, one incremental pass over the protocol trace
-    /// (they share the cursor, so both must be checked in the same scan).
+    /// Invariants 6, 9 and 10, one incremental pass over the protocol trace
+    /// (they share the cursor, so all must be checked in the same scan).
     ///
     /// **6 — exactly-one reply**: every `reply` event goes through the
     /// [`ReplyLedger`]. A reply is attributed to the incarnation live at
@@ -447,6 +455,9 @@ impl InvariantChecker {
     /// failover to a competing serving peer). A partial rewind means the
     /// protocol lost buffered chunks; a post-install rewind means the
     /// `applied` cursor itself regressed.
+    ///
+    /// **10 — executed once**: every `executed` and `ro_skipped` event
+    /// names the index its id ran at, the same on every node.
     fn check_trace_invariants(&mut self, cl: &Cluster) -> Result<(), Violation> {
         // Borrow-only incremental scan: the checker runs every simulated
         // millisecond, so it visits only events newer than its cursor,
@@ -454,6 +465,7 @@ impl InvariantChecker {
         let replies = &mut self.replies;
         let acks = &mut self.ack_progress;
         let installed = &mut self.installed;
+        let executed = &mut self.executed;
         let mut expect = self.trace_cursor;
         let mut cursor = expect.unwrap_or(0);
         let mut found: Option<Violation> = None;
@@ -471,10 +483,28 @@ impl InvariantChecker {
                     ),
                 });
             }
-            if found.is_some()
-                || (e.kind != "reply" && e.kind != "chunk_acked" && e.kind != "snapshot_installed")
-            {
+            if found.is_some() {
                 return;
+            }
+            match e.kind {
+                "executed" | "ro_skipped" => {
+                    // Recorded as [index, id, _]; `key` is the id.
+                    let index = e.args[0];
+                    let first = *executed.entry(e.key).or_insert(index);
+                    if first != index {
+                        found = Some(Violation {
+                            invariant: "executed_once",
+                            node: Some(e.node),
+                            detail: format!(
+                                "request {:#x} executed at index {first} and again at index {index}",
+                                e.key
+                            ),
+                        });
+                    }
+                    return;
+                }
+                "reply" | "chunk_acked" | "snapshot_installed" => {}
+                _ => return,
             }
             let inc = if (e.node as usize) < cl.sim.num_nodes() {
                 cl.sim

@@ -214,6 +214,20 @@ fn checker_detects_a_second_replier_in_the_trace() {
 }
 
 #[test]
+fn checker_detects_a_request_executed_at_two_indexes() {
+    let mut cluster = build(9008, 128);
+    // An id no client issues, ordered twice: executed at one index and
+    // skipped as read-only at another, with no second reply to give it away.
+    let id = ReqId::new(0xdead, 1, 3);
+    record(&cluster, 0, ProtoEvent::Executed { index: 7, id });
+    record(&cluster, 1, ProtoEvent::Executed { index: 7, id });
+    record(&cluster, 2, ProtoEvent::RoSkipped { index: 9, id });
+    let msg = panic_message(&mut cluster);
+    assert!(msg.contains("executed_once"), "wrong invariant: {msg}");
+    assert!(msg.contains("index 7 and again at index 9"), "{msg}");
+}
+
+#[test]
 fn checker_detects_a_regressed_transfer_ack_in_the_trace() {
     let mut cluster = build(9007, 128);
     for next in [1024, 512] {
