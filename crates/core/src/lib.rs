@@ -31,6 +31,7 @@
 #![forbid(unsafe_code)]
 
 mod aggregator;
+mod archive;
 mod cmd;
 mod config;
 mod flowctl;

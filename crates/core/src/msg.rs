@@ -209,7 +209,9 @@ mod tests {
         assert_eq!(size_of::<Bytes>(), 24);
         assert_eq!(size_of::<Option<Bytes>>(), 32);
         assert_eq!(size_of::<PooledReq>(), 40, "parked request");
-        assert_eq!(size_of::<(ReqId, Bytes)>(), 32, "archive bucket");
+        // Sixteen archived bodies and their presence mask: 24.5 B per body
+        // once the block fills.
+        assert_eq!(size_of::<crate::archive::Block>(), 392, "archive block");
         // A log slot holds only the command: index and term are implied.
         assert_eq!(size_of::<Cmd>(), 8, "log slot");
         assert_eq!(size_of::<Entry<Cmd>>(), 24, "wire entry");

@@ -23,6 +23,7 @@
 //! input: new entries ship only then. [`HcNode::drain_events`] yields the
 //! step's protocol events until the next step replaces them.
 
+use std::collections::VecDeque;
 use std::fmt;
 
 use fxhash::{FxHashMap, FxHashSet};
@@ -283,7 +284,9 @@ pub struct HcNode<S> {
     next_apply: LogIndex,
     /// Last log index whose execution completed.
     applied: LogIndex,
-    pending: FxHashMap<LogIndex, PendingReply>,
+    /// Reply duty of each entry handed to the application thread and not
+    /// yet completed, in log order: the front is entry `applied + 1`.
+    pending: VecDeque<PendingReply>,
     /// HovercRaft++ leader: followers being repaired over direct
     /// point-to-point AppendEntries after a failed append (§5).
     recovering: FxHashSet<RaftId>,
@@ -353,7 +356,7 @@ impl<S: Service> HcNode<S> {
             rng,
             next_apply: 1,
             applied: 0,
-            pending: FxHashMap::default(),
+            pending: VecDeque::new(),
             recovering: FxHashSet::default(),
             agg_confirmed: false,
             last_ae_via_agg: false,
@@ -410,10 +413,8 @@ impl<S: Service> HcNode<S> {
         }
         h.write_u64(self.next_apply);
         h.write_u64(self.applied);
-        let mut pend: Vec<(&LogIndex, &PendingReply)> = self.pending.iter().collect();
-        pend.sort_unstable_by_key(|&(&i, _)| i);
-        h.write_usize(pend.len());
-        for (&idx, p) in pend {
+        h.write_usize(self.pending.len());
+        for (idx, p) in (self.applied + 1..).zip(&self.pending) {
             h.write_u64(idx);
             h.write_u64(p.id.as_u64());
             h.write_u8(p.reply.is_some() as u8);
@@ -764,7 +765,7 @@ impl<S: Service> HcNode<S> {
             self.ledger.observe_applied(self.id(), index);
             self.try_announce(now);
         }
-        if let Some(p) = self.pending.remove(&index) {
+        if let Some(p) = self.pending.pop_front() {
             if p.respond {
                 self.stats.responses += 1;
                 self.events.push(ProtoEvent::ReplySent {
@@ -1342,14 +1343,11 @@ impl<S: Service> HcNode<S> {
                 });
                 (None, 0)
             };
-            self.pending.insert(
-                idx,
-                PendingReply {
-                    id: desc.id,
-                    reply,
-                    respond: am_replier && execute,
-                },
-            );
+            self.pending.push_back(PendingReply {
+                id: desc.id,
+                reply,
+                respond: am_replier && execute,
+            });
             out.push(Output::Execute {
                 index: idx,
                 cost_ns: cost,
@@ -1800,14 +1798,15 @@ impl<S: Service> HcNode<S> {
         let mut acts = std::mem::take(&mut self.acts);
         self.raft
             .install_snapshot_into(snap_index, snap_term, &mut acts);
+        // Replies for entries the install jumps over are void: their
+        // repliers re-elect elsewhere, bounded by B per episode (§3.4).
+        let jumped = (snap_index - self.applied) as usize;
+        self.pending.drain(..jumped.min(self.pending.len()));
         self.applied = snap_index;
         self.next_apply = self.next_apply.max(snap_index + 1);
         // Any unpublished capture predates the install horizon (installs
         // are refused below `next_apply`, and captures sit below it too).
         self.pending_snap = None;
-        // Replies for entries the install jumped over are void: their
-        // repliers re-elect elsewhere, bounded by B per episode (§3.4).
-        self.pending.retain(|&i, _| i > snap_index);
         // Outstanding body recoveries survive only if a retained log entry
         // still references them.
         self.pool

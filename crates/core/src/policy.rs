@@ -12,8 +12,6 @@
 
 use std::collections::VecDeque;
 
-use fxhash::FxHashMap;
-
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -37,8 +35,22 @@ pub enum PolicyKind {
 /// work until its bounded queue fills.
 #[derive(Clone, Debug, Default)]
 pub struct ReplierLedger {
-    queues: FxHashMap<RaftId, VecDeque<LogIndex>>,
-    last_heard: FxHashMap<RaftId, u64>,
+    /// One slot per node the ledger has heard of since the last reset,
+    /// sorted by node id: a group has a handful of members, so a scan
+    /// beats hashing on the leader's per-request `pick`.
+    members: Vec<Member>,
+}
+
+/// One node's slot in the [`ReplierLedger`].
+#[derive(Clone, Debug)]
+struct Member {
+    node: RaftId,
+    /// Assigned, not yet applied.
+    queue: VecDeque<LogIndex>,
+    /// Ever assigned since the last reset: a node whose queue has emptied
+    /// still has a (hashed) queue.
+    queued: bool,
+    last_heard: Option<u64>,
 }
 
 impl ReplierLedger {
@@ -47,17 +59,40 @@ impl ReplierLedger {
         Self::default()
     }
 
+    fn member(&self, node: RaftId) -> Option<&Member> {
+        self.members.iter().find(|m| m.node == node)
+    }
+
+    /// `node`'s slot, opened (in node order) if it has none.
+    fn member_mut(&mut self, node: RaftId) -> &mut Member {
+        let at = match self.members.iter().position(|m| m.node >= node) {
+            Some(i) if self.members[i].node == node => return &mut self.members[i],
+            Some(i) => i,
+            None => self.members.len(),
+        };
+        let fresh = Member {
+            node,
+            queue: VecDeque::new(),
+            queued: false,
+            last_heard: None,
+        };
+        self.members.insert(at, fresh);
+        &mut self.members[at]
+    }
+
     /// Records that entry `idx` was assigned to `node`.
     pub fn assign(&mut self, node: RaftId, idx: LogIndex) {
-        self.queues.entry(node).or_default().push_back(idx);
+        let m = self.member_mut(node);
+        m.queued = true;
+        m.queue.push_back(idx);
     }
 
     /// Updates the ledger with `node`'s reported applied index, retiring
     /// every assignment at or below it.
     pub fn observe_applied(&mut self, node: RaftId, applied: LogIndex) {
-        if let Some(q) = self.queues.get_mut(&node) {
-            while q.front().is_some_and(|&i| i <= applied) {
-                q.pop_front();
+        if let Some(m) = self.members.iter_mut().find(|m| m.node == node) {
+            while m.queue.front().is_some_and(|&i| i <= applied) {
+                m.queue.pop_front();
             }
         }
     }
@@ -65,14 +100,14 @@ impl ReplierLedger {
     /// Outstanding (assigned but unapplied) operations for `node` — the
     /// queue depth JBSQ balances on.
     pub fn depth(&self, node: RaftId) -> usize {
-        self.queues.get(&node).map(|q| q.len()).unwrap_or(0)
+        self.member(node).map_or(0, |m| m.queue.len())
     }
 
     /// Records that `node` showed signs of life at time `now` (an
     /// AppendEntries reply or an aggregator register snapshot).
     pub fn note_heard(&mut self, node: RaftId, now: u64) {
-        let t = self.last_heard.entry(node).or_insert(now);
-        *t = (*t).max(now);
+        let t = &mut self.member_mut(node).last_heard;
+        *t = Some(t.map_or(now, |t| t.max(now)));
     }
 
     /// True when `node` has not been heard from for longer than
@@ -80,42 +115,37 @@ impl ReplierLedger {
     /// `note_heard` yet) is *not* stalled — fresh leaders give everyone the
     /// benefit of the doubt until the first timeout elapses.
     pub fn is_stalled(&self, node: RaftId, now: u64, stall_timeout: u64) -> bool {
-        self.last_heard
-            .get(&node)
-            .is_some_and(|&t| now.saturating_sub(t) > stall_timeout)
+        self.member(node)
+            .and_then(|m| m.last_heard)
+            .is_some_and(|t| now.saturating_sub(t) > stall_timeout)
     }
 
     /// Clears all state (leadership change).
     pub fn reset(&mut self) {
-        self.queues.clear();
-        self.last_heard.clear();
+        self.members.clear();
     }
 
     /// Feeds the ledger into `h` for model-checker state fingerprints:
-    /// queues and last-heard marks as vectors sorted by node id, times as
-    /// ages relative to `now`.
+    /// queues and last-heard marks in node order, times as ages relative
+    /// to `now`.
     pub fn hash_state(&self, now: u64, h: &mut dyn std::hash::Hasher) {
-        let mut qs: Vec<(RaftId, &VecDeque<LogIndex>)> =
-            self.queues.iter().map(|(&n, q)| (n, q)).collect();
-        qs.sort_unstable_by_key(|&(n, _)| n);
-        h.write_usize(qs.len());
-        for (n, q) in qs {
-            h.write_u32(n);
-            h.write_usize(q.len());
-            for &idx in q {
+        h.write_usize(self.members.iter().filter(|m| m.queued).count());
+        for m in self.members.iter().filter(|m| m.queued) {
+            h.write_u32(m.node);
+            h.write_usize(m.queue.len());
+            for &idx in &m.queue {
                 h.write_u64(idx);
             }
         }
-        let mut heard: Vec<(RaftId, u64)> = self
-            .last_heard
-            .iter()
-            .map(|(&n, &t)| (n, now.saturating_sub(t)))
-            .collect();
-        heard.sort_unstable();
-        h.write_usize(heard.len());
-        for (n, age) in heard {
+        let heard = || {
+            self.members
+                .iter()
+                .filter_map(|m| Some((m.node, m.last_heard?)))
+        };
+        h.write_usize(heard().count());
+        for (n, t) in heard() {
             h.write_u32(n);
-            h.write_u64(age);
+            h.write_u64(now.saturating_sub(t));
         }
     }
 
@@ -275,6 +305,45 @@ mod tests {
         l.assign(1, 1);
         l.reset();
         assert_eq!(l.depth(1), 0);
+    }
+
+    #[test]
+    fn hash_state_keeps_an_emptied_queue_until_reset() {
+        struct Fed(Vec<u8>);
+        impl std::hash::Hasher for Fed {
+            fn finish(&self) -> u64 {
+                0
+            }
+            fn write(&mut self, bytes: &[u8]) {
+                self.0.extend_from_slice(bytes);
+            }
+        }
+        let fed = |l: &ReplierLedger| {
+            let mut h = Fed(Vec::new());
+            l.hash_state(100, &mut h);
+            h.0
+        };
+        let mut l = ReplierLedger::new();
+        l.note_heard(3, 40);
+        l.assign(2, 7);
+        l.observe_applied(2, 7);
+        l.note_heard(1, 90);
+        let mut want = Vec::new();
+        // One queue, node 2's, empty; two last-heard ages in node order.
+        want.extend(1usize.to_ne_bytes());
+        want.extend(2u32.to_ne_bytes());
+        want.extend(0usize.to_ne_bytes());
+        want.extend(2usize.to_ne_bytes());
+        want.extend(1u32.to_ne_bytes());
+        want.extend(10u64.to_ne_bytes());
+        want.extend(3u32.to_ne_bytes());
+        want.extend(60u64.to_ne_bytes());
+        assert_eq!(fed(&l), want);
+        l.reset();
+        assert_eq!(
+            fed(&l),
+            [0usize.to_ne_bytes(), 0usize.to_ne_bytes()].concat()
+        );
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! serve `recovery_request`s from peers that missed the multicast, and so
 //! the applier can execute entries in log order. The archive keeps only the
 //! body: an ordered request's kind is its log entry's `desc.kind`, and no
-//! GC ever expires an ordered body, so its arrival time is not kept.
+//! GC ever expires an ordered body, so its arrival time is not kept. It
+//! files bodies in blocks of consecutive ids ([`crate::archive`]), so the
+//! per-request lookups of a few clients' recent ids stay in cache.
 //!
 //! The pool is the node's one record of a request's state (DESIGN.md
 //! §14.3): parked; ordered, with the body archived, awaited from a peer, or
@@ -26,6 +28,7 @@ use fxhash::{FxHashMap, FxHashSet};
 use bytes::Bytes;
 use r2p2::ReqId;
 
+use crate::archive::Archive;
 use crate::cmd::OpKind;
 
 /// A parked client request.
@@ -43,7 +46,7 @@ pub struct PooledReq {
 #[derive(Clone)]
 pub struct UnorderedPool {
     unordered: FxHashMap<ReqId, PooledReq>,
-    archive: FxHashMap<ReqId, Bytes>,
+    archive: Archive,
     /// Ordered here, body asked of a peer: id → time of the last
     /// RecoveryReq. Its iteration order is the order of retries. A client
     /// copy may archive the body first; the id stays until a RecoveryRep
@@ -84,7 +87,7 @@ impl Default for UnorderedPool {
     fn default() -> Self {
         Self {
             unordered: FxHashMap::default(),
-            archive: FxHashMap::default(),
+            archive: Archive::default(),
             awaited: FxHashMap::default(),
             restored: None,
             compacted: FxHashMap::default(),
@@ -161,7 +164,7 @@ impl UnorderedPool {
     /// retry) — or `None` if the request is already ordered here, in which
     /// case nothing is parked and a body still lacking is archived.
     pub fn insert(&mut self, id: ReqId, kind: OpKind, body: Bytes, now: u64) -> Option<&PooledReq> {
-        if self.archive.contains_key(&id) || self.compacted.contains_key(&id) {
+        if self.archive.contains(id) || self.compacted.contains_key(&id) {
             return None;
         }
         if self.awaited.contains_key(&id) || self.unrestore(&id) {
@@ -180,7 +183,7 @@ impl UnorderedPool {
     /// archived, awaited or not yet asked for, or a snapshot compacted it.
     /// Used for duplicate suppression on the leader.
     pub fn is_ordered(&self, id: ReqId) -> bool {
-        self.archive.contains_key(&id)
+        self.archive.contains(id)
             || self.compacted.contains_key(&id)
             || self.awaited.contains_key(&id)
             || self.restored.as_ref().is_some_and(|r| r.contains(&id))
@@ -195,7 +198,7 @@ impl UnorderedPool {
     /// node's callers look up ordered bodies).
     pub fn get(&self, id: ReqId) -> Option<&Bytes> {
         self.archive
-            .get(&id)
+            .get(id)
             .or_else(|| self.unordered.get(&id).map(|r| &r.body))
     }
 
@@ -218,7 +221,7 @@ impl UnorderedPool {
                 self.archive.insert(id, body);
                 true
             }
-            None => self.archive.contains_key(&id) || self.compacted.contains_key(&id),
+            None => self.archive.contains(id) || self.compacted.contains_key(&id),
         }
     }
 
@@ -234,7 +237,7 @@ impl UnorderedPool {
     /// answer with their snapshot). The id is then awaited from `now`.
     pub fn await_body(&mut self, id: ReqId, now: u64) -> bool {
         self.mark_ordered(id);
-        if self.archive.contains_key(&id) || self.awaited.contains_key(&id) {
+        if self.archive.contains(id) || self.awaited.contains_key(&id) {
             return false;
         }
         self.unrestore(&id);
@@ -255,11 +258,11 @@ impl UnorderedPool {
     /// The body of an ordered request, for the applier (a parked copy
     /// moves to the archive).
     pub fn ordered_body(&mut self, id: ReqId) -> Option<Bytes> {
-        if let Some(body) = self.archive.get(&id) {
+        if let Some(body) = self.archive.get(id) {
             return Some(body.clone());
         }
         self.mark_ordered(id);
-        self.archive.get(&id).cloned()
+        self.archive.get(id).cloned()
     }
 
     /// Files a body recovered from a peer in the archive; true if it was
@@ -271,7 +274,7 @@ impl UnorderedPool {
         self.unrestore(&id);
         if !self.compacted.contains_key(&id) {
             self.unordered.remove(&id);
-            self.archive.entry(id).or_insert(body);
+            self.archive.insert(id, body);
         }
         awaited
     }
@@ -387,7 +390,7 @@ impl UnorderedPool {
             if self.unordered.remove(id).is_some() {
                 dropped += 1;
             }
-            if self.archive.remove(id).is_some() {
+            if self.archive.remove(*id).is_some() {
                 dropped += 1;
             }
             self.unrestore(id);
@@ -418,11 +421,9 @@ impl UnorderedPool {
             h.write(&r.body);
             h.write_u64(now.saturating_sub(r.arrived));
         }
-        let mut archived: Vec<(&ReqId, &Bytes)> = self.archive.iter().collect();
-        archived.sort_unstable_by_key(|&(id, _)| id.as_u64());
-        h.write_usize(archived.len());
-        for (id, body) in archived {
-            h.write_u64(id.as_u64());
+        h.write_usize(self.archive.len());
+        for (id, body) in self.archive.sorted() {
+            h.write_u64(id);
             h.write(body);
         }
         let restored = self.restored.iter().flat_map(|r| r.iter());
@@ -458,7 +459,7 @@ impl UnorderedPool {
         for id in ids {
             // An archived id is never tombstoned, so every drop is a new
             // tombstone.
-            if self.archive.remove(id).is_some() {
+            if self.archive.remove(*id).is_some() {
                 self.compacted.insert(*id, now);
                 fresh.push(*id);
             }
@@ -494,6 +495,32 @@ mod tests {
         assert_eq!(p.unordered_len(), 0);
         assert_eq!(p.archived_len(), 1);
         assert!(p.get(id(1)).is_some(), "still serveable for recovery");
+    }
+
+    #[test]
+    fn a_block_emptied_by_compaction_is_reused() {
+        let mut p = UnorderedPool::new();
+        // rids 0..=15 fill one archive block, rid 16 opens the next.
+        let ids: Vec<ReqId> = (0..=16).map(id).collect();
+        for &i in &ids {
+            p.insert(i, OpKind::ReadWrite, body(), 0);
+            assert!(p.mark_ordered(i));
+        }
+        assert_eq!(p.archive.slab_len(), 2);
+        assert_eq!(p.compact_archive(&ids[..15], 10), 15);
+        assert!(p.get(id(15)).is_some(), "the block still holds rid 15");
+        assert_eq!(p.compact_archive(&ids[15..16], 20), 1);
+        // A later id in a fresh block (rids 32..=47) takes the emptied
+        // block's slab slot and sees none of its old bodies.
+        p.insert_recovered(id(40), Bytes::from_static(b"later"));
+        assert_eq!(p.archive.slab_len(), 2, "no new block allocated");
+        assert_eq!(&p.get(id(40)).unwrap()[..], b"later");
+        assert!(p.get(id(16)).is_some());
+        for n in (0..16).chain(32..40).chain(41..48) {
+            assert!(p.get(id(n)).is_none(), "rid {n}");
+        }
+        assert_eq!(p.archived_len(), 2);
+        assert!(p.is_ordered(id(0)), "compacted ids stay tombstoned");
     }
 
     #[test]

@@ -266,11 +266,28 @@ impl Hasher for FedBytes {
 }
 
 /// Ids the pool model draws from: few enough that every id meets every
-/// mutator many times in one case.
-const POOL_IDS: u16 = 12;
+/// mutator many times in one case. The archive files bodies in blocks of
+/// sixteen consecutive packed ids, so these straddle block boundaries: rids
+/// around 15/16 and 31/32, the last rids of port 5 and the first of port 6
+/// (the rid carry into the port), and one id far from all of them.
+const POOL_IDS: [(u32, u16, u16); 12] = [
+    (5, 5, 14),
+    (5, 5, 15),
+    (5, 5, 16),
+    (5, 5, 17),
+    (5, 5, 31),
+    (5, 5, 32),
+    (5, 5, 33),
+    (5, 5, 65_534),
+    (5, 5, 65_535),
+    (5, 6, 0),
+    (5, 6, 1),
+    (0xdead_beef, 40_000, 4_242),
+];
 
 fn pool_id(n: u64) -> ReqId {
-    ReqId::new(5, 5, (n % POOL_IDS as u64) as u16)
+    let (ip, port, rid) = POOL_IDS[n as usize % POOL_IDS.len()];
+    ReqId::new(ip, port, rid)
 }
 
 /// What `insert` and `parked` return, in comparable form.
@@ -699,7 +716,7 @@ proptest! {
                 }
                 _ => unreachable!("ops are drawn from 0..15"),
             }
-            for n in 0..POOL_IDS as u64 {
+            for n in 0..POOL_IDS.len() as u64 {
                 let id = pool_id(n);
                 prop_assert_eq!(pool.is_ordered(id), model.is_ordered(id), "is_ordered {:?}", id);
                 prop_assert_eq!(body_of(pool.get(id)), body_of(model.get(id)), "get {:?}", id);
