@@ -19,8 +19,6 @@
 //! * the AppendEntries **reply carries `applied_index`** (§6.2), which
 //!   vanilla Raft ignores.
 
-use fxhash::FxHashMap;
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -104,7 +102,10 @@ pub struct RaftNode<C> {
     leader_id: Option<RaftId>,
     commit: LogIndex,
     applied: LogIndex,
-    progress: FxHashMap<RaftId, Progress>,
+    /// Leader-side progress, one slot per `peer_ids` entry in the same
+    /// order; empty off-leader. A lookup by id walks at most a handful of
+    /// peers, which beats a hash probe at these sizes.
+    progress: Vec<Progress>,
     votes: usize,
     voters: Vec<RaftId>,
     election_deadline: u64,
@@ -143,7 +144,7 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
             leader_id: None,
             commit: 0,
             applied: 0,
-            progress: FxHashMap::default(),
+            progress: Vec::new(),
             votes: 0,
             voters: Vec::new(),
             election_deadline,
@@ -235,7 +236,7 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
     }
     /// Leader-side progress for `peer` (None on non-leaders).
     pub fn progress(&self, peer: RaftId) -> Option<&Progress> {
-        self.progress.get(&peer)
+        self.slot(peer).map(|i| &self.progress[i])
     }
     /// Highest index ever shipped in an AppendEntries this term.
     pub fn announced_index(&self) -> LogIndex {
@@ -294,12 +295,12 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
             // `Hash::hash` wants a sized hasher, which `&mut dyn Hasher` is.
             std::hash::Hash::hash(&e, &mut &mut *h);
         }
-        let mut prog: Vec<(RaftId, Progress)> =
-            self.progress.iter().map(|(&id, p)| (id, *p)).collect();
-        prog.sort_by_key(|&(id, _)| id);
-        h.write_usize(prog.len());
-        for (id, p) in prog {
-            h.write_u32(id);
+        let mut by_id: Vec<usize> = (0..self.progress.len()).collect();
+        by_id.sort_unstable_by_key(|&i| self.peer_ids[i]);
+        h.write_usize(by_id.len());
+        for i in by_id {
+            let p = &self.progress[i];
+            h.write_u32(self.peer_ids[i]);
             h.write_u64(p.next);
             h.write_u64(p.matched);
             h.write_u64(p.applied);
@@ -386,15 +387,16 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
         if !self.is_leader() {
             return;
         }
-        let Some(p) = self.progress.get_mut(&peer) else {
+        let Some(i) = self.slot(peer) else {
             return;
         };
+        let p = &mut self.progress[i];
         p.pending_snapshot = false;
         p.last_heard = now;
         p.on_success(index, index);
         self.maybe_commit(out);
         let target = self.log.last_index().min(self.ceiling);
-        self.send_append(peer, target, true, out);
+        self.send_append(i, target, true, out);
     }
 
     /// Driver hook: a snapshot chunk arrived from *some* peer serving a
@@ -423,8 +425,8 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
     /// otherwise depose a leader spending many election timeouts streaming
     /// a large snapshot to its only reachable follower.
     pub fn note_peer_heard(&mut self, peer: RaftId, now: u64) {
-        if let Some(p) = self.progress.get_mut(&peer) {
-            p.last_heard = now;
+        if let Some(i) = self.slot(peer) {
+            self.progress[i].last_heard = now;
         }
     }
 
@@ -435,7 +437,8 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
     /// past `upto`; heartbeats and data-carrying appends still carry
     /// `leader_commit`, which is what heals a lost copy.
     pub fn note_commit_told(&mut self, peer: RaftId, upto: LogIndex) {
-        if let Some(p) = self.progress.get_mut(&peer) {
+        if let Some(i) = self.slot(peer) {
+            let p = &mut self.progress[i];
             p.commit_told = p.commit_told.max(upto);
         }
     }
@@ -481,9 +484,8 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
             return;
         }
         let target = self.log.last_index().min(self.ceiling);
-        for i in 0..self.peer_ids.len() {
-            let peer = self.peer_ids[i];
-            self.send_append(peer, target, false, out);
+        for i in 0..self.progress.len() {
+            self.send_append(i, target, false, out);
         }
         if target > self.announced {
             self.announced = target;
@@ -513,7 +515,7 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
                     let grace = self.cfg.election_timeout_max;
                     let heard = 1 + self
                         .progress
-                        .values()
+                        .iter()
                         .filter(|p| now.saturating_sub(p.last_heard) < grace)
                         .count();
                     if heard < self.cfg.quorum() {
@@ -522,9 +524,8 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
                     }
                     self.heartbeat_due = now + self.cfg.heartbeat_interval;
                     let target = self.log.last_index().min(self.ceiling);
-                    for i in 0..self.peer_ids.len() {
-                        let peer = self.peer_ids[i];
-                        self.send_append(peer, target, true, out);
+                    for i in 0..self.progress.len() {
+                        self.send_append(i, target, true, out);
                     }
                     if target > self.announced {
                         self.announced = target;
@@ -780,11 +781,9 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
         self.leader_id = Some(self.cfg.id);
         self.heartbeat_due = now; // assert leadership immediately
         let last = self.log.last_index();
-        self.progress = self
-            .cfg
-            .peers()
-            .map(|p| (p, Progress::new(last, now)))
-            .collect();
+        self.progress.clear();
+        self.progress
+            .resize(self.peer_ids.len(), Progress::new(last, now));
         // A new term starts with a fresh announcement horizon: HovercRaft
         // re-announces (and re-assigns repliers for) entries the old leader
         // had shipped but the new one has not.
@@ -796,19 +795,12 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
         }
     }
 
-    /// Builds and emits one AppendEntries to `peer`, shipping entries
-    /// `[next, target]` (batched). When `force` is set an empty heartbeat is
-    /// sent even if there is nothing new.
-    fn send_append(
-        &mut self,
-        peer: RaftId,
-        target: LogIndex,
-        force: bool,
-        out: &mut Vec<Action<C>>,
-    ) {
-        let Some(p) = self.progress.get(&peer) else {
-            return;
-        };
+    /// Builds and emits one AppendEntries to the peer in progress slot `i`,
+    /// shipping entries `[next, target]` (batched). When `force` is set an
+    /// empty heartbeat is sent even if there is nothing new.
+    fn send_append(&mut self, i: usize, target: LogIndex, force: bool, out: &mut Vec<Action<C>>) {
+        let peer = self.peer_ids[i];
+        let p = &self.progress[i];
         let mut next = p.next;
         let has_new = next <= target;
         if !has_new && !force {
@@ -834,12 +826,7 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
             // this degenerate into an empty-AppendEntries loop that never
             // ships an entry and never detects the horizon. Park and ask
             // the driver to stream the snapshot instead.
-            if let Some(p) = self.progress.get_mut(&peer) {
-                if !p.pending_snapshot {
-                    p.pending_snapshot = true;
-                    out.push(Action::NeedsSnapshot { to: peer });
-                }
-            }
+            self.park_for_snapshot(i, out);
             return;
         }
         let hi = if has_new {
@@ -853,12 +840,7 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
             // be built, so ask the driver to stream the snapshot. Emitted
             // once per transfer; replication to this peer parks until
             // `on_snapshot_installed_into` lifts the flag.
-            if let Some(p) = self.progress.get_mut(&peer) {
-                if !p.pending_snapshot {
-                    p.pending_snapshot = true;
-                    out.push(Action::NeedsSnapshot { to: peer });
-                }
-            }
+            self.park_for_snapshot(i, out);
             return;
         };
         let entries: Vec<Entry<C>> = if has_new {
@@ -875,13 +857,33 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
             entries,
             leader_commit: self.commit,
         };
-        if let Some(p) = self.progress.get_mut(&peer) {
-            if n > 0 {
-                p.next = next + n; // optimistic pipelining
-            }
-            p.commit_told = p.commit_told.max(self.commit);
+        let p = &mut self.progress[i];
+        if n > 0 {
+            p.next = next + n; // optimistic pipelining
         }
+        p.commit_told = p.commit_told.max(self.commit);
         out.push(Action::Send { to: peer, msg });
+    }
+
+    /// Parks replication to the peer in slot `i` until its snapshot
+    /// transfer completes, asking the driver for the transfer once.
+    fn park_for_snapshot(&mut self, i: usize, out: &mut Vec<Action<C>>) {
+        let p = &mut self.progress[i];
+        if !p.pending_snapshot {
+            p.pending_snapshot = true;
+            out.push(Action::NeedsSnapshot {
+                to: self.peer_ids[i],
+            });
+        }
+    }
+
+    /// The progress slot of `peer`: its position in `peer_ids`, on a
+    /// leader only.
+    fn slot(&self, peer: RaftId) -> Option<usize> {
+        if self.progress.is_empty() {
+            return None;
+        }
+        self.peer_ids.iter().position(|&p| p == peer)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -933,9 +935,8 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
         if self.votes >= self.cfg.quorum() {
             self.become_leader(now, out);
             // Announce immediately with empty appends.
-            for i in 0..self.peer_ids.len() {
-                let peer = self.peer_ids[i];
-                self.send_append(peer, 0, true, out);
+            for i in 0..self.progress.len() {
+                self.send_append(i, 0, true, out);
             }
             self.heartbeat_due = now + self.cfg.heartbeat_interval;
         }
@@ -1072,9 +1073,10 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
         if !self.is_leader() || term != self.term {
             return;
         }
-        let Some(p) = self.progress.get_mut(&from) else {
+        let Some(i) = self.slot(from) else {
             return;
         };
+        let p = &mut self.progress[i];
         p.last_heard = now;
         if success {
             p.on_success(match_index, applied_index);
@@ -1083,17 +1085,16 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
             // told a stale commit index would otherwise not learn the
             // commit until the next heartbeat — fatal for the latency of
             // load-balanced repliers (§3.7's 2.5-RTT path). Nudge it now.
-            if let Some(p) = self.progress.get(&from) {
-                let target = self.log.last_index().min(self.ceiling);
-                if p.matched + 1 == p.next && p.next > target && p.commit_told < self.commit {
-                    self.send_append(from, target, true, out);
-                }
+            // `maybe_commit` never steps down, so slot `i` is still ours.
+            let target = self.log.last_index().min(self.ceiling);
+            if self.needs_commit_nudge(i, target) {
+                self.send_append(i, target, true, out);
             }
         } else {
             p.on_conflict(conflict_index);
             // Resend immediately from the rewound position.
             let target = self.log.last_index().min(self.ceiling);
-            self.send_append(from, target, true, out);
+            self.send_append(i, target, true, out);
         }
     }
 
@@ -1104,7 +1105,7 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
         let own = self.log.last_index().min(self.ceiling);
         let matches = self
             .progress
-            .values()
+            .iter()
             .map(|p| p.matched)
             .chain(std::iter::once(own));
         let candidate = quorum_index(matches, self.cfg.quorum());
@@ -1121,16 +1122,19 @@ impl<C: Clone + std::fmt::Debug> RaftNode<C> {
             // leader's packet rate; a follower the driver reported via
             // `note_commit_told` heard it from the aggregator.
             let target = self.log.last_index().min(self.ceiling);
-            for i in 0..self.peer_ids.len() {
-                let peer = self.peer_ids[i];
-                let notify = self.progress.get(&peer).is_some_and(|p| {
-                    p.matched + 1 == p.next && p.next > target && p.commit_told < self.commit
-                });
-                if notify {
-                    self.send_append(peer, target, true, out);
+            for i in 0..self.progress.len() {
+                if self.needs_commit_nudge(i, target) {
+                    self.send_append(i, target, true, out);
                 }
             }
         }
+    }
+
+    /// True when the peer in slot `i` has nothing in flight up to `target`
+    /// but was last told a commit index below the current one.
+    fn needs_commit_nudge(&self, i: usize, target: LogIndex) -> bool {
+        let p = &self.progress[i];
+        p.matched + 1 == p.next && p.next > target && p.commit_told < self.commit
     }
 }
 
@@ -1152,18 +1156,19 @@ mod tests {
 
     const T0: u64 = 50_000_000;
 
-    /// Node 0 of a five-node group, elected at `T0` with entry 1 shipped to
-    /// every follower and nothing acknowledged yet.
-    fn leader_with_one_entry_in_flight() -> RaftNode<u64> {
-        let mut n = RaftNode::new(Config::new(0, vec![0, 1, 2, 3, 4]), 0);
+    /// Node `id` of the group `members`, elected at `T0` by the votes of
+    /// `voters` with entry 1 shipped to every follower and nothing
+    /// acknowledged yet.
+    fn elected(id: RaftId, members: Vec<RaftId>, voters: [RaftId; 2]) -> RaftNode<u64> {
+        let mut n = RaftNode::new(Config::new(id, members), 0);
         let sink = &mut Vec::new();
         n.tick_into(T0, sink);
         // A quorum grants the Pre-Vote probe, then the vote itself.
         let granted = true;
-        for peer in [1, 2] {
+        for peer in voters {
             n.step_into(peer, Message::PreVoteReply { term: 1, granted }, T0, sink);
         }
-        for peer in [1, 2] {
+        for peer in voters {
             let vote = Message::RequestVoteReply { term: 1, granted };
             n.step_into(peer, vote, T0, sink);
         }
@@ -1173,7 +1178,21 @@ mod tests {
         n
     }
 
+    /// Node 0 of the five-node group `0..5`, as [`elected`].
+    fn leader_with_one_entry_in_flight() -> RaftNode<u64> {
+        elected(0, vec![0, 1, 2, 3, 4], [1, 2])
+    }
+
     fn ack(n: &mut RaftNode<u64>, from: RaftId, match_index: LogIndex) -> Vec<Action<u64>> {
+        ack_at(n, from, match_index, T0)
+    }
+
+    fn ack_at(
+        n: &mut RaftNode<u64>,
+        from: RaftId,
+        match_index: LogIndex,
+        now: u64,
+    ) -> Vec<Action<u64>> {
         let reply = Message::AppendEntriesReply {
             term: 1,
             success: true,
@@ -1183,8 +1202,78 @@ mod tests {
             from,
         };
         let mut acts = Vec::new();
-        n.step_into(from, reply, T0, &mut acts);
+        n.step_into(from, reply, now, &mut acts);
         acts
+    }
+
+    /// Node 7 of a group whose ids are neither contiguous nor sorted.
+    const SPARSE: [RaftId; 5] = [9, 2, 7, 4, 11];
+
+    #[test]
+    fn acks_advance_exactly_the_follower_they_name() {
+        let mut n = elected(7, SPARSE.to_vec(), [9, 2]);
+        assert!(n.progress(7).is_none(), "no progress for the leader itself");
+        assert!(n.progress(5).is_none(), "nor for a non-member");
+        ack(&mut n, 4, 1);
+        for (peer, matched) in [(9, 0), (2, 0), (4, 1), (11, 0)] {
+            assert_eq!(n.progress(peer).unwrap().matched, matched, "peer {peer}");
+        }
+        // A reply from a non-member is ignored.
+        assert!(ack(&mut n, 5, 1).is_empty());
+        assert_eq!(n.commit_index(), 0, "leader and 4 are two of five");
+        let acts = ack(&mut n, 11, 1);
+        assert!(acts.iter().any(|a| matches!(a, Action::Commit { upto: 1 })));
+        assert_eq!(n.commit_index(), 1);
+    }
+
+    #[test]
+    fn check_quorum_counts_the_members_heard_by_id() {
+        let grace = Config::new(0, vec![0]).election_timeout_max;
+        let late = T0 + grace + 1;
+        // Two of four followers heard: with the leader, a quorum of five.
+        let mut n = elected(7, SPARSE.to_vec(), [9, 2]);
+        ack_at(&mut n, 11, 1, late);
+        ack_at(&mut n, 2, 1, late);
+        n.tick_into(late, &mut Vec::new());
+        assert!(n.is_leader());
+        // One heard: a minority, so the leader steps down.
+        let mut n = elected(7, SPARSE.to_vec(), [9, 2]);
+        ack_at(&mut n, 11, 1, late);
+        let mut acts = Vec::new();
+        n.tick_into(late, &mut acts);
+        assert!(acts
+            .iter()
+            .any(|a| matches!(a, Action::BecameFollower { term: 1 })));
+        assert!(SPARSE.iter().all(|&p| n.progress(p).is_none()));
+    }
+
+    /// Every byte `hash_state` writes, in order.
+    #[derive(Default)]
+    struct Written(Vec<u8>);
+
+    impl std::hash::Hasher for Written {
+        fn finish(&self) -> u64 {
+            0
+        }
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.extend_from_slice(bytes);
+        }
+    }
+
+    #[test]
+    fn hash_state_is_the_same_for_any_member_order() {
+        let hashed = |members: Vec<RaftId>| {
+            let mut n = elected(7, members, [9, 2]);
+            ack(&mut n, 4, 1);
+            ack(&mut n, 11, 1);
+            n.note_commit_told(9, 1);
+            let mut h = Written::default();
+            n.hash_state(T0, &mut h);
+            h.0
+        };
+        let reversed: Vec<RaftId> = SPARSE.iter().rev().copied().collect();
+        assert_eq!(hashed(SPARSE.to_vec()), hashed(reversed));
+        assert_eq!(hashed(SPARSE.to_vec()), hashed(vec![2, 4, 7, 9, 11]));
     }
 
     /// `(destination, leader_commit)` of every empty AppendEntries in `acts`.

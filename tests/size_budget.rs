@@ -6,7 +6,7 @@
 use std::path::Path;
 
 /// This tree's total when the ceiling was last moved.
-const CEILING: usize = 29_717;
+const CEILING: usize = 29_806;
 
 /// Lines in every `*.rs` file under `dir`.
 fn count(dir: &Path) -> usize {
