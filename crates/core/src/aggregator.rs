@@ -22,11 +22,15 @@
 //! * **VoteProbe from a new leader** → flush, answer `VoteProbeRep`. The
 //!   aggregator never votes (§6.4).
 //!
-//! The struct is pure (no I/O): [`Aggregator::on_packet`] maps one incoming
-//! packet to a list of `(dst, msg)` emissions. The testbed adapts it onto
-//! the simulator's switch pipeline.
+//! The struct is pure (no I/O): [`Aggregator::on_packet_into`] maps one
+//! incoming packet to the `(dst, msg)` emissions it appends to a caller's
+//! buffer. The testbed adapts it onto the simulator's switch pipeline.
+//!
+//! Like the device's per-port registers, the registers are slots in
+//! `members` order, and every AGG_COMMIT copy of one round shares one
+//! snapshot of them.
 
-use fxhash::FxHashMap;
+use std::sync::Arc;
 
 use raft::{LogIndex, Message, RaftId, Term};
 
@@ -56,10 +60,10 @@ pub struct Aggregator {
     quorum: usize,
     term: Term,
     leader: Option<RaftId>,
-    /// Ingress registers: per-follower match index.
-    match_idx: FxHashMap<RaftId, LogIndex>,
-    /// Egress registers: per-follower applied ("completed") index.
-    completed: FxHashMap<RaftId, LogIndex>,
+    /// Per-member registers, in `members` order: the ingress `match_idx`
+    /// and the egress applied ("completed") index. `None` until the
+    /// member's first absorbed reply since the last flush.
+    regs: Vec<Option<(LogIndex, LogIndex)>>,
     commit: LogIndex,
     /// Set when the leader re-announces an already-committed index; forces
     /// an AGG_COMMIT on the next reply (Figure 6 `set_pending`).
@@ -74,12 +78,11 @@ impl Aggregator {
     pub fn new(members: Vec<RaftId>) -> Aggregator {
         let quorum = members.len() / 2 + 1;
         Aggregator {
+            regs: vec![None; members.len()],
             members,
             quorum,
             term: 0,
             leader: None,
-            match_idx: FxHashMap::default(),
-            completed: FxHashMap::default(),
             commit: 0,
             pending: false,
             last_target: 0,
@@ -103,9 +106,17 @@ impl Aggregator {
     }
 
     /// Feeds the aggregator's soft state into `h` for model-checker state
-    /// fingerprints: register maps are hashed as vectors sorted by node
-    /// id. `stats` is excluded (observability only).
+    /// fingerprints: each register is hashed as its present rows sorted by
+    /// node id, whatever the member order. `stats` is excluded
+    /// (observability only).
     pub fn hash_state(&self, h: &mut dyn std::hash::Hasher) {
+        let mut rows: Vec<(RaftId, (LogIndex, LogIndex))> = self
+            .members
+            .iter()
+            .zip(&self.regs)
+            .filter_map(|(&n, r)| Some((n, (*r)?)))
+            .collect();
+        rows.sort_unstable();
         let mut members: Vec<RaftId> = self.members.clone();
         members.sort_unstable();
         h.write_usize(members.len());
@@ -121,13 +132,12 @@ impl Aggregator {
             }
             None => h.write_u8(0),
         }
-        for regs in [&self.match_idx, &self.completed] {
-            let mut rows: Vec<(RaftId, LogIndex)> = regs.iter().map(|(&n, &i)| (n, i)).collect();
-            rows.sort_unstable();
+        let regs: [fn((LogIndex, LogIndex)) -> LogIndex; 2] = [|r| r.0, |r| r.1];
+        for reg in regs {
             h.write_usize(rows.len());
-            for (n, i) in rows {
+            for &(n, r) in &rows {
                 h.write_u32(n);
-                h.write_u64(i);
+                h.write_u64(reg(r));
             }
         }
         h.write_u64(self.commit);
@@ -137,8 +147,7 @@ impl Aggregator {
 
     /// Flushes all soft state (device replacement / term change).
     pub fn flush(&mut self) {
-        self.match_idx.clear();
-        self.completed.clear();
+        self.regs.fill(None);
         self.commit = 0;
         self.pending = false;
         self.last_target = 0;
@@ -146,24 +155,32 @@ impl Aggregator {
         self.stats.flushes += 1;
     }
 
-    /// Processes one packet addressed to the aggregator; returns the
-    /// packets to emit. `src` is the sender's network address.
+    /// Processes one packet addressed to the aggregator and returns the
+    /// packets to emit; [`Aggregator::on_packet_into`] into a fresh `Vec`.
     pub fn on_packet(&mut self, src: u32, msg: WireMsg) -> Vec<(u32, WireMsg)> {
+        let mut out = Vec::new();
+        self.on_packet_into(src, msg, &mut out);
+        out
+    }
+
+    /// Processes one packet addressed to the aggregator, appending the
+    /// packets to emit to `out`. `src` is the sender's network address.
+    pub fn on_packet_into(&mut self, src: u32, msg: WireMsg, out: &mut Vec<(u32, WireMsg)>) {
         match msg {
-            WireMsg::Raft(m) => self.on_raft(src, m),
+            WireMsg::Raft(m) => self.on_raft(m, out),
             WireMsg::VoteProbe { term } => {
                 // New leader probing: flush and acknowledge (§6.4). The
                 // reply does not count as a vote.
                 self.flush();
                 self.term = term;
-                vec![(src, WireMsg::VoteProbeRep { term })]
+                out.push((src, WireMsg::VoteProbeRep { term }));
             }
             // Anything else addressed to the device is dropped.
-            _ => Vec::new(),
+            _ => {}
         }
     }
 
-    fn on_raft(&mut self, src: u32, m: Message<Cmd>) -> Vec<(u32, WireMsg)> {
+    fn on_raft(&mut self, m: Message<Cmd>, out: &mut Vec<(u32, WireMsg)>) {
         match m {
             Message::AppendEntries {
                 term,
@@ -178,7 +195,7 @@ impl Aggregator {
                     self.term = term;
                 }
                 if term < self.term {
-                    return Vec::new(); // stale leader
+                    return; // stale leader
                 }
                 self.leader = Some(leader);
                 let target = prev_log_index + entries.len() as u64;
@@ -191,7 +208,7 @@ impl Aggregator {
                 self.last_target = self.last_target.max(target);
                 self.stats.fanouts += 1;
                 // Fan out to every member except the leader.
-                fan_out(&self.members, Some(leader), entries, |entries| {
+                fan_out(&self.members, Some(leader), entries, out, |entries| {
                     WireMsg::Raft(Message::AppendEntries {
                         term,
                         leader,
@@ -210,19 +227,20 @@ impl Aggregator {
                 from,
                 ..
             } => {
-                let _ = src;
+                // Failed appends never come here (followers send them
+                // directly to the leader), stale terms are dropped, a
+                // pristine device that no leader has adopted yet absorbs
+                // nothing, and a node outside the group has no register.
                 if term != self.term || !success || self.leader.is_none() {
-                    // Failed appends never come here (followers send them
-                    // directly to the leader), stale terms are dropped, and
-                    // a pristine device that no leader has adopted yet
-                    // absorbs nothing.
-                    return Vec::new();
+                    return;
                 }
+                let Some(slot) = self.members.iter().position(|&n| n == from) else {
+                    return;
+                };
                 self.stats.replies_absorbed += 1;
-                let m_ent = self.match_idx.entry(from).or_insert(0);
-                *m_ent = (*m_ent).max(match_index);
-                let c_ent = self.completed.entry(from).or_insert(0);
-                *c_ent = (*c_ent).max(applied_index);
+                let (m, c) = self.regs[slot].get_or_insert((0, 0));
+                *m = (*m).max(match_index);
+                *c = (*c).max(applied_index);
 
                 // Quorum check: the leader trivially holds every announced
                 // entry, so `quorum - 1` follower matches suffice.
@@ -233,59 +251,69 @@ impl Aggregator {
                     let follower_matches = self
                         .members
                         .iter()
-                        .filter(|&&n| Some(n) != self.leader)
-                        .map(|n| self.match_idx.get(n).copied().unwrap_or(0));
+                        .zip(&self.regs)
+                        .filter(|(&n, _)| Some(n) != self.leader)
+                        .map(|(_, r)| r.map_or(0, |(m, _)| m));
                     raft::quorum_index(follower_matches, needed)
                 };
 
                 if candidate > self.commit {
                     self.commit = candidate;
-                    self.pending = false;
-                    self.stats.commits_sent += 1;
-                    self.emit_commit()
-                } else if self.pending {
-                    self.pending = false;
-                    self.stats.commits_sent += 1;
-                    self.emit_commit()
-                } else {
-                    Vec::new() // absorbed: the leader never sees it
+                } else if !self.pending {
+                    return; // absorbed: the leader never sees it
                 }
+                self.pending = false;
+                self.stats.commits_sent += 1;
+                self.emit_commit(out);
             }
             // Vote traffic is never addressed to the aggregator.
-            _ => Vec::new(),
+            _ => {}
         }
     }
 
-    fn emit_commit(&self) -> Vec<(u32, WireMsg)> {
-        let status: Vec<AggStatus> = self
-            .members
-            .iter()
-            .filter(|&&n| Some(n) != self.leader)
-            .map(|&n| AggStatus {
-                node: n,
-                match_index: self.match_idx.get(&n).copied().unwrap_or(0),
-                applied_index: self.completed.get(&n).copied().unwrap_or(0),
+    /// Multicasts one AGG_COMMIT to every member: each copy shares one
+    /// snapshot of the followers' registers.
+    fn emit_commit(&self, out: &mut Vec<(u32, WireMsg)>) {
+        // A `Range` map knows its length, so the snapshot is allocated
+        // once, at its exact size.
+        let skip = self.members.iter().position(|&n| Some(n) == self.leader);
+        let rows = self.members.len() - usize::from(skip.is_some());
+        let status: Arc<[AggStatus]> = (0..rows)
+            .map(|i| {
+                let slot = if skip.is_some_and(|l| i >= l) {
+                    i + 1
+                } else {
+                    i
+                };
+                let (match_index, applied_index) = self.regs[slot].unwrap_or((0, 0));
+                AggStatus {
+                    node: self.members[slot],
+                    match_index,
+                    applied_index,
+                }
             })
             .collect();
         let (term, commit) = (self.term, self.commit);
-        fan_out(&self.members, None, status, |status| WireMsg::AggCommit {
-            term,
-            commit,
-            status,
+        fan_out(&self.members, None, status, out, |status| {
+            WireMsg::AggCommit {
+                term,
+                commit,
+                status,
+            }
         })
     }
 }
 
-/// One message per member other than `skip`, in member order, each built
-/// from its own copy of `payload`: every copy but the last is a clone,
-/// and the last takes the original.
+/// Appends one message per member other than `skip`, in member order,
+/// each built from its own copy of `payload`: every copy but the last is
+/// a clone, and the last takes the original.
 fn fan_out<T: Clone>(
     members: &[RaftId],
     skip: Option<RaftId>,
     payload: T,
+    out: &mut Vec<(u32, WireMsg)>,
     msg: impl Fn(T) -> WireMsg,
-) -> Vec<(u32, WireMsg)> {
-    let mut out = Vec::with_capacity(members.len());
+) {
     let mut last = None;
     for n in members.iter().copied().filter(|&n| Some(n) != skip) {
         if let Some(prev) = last.replace(n) {
@@ -295,7 +323,6 @@ fn fan_out<T: Clone>(
     if let Some(n) = last {
         out.push((n, msg(payload)));
     }
-    out
 }
 
 #[cfg(test)]
@@ -306,6 +333,10 @@ mod tests {
     use raft::Entry;
 
     fn ae(term: Term, prev: LogIndex, n: usize, commit: LogIndex) -> WireMsg {
+        ae_by(0, term, prev, n, commit)
+    }
+
+    fn ae_by(leader: RaftId, term: Term, prev: LogIndex, n: usize, commit: LogIndex) -> WireMsg {
         let entries = (0..n)
             .map(|i| Entry {
                 term,
@@ -319,7 +350,7 @@ mod tests {
             .collect();
         WireMsg::Raft(Message::AppendEntries {
             term,
-            leader: 0,
+            leader,
             prev_log_index: prev,
             prev_log_term: term,
             entries,
@@ -465,5 +496,156 @@ mod tests {
         );
         assert!(out.is_empty());
         assert_eq!(a.stats().replies_absorbed, 0);
+    }
+
+    /// The bytes a hasher is fed.
+    #[derive(Default)]
+    struct Recorder(Vec<u8>);
+
+    impl std::hash::Hasher for Recorder {
+        fn finish(&self) -> u64 {
+            0
+        }
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.extend_from_slice(bytes);
+        }
+    }
+
+    fn hash_bytes(a: &Aggregator) -> Vec<u8> {
+        let mut r = Recorder::default();
+        a.hash_state(&mut r);
+        r.0
+    }
+
+    /// `hash_state` as it was written when the registers were two maps
+    /// keyed by node id, each hashed as its rows sorted by id.
+    #[allow(clippy::too_many_arguments)]
+    fn map_encoding(
+        members: &[RaftId],
+        term: Term,
+        leader: Option<RaftId>,
+        match_idx: &[(RaftId, LogIndex)],
+        completed: &[(RaftId, LogIndex)],
+        commit: LogIndex,
+        pending: bool,
+        last_target: LogIndex,
+    ) -> Vec<u8> {
+        use std::collections::BTreeMap;
+        use std::hash::Hasher;
+        let mut h = Recorder::default();
+        let mut sorted = members.to_vec();
+        sorted.sort_unstable();
+        h.write_usize(sorted.len());
+        for n in sorted {
+            h.write_u32(n);
+        }
+        h.write_usize(members.len() / 2 + 1);
+        h.write_u64(term);
+        match leader {
+            Some(l) => {
+                h.write_u8(1);
+                h.write_u32(l);
+            }
+            None => h.write_u8(0),
+        }
+        for regs in [match_idx, completed] {
+            let rows: BTreeMap<RaftId, LogIndex> = regs.iter().copied().collect();
+            h.write_usize(rows.len());
+            for (n, i) in rows {
+                h.write_u32(n);
+                h.write_u64(i);
+            }
+        }
+        h.write_u64(commit);
+        h.write_u8(pending as u8);
+        h.write_u64(last_target);
+        h.0
+    }
+
+    #[test]
+    fn hash_state_writes_the_map_encoding_for_an_unsorted_group() {
+        let members = [9, 2, 7];
+        let mut a = Aggregator::new(members.to_vec());
+        assert_eq!(
+            hash_bytes(&a),
+            map_encoding(&members, 0, None, &[], &[], 0, false, 0),
+            "pristine"
+        );
+        a.on_packet(9, ae_by(9, 1, 0, 2, 0));
+        assert_eq!(
+            hash_bytes(&a),
+            map_encoding(&members, 1, Some(9), &[], &[], 0, false, 2),
+            "adopted, no reply yet"
+        );
+        a.on_packet(7, reply(1, 2, 1, 7));
+        a.on_packet(2, reply(1, 1, 0, 2));
+        assert_eq!(a.commit(), 2);
+        assert_eq!(
+            hash_bytes(&a),
+            map_encoding(
+                &members,
+                1,
+                Some(9),
+                &[(7, 2), (2, 1)],
+                &[(7, 1), (2, 0)],
+                2,
+                false,
+                2
+            ),
+            "two registers, stored in member order"
+        );
+        a.flush();
+        assert_eq!(
+            hash_bytes(&a),
+            map_encoding(&members, 1, None, &[], &[], 0, false, 0),
+            "flushed"
+        );
+        a.on_packet(2, ae_by(2, 3, 4, 1, 4));
+        a.on_packet(9, reply(3, 5, 4, 9));
+        assert_eq!(
+            hash_bytes(&a),
+            map_encoding(&members, 3, Some(2), &[(9, 5)], &[(9, 4)], 5, false, 5),
+            "after the flush, under a new leader"
+        );
+    }
+
+    #[test]
+    fn every_agg_commit_copy_shares_one_snapshot() {
+        let mut a = Aggregator::new(vec![0, 1, 2, 3, 4]);
+        let mut out = Vec::new();
+        a.on_packet_into(0, ae(1, 0, 1, 0), &mut out);
+        assert_eq!(out.len(), 4, "fan-out to four followers");
+        out.clear();
+        a.on_packet_into(1, reply(1, 1, 0, 1), &mut out);
+        a.on_packet_into(2, reply(1, 1, 1, 2), &mut out);
+        let snaps: Vec<&Arc<[AggStatus]>> = out
+            .iter()
+            .map(|(_, m)| match m {
+                WireMsg::AggCommit { status, .. } => status,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(snaps.len(), 5, "one copy per member");
+        assert!(snaps.iter().all(|s| Arc::ptr_eq(s, snaps[0])));
+        let rows: Vec<(RaftId, LogIndex, LogIndex)> = snaps[0]
+            .iter()
+            .map(|s| (s.node, s.match_index, s.applied_index))
+            .collect();
+        assert_eq!(rows, [(1, 1, 0), (2, 1, 1), (3, 0, 0), (4, 0, 0)]);
+        // 24 B of body header and 20 B per follower row, plus the 16 B
+        // R2P2 header, as when the snapshot was a `Vec`.
+        for (_, m) in &out {
+            assert_eq!(m.wire_size(), r2p2::msg_wire_size(24 + 20 * 4, 1500));
+        }
+        assert_eq!(out[0].1.wire_size(), 120);
+    }
+
+    #[test]
+    fn a_reply_from_outside_the_group_is_not_absorbed() {
+        let mut a = Aggregator::new(vec![0, 1, 2]);
+        a.on_packet(0, ae(1, 0, 1, 0));
+        assert!(a.on_packet(8, reply(1, 1, 1, 8)).is_empty());
+        assert_eq!(a.stats().replies_absorbed, 0);
+        assert_eq!(a.commit(), 0);
     }
 }

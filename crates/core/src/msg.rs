@@ -6,6 +6,8 @@
 //! and [`WireMsg::wire_size`] its size on the wire, which every component
 //! must charge identically.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use r2p2::{control_wire_size, msg_wire_size, MsgType, ReqId};
 use raft::{LogIndex, Message, RaftId, Term};
@@ -75,8 +77,9 @@ pub enum WireMsg {
         term: Term,
         /// Committed log index.
         commit: LogIndex,
-        /// Register snapshot per follower.
-        status: Vec<AggStatus>,
+        /// Register snapshot per follower. Every copy of one multicast
+        /// shares this one allocation.
+        status: Arc<[AggStatus]>,
     },
     /// Serving peer → recovering node: one chunk of a snapshot state
     /// transfer (InstallSnapshot, chunked so the chaos layer can kill,
@@ -333,7 +336,7 @@ mod tests {
                     match_index: 1,
                     applied_index: 1,
                 })
-                .collect::<Vec<_>>()
+                .collect::<Arc<[_]>>()
         };
         let s3 = WireMsg::AggCommit {
             term: 1,

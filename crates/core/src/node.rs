@@ -320,7 +320,9 @@ pub struct HcNode<S> {
     /// Leader only: in-flight outbound snapshot transfers, per follower.
     xfers: FxHashMap<RaftId, OutXfer>,
     /// Follower only: the inbound snapshot transfer being reassembled.
-    incoming: Option<InXfer>,
+    /// Boxed, since only a transfer needs it: inline it costs `HcNode`
+    /// 48 B, which steps `small`'s peak RSS (DESIGN.md §8).
+    incoming: Option<Box<InXfer>>,
     /// Incarnation epoch: 0 for a fresh node, incremented by every
     /// successful [`HcNode::restore`]. Guards against restoring from a
     /// stale incarnation's durable state.
@@ -328,6 +330,9 @@ pub struct HcNode<S> {
     /// Reusable raft-action scratch for [`HcNode::with_raft`]: steady-state
     /// message handling produces actions without allocating a `Vec` each.
     acts: Vec<Action<Cmd>>,
+    /// Reusable AppendEntries scratch for [`HcNode::drain`], kept like
+    /// `acts`, so a leader's drain does not allocate one per call.
+    appends: Vec<(RaftId, Message<Cmd>)>,
 }
 
 impl<S: Service> HcNode<S> {
@@ -371,6 +376,7 @@ impl<S: Service> HcNode<S> {
             incoming: None,
             epoch: 0,
             acts: Vec::new(),
+            appends: Vec::new(),
         }
     }
 
@@ -701,7 +707,7 @@ impl<S: Service> HcNode<S> {
                 term,
                 commit,
                 status,
-            } => self.on_agg_commit(term, commit, status, now, out, arena),
+            } => self.on_agg_commit(term, commit, &status, now, out, arena),
             WireMsg::VoteProbeRep { term } => {
                 if self.is_leader() && term == self.raft.term() {
                     self.agg_confirmed = true;
@@ -960,7 +966,7 @@ impl<S: Service> HcNode<S> {
         &mut self,
         term: u64,
         commit: LogIndex,
-        status: Vec<AggStatus>,
+        status: &[AggStatus],
         now: u64,
         out: &mut Vec<Output>,
         arena: &mut ByteArena,
@@ -978,7 +984,7 @@ impl<S: Service> HcNode<S> {
             // on the next data-carrying AppendEntries or the heartbeat, and
             // a follower under point-to-point repair, whose register is
             // stale, keeps its eager nudge.
-            for s in &status {
+            for s in status {
                 self.raft
                     .note_commit_told(s.node, commit.min(s.match_index));
             }
@@ -1042,7 +1048,7 @@ impl<S: Service> HcNode<S> {
         arena: &mut ByteArena,
     ) {
         // Collect AppendEntries so HC++ can deduplicate the fan-out.
-        let mut appends: Vec<(RaftId, Message<Cmd>)> = Vec::new();
+        let mut appends = std::mem::take(&mut self.appends);
         for a in actions.drain(..) {
             match a {
                 Action::Send { to, msg } => {
@@ -1106,7 +1112,8 @@ impl<S: Service> HcNode<S> {
                 Action::SaveHardState { .. } => {}
             }
         }
-        self.route_appends(appends, out);
+        self.route_appends(&mut appends, out);
+        self.appends = appends;
     }
 
     /// True when an AppendEntries to `to` should go through the aggregator.
@@ -1138,13 +1145,13 @@ impl<S: Service> HcNode<S> {
     /// Sends collected AppendEntries: one aggregator copy when every healthy
     /// follower would receive an identical message, individual unicasts
     /// otherwise (divergent followers fail the append and enter recovery,
-    /// which is safe — appends are idempotent).
-    fn route_appends(&mut self, mut appends: Vec<(RaftId, Message<Cmd>)>, out: &mut Vec<Output>) {
+    /// which is safe — appends are idempotent). Leaves `appends` empty.
+    fn route_appends(&mut self, appends: &mut Vec<(RaftId, Message<Cmd>)>, out: &mut Vec<Output>) {
         if !appends.is_empty() && appends.windows(2).all(|w| w[0].1 == w[1].1) {
             appends.truncate(1);
             appends[0].0 = self.cfg.agg_addr.expect("HC++ mode");
         }
-        for (to, msg) in appends {
+        for (to, msg) in appends.drain(..) {
             if let Message::AppendEntries {
                 entries,
                 leader_commit,
@@ -1663,13 +1670,13 @@ impl<S: Service> HcNode<S> {
             }
         }
         if replace {
-            self.incoming = Some(InXfer {
+            self.incoming = Some(Box::new(InXfer {
                 snap_index,
                 snap_term,
                 total,
                 buf: Vec::with_capacity(total.min(1 << 22) as usize),
                 last_progress: now,
-            });
+            }));
         }
         let (mut next, complete) = {
             let x = self.incoming.as_mut().expect("ensured above");
@@ -1683,7 +1690,7 @@ impl<S: Service> HcNode<S> {
         };
         let mut install = None;
         if complete {
-            let x = self.incoming.take().expect("present");
+            let x = *self.incoming.take().expect("present");
             let blob = Bytes::from(x.buf);
             // A blob that does not frame (corrupted or hostile stream) is
             // dropped, and the ack rewinds the sender to offset 0.

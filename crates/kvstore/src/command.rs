@@ -6,7 +6,7 @@
 //! commands are the paper's user-defined Redis module (§7.5): each executes
 //! as one atomic, isolated command.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 
 /// A parsed command.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -52,6 +52,37 @@ impl std::error::Error for CodecError {}
 const OP_INSERT: u8 = 0x40;
 const OP_SCAN: u8 = 0x41;
 
+/// A command decoded in place: every argument borrows the wire body, so
+/// executing one copies only what the store keeps.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Op<'a> {
+    /// [`Command::Insert`]'s table, key and record.
+    Insert(&'a [u8], &'a [u8], &'a [u8]),
+    /// [`Command::Scan`]'s table, start key and count.
+    Scan(&'a [u8], &'a [u8], u32),
+}
+
+impl<'a> Op<'a> {
+    /// Decodes the binary wire form; [`Command::decode`] is this plus a
+    /// copy of each argument.
+    pub(crate) fn decode(buf: &'a [u8]) -> Result<Op<'a>, CodecError> {
+        let Some((&opcode, mut rest)) = buf.split_first() else {
+            return Err(CodecError::Truncated);
+        };
+        let r = &mut rest;
+        let arg = |r: &mut &'a [u8]| take_slice(r).ok_or(CodecError::Truncated);
+        let op = match opcode {
+            OP_INSERT => Op::Insert(arg(r)?, arg(r)?, arg(r)?),
+            OP_SCAN => Op::Scan(arg(r)?, arg(r)?, take_u32(r).ok_or(CodecError::Truncated)?),
+            other => return Err(CodecError::BadOpcode(other)),
+        };
+        if !r.is_empty() {
+            return Err(CodecError::BadArity);
+        }
+        Ok(op)
+    }
+}
+
 // Big-endian primitives shared with the reply and snapshot codecs: each
 // `take_*` consumes from the front of `cur` and returns `None` on underrun.
 
@@ -78,50 +109,64 @@ pub(crate) fn take_u64(cur: &mut &[u8]) -> Option<u64> {
     Some(u64::from_be_bytes(head.try_into().expect("8 bytes")))
 }
 
-pub(crate) fn take_bytes(cur: &mut &[u8]) -> Option<Bytes> {
+pub(crate) fn take_slice<'a>(cur: &mut &'a [u8]) -> Option<&'a [u8]> {
     let len = take_u32(cur)? as usize;
     let (head, rest) = cur.split_at_checked(len)?;
     *cur = rest;
-    Some(Bytes::copy_from_slice(head))
+    Some(head)
+}
+
+pub(crate) fn take_bytes(cur: &mut &[u8]) -> Option<Bytes> {
+    take_slice(cur).map(Bytes::copy_from_slice)
 }
 
 impl Command {
     /// Encodes into the binary wire form.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(32);
         match self {
             Command::Insert(t, k, rec) => {
-                b.put_u8(OP_INSERT);
-                put_bytes(&mut b, t);
-                put_bytes(&mut b, k);
-                put_bytes(&mut b, rec);
+                Command::encode_insert_with(t, k, rec.len(), |out| out.copy_from_slice(rec))
             }
-            Command::Scan(t, k, n) => {
-                b.put_u8(OP_SCAN);
-                put_bytes(&mut b, t);
-                put_bytes(&mut b, k);
-                b.put_u32(*n);
-            }
+            Command::Scan(t, k, n) => Command::encode_scan(t, k, *n),
         }
-        b.freeze()
+    }
+
+    /// The wire form of `Insert(table, key, record)`, in one exact-size
+    /// buffer, where `fill` writes the `record_len`-byte record in place.
+    pub fn encode_insert_with(
+        table: &[u8],
+        key: &[u8],
+        record_len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> Bytes {
+        let len = 1 + 4 + table.len() + 4 + key.len() + 4 + record_len;
+        Bytes::build(len, |mut out| {
+            out.put_u8(OP_INSERT);
+            put_bytes(&mut out, table);
+            put_bytes(&mut out, key);
+            out.put_u32(record_len as u32);
+            fill(out);
+        })
+    }
+
+    /// The wire form of `Scan(table, key, n)`, in one exact-size buffer.
+    pub fn encode_scan(table: &[u8], key: &[u8], n: u32) -> Bytes {
+        Bytes::build(1 + 4 + table.len() + 4 + key.len() + 4, |mut out| {
+            out.put_u8(OP_SCAN);
+            put_bytes(&mut out, table);
+            put_bytes(&mut out, key);
+            out.put_u32(n);
+            debug_assert!(out.is_empty(), "scan sized exactly");
+        })
     }
 
     /// Decodes from the binary wire form.
     pub fn decode(buf: &[u8]) -> Result<Command, CodecError> {
-        let Some((&opcode, mut rest)) = buf.split_first() else {
-            return Err(CodecError::Truncated);
-        };
-        let r = &mut rest;
-        let arg = |r: &mut &[u8]| take_bytes(r).ok_or(CodecError::Truncated);
-        let cmd = match opcode {
-            OP_INSERT => Command::Insert(arg(r)?, arg(r)?, arg(r)?),
-            OP_SCAN => Command::Scan(arg(r)?, arg(r)?, take_u32(r).ok_or(CodecError::Truncated)?),
-            other => return Err(CodecError::BadOpcode(other)),
-        };
-        if !r.is_empty() {
-            return Err(CodecError::BadArity);
-        }
-        Ok(cmd)
+        let copy = Bytes::copy_from_slice;
+        Ok(match Op::decode(buf)? {
+            Op::Insert(t, k, rec) => Command::Insert(copy(t), copy(k), copy(rec)),
+            Op::Scan(t, k, n) => Command::Scan(copy(t), copy(k), n),
+        })
     }
 }
 

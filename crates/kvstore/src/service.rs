@@ -2,13 +2,13 @@
 //!
 //! This is the moral equivalent of the paper's "port of Redis to R2P2"
 //! (§7.5): the store itself knows nothing about replication; this thin
-//! wrapper decodes command bytes, executes them, encodes the reply, and
-//! reports the CPU cost — and the very same object runs unreplicated or
-//! under any HovercRaft mode without modification.
+//! wrapper executes command bytes, turns a malformed body into an error
+//! reply, and reports the CPU cost — and the very same object runs
+//! unreplicated or under any HovercRaft mode without modification.
 
 use hovercraft::{Executed, Service};
 
-use crate::command::Command;
+use crate::command::Op;
 use crate::cost::CostModel;
 use crate::reply::Reply;
 use crate::store::Store;
@@ -47,18 +47,15 @@ impl KvService {
 
 impl Service for KvService {
     fn execute(&mut self, body: &[u8], read_only: bool, arena: &mut bytes::ByteArena) -> Executed {
-        match Command::decode(body) {
-            Ok(cmd) => {
-                debug_assert!(
-                    !read_only || cmd.is_read_only(),
-                    "client tagged a mutating command read-only: {cmd:?}"
-                );
-                let (reply, metrics) = self.store.execute(&cmd);
-                Executed {
-                    reply: reply.encode_in(arena),
-                    cost_ns: self.cost.cost_ns(&metrics),
-                }
-            }
+        debug_assert!(
+            !read_only || !matches!(Op::decode(body), Ok(Op::Insert(..))),
+            "client tagged a mutating command read-only: {body:?}"
+        );
+        match self.store.execute(body, arena) {
+            Ok((reply, metrics)) => Executed {
+                reply,
+                cost_ns: self.cost.cost_ns(&metrics),
+            },
             Err(e) => {
                 self.decode_errors += 1;
                 Executed {
@@ -89,7 +86,7 @@ impl Service for KvService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::CodecError;
+    use crate::command::{CodecError, Command};
     use bytes::Bytes;
 
     fn b(s: &str) -> Bytes {

@@ -3,13 +3,17 @@
 //! Records live under composite keys `"<table>/<key>"` in a `BTreeMap`, so
 //! SCAN is a plain ordered range walk and its result is identical across
 //! replicas — the determinism requirement of state-machine replication.
+//!
+//! The executor runs on the wire body: a command's arguments are borrowed
+//! from it, INSERT copies only the key and record it stores, and SCAN
+//! writes its reply straight into one pooled buffer.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
-use bytes::{BufMut, Bytes};
+use bytes::{BufMut, ByteArena, Bytes};
 
-use crate::command::{put_bytes, take_u32, take_u64, take_u8, Command};
-use crate::reply::Reply;
+use crate::command::{put_bytes, take_u32, take_u64, take_u8, CodecError, Op};
 
 /// The snapshot's per-record tag byte. It is the only tag there is; it
 /// stays in the format so the blob (which restarted nodes stream and
@@ -33,15 +37,16 @@ pub struct ExecMetrics {
 #[derive(Clone, Default)]
 pub struct Store {
     map: BTreeMap<Bytes, Bytes>,
+    /// Reusable buffer for a SCAN's composite start key, which the wire
+    /// body holds in two pieces.
+    start: Vec<u8>,
 }
 
-/// Composite key for table records.
-fn table_key(table: &Bytes, key: &Bytes) -> Bytes {
-    let mut k = Vec::with_capacity(table.len() + 1 + key.len());
-    k.extend_from_slice(table);
-    k.push(b'/');
-    k.extend_from_slice(key);
-    Bytes::from(k)
+/// Writes the composite key `table/key` into `out`.
+fn put_table_key(out: &mut impl BufMut, table: &[u8], key: &[u8]) {
+    out.put_slice(table);
+    out.put_u8(b'/');
+    out.put_slice(key);
 }
 
 impl Store {
@@ -58,6 +63,11 @@ impl Store {
     /// True if the store holds no record.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
+    }
+
+    /// The record stored under the composite key `table/key`.
+    pub fn get(&self, table_key: &[u8]) -> Option<&Bytes> {
+        self.map.get(table_key)
     }
 
     /// Serializes every record into a snapshot blob: `[u64 n]`, then per
@@ -125,44 +135,79 @@ impl Store {
         framed
     }
 
-    /// Executes one command, returning the reply and execution metrics.
-    pub fn execute(&mut self, cmd: &Command) -> (Reply, ExecMetrics) {
+    /// Executes one encoded command (a [`crate::Command::encode`] body),
+    /// returning the encoded reply, written into a buffer from `arena`,
+    /// and the execution metrics. A body that does not decode changes
+    /// nothing and yields [`crate::Command::decode`]'s error.
+    pub fn execute(
+        &mut self,
+        body: &[u8],
+        arena: &mut ByteArena,
+    ) -> Result<(Bytes, ExecMetrics), CodecError> {
         let mut m = ExecMetrics::default();
-        let reply = match cmd {
-            Command::Insert(t, k, rec) => {
+        let reply = match Op::decode(body)? {
+            Op::Insert(table, key, rec) => {
                 m.bytes_written = rec.len();
                 m.records = 1;
-                self.map.insert(table_key(t, k), rec.clone());
-                Reply::Ok
+                let key = Bytes::build(table.len() + 1 + key.len(), |mut out| {
+                    put_table_key(&mut out, table, key)
+                });
+                self.map.insert(key, Bytes::copy_from_slice(rec));
+                arena.alloc(b"+")
             }
-            Command::Scan(t, k, n) => {
-                // Ordered range walk over the table's composite keys.
-                let start = table_key(t, k);
-                let prefix = start.slice(..=t.len());
-                let in_table = self
-                    .map
-                    .range(start..)
-                    .take_while(|(key, _)| key.starts_with(&prefix));
-                let mut items = Vec::new();
-                for (key, rec) in in_table.take(*n as usize) {
+            Op::Scan(table, key, n) => {
+                // Ordered range walk over the table's composite keys, run
+                // twice: once to size the reply, once to write it.
+                self.start.clear();
+                put_table_key(&mut self.start, table, key);
+                let start = &self.start[..];
+                let prefix = &start[..=table.len()];
+                let in_table = || {
+                    self.map
+                        .range::<[u8], _>((Bound::Included(start), Bound::Unbounded))
+                        .take_while(|(key, _)| key.starts_with(prefix))
+                        .take(n as usize)
+                };
+                for (key, rec) in in_table() {
                     m.bytes_read += key.len() + rec.len();
                     m.records += 1;
-                    items.push(Reply::Bulk(key.clone()));
-                    items.push(Reply::Bulk(rec.clone()));
                 }
-                Reply::Array(items)
+                // `*` and the item count, then per record `$`-prefixed key
+                // and record bulks with their lengths.
+                let len = 5 + m.records * 10 + m.bytes_read;
+                arena.alloc_with(len, |mut out| {
+                    out.put_u8(b'*');
+                    out.put_u32(2 * m.records as u32);
+                    for (key, rec) in in_table() {
+                        out.put_u8(b'$');
+                        put_bytes(&mut out, key);
+                        out.put_u8(b'$');
+                        put_bytes(&mut out, rec);
+                    }
+                    debug_assert!(out.is_empty(), "scan reply sized exactly");
+                })
             }
         };
-        (reply, m)
+        Ok((reply, m))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::command::Command;
+    use crate::reply::Reply;
 
     fn b(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
+    }
+
+    /// Runs `cmd` through the executor and decodes its reply.
+    fn exec(s: &mut Store, cmd: &Command) -> (Reply, ExecMetrics) {
+        let (wire, m) = s
+            .execute(&cmd.encode(), &mut ByteArena::new())
+            .expect("an encoded command decodes");
+        (Reply::decode(&wire).expect("the reply decodes"), m)
     }
 
     /// The key/record items of a SCAN reply.
@@ -178,10 +223,13 @@ mod tests {
         let mut s = Store::new();
         for i in [3u32, 1, 4, 1, 5, 9, 2, 6] {
             let key = format!("user{i:04}");
-            s.execute(&Command::Insert(b("usertable"), b(&key), b("record")));
+            exec(
+                &mut s,
+                &Command::Insert(b("usertable"), b(&key), b("record")),
+            );
         }
         assert_eq!(s.len(), 7); // 1 duplicate
-        let (r, m) = s.execute(&Command::Scan(b("usertable"), b("user0002"), 3));
+        let (r, m) = exec(&mut s, &Command::Scan(b("usertable"), b("user0002"), 3));
         let items = items(r);
         assert_eq!(items.len(), 6, "3 key/record pairs");
         assert_eq!(items[0], Reply::Bulk(b("usertable/user0002")));
@@ -194,9 +242,9 @@ mod tests {
     #[test]
     fn scan_respects_table_boundary() {
         let mut s = Store::new();
-        s.execute(&Command::Insert(b("aaa"), b("k9"), b("r")));
-        s.execute(&Command::Insert(b("bbb"), b("k1"), b("r")));
-        let (r, _) = s.execute(&Command::Scan(b("aaa"), b("k0"), 10));
+        exec(&mut s, &Command::Insert(b("aaa"), b("k9"), b("r")));
+        exec(&mut s, &Command::Insert(b("bbb"), b("k1"), b("r")));
+        let (r, _) = exec(&mut s, &Command::Scan(b("aaa"), b("k0"), 10));
         assert_eq!(items(r).len(), 2, "only table aaa");
     }
 
@@ -205,9 +253,9 @@ mod tests {
         let mut s = Store::new();
         for i in 0..50 {
             let key = format!("user{i:04}");
-            s.execute(&Command::Insert(b("t"), b(&key), b("r")));
+            exec(&mut s, &Command::Insert(b("t"), b(&key), b("r")));
         }
-        let (r, m) = s.execute(&Command::Scan(b("t"), b("user0000"), 10));
+        let (r, m) = exec(&mut s, &Command::Scan(b("t"), b("user0000"), 10));
         assert_eq!(items(r).len(), 20);
         assert_eq!(m.records, 10, "YCSB-E max scan length honoured");
     }
@@ -217,8 +265,8 @@ mod tests {
     #[test]
     fn snapshot_of_two_records_is_pinned() {
         let mut s = Store::new();
-        s.execute(&Command::Insert(b("t"), b("b"), b("yz")));
-        s.execute(&Command::Insert(b("t"), b("a"), b("x")));
+        exec(&mut s, &Command::Insert(b("t"), b("b"), b("yz")));
+        exec(&mut s, &Command::Insert(b("t"), b("a"), b("x")));
         let snap = s.snapshot();
         assert_eq!(
             &snap[..],
@@ -230,7 +278,7 @@ mod tests {
         assert!(r.restore(&snap));
         assert_eq!(r.len(), 2);
         assert_eq!(
-            r.execute(&Command::Scan(b("t"), b("b"), 1)).0,
+            exec(&mut r, &Command::Scan(b("t"), b("b"), 1)).0,
             Reply::Array(vec![Reply::Bulk(b("t/b")), Reply::Bulk(b("yz"))])
         );
         assert_eq!(
@@ -245,8 +293,8 @@ mod tests {
     #[test]
     fn restored_records_point_into_one_buffer() {
         let mut s = Store::new();
-        s.execute(&Command::Insert(b("t"), b("b"), b("yz")));
-        s.execute(&Command::Insert(b("t"), b("a"), b("x")));
+        exec(&mut s, &Command::Insert(b("t"), b("b"), b("yz")));
+        exec(&mut s, &Command::Insert(b("t"), b("a"), b("x")));
         let snap = s.snapshot();
         let mut r = Store::new();
         assert!(r.restore(&snap));
@@ -272,12 +320,14 @@ mod tests {
         let mut a = Store::new();
         let mut z = Store::new();
         for i in 0..20 {
-            a.execute(&Command::Insert(b("t"), b(&format!("k{i:02}")), b("v")));
-            z.execute(&Command::Insert(
-                b("t"),
-                b(&format!("k{:02}", 19 - i)),
-                b("v"),
-            ));
+            exec(
+                &mut a,
+                &Command::Insert(b("t"), b(&format!("k{i:02}")), b("v")),
+            );
+            exec(
+                &mut z,
+                &Command::Insert(b("t"), b(&format!("k{:02}", 19 - i)), b("v")),
+            );
         }
         assert_eq!(a.snapshot(), z.snapshot());
     }
@@ -285,7 +335,7 @@ mod tests {
     #[test]
     fn malformed_snapshot_is_rejected() {
         let mut s = Store::new();
-        s.execute(&Command::Insert(b("t"), b("k"), b("v")));
+        exec(&mut s, &Command::Insert(b("t"), b("k"), b("v")));
         let snap = s.snapshot();
         let mut r = Store::new();
         assert!(!r.restore(&snap[..snap.len() - 1]), "truncated blob");
@@ -309,7 +359,7 @@ mod tests {
             let mut blob = b"\0\0\0\0\0\0\0\x01\0\0\0\x01k".to_vec();
             blob.extend_from_slice(&[tag, 0, 0, 0, 0]);
             let mut r = Store::new();
-            r.execute(&Command::Insert(b("t"), b("k"), b("v")));
+            exec(&mut r, &Command::Insert(b("t"), b("k"), b("v")));
             assert!(!r.restore(&blob), "tag {tag}");
             assert!(r.is_empty(), "tag {tag} leaves the store empty");
         }
@@ -331,7 +381,7 @@ mod tests {
         let mut s1 = Store::new();
         let mut s2 = Store::new();
         for c in &cmds {
-            assert_eq!(s1.execute(c).0, s2.execute(c).0);
+            assert_eq!(exec(&mut s1, c).0, exec(&mut s2, c).0);
         }
         assert_eq!(s1.len(), s2.len());
     }

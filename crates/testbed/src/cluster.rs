@@ -631,7 +631,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use minikv::{Command, Reply, Store};
+    use minikv::{Command, Store};
 
     /// Serializes the tests that read or replace the process-wide image.
     static SLOT: Mutex<()> = Mutex::new(());
@@ -673,18 +673,11 @@ mod tests {
 
     /// Preloaded record `rank` as `store` holds it.
     fn record(store: &Store, rank: u64) -> Bytes {
-        let read = Command::Scan(
-            Bytes::from_static(b"usertable"),
-            Bytes::from(workload::key_of(rank)),
-            1,
-        );
-        match store.clone().execute(&read).0 {
-            Reply::Array(items) => match &items[..] {
-                [_, Reply::Bulk(rec)] => rec.clone(),
-                other => panic!("preloaded record missing: {other:?}"),
-            },
-            other => panic!("unexpected reply: {other:?}"),
-        }
+        let key = format!("usertable/{}", workload::key_of(rank));
+        store
+            .get(key.as_bytes())
+            .expect("preloaded record missing")
+            .clone()
     }
 
     fn overwrite(rank: u64) -> Bytes {

@@ -149,6 +149,9 @@ pub struct AggProgram {
     /// (used by failure-injection tests; §5's aggregator-failure scenario).
     pub failed: bool,
     tracer: Option<Tracer>,
+    /// Reusable emission buffer: a packet's fan-out is appended here and
+    /// drained onto the wire, so steady state allocates no `Vec` per packet.
+    emits: Vec<(u32, WireMsg)>,
 }
 
 impl AggProgram {
@@ -158,6 +161,7 @@ impl AggProgram {
             agg: Aggregator::new(members),
             failed: false,
             tracer: None,
+            emits: Vec::new(),
         }
     }
 
@@ -181,7 +185,9 @@ impl SwitchProgram<WireMsg> for AggProgram {
         if self.failed {
             return Verdict::Consume; // dead device: blackhole
         }
-        for (dst, msg) in self.agg.on_packet(pkt.src.0, pkt.payload) {
+        self.agg
+            .on_packet_into(pkt.src.0, pkt.payload, &mut self.emits);
+        for (dst, msg) in self.emits.drain(..) {
             if let Some(t) = &self.tracer {
                 let d = dst as u64;
                 let (kind, key, render, a, b, c): (_, _, simnet::DetailFn, _, _, _) = match &msg {

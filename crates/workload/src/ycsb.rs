@@ -41,12 +41,16 @@ impl RecordSpec {
     /// Builds a deterministic record for `key_rank` (field bytes derived
     /// from the rank so replicas can be diffed).
     pub fn build(&self, key_rank: u64) -> Bytes {
-        let mut rec = Vec::with_capacity(self.record_len());
+        Bytes::build(self.record_len(), |rec| self.fill(key_rank, rec))
+    }
+
+    /// Writes [`RecordSpec::build`]'s record into `rec`, which is
+    /// [`RecordSpec::record_len`] bytes long.
+    fn fill(&self, key_rank: u64, rec: &mut [u8]) {
         for f in 0..self.fields {
-            let fill = (key_rank as u8).wrapping_add(f as u8);
-            rec.extend(std::iter::repeat_n(fill, self.field_len));
+            let field = &mut rec[f * self.field_len..(f + 1) * self.field_len];
+            field.fill((key_rank as u8).wrapping_add(f as u8));
         }
-        Bytes::from(rec)
     }
 }
 
@@ -90,6 +94,24 @@ pub struct YcsbGen {
 /// Formats the canonical YCSB key for a rank.
 pub fn key_of(rank: u64) -> String {
     format!("user{rank:012}")
+}
+
+/// [`key_of`] formatted on the stack: `user` and at most 20 digits.
+struct StackKey([u8; 24], usize);
+
+impl StackKey {
+    fn new(rank: u64) -> StackKey {
+        use std::io::Write;
+        let mut buf = [0; 24];
+        let mut rest = &mut buf[..];
+        write!(rest, "user{rank:012}").expect("any u64 key fits in 24 bytes");
+        let len = 24 - rest.len();
+        StackKey(buf, len)
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.0[..self.1]
+    }
 }
 
 impl YcsbGen {
@@ -175,65 +197,62 @@ impl YcsbGen {
         }
     }
 
-    fn read_op(&mut self) -> YcsbOp {
-        let k = self.zipf_key();
+    /// A SCAN of up to `n` records from key `rank`, written in place.
+    fn scan(&self, rank: u64, n: u32) -> YcsbOp {
         YcsbOp {
-            body: Command::Scan(self.table.clone(), Bytes::from(key_of(k)), 1).encode(),
+            body: Command::encode_scan(&self.table, StackKey::new(rank).as_bytes(), n),
             read_only: true,
         }
+    }
+
+    /// An INSERT of key `rank`'s record, written in place.
+    fn insert(&self, rank: u64) -> YcsbOp {
+        let key = StackKey::new(rank);
+        YcsbOp {
+            body: Command::encode_insert_with(
+                &self.table,
+                key.as_bytes(),
+                self.spec.record_len(),
+                |rec| self.spec.fill(rank, rec),
+            ),
+            read_only: false,
+        }
+    }
+
+    fn read_op(&mut self) -> YcsbOp {
+        let k = self.zipf_key();
+        self.scan(k, 1)
     }
 
     fn latest_read_op(&mut self) -> YcsbOp {
         // "Latest": skew towards recently inserted keys.
         let back = self.zipf.sample(&mut self.rng).min(self.insert_cursor - 1);
-        let k = self.insert_cursor - 1 - back;
-        YcsbOp {
-            body: Command::Scan(self.table.clone(), Bytes::from(key_of(k)), 1).encode(),
-            read_only: true,
-        }
+        self.scan(self.insert_cursor - 1 - back, 1)
     }
 
     fn update_op(&mut self) -> YcsbOp {
         let k = self.zipf_key();
-        YcsbOp {
-            body: Command::Insert(
-                self.table.clone(),
-                Bytes::from(key_of(k)),
-                self.spec.build(k),
-            )
-            .encode(),
-            read_only: false,
-        }
+        self.insert(k)
     }
 
     fn insert_op(&mut self) -> YcsbOp {
         let k = self.insert_cursor;
         self.insert_cursor += 1;
         self.zipf.grow(self.insert_cursor);
-        YcsbOp {
-            body: Command::Insert(
-                self.table.clone(),
-                Bytes::from(key_of(k)),
-                self.spec.build(k),
-            )
-            .encode(),
-            read_only: false,
-        }
+        self.insert(k)
     }
 
     fn scan_op(&mut self) -> YcsbOp {
         let k = self.zipf_key();
         let len = self.rng.gen_range(1..=self.max_scan_len);
-        YcsbOp {
-            body: Command::Scan(self.table.clone(), Bytes::from(key_of(k)), len).encode(),
-            read_only: true,
-        }
+        self.scan(k, len)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::ByteArena;
     use minikv::{Reply, Store};
 
     #[test]
@@ -241,6 +260,63 @@ mod tests {
         let spec = RecordSpec::default();
         assert_eq!(spec.record_len(), 1_000);
         assert_eq!(spec.build(7).len(), 1_000);
+        let small = RecordSpec {
+            fields: 3,
+            field_len: 2,
+        };
+        assert_eq!(
+            &small.build(255)[..],
+            [255, 255, 0, 0, 1, 1],
+            "rank + field"
+        );
+    }
+
+    /// The rank an op's key names, and the op decoded.
+    fn rank_of(body: &[u8]) -> (u64, Command) {
+        let cmd = Command::decode(body).expect("a generated body decodes");
+        let (Command::Scan(_, key, _) | Command::Insert(_, key, _)) = &cmd;
+        let digits = std::str::from_utf8(&key[4..]).expect("decimal");
+        (digits.parse().expect("a rank"), cmd)
+    }
+
+    /// Each body is what `Command::encode` writes for the op built the
+    /// plain way: the key by `key_of`, the record by `RecordSpec::build`.
+    #[test]
+    fn in_place_bodies_equal_command_encode() {
+        use YcsbWorkload::*;
+        let table = || Bytes::from_static(b"usertable");
+        for workload in [A, B, C, D, E] {
+            let spec = RecordSpec {
+                fields: 3,
+                field_len: 7,
+            };
+            let mut g = YcsbGen::new(workload, 10_000, spec, 9);
+            for _ in 0..2_000 {
+                let op = g.next_op();
+                let (rank, cmd) = rank_of(&op.body);
+                let want = match cmd {
+                    Command::Scan(_, _, n) => Command::Scan(table(), Bytes::from(key_of(rank)), n),
+                    Command::Insert(..) => {
+                        Command::Insert(table(), Bytes::from(key_of(rank)), spec.build(rank))
+                    }
+                };
+                assert_eq!(op.body, want.encode(), "{workload:?} rank {rank}");
+                assert_eq!(op.read_only, want.is_read_only());
+            }
+        }
+        let g = YcsbGen::new(E, 10, RecordSpec::default(), 0);
+        for rank in [0, 9_999, 1_000_000_000_000, 123_456_789_012_345, u64::MAX] {
+            let key = || Bytes::from(key_of(rank));
+            assert_eq!(
+                g.scan(rank, 7).body,
+                Command::Scan(table(), key(), 7).encode()
+            );
+            let insert = Command::Insert(table(), key(), g.spec.build(rank));
+            assert_eq!(g.insert(rank).body, insert.encode(), "rank {rank}");
+            assert_eq!(StackKey::new(rank).as_bytes(), key_of(rank).as_bytes());
+        }
+        assert_eq!(key_of(1_000_000_000_000).len(), 17, "past 16 B");
+        assert_eq!(key_of(u64::MAX).len(), 24);
     }
 
     #[test]
@@ -290,16 +366,16 @@ mod tests {
         };
         let mut g = YcsbGen::new(YcsbWorkload::E, 100, spec, 5);
         let mut store = Store::new();
+        let mut arena = ByteArena::new();
         for cmd in g.load_phase() {
-            store.execute(&cmd);
+            store.execute(&cmd.encode(), &mut arena).unwrap();
         }
         assert_eq!(store.len(), 100);
         // Every generated scan hits loaded data.
         for _ in 0..200 {
             let op = g.next_op();
-            let cmd = Command::decode(&op.body).unwrap();
-            let (reply, _) = store.execute(&cmd);
-            match reply {
+            let (reply, _) = store.execute(&op.body, &mut arena).unwrap();
+            match Reply::decode(&reply).unwrap() {
                 Reply::Array(items) => assert!(!items.is_empty(), "scan hit data"),
                 Reply::Ok => {} // insert
                 other => panic!("{other:?}"),

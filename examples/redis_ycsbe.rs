@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example redis_ycsbe`
 
-use bytes::Bytes;
+use bytes::{ByteArena, Bytes};
 use hovercraft::PolicyKind;
 use minikv::{Command, Reply, Store};
 use simnet::SimDur;
@@ -29,21 +29,28 @@ fn main() {
     // First, the store itself: the YCSB-E "module" commands execute as
     // single atomic operations, like the paper's Redis module.
     let mut store = Store::new();
+    let mut arena = ByteArena::new();
     for i in 0..5u32 {
         let key = format!("user{i:012}");
-        store.execute(&Command::Insert(
+        let insert = Command::Insert(
             Bytes::from_static(b"usertable"),
             Bytes::from(key),
             Bytes::from(vec![b'x'; 100]),
-        ));
+        );
+        store
+            .execute(&insert.encode(), &mut arena)
+            .expect("well-formed");
     }
-    let (scan, metrics) = store.execute(&Command::Scan(
+    let scan = Command::Scan(
         Bytes::from_static(b"usertable"),
         Bytes::from_static(b"user000000000001"),
         3,
-    ));
-    match scan {
-        Reply::Array(items) => println!(
+    );
+    let (reply, metrics) = store
+        .execute(&scan.encode(), &mut arena)
+        .expect("well-formed");
+    match Reply::decode(&reply) {
+        Some(Reply::Array(items)) => println!(
             "SCAN(3) returned {} key/record pairs, touching {} records",
             items.len() / 2,
             metrics.records
